@@ -322,14 +322,20 @@ class KeyPairRecord:
     public holds the algorithm's subjectPublicKey content (PKCS#1 for RSA,
     uncompressed point for ECDSA, raw bytes for the PQC schemes, encoded
     component sequence for composite); private holds a one-asymmetric-key
-    structure (or the composite container).
+    structure (or the composite container). key is the signing key that
+    private was parsed and checked into once: the cryptography object for
+    RSA, ECDSA and ML-DSA, the raw secret for SLH-DSA, the component
+    material for composite. A record built without it loads private on
+    every signature.
     """
 
     spec: AlgorithmSpec
     public: bytes
-    private: bytes
+    private: bytes = field(repr=False)
     created_at: datetime.datetime = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc))
+        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc),
+        compare=False)
+    key: object = field(default=None, compare=False, repr=False)
 
 
 def spki_for_key(record_or_spec, public: bytes | None = None,
@@ -423,37 +429,26 @@ def generate_keypair(spec: AlgorithmSpec, rng=None,
         material = composite.composite_keygen(list(spec.components), rng, registry)
         return material.to_record()
 
+    if spec.family == FAMILY_SLH_DSA:
+        ps = slhdsa.PARAMETER_SETS[spec.parameter]
+        seed = (rng or _SystemRng).randbytes(ps.seed_size)
+        sk, public = slhdsa.keygen(ps, seed)
+        private = _encode_one_asymmetric_key(oid_for(spec, registry), sk)
+        return KeyPairRecord(spec, public, private, key=sk)
     if spec.family == FAMILY_RSA:
         if rng is None:
             key = rsa.generate_private_key(public_exponent=65537, key_size=spec.parameter)
         else:
             key = _deterministic_rsa(spec.parameter, rng)
-        public = key.public_key().public_bytes(
-            serialization.Encoding.DER, serialization.PublicFormat.PKCS1)
-        private = _pkcs8(key)
     elif spec.family == FAMILY_ECDSA:
         curve = _CURVES[spec.parameter]
-        if rng is None:
-            key = ec.generate_private_key(curve)
-        else:
-            key = _deterministic_ec(curve, rng)
-        public = key.public_key().public_bytes(
-            serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
-        private = _pkcs8(key)
+        key = ec.generate_private_key(curve) if rng is None else _deterministic_ec(curve, rng)
     elif spec.family == FAMILY_ML_DSA:
         cls = _ML_DSA_PRIVATE[spec.parameter]
         key = cls.generate() if rng is None else cls.from_seed_bytes(rng.randbytes(32))
-        public = key.public_key().public_bytes_raw()
-        private = _pkcs8(key)
-    elif spec.family == FAMILY_SLH_DSA:
-        ps = slhdsa.PARAMETER_SETS[spec.parameter]
-        seed = (rng or _SystemRng).randbytes(ps.seed_size)
-        sk, public = slhdsa.keygen(ps, seed)
-        private = _encode_one_asymmetric_key(
-            oid_for(spec, registry), sk)
     else:
         raise UnsupportedAlgorithm(spec.family)
-    return KeyPairRecord(spec, public, private)
+    return KeyPairRecord(spec, _public_bytes(key), _pkcs8(key), key=key)
 
 
 def _pkcs8(key) -> bytes:
@@ -550,27 +545,38 @@ def _deterministic_rsa(bits: int, rng) -> rsa.RSAPrivateKey:
     return numbers.private_key()
 
 
-def public_from_private(spec: AlgorithmSpec, private: bytes) -> bytes:
-    """subjectPublicKey content recomputed from an encoded private key."""
-    if spec.family == FAMILY_COMPOSITE:
-        from . import composite
-        return composite.material_from_private(spec, private).public_der()
-    if spec.family == FAMILY_RSA:
-        key = _load_private(private, rsa.RSAPrivateKey, spec)
+def _public_bytes(key) -> bytes:
+    """subjectPublicKey content of a cryptography private key object."""
+    if isinstance(key, rsa.RSAPrivateKey):
         return key.public_key().public_bytes(
             serialization.Encoding.DER, serialization.PublicFormat.PKCS1)
-    if spec.family == FAMILY_ECDSA:
-        key = _load_private(private, ec.EllipticCurvePrivateKey, spec)
+    if isinstance(key, ec.EllipticCurvePrivateKey):
         return key.public_key().public_bytes(
             serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
-    if spec.family == FAMILY_ML_DSA:
-        key = _load_private(private, _ML_DSA_PRIVATE[spec.parameter], spec)
-        return key.public_key().public_bytes_raw()
+    return key.public_key().public_bytes_raw()
+
+
+def keypair_from_private(spec: AlgorithmSpec, private: bytes,
+                         registry: Registry | None = None) -> KeyPairRecord:
+    """Parse and check an encoded private key of a known spec, once: the
+    record holds the loaded key and the public key recomputed from it."""
+    if spec.family == FAMILY_COMPOSITE:
+        from . import composite
+        return composite.material_from_private(spec, private, registry).to_record()
     if spec.family == FAMILY_SLH_DSA:
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
         _, sk = _slh_private(private, ps)
-        return sk[2 * ps.n:]  # trailing half of the secret is the public key
-    raise UnsupportedAlgorithm(spec.family)
+        # trailing half of the secret is the public key
+        return KeyPairRecord(spec, sk[2 * ps.n:], private, key=sk)
+    if spec.family == FAMILY_RSA:
+        key = _load_private(private, rsa.RSAPrivateKey, spec)
+    elif spec.family == FAMILY_ECDSA:
+        key = _load_private(private, ec.EllipticCurvePrivateKey, spec)
+    elif spec.family == FAMILY_ML_DSA:
+        key = _load_private(private, _ML_DSA_PRIVATE[spec.parameter], spec)
+    else:
+        raise UnsupportedAlgorithm(spec.family)
+    return KeyPairRecord(spec, _public_bytes(key), private, key=key)
 
 
 def _spec_from_one_asymmetric_key(value: der.DerValue,
@@ -613,39 +619,39 @@ def load_private_key(data: bytes,
         value.expect(der.SEQUENCE)
         if (value.children and value.children[0].cls == der.UNIVERSAL
                 and value.children[0].tag == der.SEQUENCE):
-            from . import composite
             comps = tuple(_spec_from_one_asymmetric_key(child, registry)
                           for child in value.children)
             spec = AlgorithmSpec(FAMILY_COMPOSITE, components=comps)
-            return composite.material_from_private(spec, data, registry).to_record()
-        spec = _spec_from_one_asymmetric_key(value, registry)
-        return KeyPairRecord(spec, public_from_private(spec, data), data)
+        else:
+            spec = _spec_from_one_asymmetric_key(value, registry)
+        return keypair_from_private(spec, data, registry)
     except DerError as exc:
         raise KeyMismatch(f"cannot decode private key: {exc}") from exc
 
 
 # -- signing and verification ------------------------------------------
 
-def sign(spec: AlgorithmSpec, private: bytes, message: bytes) -> bytes:
-    """Signature over message with a private key in its encoded form."""
+def sign(spec: AlgorithmSpec, private: bytes | KeyPairRecord, message: bytes) -> bytes:
+    """Signature over message. private is an encoded private key, loaded
+    and checked first, or a KeyPairRecord (or composite component) of this
+    spec, whose loaded key signs without any parsing."""
+    if isinstance(private, (bytes, bytearray)):
+        key = keypair_from_private(spec, bytes(private)).key
+    elif private.key is None or private.spec != spec:
+        key = keypair_from_private(spec, private.private).key
+    else:
+        key = private.key
     if spec.family == FAMILY_COMPOSITE:
         from . import composite
-        material = composite.material_from_private(spec, private)
-        return composite.composite_sign(material, message).der
-
+        return composite.composite_sign(key, message).der
     if spec.family == FAMILY_RSA:
-        key = _load_private(private, rsa.RSAPrivateKey, spec)
         return key.sign(message, padding.PKCS1v15(), hashes.SHA256())
     if spec.family == FAMILY_ECDSA:
-        key = _load_private(private, ec.EllipticCurvePrivateKey, spec)
         return key.sign(message, ec.ECDSA(hashes.SHA256()))
     if spec.family == FAMILY_ML_DSA:
-        key = _load_private(private, _ML_DSA_PRIVATE[spec.parameter], spec)
         return key.sign(message)
     if spec.family == FAMILY_SLH_DSA:
-        ps = slhdsa.PARAMETER_SETS[spec.parameter]
-        _, sk = _slh_private(private, ps)
-        return slhdsa.sign(ps, message, sk)
+        return slhdsa.sign(slhdsa.PARAMETER_SETS[spec.parameter], message, key)
     raise UnsupportedAlgorithm(spec.family)
 
 

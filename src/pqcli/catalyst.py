@@ -104,8 +104,7 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
     intermediate = dataclasses.replace(
         tbs_base, extensions=tbs_base.extensions + (spki_ext, alg_ext))
 
-    alt_signature = algs.sign(alt_issuer_key.spec, alt_issuer_key.private,
-                              intermediate.der)
+    alt_signature = algs.sign(alt_issuer_key.spec, alt_issuer_key, intermediate.der)
     value_ext = x509.ExtensionBlock(
         EXT_ALT_SIGNATURE_VALUE, False, der.encode(der.bit_string(alt_signature)))
     final_tbs = dataclasses.replace(

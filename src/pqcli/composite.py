@@ -9,7 +9,7 @@ identical message bytes and verification is a strict AND over components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import algs, der, x509
 from .errors import (
@@ -24,9 +24,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class CompositeComponent:
+    """One component key; key is its loaded signing key, as in
+    algs.KeyPairRecord."""
+
     spec: algs.AlgorithmSpec
     spki: algs.SubjectPublicKeyInfo
-    private: bytes | None = None
+    private: bytes | None = field(default=None, repr=False)
+    key: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,7 +67,8 @@ class CompositeKeyMaterial:
         return algs.spki_for_key(self.spec, self.public_der(), registry)
 
     def to_record(self) -> algs.KeyPairRecord:
-        return algs.KeyPairRecord(self.spec, self.public_der(), self.private_der())
+        return algs.KeyPairRecord(self.spec, self.public_der(), self.private_der(),
+                                  key=self)
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,8 @@ def composite_keygen(specs, rng=None,
     for spec in specs:
         record = algs.generate_keypair(spec, rng, registry)
         components.append(CompositeComponent(
-            spec, algs.spki_for_key(record, registry=registry), record.private))
+            spec, algs.spki_for_key(record, registry=registry), record.private,
+            record.key))
     return CompositeKeyMaterial(tuple(components))
 
 
@@ -132,7 +138,8 @@ def material_from_public(spec: algs.AlgorithmSpec, public: bytes,
 
 def material_from_private(spec: algs.AlgorithmSpec, private: bytes,
                           registry: algs.Registry | None = None) -> CompositeKeyMaterial:
-    """Decode the private container and recompute component public keys."""
+    """Decode the private container, loading each component key once and
+    recomputing its public key."""
     value = der.decode(private)
     value.expect(der.SEQUENCE)
     if len(value.children) != len(spec.components):
@@ -142,10 +149,10 @@ def material_from_private(spec: algs.AlgorithmSpec, private: bytes,
     components = []
     for comp_spec, child in zip(spec.components, value.children):
         child.expect(der.SEQUENCE)
-        blob = der.encode(child)
-        public = algs.public_from_private(comp_spec, blob)
-        spki = algs.spki_for_key(comp_spec, public, registry)
-        components.append(CompositeComponent(comp_spec, spki, blob))
+        record = algs.keypair_from_private(comp_spec, der.encode(child))
+        components.append(CompositeComponent(
+            comp_spec, algs.spki_for_key(record, registry=registry),
+            record.private, record.key))
     return CompositeKeyMaterial(tuple(components))
 
 
@@ -155,7 +162,7 @@ def composite_sign(key: CompositeKeyMaterial, message: bytes) -> CompositeSignat
     for i, comp in enumerate(key.components):
         if comp.private is None:
             raise MissingPrivateKey(f"component {i} ({comp.spec}) has no private key")
-        parts.append(algs.sign(comp.spec, comp.private, message))
+        parts.append(algs.sign(comp.spec, comp, message))
     return CompositeSignatureValue(tuple(parts))
 
 

@@ -7,7 +7,8 @@ canonical BOOLEAN, INTEGER, and BIT STRING content. That strictness is what
 makes decode/encode a byte-exact round trip, which the hybrid-certificate
 pre-image reconstruction depends on.
 
-BER features (indefinite lengths, constructed strings) are rejected.
+BER features (indefinite lengths, constructed strings) are rejected, and
+so is nesting deeper than MAX_DEPTH.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ _MUST_BE_PRIMITIVE = frozenset({
     0x0A,  # ENUMERATED
 })
 _MUST_BE_CONSTRUCTED = frozenset({SEQUENCE, SET})
+
+# The deepest structure this tool emits, a composite SPKI inside a chameleon
+# descriptor inside a certificate, is 13 levels even counted through the
+# OCTET and BIT STRINGs that wrap it; each decode of it sees at most 6.
+# The cap leaves room for deeper foreign extensions and keeps the recursive
+# decoder far from Python's recursion limit.
+MAX_DEPTH = 32
 
 
 @dataclass(frozen=True)
@@ -96,10 +104,15 @@ class DerValue:
 
     def as_text(self) -> str:
         if self.tag == UTF8_STRING:
-            return self.content.decode("utf-8")
-        if self.tag in (PRINTABLE_STRING, IA5_STRING):
-            return self.content.decode("ascii")
-        raise BadTag(f"not a supported string tag: {self.tag:#x}")
+            codec = "utf-8"
+        elif self.tag in (PRINTABLE_STRING, IA5_STRING):
+            codec = "ascii"
+        else:
+            raise BadTag(f"not a supported string tag: {self.tag:#x}")
+        try:
+            return self.content.decode(codec)
+        except UnicodeDecodeError as exc:
+            raise BadValue(f"string tag {self.tag:#x} is not {codec}: {exc.reason}") from None
 
 
 # -- constructors -------------------------------------------------------
@@ -314,7 +327,9 @@ def _check_primitive_content(tag: int, content: bytes) -> None:
         ObjectIdentifier.decode_content(content)
 
 
-def _read_value(data: bytes, pos: int, end: int) -> tuple[DerValue, int]:
+def _read_value(data: bytes, pos: int, end: int, depth: int = 1) -> tuple[DerValue, int]:
+    if depth > MAX_DEPTH:
+        raise BadValue(f"nesting deeper than {MAX_DEPTH} levels")
     tag, cls, constructed, pos = _read_tag(data, pos, end)
     length, pos = _read_length(data, pos, end)
     if pos + length > end:
@@ -328,7 +343,7 @@ def _read_value(data: bytes, pos: int, end: int) -> tuple[DerValue, int]:
     if constructed:
         children = []
         while pos < content_end:
-            child, pos = _read_value(data, pos, content_end)
+            child, pos = _read_value(data, pos, content_end, depth + 1)
             children.append(child)
         return DerValue(tag, cls=cls, constructed=True, children=tuple(children)), content_end
     content = bytes(data[pos:content_end])

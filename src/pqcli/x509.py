@@ -277,7 +277,7 @@ def sign_certificate(tbs: TbsCertificate, issuer_key: algs.KeyPairRecord,
         raise AlgorithmMismatch(
             f"TBS says {tbs.signature_alg.oid}, key signs as {expected.oid}")
     tbs_der = tbs.der
-    signature = algs.sign(issuer_key.spec, issuer_key.private, tbs_der)
+    signature = algs.sign(issuer_key.spec, issuer_key, tbs_der)
     return CertificateDocument(tbs, tbs_der, tbs.signature_alg, signature)
 
 
@@ -413,7 +413,7 @@ def build_csr(subject: DistinguishedName, keypair: algs.KeyPairRecord,
     extensions = tuple(extensions)
     cri_der = _encode_cri(subject, spki, extensions)
     signature_alg = algs.signature_algorithm_for(keypair.spec, registry)
-    signature = algs.sign(keypair.spec, keypair.private, cri_der)
+    signature = algs.sign(keypair.spec, keypair, cri_der)
     doc = CsrDocument(subject, spki, extensions, cri_der, signature_alg, signature)
     if not verify_csr(doc, registry):
         raise AlgorithmMismatch("freshly built CSR failed self-verification")

@@ -3,7 +3,7 @@ import stat
 
 import pytest
 
-from pqcli import algs, catalyst, cli, composite, pem, x509
+from pqcli import algs, catalyst, cli, composite, der, pem, x509
 from pqcli.names import parse_name
 
 
@@ -162,6 +162,30 @@ def test_garbage_input_is_parse_error(workdir, capsys):
     assert run("view", "junk.der") == 4
     run("key", "-t", "ECDSA", "-out", "k.pem")
     assert run("verify", "k.pem") == 4
+    capsys.readouterr()
+
+
+def test_deep_nesting_is_parse_error(workdir, capsys):
+    blob = b"\x30\x00"
+    for _ in range(2999):
+        blob = der.wrap_sequence(blob)
+    (workdir / "deep.der").write_bytes(blob)
+    pem.write_pem(workdir / "deep.pem", pem.LABEL_CERTIFICATE, blob)
+    for path in ("deep.der", "deep.pem"):
+        assert run("view", path) == 4
+        assert run("verify", path) == 4
+    assert "nesting deeper than" in capsys.readouterr().err
+
+
+def test_invalid_text_in_name_is_parse_error(workdir, capsys, ec_key):
+    name = parse_name("CN=unit")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(1),
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key).emit()
+    at = blob.index(b"unit")
+    (workdir / "bad.der").write_bytes(blob[:at] + b"\xff\xfe" + blob[at + 2:])
+    assert run("view", "bad.der") == 4
+    assert run("verify", "bad.der") == 4
     capsys.readouterr()
 
 

@@ -143,6 +143,34 @@ def test_string_types():
         assert der.decode(blob).as_text() == text
 
 
+def test_invalid_text_is_bad_value():
+    for tag, content in ((der.UTF8_STRING, b"\xff\xfe"), (der.UTF8_STRING, b"\xc3"),
+                         (der.PRINTABLE_STRING, "é".encode()), (der.IA5_STRING, b"\x80")):
+        value = der.decode(der.encode(der.DerValue(tag, content=content)))
+        with pytest.raises(BadValue):
+            value.as_text()
+
+
+def _nested(levels: int) -> bytes:
+    blob = b"\x30\x00"
+    for _ in range(levels - 1):
+        blob = der.wrap_sequence(blob)
+    return blob
+
+
+def test_nesting_depth_is_capped():
+    assert der.encode(der.decode(_nested(der.MAX_DEPTH))) == _nested(der.MAX_DEPTH)
+    for levels in (der.MAX_DEPTH + 1, 3000):
+        with pytest.raises(BadValue):
+            der.decode(_nested(levels))
+    # a primitive leaf counts as a level too
+    leaf = der.encode(der.integer(1))
+    for _ in range(der.MAX_DEPTH):
+        leaf = der.wrap_sequence(leaf)
+    with pytest.raises(BadValue):
+        der.decode(leaf)
+
+
 def test_time_codec_utc_and_generalized():
     utc = datetime.timezone.utc
     before_2050 = datetime.datetime(2026, 8, 23, 12, 0, 5, tzinfo=utc)

@@ -2,13 +2,15 @@ import datetime
 
 import pytest
 
-from pqcli import algs, der, oids, pem, x509
+from pqcli import algs, chameleon, composite, der, oids, pem, x509
 from pqcli.errors import (
     AlgorithmMismatch,
+    BadValue,
     DuplicateExtension,
     InvalidParameter,
     InvalidValidity,
     NotACertificate,
+    NotACsr,
 )
 from pqcli.names import parse_name
 
@@ -182,6 +184,40 @@ def test_parse_rejects_non_certificates():
         x509.parse_certificate(der.encode(der.seq(der.integer(1))))
     with pytest.raises(NotACertificate):
         x509.parse_certificate(b"-----BEGIN PUBLIC KEY-----\nAAAA\n-----END PUBLIC KEY-----\n")
+
+
+def _nested_sequences(levels):
+    blob = b"\x30\x00"
+    for _ in range(levels - 1):
+        blob = der.wrap_sequence(blob)
+    return blob
+
+
+def test_parse_rejects_deep_nesting():
+    with pytest.raises(NotACertificate):
+        x509.parse_certificate(_nested_sequences(3000))
+    with pytest.raises(NotACsr):
+        x509.parse_csr(_nested_sequences(3000))
+
+
+def test_invalid_text_in_name_is_bad_value(ec_key):
+    blob = _self_signed(ec_key).emit()
+    at = blob.index(b"unit")
+    with pytest.raises(BadValue):
+        x509.parse_certificate(blob[:at] + b"\xff\xfe" + blob[at + 2:])
+
+
+def test_deepest_emitted_structure_decodes(ec_key, rng):
+    """A composite SPKI inside a chameleon descriptor: the deepest nesting
+    this tool emits stays inside the decoder's depth cap."""
+    name = parse_name("CN=deep,O=Plant")
+    delta_key = composite.composite_keygen(
+        (algs.parse_alg_spec("ml-dsa:2"), algs.parse_alg_spec("ecdsa")), rng).to_record()
+    base, delta = chameleon.issue_paired(
+        chameleon.CertParams(subject=name), chameleon.CertParams(), ec_key, delta_key)
+    parsed = x509.parse_certificate(base.emit())
+    assert chameleon.reconstruct_delta(parsed).emit() == delta.emit()
+    assert x509.verify_certificate(delta, delta.tbs.spki).all_valid
 
 
 def test_parse_rejects_unique_ids(ec_key):
