@@ -7,9 +7,11 @@ algorithm OID; the registry table can be replaced at runtime from a text
 file so interim OIDs can be swapped for standardized ones without a
 rebuild.
 
-RSA, ECDSA, and ML-DSA primitives are backed by the cryptography package;
-SLH-DSA is the in-package implementation. All four are reachable through
-the same generate_keypair/sign/verify functions, keyed by spec.
+Each algorithm family is one backend in the _FAMILIES table: RSA, ECDSA
+and ML-DSA are backed by the cryptography package, SLH-DSA by the
+in-package implementation, and composite keys and signatures delegate to
+their components' backends. generate_keypair, sign, verify and the key
+encodings dispatch through that table, keyed by the spec's family.
 """
 
 from __future__ import annotations
@@ -31,7 +33,9 @@ from .errors import (
     InvalidParameter,
     KeyMismatch,
     MalformedSpec,
+    MissingPrivateKey,
     NestedComposite,
+    PqcliError,
     TooFewComponents,
     TooManyComponents,
     UnknownAlgorithm,
@@ -49,17 +53,14 @@ FAMILY_COMPOSITE = "composite"
 # from ballooning past what any verifier would accept.
 MAX_COMPOSITE_COMPONENTS = 4
 
+# Named curves: the cryptography curve, its OID, and its group order, which
+# seeded key generation reduces into.
 _CURVES = {
-    "P-256": ec.SECP256R1(),
-    "P-384": ec.SECP384R1(),
-    "P-521": ec.SECP521R1(),
+    "P-256": (ec.SECP256R1(), oids.CURVE_P256, 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551),
+    "P-384": (ec.SECP384R1(), oids.CURVE_P384, 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFC7634D81F4372DDF581A0DB248B0A77AECEC196ACCC52973),
+    "P-521": (ec.SECP521R1(), oids.CURVE_P521, 0x1FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFA51868783BF2F966B7FCC0148F709A5D03BB5C9B8899C47AEBB6FB71E91386409),
 }
-_CURVE_OIDS = {
-    "P-256": oids.CURVE_P256,
-    "P-384": oids.CURVE_P384,
-    "P-521": oids.CURVE_P521,
-}
-_CURVE_BY_OID = {v: k for k, v in _CURVE_OIDS.items()}
+_CURVE_BY_OID = {oid: name for name, (_, oid, _) in _CURVES.items()}
 
 _ML_DSA_PRIVATE = {2: mldsa.MLDSA44PrivateKey, 3: mldsa.MLDSA65PrivateKey, 5: mldsa.MLDSA87PrivateKey}
 _ML_DSA_PUBLIC = {2: mldsa.MLDSA44PublicKey, 3: mldsa.MLDSA65PublicKey, 5: mldsa.MLDSA87PublicKey}
@@ -193,13 +194,21 @@ class Registry:
     """Injective name-to-OID table for signature algorithms.
 
     Immutable once built; overrides produce a new instance. The reverse
-    mapping drives algorithm recognition when parsing certificates.
+    mapping drives algorithm recognition when parsing certificates, so
+    every name is "composite" or the oid_name() of a spec.
     """
 
     def __init__(self, table: dict[str, ObjectIdentifier]):
         self._by_name = dict(table)
         self._by_oid: dict[ObjectIdentifier, str] = {}
         for name, value in self._by_name.items():
+            try:
+                known = name == "composite" or _parse_single(name).oid_name() == name
+            except PqcliError:
+                known = False
+            if not known:
+                raise InvalidParameter(
+                    f"OID table name {name!r} is not a registry key such as 'ml-dsa:3'")
             if value in self._by_oid:
                 raise InvalidParameter(
                     f"OID {value} mapped by both {self._by_oid[value]!r} and {name!r}")
@@ -229,8 +238,12 @@ class Registry:
         registry = cls.default()
         path = environ.get(OID_TABLE_ENV)
         if path:
-            with open(path, "r", encoding="utf-8") as handle:
-                registry = registry.with_overrides(handle.read())
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise InvalidParameter(f"OID table {path} is not UTF-8 text: {exc}") from None
+            registry = registry.with_overrides(text)
         return registry
 
     def oid_for_name(self, name: str) -> ObjectIdentifier:
@@ -338,154 +351,467 @@ class KeyPairRecord:
     key: object = field(default=None, compare=False, repr=False)
 
 
-def spki_for_key(record_or_spec, public: bytes | None = None,
-                 registry: Registry | None = None) -> SubjectPublicKeyInfo:
-    """SubjectPublicKeyInfo for a keypair (or bare spec + public bytes)."""
-    if isinstance(record_or_spec, KeyPairRecord):
-        spec, public = record_or_spec.spec, record_or_spec.public
-    else:
-        spec = record_or_spec
-        if public is None:
-            raise InvalidParameter("public bytes required with a bare spec")
-    registry = registry or _default_registry
+def _family(spec: AlgorithmSpec) -> "_Family":
+    try:
+        return _FAMILIES[spec.family]
+    except KeyError:
+        raise UnsupportedAlgorithm(spec.family) from None
 
-    if spec.family == FAMILY_RSA:
-        alg = AlgorithmIdentifier(oids.RSA_ENCRYPTION, der.null())
-    elif spec.family == FAMILY_ECDSA:
-        alg = AlgorithmIdentifier(oids.EC_PUBLIC_KEY,
-                                  der.oid_value(_CURVE_OIDS[spec.parameter]))
-    elif spec.family in (FAMILY_ML_DSA, FAMILY_SLH_DSA, FAMILY_COMPOSITE):
-        alg = AlgorithmIdentifier(oid_for(spec, registry))
-    else:
-        raise UnsupportedAlgorithm(spec.family)
-    return SubjectPublicKeyInfo(alg, public)
+
+def spki_for_key(record: KeyPairRecord,
+                 registry: Registry | None = None) -> SubjectPublicKeyInfo:
+    """SubjectPublicKeyInfo for a keypair."""
+    algorithm = _family(record.spec).spki_algorithm(record.spec, registry)
+    return SubjectPublicKeyInfo(algorithm, record.public)
 
 
 def spec_from_spki(spki: SubjectPublicKeyInfo,
                    registry: Registry | None = None) -> AlgorithmSpec | None:
     """Infer the algorithm spec a public key belongs to; None if unknown."""
-    registry = registry or _default_registry
-    alg_oid = spki.algorithm.oid
-
-    if alg_oid == oids.RSA_ENCRYPTION:
-        try:
-            numbers = _decode_pkcs1_public(spki.key_bits)
-        except DerError:
-            return None
-        return AlgorithmSpec(FAMILY_RSA, numbers.n.bit_length())
-    if alg_oid == oids.EC_PUBLIC_KEY:
-        params = spki.algorithm.parameters
-        if params is None or params.tag != der.OID:
-            return None
-        curve = _CURVE_BY_OID.get(params.as_oid())
-        return AlgorithmSpec(FAMILY_ECDSA, curve) if curve else None
-
-    name = registry.name_for_oid(alg_oid)
-    if name is None:
+    try:
+        return _spec_from_key(spki.algorithm, spki.key_bits,
+                              registry or _default_registry, private=False)
+    except PqcliError:  # malformed, unknown, or an impossible composite
         return None
+
+
+def _spec_from_key(alg: AlgorithmIdentifier, key: bytes, registry: Registry,
+                   private: bool) -> AlgorithmSpec:
+    """Spec of a public key (SPKI key bits) or of a private key (PKCS#8
+    privateKey octets). RSA and ECDSA keys carry their own key OID; every
+    other key carries its signature OID, a registry name."""
+    family = _KEY_OID_FAMILIES.get(alg.oid)
+    if family is not None:
+        return family.spec_from_key(alg, key, private)
+    name = registry.name_for_oid(alg.oid)
+    if name is None or (private and name == "composite"):
+        raise KeyMismatch(f"unrecognized key algorithm {alg.oid}")
     if name == "composite":
-        try:
-            inner = der.decode(spki.key_bits)
-            inner.expect(der.SEQUENCE)
-            children = [spec_from_spki(SubjectPublicKeyInfo.from_der_value(c), registry)
-                        for c in inner.children]
-        except DerError:
-            return None
-        if any(c is None for c in children):
-            return None
-        try:
-            return AlgorithmSpec(FAMILY_COMPOSITE, components=tuple(children))
-        except (TooFewComponents, TooManyComponents, NestedComposite):
-            return None
-    family, _, param = name.partition(":")
-    if family == FAMILY_ML_DSA:
-        return AlgorithmSpec(FAMILY_ML_DSA, int(param))
-    if family == FAMILY_SLH_DSA:
-        return AlgorithmSpec(FAMILY_SLH_DSA, param)
-    if family == FAMILY_RSA:
-        # Overridden table entry pointing the RSA signature OID elsewhere.
-        return AlgorithmSpec(FAMILY_RSA, 2048)
-    if family == FAMILY_ECDSA:
-        return AlgorithmSpec(FAMILY_ECDSA, "P-256")
-    return None
-
-
-# -- key generation -----------------------------------------------------
-
-class _SystemRng:
-    """Minimal random-source interface over the OS entropy pool."""
-
-    @staticmethod
-    def randbytes(n: int) -> bytes:
-        return os.urandom(n)
+        return AlgorithmSpec(FAMILY_COMPOSITE, components=tuple(
+            _spec_from_key(c.algorithm, c.key_bits, registry, private)
+            for c in map(SubjectPublicKeyInfo.from_der_value, _components(key))))
+    return _parse_single(name)
 
 
 def generate_keypair(spec: AlgorithmSpec, rng=None,
                      registry: Registry | None = None) -> KeyPairRecord:
     """Generate a keypair; a seeded rng (randbytes interface) makes it
     deterministic for tests."""
-    if spec.family == FAMILY_COMPOSITE:
-        from . import composite
-        material = composite.composite_keygen(list(spec.components), rng, registry)
-        return material.to_record()
+    return _family(spec).keygen(spec, rng, registry)
 
-    if spec.family == FAMILY_SLH_DSA:
-        ps = slhdsa.PARAMETER_SETS[spec.parameter]
-        seed = (rng or _SystemRng).randbytes(ps.seed_size)
-        sk, public = slhdsa.keygen(ps, seed)
-        private = _encode_one_asymmetric_key(oid_for(spec, registry), sk)
-        return KeyPairRecord(spec, public, private, key=sk)
-    if spec.family == FAMILY_RSA:
-        if rng is None:
-            key = rsa.generate_private_key(public_exponent=65537, key_size=spec.parameter)
+
+def keypair_from_private(spec: AlgorithmSpec, private: bytes,
+                         registry: Registry | None = None) -> KeyPairRecord:
+    """Parse and check an encoded private key of a known spec, once: the
+    record holds the loaded key and the public key recomputed from it."""
+    return _family(spec).load(spec, private, registry)
+
+
+def _one_asymmetric_key(value: der.DerValue) -> tuple[AlgorithmIdentifier, bytes]:
+    """Algorithm and privateKey octets of a decoded one-asymmetric-key."""
+    value.expect(der.SEQUENCE)
+    if len(value.children) < 3 or value.children[0].tag != der.INTEGER:
+        raise KeyMismatch("not a one-asymmetric-key structure")
+    return (AlgorithmIdentifier.from_der_value(value.children[1]),
+            value.children[2].as_octets())
+
+
+def load_private_key(data: bytes,
+                     registry: Registry | None = None) -> KeyPairRecord:
+    """Rebuild a KeyPairRecord from an encoded private key, inferring the
+    spec from the structure. Composite containers are recognized by their
+    leading component (a nested SEQUENCE instead of a version INTEGER)."""
+    registry = registry or _default_registry
+    try:
+        value = der.decode(data)
+        value.expect(der.SEQUENCE)
+        if (value.children and value.children[0].cls == der.UNIVERSAL
+                and value.children[0].tag == der.SEQUENCE):
+            comps = tuple(_spec_from_key(*_one_asymmetric_key(child), registry, private=True)
+                          for child in value.children)
+            spec = AlgorithmSpec(FAMILY_COMPOSITE, components=comps)
         else:
-            key = _deterministic_rsa(spec.parameter, rng)
-    elif spec.family == FAMILY_ECDSA:
-        curve = _CURVES[spec.parameter]
-        key = ec.generate_private_key(curve) if rng is None else _deterministic_ec(curve, rng)
-    elif spec.family == FAMILY_ML_DSA:
-        cls = _ML_DSA_PRIVATE[spec.parameter]
-        key = cls.generate() if rng is None else cls.from_seed_bytes(rng.randbytes(32))
+            spec = _spec_from_key(*_one_asymmetric_key(value), registry, private=True)
+        return keypair_from_private(spec, data, registry)
+    except DerError as exc:
+        raise KeyMismatch(f"cannot decode private key: {exc}") from exc
+
+
+def sign(spec: AlgorithmSpec, private: bytes | KeyPairRecord, message: bytes) -> bytes:
+    """Signature over message. private is an encoded private key, loaded
+    and checked first, or a KeyPairRecord (or composite component) of this
+    spec, whose loaded key signs without any parsing."""
+    if isinstance(private, (bytes, bytearray)):
+        key = keypair_from_private(spec, bytes(private)).key
+    elif private.key is None or private.spec != spec:
+        key = keypair_from_private(spec, private.private).key
     else:
-        raise UnsupportedAlgorithm(spec.family)
-    return KeyPairRecord(spec, _public_bytes(key), _pkcs8(key), key=key)
+        key = private.key
+    return _family(spec).sign(spec, key, message)
 
 
-def _pkcs8(key) -> bytes:
-    return key.private_bytes(serialization.Encoding.DER,
-                             serialization.PrivateFormat.PKCS8,
-                             serialization.NoEncryption())
+def verify(spec: AlgorithmSpec, public: bytes, message: bytes,
+           signature: bytes) -> bool:
+    """True iff signature is valid; malformed inputs give False, not errors."""
+    family = _family(spec)
+    try:
+        return family.verify(spec, public, message, signature)
+    except (InvalidSignature, ValueError, DerError, KeyMismatch):
+        return False
 
 
-def _encode_one_asymmetric_key(alg_oid: ObjectIdentifier, key_bytes: bytes) -> bytes:
-    return der.encode(der.seq(
-        der.integer(0),
-        AlgorithmIdentifier(alg_oid).to_der_value(),
-        der.octet_string(key_bytes),
-    ))
+# -- one backend per family ---------------------------------------------
+
+class _Family:
+    """One algorithm family: keygen and load give a KeyPairRecord, sign uses
+    its key, verify may raise on malformed input. A family whose keys carry
+    their own key OID sets key_oid and infers specs in spec_from_key."""
+
+    key_oid: ObjectIdentifier | None = None
+
+    def spki_algorithm(self, spec: AlgorithmSpec,
+                       registry: Registry | None) -> AlgorithmIdentifier:
+        return AlgorithmIdentifier(oid_for(spec, registry))
 
 
-def _decode_one_asymmetric_key(data: bytes) -> tuple[ObjectIdentifier, bytes]:
+class _CryptographyFamily(_Family):
+    """RSA, ECDSA and ML-DSA: the key is a cryptography object, which also
+    encodes the public key and the PKCS#8 private key. Subclasses give
+    generate(parameter, rng), private_type(spec) and public_key(spec, public)."""
+
+    public_encoding = serialization.Encoding.Raw
+    public_format = serialization.PublicFormat.Raw
+    sign_args: tuple = ()
+
+    def keygen(self, spec, rng, registry):
+        key = self.generate(spec.parameter, rng)
+        return self._record(spec, key, key.private_bytes(
+            serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
+            serialization.NoEncryption()))
+
+    def load(self, spec, private, registry):
+        try:
+            key = serialization.load_der_private_key(private, password=None)
+        except Exception as exc:
+            raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
+        if not isinstance(key, self.private_type(spec)):
+            raise KeyMismatch(f"private key does not match spec {spec}")
+        return self._record(spec, key, private)
+
+    def _record(self, spec, key, private: bytes) -> KeyPairRecord:
+        public = key.public_key().public_bytes(self.public_encoding, self.public_format)
+        return KeyPairRecord(spec, public, private, key=key)
+
+    def sign(self, spec, key, message):
+        return key.sign(message, *self.sign_args)
+
+    def verify(self, spec, public, message, signature):
+        self.public_key(spec, public).verify(signature, message, *self.sign_args)
+        return True
+
+
+class _Rsa(_CryptographyFamily):
+    key_oid = oids.RSA_ENCRYPTION
+    public_encoding = serialization.Encoding.DER
+    public_format = serialization.PublicFormat.PKCS1
+    sign_args = (padding.PKCS1v15(), hashes.SHA256())
+
+    def generate(self, bits, rng):
+        e = 65537
+        if rng is None:
+            return rsa.generate_private_key(public_exponent=e, key_size=bits)
+        p = _deterministic_prime(bits // 2, rng)
+        q = _deterministic_prime(bits - bits // 2, rng)
+        while q == p:
+            q = _deterministic_prime(bits - bits // 2, rng)
+        if p < q:
+            p, q = q, p
+        d = pow(e, -1, (p - 1) * (q - 1))
+        return rsa.RSAPrivateNumbers(
+            p=p, q=q, d=d,
+            dmp1=rsa.rsa_crt_dmp1(d, p),
+            dmq1=rsa.rsa_crt_dmq1(d, q),
+            iqmp=rsa.rsa_crt_iqmp(p, q),
+            public_numbers=rsa.RSAPublicNumbers(e=e, n=p * q),
+        ).private_key()
+
+    def private_type(self, spec):
+        return rsa.RSAPrivateKey
+
+    def public_key(self, spec, public):
+        return _decode_pkcs1_public(public).public_key()
+
+    def spki_algorithm(self, spec, registry):
+        return AlgorithmIdentifier(self.key_oid, der.null())
+
+    def spec_from_key(self, alg, key, private):
+        """The modulus size, from an RSAPrivateKey or an RSAPublicKey."""
+        if private:
+            value = der.decode(key)
+            value.expect(der.SEQUENCE)
+            if len(value.children) < 2:
+                raise KeyMismatch("RSA private key is missing the modulus")
+            modulus = value.children[1].as_int()
+        else:
+            modulus = _decode_pkcs1_public(key).n
+        return AlgorithmSpec(FAMILY_RSA, modulus.bit_length())
+
+
+class _Ecdsa(_CryptographyFamily):
+    key_oid = oids.EC_PUBLIC_KEY
+    public_encoding = serialization.Encoding.X962
+    public_format = serialization.PublicFormat.UncompressedPoint
+    sign_args = (ec.ECDSA(hashes.SHA256()),)
+
+    def generate(self, curve_name, rng):
+        curve, _, order = _CURVES[curve_name]
+        if rng is None:
+            return ec.generate_private_key(curve)
+        # Uniform-enough scalar: 8 surplus bytes make the mod bias negligible.
+        raw = int.from_bytes(rng.randbytes((order.bit_length() + 7) // 8 + 8), "big")
+        return ec.derive_private_key(raw % (order - 1) + 1, curve)
+
+    def private_type(self, spec):
+        return ec.EllipticCurvePrivateKey
+
+    def public_key(self, spec, public):
+        return ec.EllipticCurvePublicKey.from_encoded_point(_CURVES[spec.parameter][0], public)
+
+    def spki_algorithm(self, spec, registry):
+        return AlgorithmIdentifier(self.key_oid, der.oid_value(_CURVES[spec.parameter][1]))
+
+    def spec_from_key(self, alg, key, private):
+        """The named curve in the key's algorithm parameters."""
+        params = alg.parameters
+        if params is None or params.tag != der.OID:
+            raise KeyMismatch("EC key without a named curve")
+        curve = _CURVE_BY_OID.get(params.as_oid())
+        if curve is None:
+            raise KeyMismatch(f"unsupported curve {params.as_oid()}")
+        return AlgorithmSpec(FAMILY_ECDSA, curve)
+
+
+class _MlDsa(_CryptographyFamily):
+    def generate(self, level, rng):
+        cls = _ML_DSA_PRIVATE[level]
+        return cls.generate() if rng is None else cls.from_seed_bytes(rng.randbytes(32))
+
+    def private_type(self, spec):
+        return _ML_DSA_PRIVATE[spec.parameter]
+
+    def public_key(self, spec, public):
+        return _ML_DSA_PUBLIC[spec.parameter].from_public_bytes(public)
+
+
+class _SlhDsa(_Family):
+    """The in-package SLH-DSA: the key is the raw secret, whose trailing
+    half is the public key."""
+
+    def keygen(self, spec, rng, registry):
+        ps = slhdsa.PARAMETER_SETS[spec.parameter]
+        seed = os.urandom(ps.seed_size) if rng is None else rng.randbytes(ps.seed_size)
+        sk, public = slhdsa.keygen(ps, seed)
+        alg = AlgorithmIdentifier(oid_for(spec, registry)).to_der_value()
+        private = der.encode(der.seq(der.integer(0), alg, der.octet_string(sk)))
+        return KeyPairRecord(spec, public, private, key=sk)
+
+    def load(self, spec, private, registry):
+        ps = slhdsa.PARAMETER_SETS[spec.parameter]
+        sk = _slh_private(private, ps)
+        return KeyPairRecord(spec, sk[2 * ps.n:], private, key=sk)
+
+    def sign(self, spec, key, message):
+        return slhdsa.sign(slhdsa.PARAMETER_SETS[spec.parameter], message, key)
+
+    def verify(self, spec, public, message, signature):
+        return slhdsa.verify(slhdsa.PARAMETER_SETS[spec.parameter],
+                             message, signature, public)
+
+
+class _Composite(_Family):
+    """Several component keys under one OID; every step delegates to the
+    components' own families through the same table."""
+
+    def keygen(self, spec, rng, registry):
+        return composite_keygen(spec.components, rng, registry).to_record()
+
+    def load(self, spec, private, registry):
+        return material_from_private(spec, private, registry).to_record()
+
+    def sign(self, spec, key, message):
+        return composite_sign(key, message).der
+
+    def verify(self, spec, public, message, signature):
+        verdicts = component_verdicts(material_from_public(spec, public), message,
+                                      CompositeSignatureValue.from_der(signature))
+        return verdicts is not None and all(verdicts)
+
+
+_FAMILIES: dict[str, _Family] = {
+    FAMILY_RSA: _Rsa(),
+    FAMILY_ECDSA: _Ecdsa(),
+    FAMILY_ML_DSA: _MlDsa(),
+    FAMILY_SLH_DSA: _SlhDsa(),
+    FAMILY_COMPOSITE: _Composite(),
+}
+_KEY_OID_FAMILIES = {f.key_oid: f for f in _FAMILIES.values() if f.key_oid is not None}
+
+
+def _slh_private(data: bytes, ps: slhdsa.ParameterSet) -> bytes:
+    try:
+        _, sk = _one_asymmetric_key(der.decode(data))
+    except DerError as exc:
+        raise KeyMismatch(f"cannot load SLH-DSA private key: {exc}") from None
+    if len(sk) != ps.sk_size:
+        raise KeyMismatch(
+            f"SLH-DSA-{ps.name} private key must be {ps.sk_size} bytes, got {len(sk)}")
+    return sk
+
+
+def _decode_pkcs1_public(data: bytes) -> rsa.RSAPublicNumbers:
     value = der.decode(data)
     value.expect(der.SEQUENCE)
-    if len(value.children) < 3:
-        raise BadValue("one-asymmetric-key needs version, algorithm, key")
-    alg = AlgorithmIdentifier.from_der_value(value.children[1])
-    return alg.oid, value.children[2].as_octets()
+    if len(value.children) != 2:
+        raise BadValue("RSAPublicKey needs modulus and exponent")
+    n = value.children[0].as_int()
+    e = value.children[1].as_int()
+    if n <= 0 or e <= 0:
+        raise BadValue("RSA modulus and exponent must be positive")
+    return rsa.RSAPublicNumbers(e=e, n=n)
 
 
-def _deterministic_ec(curve, rng) -> ec.EllipticCurvePrivateKey:
-    # Uniform-enough scalar: 8 surplus bytes make the mod bias negligible.
-    order = _EC_ORDERS[curve.name]
-    raw = int.from_bytes(rng.randbytes((order.bit_length() + 7) // 8 + 8), "big")
-    return ec.derive_private_key(raw % (order - 1) + 1, curve)
+# -- composite keys and signatures --------------------------------------
+#
+# The public key is a SEQUENCE of component SPKIs inside the outer SPKI's
+# BIT STRING, the private container a SEQUENCE of the components'
+# one-asymmetric-keys, the signature a SEQUENCE of BIT STRINGs in the same
+# order. Every component signs the same bytes; verification ANDs them all.
+
+@dataclass(frozen=True)
+class CompositeComponent:
+    """One component key; key is its loaded signing key, as in
+    KeyPairRecord."""
+
+    spec: AlgorithmSpec
+    spki: SubjectPublicKeyInfo
+    private: bytes | None = field(default=None, repr=False)
+    key: object = field(default=None, compare=False, repr=False)
+
+    @classmethod
+    def of(cls, record: KeyPairRecord,
+           registry: Registry | None = None) -> "CompositeComponent":
+        return cls(record.spec, spki_for_key(record, registry=registry),
+                   record.private, record.key)
 
 
-_EC_ORDERS = {
-    "secp256r1": 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
-    "secp384r1": 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFC7634D81F4372DDF581A0DB248B0A77AECEC196ACCC52973,
-    "secp521r1": 0x1FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFA51868783BF2F966B7FCC0148F709A5D03BB5C9B8899C47AEBB6FB71E91386409,
-}
+@dataclass(frozen=True)
+class CompositeKeyMaterial:
+    """Ordered component keys treated as one key. Order is fixed at
+    generation and preserved byte-exactly through encode/decode."""
+
+    components: tuple[CompositeComponent, ...]
+    spec: AlgorithmSpec = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # AlgorithmSpec rejects a wrong component count and nesting.
+        object.__setattr__(self, "spec", AlgorithmSpec(
+            FAMILY_COMPOSITE, components=tuple(c.spec for c in self.components)))
+
+    def public_der(self) -> bytes:
+        """The outer SPKI's subject_public_key content."""
+        return der.encode(der.seq(*(c.spki.to_der_value() for c in self.components)))
+
+    def private_der(self) -> bytes:
+        parts = []
+        for i, comp in enumerate(self.components):
+            if comp.private is None:
+                raise MissingPrivateKey(f"component {i} ({comp.spec}) has no private key")
+            parts.append(comp.private)
+        return der.wrap_sequence(b"".join(parts))
+
+    def outer_spki(self, registry: Registry | None = None) -> SubjectPublicKeyInfo:
+        algorithm = _family(self.spec).spki_algorithm(self.spec, registry)
+        return SubjectPublicKeyInfo(algorithm, self.public_der())
+
+    def to_record(self) -> KeyPairRecord:
+        return KeyPairRecord(self.spec, self.public_der(), self.private_der(), key=self)
+
+
+@dataclass(frozen=True)
+class CompositeSignatureValue:
+    parts: tuple[bytes, ...]
+
+    @property
+    def der(self) -> bytes:
+        return der.encode(der.seq(*(der.bit_string(p) for p in self.parts)))
+
+    @classmethod
+    def from_der(cls, data: bytes) -> "CompositeSignatureValue":
+        return cls(tuple(child.as_bits() for child in _components(data)))
+
+
+def _components(data: bytes, spec: AlgorithmSpec | None = None) -> tuple[der.DerValue, ...]:
+    """The elements of a composite public key, private container or
+    signature; given a spec, exactly one per component."""
+    value = der.decode(data)
+    value.expect(der.SEQUENCE)
+    if spec is not None and len(value.children) != len(spec.components):
+        raise KeyMismatch(
+            f"{len(value.children)} encoded components, spec has {len(spec.components)}")
+    return value.children
+
+
+def composite_keygen(specs, rng=None,
+                     registry: Registry | None = None) -> CompositeKeyMaterial:
+    spec = AlgorithmSpec(FAMILY_COMPOSITE, components=tuple(specs))
+    return CompositeKeyMaterial(tuple(
+        CompositeComponent.of(generate_keypair(s, rng, registry), registry)
+        for s in spec.components))
+
+
+def material_from_public(spec: AlgorithmSpec, public: bytes,
+                         registry: Registry | None = None) -> CompositeKeyMaterial:
+    """Decode the component-SPKI sequence; verification-only material."""
+    return CompositeKeyMaterial(tuple(
+        CompositeComponent(s, SubjectPublicKeyInfo.from_der_value(child))
+        for s, child in zip(spec.components, _components(public, spec))))
+
+
+def material_from_private(spec: AlgorithmSpec, private: bytes,
+                          registry: Registry | None = None) -> CompositeKeyMaterial:
+    """Decode the private container, loading each component key once and
+    recomputing its public key."""
+    return CompositeKeyMaterial(tuple(
+        CompositeComponent.of(keypair_from_private(s, der.encode(child), registry), registry)
+        for s, child in zip(spec.components, _components(private, spec))))
+
+
+def composite_sign(key: CompositeKeyMaterial, message: bytes) -> CompositeSignatureValue:
+    """Each component signs the identical message bytes, in order."""
+    parts = []
+    for i, comp in enumerate(key.components):
+        if comp.private is None:
+            raise MissingPrivateKey(f"component {i} ({comp.spec}) has no private key")
+        parts.append(sign(comp.spec, comp, message))
+    return CompositeSignatureValue(tuple(parts))
+
+
+def component_verdicts(key: CompositeKeyMaterial, message: bytes,
+                       sig: CompositeSignatureValue) -> tuple[bool, ...] | None:
+    """Each component's verdict on its signature part, in order; None when
+    the part count differs from the component count."""
+    if len(sig.parts) != len(key.components):
+        return None
+    return tuple(verify(c.spec, c.spki.key_bits, message, part)
+                 for c, part in zip(key.components, sig.parts))
+
+
+# Boolean composite verification over encoded key and signature is verify
+# with a composite spec; the composite name stays for its callers.
+verify_raw = verify
+
+
+# -- seeded RSA primes --------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -524,194 +850,3 @@ def _deterministic_prime(bits: int, rng) -> int:
         if _is_probable_prime(candidate):
             return candidate
 
-
-def _deterministic_rsa(bits: int, rng) -> rsa.RSAPrivateKey:
-    e = 65537
-    p = _deterministic_prime(bits // 2, rng)
-    q = _deterministic_prime(bits - bits // 2, rng)
-    while q == p:
-        q = _deterministic_prime(bits - bits // 2, rng)
-    if p < q:
-        p, q = q, p
-    n = p * q
-    d = pow(e, -1, (p - 1) * (q - 1))
-    numbers = rsa.RSAPrivateNumbers(
-        p=p, q=q, d=d,
-        dmp1=rsa.rsa_crt_dmp1(d, p),
-        dmq1=rsa.rsa_crt_dmq1(d, q),
-        iqmp=rsa.rsa_crt_iqmp(p, q),
-        public_numbers=rsa.RSAPublicNumbers(e=e, n=n),
-    )
-    return numbers.private_key()
-
-
-def _public_bytes(key) -> bytes:
-    """subjectPublicKey content of a cryptography private key object."""
-    if isinstance(key, rsa.RSAPrivateKey):
-        return key.public_key().public_bytes(
-            serialization.Encoding.DER, serialization.PublicFormat.PKCS1)
-    if isinstance(key, ec.EllipticCurvePrivateKey):
-        return key.public_key().public_bytes(
-            serialization.Encoding.X962, serialization.PublicFormat.UncompressedPoint)
-    return key.public_key().public_bytes_raw()
-
-
-def keypair_from_private(spec: AlgorithmSpec, private: bytes,
-                         registry: Registry | None = None) -> KeyPairRecord:
-    """Parse and check an encoded private key of a known spec, once: the
-    record holds the loaded key and the public key recomputed from it."""
-    if spec.family == FAMILY_COMPOSITE:
-        from . import composite
-        return composite.material_from_private(spec, private, registry).to_record()
-    if spec.family == FAMILY_SLH_DSA:
-        ps = slhdsa.PARAMETER_SETS[spec.parameter]
-        _, sk = _slh_private(private, ps)
-        # trailing half of the secret is the public key
-        return KeyPairRecord(spec, sk[2 * ps.n:], private, key=sk)
-    if spec.family == FAMILY_RSA:
-        key = _load_private(private, rsa.RSAPrivateKey, spec)
-    elif spec.family == FAMILY_ECDSA:
-        key = _load_private(private, ec.EllipticCurvePrivateKey, spec)
-    elif spec.family == FAMILY_ML_DSA:
-        key = _load_private(private, _ML_DSA_PRIVATE[spec.parameter], spec)
-    else:
-        raise UnsupportedAlgorithm(spec.family)
-    return KeyPairRecord(spec, _public_bytes(key), private, key=key)
-
-
-def _spec_from_one_asymmetric_key(value: der.DerValue,
-                                  registry: Registry) -> AlgorithmSpec:
-    if len(value.children) < 3 or value.children[0].tag != der.INTEGER:
-        raise KeyMismatch("not a one-asymmetric-key structure")
-    alg = AlgorithmIdentifier.from_der_value(value.children[1])
-    if alg.oid == oids.RSA_ENCRYPTION:
-        inner = der.decode(value.children[2].as_octets())
-        inner.expect(der.SEQUENCE)
-        if len(inner.children) < 2:
-            raise KeyMismatch("RSA private key is missing the modulus")
-        return AlgorithmSpec(FAMILY_RSA, inner.children[1].as_int().bit_length())
-    if alg.oid == oids.EC_PUBLIC_KEY:
-        params = alg.parameters
-        if params is None or params.tag != der.OID:
-            raise KeyMismatch("EC private key without a named curve")
-        curve = _CURVE_BY_OID.get(params.as_oid())
-        if curve is None:
-            raise KeyMismatch(f"unsupported curve {params.as_oid()}")
-        return AlgorithmSpec(FAMILY_ECDSA, curve)
-    name = registry.name_for_oid(alg.oid)
-    if name:
-        family, _, param = name.partition(":")
-        if family == FAMILY_ML_DSA:
-            return AlgorithmSpec(family, int(param))
-        if family == FAMILY_SLH_DSA:
-            return AlgorithmSpec(family, param)
-    raise KeyMismatch(f"unrecognized private key algorithm {alg.oid}")
-
-
-def load_private_key(data: bytes,
-                     registry: Registry | None = None) -> KeyPairRecord:
-    """Rebuild a KeyPairRecord from an encoded private key, inferring the
-    spec from the structure. Composite containers are recognized by their
-    leading component (a nested SEQUENCE instead of a version INTEGER)."""
-    registry = registry or _default_registry
-    try:
-        value = der.decode(data)
-        value.expect(der.SEQUENCE)
-        if (value.children and value.children[0].cls == der.UNIVERSAL
-                and value.children[0].tag == der.SEQUENCE):
-            comps = tuple(_spec_from_one_asymmetric_key(child, registry)
-                          for child in value.children)
-            spec = AlgorithmSpec(FAMILY_COMPOSITE, components=comps)
-        else:
-            spec = _spec_from_one_asymmetric_key(value, registry)
-        return keypair_from_private(spec, data, registry)
-    except DerError as exc:
-        raise KeyMismatch(f"cannot decode private key: {exc}") from exc
-
-
-# -- signing and verification ------------------------------------------
-
-def sign(spec: AlgorithmSpec, private: bytes | KeyPairRecord, message: bytes) -> bytes:
-    """Signature over message. private is an encoded private key, loaded
-    and checked first, or a KeyPairRecord (or composite component) of this
-    spec, whose loaded key signs without any parsing."""
-    if isinstance(private, (bytes, bytearray)):
-        key = keypair_from_private(spec, bytes(private)).key
-    elif private.key is None or private.spec != spec:
-        key = keypair_from_private(spec, private.private).key
-    else:
-        key = private.key
-    if spec.family == FAMILY_COMPOSITE:
-        from . import composite
-        return composite.composite_sign(key, message).der
-    if spec.family == FAMILY_RSA:
-        return key.sign(message, padding.PKCS1v15(), hashes.SHA256())
-    if spec.family == FAMILY_ECDSA:
-        return key.sign(message, ec.ECDSA(hashes.SHA256()))
-    if spec.family == FAMILY_ML_DSA:
-        return key.sign(message)
-    if spec.family == FAMILY_SLH_DSA:
-        return slhdsa.sign(slhdsa.PARAMETER_SETS[spec.parameter], message, key)
-    raise UnsupportedAlgorithm(spec.family)
-
-
-def _load_private(data: bytes, expected_type, spec: AlgorithmSpec):
-    try:
-        key = serialization.load_der_private_key(data, password=None)
-    except Exception as exc:
-        raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
-    if not isinstance(key, expected_type):
-        raise KeyMismatch(f"private key does not match spec {spec}")
-    return key
-
-
-def _slh_private(data: bytes, ps: slhdsa.ParameterSet) -> tuple[ObjectIdentifier, bytes]:
-    try:
-        alg_oid, sk = _decode_one_asymmetric_key(data)
-    except DerError as exc:
-        raise KeyMismatch(f"cannot load SLH-DSA private key: {exc}") from None
-    if len(sk) != ps.sk_size:
-        raise KeyMismatch(
-            f"SLH-DSA-{ps.name} private key must be {ps.sk_size} bytes, got {len(sk)}")
-    return alg_oid, sk
-
-
-def verify(spec: AlgorithmSpec, public: bytes, message: bytes,
-           signature: bytes) -> bool:
-    """True iff signature is valid; malformed inputs give False, not errors."""
-    try:
-        if spec.family == FAMILY_COMPOSITE:
-            from . import composite
-            return composite.verify_raw(spec, public, message, signature)
-        if spec.family == FAMILY_RSA:
-            numbers = _decode_pkcs1_public(public)
-            numbers.public_key().verify(signature, message,
-                                        padding.PKCS1v15(), hashes.SHA256())
-            return True
-        if spec.family == FAMILY_ECDSA:
-            key = ec.EllipticCurvePublicKey.from_encoded_point(
-                _CURVES[spec.parameter], public)
-            key.verify(signature, message, ec.ECDSA(hashes.SHA256()))
-            return True
-        if spec.family == FAMILY_ML_DSA:
-            key = _ML_DSA_PUBLIC[spec.parameter].from_public_bytes(public)
-            key.verify(signature, message)
-            return True
-        if spec.family == FAMILY_SLH_DSA:
-            return slhdsa.verify(slhdsa.PARAMETER_SETS[spec.parameter],
-                                 message, signature, public)
-    except (InvalidSignature, ValueError, DerError):
-        return False
-    raise UnsupportedAlgorithm(spec.family)
-
-
-def _decode_pkcs1_public(data: bytes) -> rsa.RSAPublicNumbers:
-    value = der.decode(data)
-    value.expect(der.SEQUENCE)
-    if len(value.children) != 2:
-        raise BadValue("RSAPublicKey needs modulus and exponent")
-    n = value.children[0].as_int()
-    e = value.children[1].as_int()
-    if n <= 0 or e <= 0:
-        raise BadValue("RSA modulus and exponent must be positive")
-    return rsa.RSAPublicNumbers(e=e, n=n)

@@ -211,7 +211,8 @@ def reconstruct_delta(base: x509.CertificateDocument,
                       ) -> x509.CertificateDocument:
     """Rebuild the delta certificate from the base: copy the base TBS,
     substitute every descriptor field, drop the descriptor extension, and
-    attach the stored signature. Self-signed results are verified."""
+    attach the stored signature. Self-signed results are verified; one
+    whose key algorithm is not recognized fails."""
     registry = registry or algs.default_registry()
     descriptor = descriptor_from_certificate(base)
 
@@ -236,7 +237,7 @@ def reconstruct_delta(base: x509.CertificateDocument,
                                    descriptor.signature_value)
     if doc.tbs.subject == doc.tbs.issuer:
         spec = algs.spec_from_spki(descriptor.spki, registry)
-        if spec is not None and not algs.verify(
+        if spec is None or not algs.verify(
                 spec, descriptor.spki.key_bits, doc.tbs_der, doc.signature):
             raise ReconstructionMismatch(
                 "reconstructed delta certificate fails signature verification")

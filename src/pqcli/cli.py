@@ -1,9 +1,10 @@
 """pqcli command line: cert, key, csr, view, verify.
 
-Exit codes are stable: 0 success, 2 usage or algorithm-spec errors, 3 file
-IO, 4 parse failures, 5 native signature invalid, 6 alternative signature
-invalid, 7 composite signature invalid. All diagnostics go to stderr;
-artifacts and reports go to stdout. No prompts anywhere.
+Exit codes are stable: 0 success, 2 usage, algorithm-spec or OID table
+errors, 3 file IO, 4 parse failures, 5 native signature invalid, 6
+alternative (Catalyst) or delta signature invalid, 7 composite signature
+invalid. All diagnostics go to stderr; artifacts and reports go to stdout.
+No prompts anywhere.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import pathlib
 import sys
 
-from . import algs, catalyst, pem, x509
+from . import algs, catalyst, chameleon, pem, x509
 from .errors import (
     DerError,
     KeyMismatch,
@@ -279,6 +280,21 @@ def cmd_verify(args, registry: algs.Registry) -> int:
         print(f"native signature: {report.native_sig}")
     if report.alt_sig is not None:
         print(f"alt signature: {report.alt_sig}")
+    delta_invalid = False
+    try:
+        delta = chameleon.reconstruct_delta(cert, registry)
+    except NoDescriptor:
+        pass
+    except ReconstructionMismatch as exc:
+        delta_invalid = True
+        print("delta signature: invalid")
+        print(f"pqcli: delta certificate: {exc}", file=sys.stderr)
+    else:
+        if delta.tbs.subject == delta.tbs.issuer:
+            print("delta signature: valid")
+        else:
+            print("warning: delta certificate is not self-signed; its signature "
+                  "was not checked", file=sys.stderr)
     for note in report.chain_notes:
         print(f"warning: {note}", file=sys.stderr)
 
@@ -286,6 +302,6 @@ def cmd_verify(args, registry: algs.Registry) -> int:
         return 7
     if report.native_sig != x509.VALID:
         return 5
-    if report.alt_sig is not None and report.alt_sig != x509.VALID:
+    if report.alt_sig not in (None, x509.VALID) or delta_invalid:
         return 6
     return 0

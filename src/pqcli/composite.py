@@ -1,89 +1,27 @@
-"""Composite keys and signatures: several algorithms fused into one SPKI
-and one signature value under a single umbrella OID.
+"""Composite certificates: several algorithms fused into one SPKI and one
+signature value under a single umbrella OID.
 
-A composite public key is a DER SEQUENCE of component SubjectPublicKeyInfo
-structures riding in the outer SPKI's BIT STRING; a composite signature is
-a DER SEQUENCE of BIT STRINGs in matching order. Every component signs the
-identical message bytes and verification is a strict AND over components.
+The composite key and signature encodings are the composite backend in
+algs, re-exported here. This module adds the certificate level:
+per-component verdicts and self-signed issuance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import algs, der, x509
-from .errors import (
-    DerError,
-    KeyMismatch,
-    MissingPrivateKey,
-    NestedComposite,
-    TooFewComponents,
-    TooManyComponents,
+from . import algs, x509
+from .algs import (  # re-exported, so composite.X keeps working
+    CompositeComponent,
+    CompositeKeyMaterial,
+    CompositeSignatureValue,
+    composite_keygen,
+    composite_sign,
+    material_from_private,
+    material_from_public,
+    verify_raw,
 )
-
-
-@dataclass(frozen=True)
-class CompositeComponent:
-    """One component key; key is its loaded signing key, as in
-    algs.KeyPairRecord."""
-
-    spec: algs.AlgorithmSpec
-    spki: algs.SubjectPublicKeyInfo
-    private: bytes | None = field(default=None, repr=False)
-    key: object = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class CompositeKeyMaterial:
-    """Ordered component keys treated as one key. Order is fixed at
-    generation and preserved byte-exactly through encode/decode."""
-
-    components: tuple[CompositeComponent, ...]
-
-    def __post_init__(self):
-        _check_component_count(len(self.components))
-        if any(c.spec.family == algs.FAMILY_COMPOSITE for c in self.components):
-            raise NestedComposite("composite components must not be composite")
-
-    @property
-    def spec(self) -> algs.AlgorithmSpec:
-        return algs.AlgorithmSpec(
-            algs.FAMILY_COMPOSITE,
-            components=tuple(c.spec for c in self.components))
-
-    def public_der(self) -> bytes:
-        """The outer SPKI's subject_public_key content."""
-        return der.encode(der.seq(*(c.spki.to_der_value() for c in self.components)))
-
-    def private_der(self) -> bytes:
-        parts = []
-        for i, comp in enumerate(self.components):
-            if comp.private is None:
-                raise MissingPrivateKey(f"component {i} ({comp.spec}) has no private key")
-            parts.append(comp.private)
-        return der.wrap_sequence(b"".join(parts))
-
-    def outer_spki(self, registry: algs.Registry | None = None) -> algs.SubjectPublicKeyInfo:
-        return algs.spki_for_key(self.spec, self.public_der(), registry)
-
-    def to_record(self) -> algs.KeyPairRecord:
-        return algs.KeyPairRecord(self.spec, self.public_der(), self.private_der(),
-                                  key=self)
-
-
-@dataclass(frozen=True)
-class CompositeSignatureValue:
-    parts: tuple[bytes, ...]
-
-    @property
-    def der(self) -> bytes:
-        return der.encode(der.seq(*(der.bit_string(p) for p in self.parts)))
-
-    @classmethod
-    def from_der(cls, data: bytes) -> "CompositeSignatureValue":
-        value = der.decode(data)
-        value.expect(der.SEQUENCE)
-        return cls(tuple(child.as_bits() for child in value.children))
+from .errors import DerError
 
 
 @dataclass(frozen=True)
@@ -97,97 +35,15 @@ class CompositeVerification:
     note: str | None = None
 
 
-def _check_component_count(count: int) -> None:
-    if count < 2:
-        raise TooFewComponents("composite needs at least two components")
-    if count > algs.MAX_COMPOSITE_COMPONENTS:
-        raise TooManyComponents(
-            f"composite supports at most {algs.MAX_COMPOSITE_COMPONENTS} components")
-
-
-def composite_keygen(specs, rng=None,
-                     registry: algs.Registry | None = None) -> CompositeKeyMaterial:
-    specs = tuple(specs)
-    _check_component_count(len(specs))
-    if any(s.family == algs.FAMILY_COMPOSITE for s in specs):
-        raise NestedComposite("composite components must not be composite")
-    components = []
-    for spec in specs:
-        record = algs.generate_keypair(spec, rng, registry)
-        components.append(CompositeComponent(
-            spec, algs.spki_for_key(record, registry=registry), record.private,
-            record.key))
-    return CompositeKeyMaterial(tuple(components))
-
-
-def material_from_public(spec: algs.AlgorithmSpec, public: bytes,
-                         registry: algs.Registry | None = None) -> CompositeKeyMaterial:
-    """Decode the component-SPKI sequence; verification-only material."""
-    value = der.decode(public)
-    value.expect(der.SEQUENCE)
-    if len(value.children) != len(spec.components):
-        raise KeyMismatch(
-            f"public key has {len(value.children)} components, spec has "
-            f"{len(spec.components)}")
-    components = []
-    for comp_spec, child in zip(spec.components, value.children):
-        spki = algs.SubjectPublicKeyInfo.from_der_value(child)
-        components.append(CompositeComponent(comp_spec, spki, None))
-    return CompositeKeyMaterial(tuple(components))
-
-
-def material_from_private(spec: algs.AlgorithmSpec, private: bytes,
-                          registry: algs.Registry | None = None) -> CompositeKeyMaterial:
-    """Decode the private container, loading each component key once and
-    recomputing its public key."""
-    value = der.decode(private)
-    value.expect(der.SEQUENCE)
-    if len(value.children) != len(spec.components):
-        raise KeyMismatch(
-            f"private container has {len(value.children)} components, spec has "
-            f"{len(spec.components)}")
-    components = []
-    for comp_spec, child in zip(spec.components, value.children):
-        child.expect(der.SEQUENCE)
-        record = algs.keypair_from_private(comp_spec, der.encode(child))
-        components.append(CompositeComponent(
-            comp_spec, algs.spki_for_key(record, registry=registry),
-            record.private, record.key))
-    return CompositeKeyMaterial(tuple(components))
-
-
-def composite_sign(key: CompositeKeyMaterial, message: bytes) -> CompositeSignatureValue:
-    """Each component signs the identical message bytes, in order."""
-    parts = []
-    for i, comp in enumerate(key.components):
-        if comp.private is None:
-            raise MissingPrivateKey(f"component {i} ({comp.spec}) has no private key")
-        parts.append(algs.sign(comp.spec, comp, message))
-    return CompositeSignatureValue(tuple(parts))
-
-
 def composite_verify(key: CompositeKeyMaterial, message: bytes,
                      sig: CompositeSignatureValue) -> CompositeVerification:
-    if len(sig.parts) != len(key.components):
+    verdicts = algs.component_verdicts(key, message, sig)
+    if verdicts is None:
         return CompositeVerification(
             (), False,
             f"signature has {len(sig.parts)} parts for {len(key.components)} components")
-    verdicts = tuple(
-        x509.VALID if algs.verify(comp.spec, comp.spki.key_bits, message, part)
-        else x509.INVALID
-        for comp, part in zip(key.components, sig.parts))
-    return CompositeVerification(verdicts, all(v == x509.VALID for v in verdicts))
-
-
-def verify_raw(spec: algs.AlgorithmSpec, public: bytes, message: bytes,
-               signature: bytes) -> bool:
-    """Boolean composite verification over encoded key and signature."""
-    try:
-        material = material_from_public(spec, public)
-        sig = CompositeSignatureValue.from_der(signature)
-    except (DerError, KeyMismatch):
-        return False
-    return composite_verify(material, message, sig).overall
+    return CompositeVerification(
+        tuple(x509.VALID if ok else x509.INVALID for ok in verdicts), all(verdicts))
 
 
 def verify_certificate_signature(cert, issuer_spki: algs.SubjectPublicKeyInfo,
@@ -197,10 +53,8 @@ def verify_certificate_signature(cert, issuer_spki: algs.SubjectPublicKeyInfo,
     spec = algs.spec_from_spki(issuer_spki, registry)
     if spec is None or spec.family != algs.FAMILY_COMPOSITE:
         return CompositeVerification((), False, "issuer key is not a usable composite key")
-    try:
-        material = material_from_public(spec, issuer_spki.key_bits, registry)
-    except (DerError, KeyMismatch) as exc:
-        return CompositeVerification((), False, f"malformed composite public key: {exc}")
+    # spec_from_spki has decoded every component key already
+    material = material_from_public(spec, issuer_spki.key_bits, registry)
     try:
         sig = CompositeSignatureValue.from_der(cert.signature)
     except DerError:

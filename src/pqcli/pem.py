@@ -71,12 +71,6 @@ def write_pem(path, label: str, payload: bytes) -> None:
         handle.write(encode_pem(label, payload))
 
 
-def write_pem_blocks(path, blocks) -> None:
-    with open(path, "w", encoding="ascii") as handle:
-        for label, payload in blocks:
-            handle.write(encode_pem(label, payload))
-
-
 def open_private(path):
     """Binary write handle whose file is owner read/write only, with the
     mode applied before any bytes land."""

@@ -486,14 +486,11 @@ def _describe_spki(spki: algs.SubjectPublicKeyInfo, registry, indent: str) -> li
     elif spec.family == algs.FAMILY_ECDSA:
         lines[0] += f" (curve {spec.parameter})"
     elif spec.family == algs.FAMILY_COMPOSITE:
-        try:
-            inner = der.decode(spki.key_bits)
-            for i, child in enumerate(inner.children, start=1):
-                part = algs.SubjectPublicKeyInfo.from_der_value(child)
-                lines.append(f"{indent}    Component {i}: "
-                             f"{algorithm_name(part.algorithm.oid)}")
-        except DerError:
-            lines.append(f"{indent}    (malformed component sequence)")
+        # spec_from_spki has decoded every component key already
+        material = algs.material_from_public(spec, spki.key_bits)
+        for i, part in enumerate(material.components, start=1):
+            lines.append(f"{indent}    Component {i}: "
+                         f"{algorithm_name(part.spki.algorithm.oid)}")
     else:
         lines.append(f"{indent}    Key: {len(spki.key_bits)} bytes")
     return lines

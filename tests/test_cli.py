@@ -1,9 +1,10 @@
+import dataclasses
 import os
 import stat
 
 import pytest
 
-from pqcli import algs, catalyst, cli, composite, der, pem, x509
+from pqcli import algs, catalyst, chameleon, cli, composite, der, oids, pem, x509
 from pqcli.names import parse_name
 
 
@@ -275,3 +276,77 @@ def test_expired_certificate_warns_but_verifies(workdir, capsys, rng):
     captured = capsys.readouterr()
     assert "native signature: valid" in captured.out
     assert "expired" in captured.err
+
+
+# -- OID table names ----------------------------------------------------
+
+@pytest.mark.parametrize("table", [
+    b"ml-dsa:9 = 2.999.9\n",
+    b"slh-dsa:999 = 2.999.9\n",
+    b"ml-dsa:x = 2.999.9\n",
+    b"\xff\xfe = 1.2.3\n",
+], ids=["ml-dsa-level", "slh-dsa-set", "ml-dsa-text", "not-utf8"])
+def test_oid_table_names_must_be_registry_keys(workdir, capsys, monkeypatch, rng,
+                                               table):
+    # a certificate whose key and signature carry the table's OID
+    registry = algs.default_registry().with_overrides("ml-dsa:2 = 2.999.9\n")
+    key = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
+    name = parse_name("CN=table")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(key, registry=registry),
+                         x509.default_validity(5),
+                         algs.signature_algorithm_for(key.spec, registry), rng=rng)
+    _write_cert(workdir / "c.pem", x509.sign_certificate(tbs, key, registry))
+    (workdir / "oids.conf").write_bytes(table)
+    monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
+    assert run("verify", "c.pem") == 2
+    assert run("view", "c.pem") == 2
+    assert "OID table" in capsys.readouterr().err
+
+
+# -- delta certificates inside paired bases -----------------------------
+
+def _resign_with_descriptor(base, descriptor, key):
+    exts = tuple(
+        x509.ExtensionBlock(e.oid, e.critical, descriptor.der)
+        if e.oid == oids.EXT_DELTA_CERTIFICATE_DESCRIPTOR else e
+        for e in base.tbs.extensions)
+    return x509.sign_certificate(dataclasses.replace(base.tbs, extensions=exts), key)
+
+
+@pytest.fixture
+def paired_base(ec_key, ml2_key, rng):
+    base, _ = chameleon.issue_paired(chameleon.CertParams(), chameleon.CertParams(),
+                                     ec_key, ml2_key, rng=rng)
+    return base
+
+
+def test_verify_reports_a_valid_delta(workdir, capsys, paired_base):
+    _write_cert(workdir / "base.pem", paired_base)
+    assert run("verify", "base.pem") == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "native signature: valid", "delta signature: valid"]
+
+
+def test_verify_rejects_a_delta_with_a_flipped_bit(workdir, capsys, paired_base,
+                                                   ec_key):
+    descriptor = chameleon.descriptor_from_certificate(paired_base)
+    sig = bytearray(descriptor.signature_value)
+    sig[0] ^= 0x01
+    broken = dataclasses.replace(descriptor, signature_value=bytes(sig))
+    _write_cert(workdir / "bad.pem", _resign_with_descriptor(paired_base, broken, ec_key))
+    assert run("verify", "bad.pem") == 6
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "native signature: valid", "delta signature: invalid"]
+    assert "fails signature verification" in captured.err
+
+
+def test_verify_warns_on_a_delta_it_cannot_check(workdir, capsys, paired_base,
+                                                 ec_key):
+    descriptor = chameleon.descriptor_from_certificate(paired_base)
+    other = dataclasses.replace(descriptor, issuer=parse_name("CN=elsewhere"))
+    _write_cert(workdir / "other.pem", _resign_with_descriptor(paired_base, other, ec_key))
+    assert run("verify", "other.pem") == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["native signature: valid"]
+    assert "not self-signed; its signature was not checked" in captured.err

@@ -1,0 +1,107 @@
+"""Property test of the whole certificate pipeline on mutated input.
+
+One seeded certificate of each shape is mutated by byte flips, insertions
+and truncation. Every mutant goes through parse, verify, render and delta
+reconstruction in-process; a smaller sample goes through the CLI. Only a
+PqcliError may escape the library, verify_certificate never raises, and
+the CLI exits only with a documented code.
+"""
+
+import contextlib
+import datetime
+import io
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from pqcli import algs, catalyst, chameleon, cli, composite, x509
+from pqcli.errors import PqcliError
+from pqcli.names import parse_name
+
+_VALIDITY = (datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc),
+             datetime.datetime(2027, 1, 1, tzinfo=datetime.timezone.utc))
+_CLI_EXIT_CODES = {0, 2, 3, 4, 5, 6, 7}
+_SETTINGS = dict(database=None, deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+def _self_signed(key, rng):
+    name = parse_name("CN=fuzz")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(key), _VALIDITY,
+                         algs.signature_algorithm_for(key.spec), rng=rng)
+    return x509.sign_certificate(tbs, key)
+
+
+@pytest.fixture(scope="module")
+def corpus(ec_key, ml2_key, slh_key):
+    rng = random.Random(7)
+    rsa_key = algs.generate_keypair(algs.parse_alg_spec("rsa:1024"), random.Random(4))
+    name = parse_name("CN=catalyst")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), _VALIDITY,
+                         algs.signature_algorithm_for(ec_key.spec), rng=rng)
+    material = composite.composite_keygen((ml2_key.spec, ec_key.spec), random.Random(5))
+    base, _ = chameleon.issue_paired(chameleon.CertParams(validity=_VALIDITY),
+                                     chameleon.CertParams(), ec_key, ml2_key, rng=rng)
+    certs = {
+        "rsa": _self_signed(rsa_key, rng),
+        "ecdsa": _self_signed(ec_key, rng),
+        "ml-dsa": _self_signed(ml2_key, rng),
+        "slh-dsa-128f": _self_signed(slh_key, rng),
+        "catalyst": catalyst.issue_catalyst(tbs, ec_key, ml2_key),
+        "composite": composite.issue_composite_certificate(
+            parse_name("CN=composite"), material, validity=_VALIDITY, rng=rng),
+        "paired-base": base,
+    }
+    return {shape: cert.emit() for shape, cert in certs.items()}
+
+
+@st.composite
+def mutants(draw, corpus):
+    data = bytearray(corpus[draw(st.sampled_from(sorted(corpus)))])
+    for _ in range(draw(st.integers(1, 3))):
+        # half the edits land in the first 400 bytes: versions, serials,
+        # names, validity and algorithm identifiers rather than key bytes
+        limit = draw(st.sampled_from((min(len(data), 400), len(data))))
+        pos = draw(st.integers(0, limit))
+        kind = draw(st.sampled_from(("flip", "insert", "truncate")))
+        if kind == "insert":
+            data[pos:pos] = draw(st.binary(min_size=1, max_size=4))
+        elif kind == "truncate":
+            del data[pos:]
+        elif pos < len(data):
+            data[pos] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@settings(max_examples=2000, **_SETTINGS)
+@given(data=st.data())
+def test_mutated_certificates_raise_only_pqcli_errors(corpus, data):
+    blob = data.draw(mutants(corpus))
+    try:
+        cert = x509.parse_certificate(blob)
+    except PqcliError:
+        return
+    report = x509.verify_certificate(cert, cert.tbs.spki)  # never raises
+    assert isinstance(report, x509.VerificationReport)
+    with contextlib.suppress(PqcliError):
+        x509.render_text(cert)
+    with contextlib.suppress(PqcliError):
+        chameleon.reconstruct_delta(cert)
+
+
+@pytest.fixture(scope="module")
+def mutant_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutant") / "cert.der"
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(data=st.data(), command=st.sampled_from(("verify", "view")))
+def test_cli_exits_with_documented_codes_on_mutants(corpus, mutant_path, data,
+                                                    command):
+    mutant_path.write_bytes(data.draw(mutants(corpus)))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main([command, str(mutant_path)])
+    assert code in _CLI_EXIT_CODES
