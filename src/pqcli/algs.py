@@ -16,7 +16,6 @@ encodings dispatch through that table, keyed by the spec's family.
 
 from __future__ import annotations
 
-import datetime
 import math
 import os
 import re
@@ -345,9 +344,6 @@ class KeyPairRecord:
     spec: AlgorithmSpec
     public: bytes
     private: bytes = field(repr=False)
-    created_at: datetime.datetime = field(
-        default_factory=lambda: datetime.datetime.now(datetime.timezone.utc),
-        compare=False)
     key: object = field(default=None, compare=False, repr=False)
 
 
@@ -477,7 +473,7 @@ class _Family:
 class _CryptographyFamily(_Family):
     """RSA, ECDSA and ML-DSA: the key is a cryptography object, which also
     encodes the public key and the PKCS#8 private key. Subclasses give
-    generate(parameter, rng), private_type(spec) and public_key(spec, public)."""
+    generate(parameter, rng), matches(spec, key) and public_key(spec, public)."""
 
     public_encoding = serialization.Encoding.Raw
     public_format = serialization.PublicFormat.Raw
@@ -494,7 +490,7 @@ class _CryptographyFamily(_Family):
             key = serialization.load_der_private_key(private, password=None)
         except Exception as exc:
             raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
-        if not isinstance(key, self.private_type(spec)):
+        if not self.matches(spec, key):
             raise KeyMismatch(f"private key does not match spec {spec}")
         return self._record(spec, key, private)
 
@@ -535,8 +531,8 @@ class _Rsa(_CryptographyFamily):
             public_numbers=rsa.RSAPublicNumbers(e=e, n=p * q),
         ).private_key()
 
-    def private_type(self, spec):
-        return rsa.RSAPrivateKey
+    def matches(self, spec, key):
+        return isinstance(key, rsa.RSAPrivateKey) and key.key_size == spec.parameter
 
     def public_key(self, spec, public):
         return _decode_pkcs1_public(public).public_key()
@@ -571,8 +567,9 @@ class _Ecdsa(_CryptographyFamily):
         raw = int.from_bytes(rng.randbytes((order.bit_length() + 7) // 8 + 8), "big")
         return ec.derive_private_key(raw % (order - 1) + 1, curve)
 
-    def private_type(self, spec):
-        return ec.EllipticCurvePrivateKey
+    def matches(self, spec, key):
+        return (isinstance(key, ec.EllipticCurvePrivateKey)
+                and key.curve.name == _CURVES[spec.parameter][0].name)
 
     def public_key(self, spec, public):
         return ec.EllipticCurvePublicKey.from_encoded_point(_CURVES[spec.parameter][0], public)
@@ -596,8 +593,8 @@ class _MlDsa(_CryptographyFamily):
         cls = _ML_DSA_PRIVATE[level]
         return cls.generate() if rng is None else cls.from_seed_bytes(rng.randbytes(32))
 
-    def private_type(self, spec):
-        return _ML_DSA_PRIVATE[spec.parameter]
+    def matches(self, spec, key):
+        return isinstance(key, _ML_DSA_PRIVATE[spec.parameter])
 
     def public_key(self, spec, public):
         return _ML_DSA_PUBLIC[spec.parameter].from_public_bytes(public)

@@ -6,6 +6,8 @@ altSignatureValue extension absent; the native signature then covers the
 complete TBS including all three alternative extensions. Legacy verifiers
 that ignore non-critical extensions still see a valid classical
 certificate.
+
+This module issues; reading and checking the triple live in x509.
 """
 
 from __future__ import annotations
@@ -14,56 +16,18 @@ import dataclasses
 import warnings
 
 from . import algs, der, x509
-from .errors import (
-    AlgorithmMismatch,
-    DerError,
-    DuplicateExtension,
-    MalformedAltExtension,
-)
+from .errors import AlgorithmMismatch, DuplicateExtension
 from .oids import (
     EXT_ALT_SIGNATURE_ALGORITHM,
     EXT_ALT_SIGNATURE_VALUE,
     EXT_SUBJECT_ALT_PUBLIC_KEY_INFO,
     extension_name,
 )
-
-
-@dataclasses.dataclass(frozen=True)
-class CatalystExtensionTriple:
-    alt_spki: algs.SubjectPublicKeyInfo
-    alt_sig_alg: algs.AlgorithmIdentifier
-    alt_sig_value: bytes
-
-    @classmethod
-    def from_certificate(cls, cert: x509.CertificateDocument):
-        """The decoded triple, None when absent entirely.
-
-        A partial triple (one or two of the three extensions) raises
-        MalformedAltExtension: it cannot be verified and was not produced
-        by a correct issuer.
-        """
-        found = {
-            oid: cert.tbs.find_extension(oid)
-            for oid in (EXT_SUBJECT_ALT_PUBLIC_KEY_INFO,
-                        EXT_ALT_SIGNATURE_ALGORITHM,
-                        EXT_ALT_SIGNATURE_VALUE)
-        }
-        if all(e is None for e in found.values()):
-            return None
-        missing = [extension_name(oid) for oid, e in found.items() if e is None]
-        if missing:
-            raise MalformedAltExtension(
-                f"alternative extension triple incomplete: missing {', '.join(missing)}")
-        try:
-            alt_spki = algs.SubjectPublicKeyInfo.from_der(
-                found[EXT_SUBJECT_ALT_PUBLIC_KEY_INFO].value)
-            alt_sig_alg = algs.AlgorithmIdentifier.from_der_value(
-                der.decode(found[EXT_ALT_SIGNATURE_ALGORITHM].value))
-            alt_sig_value = der.decode(found[EXT_ALT_SIGNATURE_VALUE].value).as_bits()
-        except DerError as exc:
-            raise MalformedAltExtension(
-                f"alternative extension contents malformed: {exc}") from exc
-        return cls(alt_spki, alt_sig_alg, alt_sig_value)
+from .x509 import (  # re-exported, so catalyst.X keeps working
+    CatalystExtensionTriple,
+    alt_preimage,
+    alt_verdict,
+)
 
 
 def issue_catalyst(tbs_base: x509.TbsCertificate,
@@ -80,8 +44,7 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
     self-signed case.
     """
     registry = registry or algs.default_registry()
-    for oid in (EXT_SUBJECT_ALT_PUBLIC_KEY_INFO, EXT_ALT_SIGNATURE_ALGORITHM,
-                EXT_ALT_SIGNATURE_VALUE):
+    for oid in x509.ALT_EXTENSION_OIDS:
         if tbs_base.find_extension(oid) is not None:
             raise DuplicateExtension(
                 f"base TBS already carries {extension_name(oid)}")
@@ -110,62 +73,6 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
     final_tbs = dataclasses.replace(
         intermediate, extensions=intermediate.extensions + (value_ext,))
     return x509.sign_certificate(final_tbs, native_issuer_key, registry)
-
-
-def alt_preimage(tbs_der: bytes) -> bytes:
-    """The bytes the alternative signature covers: the TBS with only the
-    altSignatureValue extension removed, re-encoded canonically.
-
-    Works on the raw structure so fields this tool does not model pass
-    through byte-exactly.
-    """
-    value = der.decode(tbs_der)
-    value.expect(der.SEQUENCE)
-    out = []
-    removed = False
-    for child in value.children:
-        if (child.cls == der.CONTEXT and child.tag == 3 and child.constructed
-                and len(child.children) == 1):
-            kept = tuple(e for e in child.children[0].children
-                         if not _is_alt_value_extension(e))
-            if len(kept) != len(child.children[0].children):
-                removed = True
-            if not kept:
-                continue  # empty extension list is encoded as absent
-            out.append(der.explicit(3, der.seq(*kept)))
-        else:
-            out.append(child)
-    if not removed:
-        raise MalformedAltExtension("TBS carries no altSignatureValue extension")
-    return der.encode(der.seq(*out))
-
-
-def _is_alt_value_extension(ext: der.DerValue) -> bool:
-    try:
-        return (ext.tag == der.SEQUENCE and bool(ext.children)
-                and ext.children[0].as_oid() == EXT_ALT_SIGNATURE_VALUE)
-    except DerError:
-        return False
-
-
-def alt_verdict(cert: x509.CertificateDocument,
-                alt_issuer_spki: algs.SubjectPublicKeyInfo | None = None,
-                registry: algs.Registry | None = None) -> str:
-    """Verdict string for the alternative signature path alone."""
-    registry = registry or algs.default_registry()
-    triple = CatalystExtensionTriple.from_certificate(cert)
-    if triple is None:
-        raise MalformedAltExtension("certificate carries no alternative extensions")
-    spki = alt_issuer_spki if alt_issuer_spki is not None else triple.alt_spki
-    spec = algs.spec_from_spki(spki, registry)
-    if spec is None:
-        return x509.UNSUPPORTED
-    expected = algs.signature_algorithm_for(spec, registry)
-    if triple.alt_sig_alg.oid != expected.oid:
-        return x509.INVALID  # declared algorithm disagrees with the key
-    preimage = alt_preimage(cert.tbs_der)
-    ok = algs.verify(spec, spki.key_bits, preimage, triple.alt_sig_value)
-    return x509.VALID if ok else x509.INVALID
 
 
 def verify_catalyst(cert: x509.CertificateDocument,

@@ -2,7 +2,8 @@
 
 Exit codes are stable: 0 success, 2 usage, algorithm-spec or OID table
 errors, 3 file IO, 4 parse failures, 5 native signature invalid, 6
-alternative (Catalyst) or delta signature invalid, 7 composite signature
+alternative (Catalyst) signature invalid or unsupported (the issuer has
+no alternative key), or delta signature invalid, 7 composite signature
 invalid. All diagnostics go to stderr; artifacts and reports go to stdout.
 No prompts anywhere.
 """

@@ -2,13 +2,11 @@
 signature value under a single umbrella OID.
 
 The composite key and signature encodings are the composite backend in
-algs, re-exported here. This module adds the certificate level:
-per-component verdicts and self-signed issuance.
+algs, and the per-component certificate verdicts are in x509; both are
+re-exported here. This module adds self-signed issuance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import algs, x509
 from .algs import (  # re-exported, so composite.X keeps working
@@ -21,46 +19,11 @@ from .algs import (  # re-exported, so composite.X keeps working
     material_from_public,
     verify_raw,
 )
-from .errors import DerError
-
-
-@dataclass(frozen=True)
-class CompositeVerification:
-    """Per-component verdicts plus the AND over them. A structural problem
-    (count mismatch, undecodable key or signature) leaves components empty
-    and carries an explanatory note."""
-
-    components: tuple[str, ...]
-    overall: bool
-    note: str | None = None
-
-
-def composite_verify(key: CompositeKeyMaterial, message: bytes,
-                     sig: CompositeSignatureValue) -> CompositeVerification:
-    verdicts = algs.component_verdicts(key, message, sig)
-    if verdicts is None:
-        return CompositeVerification(
-            (), False,
-            f"signature has {len(sig.parts)} parts for {len(key.components)} components")
-    return CompositeVerification(
-        tuple(x509.VALID if ok else x509.INVALID for ok in verdicts), all(verdicts))
-
-
-def verify_certificate_signature(cert, issuer_spki: algs.SubjectPublicKeyInfo,
-                                 registry: algs.Registry | None = None,
-                                 ) -> CompositeVerification:
-    """Composite check of a certificate's outer signature over tbs_der."""
-    spec = algs.spec_from_spki(issuer_spki, registry)
-    if spec is None or spec.family != algs.FAMILY_COMPOSITE:
-        return CompositeVerification((), False, "issuer key is not a usable composite key")
-    # spec_from_spki has decoded every component key already
-    material = material_from_public(spec, issuer_spki.key_bits, registry)
-    try:
-        sig = CompositeSignatureValue.from_der(cert.signature)
-    except DerError:
-        return CompositeVerification(
-            (), False, "signature is not a sequence of bit strings")
-    return composite_verify(material, cert.tbs_der, sig)
+from .x509 import (  # likewise: composite verification lives in x509
+    CompositeVerification,
+    composite_verify,
+    verify_certificate_signature,
+)
 
 
 def issue_composite_certificate(subject, key: CompositeKeyMaterial,

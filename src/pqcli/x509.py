@@ -4,6 +4,9 @@ The signed TBS bytes are authoritative: parse_certificate captures them
 exactly as found and every verification runs over that captured slice,
 never over a re-encoding. Documents the tool emits round-trip byte-exactly
 through parse and emit.
+
+This is the one module that reads certificates and checks every signature
+path, Catalyst and composite included; catalyst and composite only issue.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ UNSUPPORTED = "unsupported"
 DEFAULT_SUBJECT = "CN=pqcli self-signed"
 DEFAULT_DAYS = 365
 
-_ALT_EXTENSION_OIDS = (
+# The Catalyst triple, in the order issuance appends it.
+ALT_EXTENSION_OIDS = (
     EXT_SUBJECT_ALT_PUBLIC_KEY_INFO,
     EXT_ALT_SIGNATURE_ALGORITHM,
     EXT_ALT_SIGNATURE_VALUE,
@@ -169,16 +173,13 @@ class CertificateDocument:
 
     def emit(self) -> bytes:
         """Full certificate DER, reusing the signed TBS bytes verbatim."""
-        return der.wrap_sequence(
-            self.tbs_der
-            + der.encode(self.signature_alg.to_der_value())
-            + der.encode(der.bit_string(self.signature)))
+        return _write_signed(self.tbs_der, self.signature_alg, self.signature)
 
     def emit_pem(self) -> str:
-        return pem.encode_pem("CERTIFICATE", self.emit())
+        return pem.encode_pem(pem.LABEL_CERTIFICATE, self.emit())
 
     def has_alt_extensions(self) -> bool:
-        return any(self.tbs.find_extension(o) is not None for o in _ALT_EXTENSION_OIDS)
+        return any(self.tbs.find_extension(o) is not None for o in ALT_EXTENSION_OIDS)
 
 
 @dataclass(frozen=True)
@@ -190,17 +191,9 @@ class VerificationReport:
 
     @property
     def all_valid(self) -> bool:
-        """Every signature path that is present verified."""
-        if self.native_sig != VALID:
-            return False
-        if self.alt_sig is not None and self.alt_sig != VALID:
-            return False
-        if self.composite_components is not None:
-            if not self.composite_components:
-                return False
-            if any(v != VALID for v in self.composite_components):
-                return False
-        return True
+        """Every signature path that is present verified. A composite
+        native_sig is valid only when every component is."""
+        return self.native_sig == VALID and self.alt_sig in (None, VALID)
 
 
 def random_serial(rng=None) -> int:
@@ -281,39 +274,183 @@ def sign_certificate(tbs: TbsCertificate, issuer_key: algs.KeyPairRecord,
     return CertificateDocument(tbs, tbs_der, tbs.signature_alg, signature)
 
 
-def _der_from_input(data: bytes, label: str, error_cls):
+def _write_signed(signed_der: bytes, signature_alg: algs.AlgorithmIdentifier,
+                  signature: bytes) -> bytes:
+    """The outer SEQUENCE of certificates and requests alike."""
+    return der.wrap_sequence(
+        signed_der
+        + der.encode(signature_alg.to_der_value())
+        + der.encode(der.bit_string(signature)))
+
+
+def _read_signed(data: bytes, label: str, error_cls, decode_signed):
+    """Read what _write_signed makes, from DER or the first PEM block with
+    this label: the signed bytes exactly as found, decode_signed of their
+    value, the outer algorithm and the signature."""
     if b"-----BEGIN" in data:
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:
             raise error_cls("input is neither DER nor readable PEM") from None
-        for block_label, block_der in pem.decode_pem(text):
-            if block_label == label:
-                return block_der
-        raise error_cls(f"no {label} block in PEM input")
-    return bytes(data)
+        blob = next((block for block_label, block in pem.decode_pem(text)
+                     if block_label == label), None)
+        if blob is None:
+            raise error_cls(f"no {label} block in PEM input")
+    else:
+        blob = bytes(data)
+    try:
+        outer = der.decode(blob)
+    except DerError as exc:
+        raise error_cls(f"not valid DER: {exc}") from exc
+    if (outer.tag != der.SEQUENCE or outer.cls != der.UNIVERSAL
+            or len(outer.children) != 3):
+        raise error_cls(f"{label.lower()} must be a SEQUENCE of signed data, "
+                        "algorithm, and signature")
+    content_start, _ = der.content_span(blob, 0)
+    _, signed_end = der.split_tlv(blob, content_start)
+    return (blob[content_start:signed_end],
+            decode_signed(outer.children[0]),
+            algs.AlgorithmIdentifier.from_der_value(outer.children[1]),
+            outer.children[2].as_bits())
 
 
 def parse_certificate(data: bytes) -> CertificateDocument:
     """Parse DER or PEM certificate bytes, keeping the TBS slice exact."""
-    blob = _der_from_input(data, "CERTIFICATE", NotACertificate)
-    try:
-        outer = der.decode(blob)
-    except DerError as exc:
-        raise NotACertificate(f"not valid DER: {exc}") from exc
-    if outer.tag != der.SEQUENCE or outer.cls != der.UNIVERSAL:
-        raise NotACertificate("certificate must be a SEQUENCE")
-    if len(outer.children) != 3:
-        raise NotACertificate("certificate needs TBS, algorithm, and signature")
-
-    content_start, _ = der.content_span(blob, 0)
-    _, tbs_end = der.split_tlv(blob, content_start)
-    tbs_der = blob[content_start:tbs_end]
-
-    tbs = TbsCertificate.from_der_value(outer.children[0])
-    signature_alg = algs.AlgorithmIdentifier.from_der_value(outer.children[1])
-    signature = outer.children[2].as_bits()
+    tbs_der, tbs, signature_alg, signature = _read_signed(
+        data, pem.LABEL_CERTIFICATE, NotACertificate, TbsCertificate.from_der_value)
     return CertificateDocument(tbs, tbs_der, signature_alg, signature)
+
+
+# -- Catalyst: the alternative-extension triple ----------------------------
+
+@dataclass(frozen=True)
+class CatalystExtensionTriple:
+    alt_spki: algs.SubjectPublicKeyInfo
+    alt_sig_alg: algs.AlgorithmIdentifier
+    alt_sig_value: bytes
+
+    @classmethod
+    def from_certificate(cls, cert: CertificateDocument):
+        """The decoded triple, None when absent entirely.
+
+        A partial triple (one or two of the three extensions) raises
+        MalformedAltExtension: it cannot be verified and was not produced
+        by a correct issuer.
+        """
+        found = [cert.tbs.find_extension(oid) for oid in ALT_EXTENSION_OIDS]
+        if all(e is None for e in found):
+            return None
+        missing = [extension_name(oid)
+                   for oid, e in zip(ALT_EXTENSION_OIDS, found) if e is None]
+        if missing:
+            raise MalformedAltExtension(
+                f"alternative extension triple incomplete: missing {', '.join(missing)}")
+        spki_ext, alg_ext, value_ext = found
+        try:
+            alt_spki = algs.SubjectPublicKeyInfo.from_der(spki_ext.value)
+            alt_sig_alg = algs.AlgorithmIdentifier.from_der_value(der.decode(alg_ext.value))
+            alt_sig_value = der.decode(value_ext.value).as_bits()
+        except DerError as exc:
+            raise MalformedAltExtension(
+                f"alternative extension contents malformed: {exc}") from exc
+        return cls(alt_spki, alt_sig_alg, alt_sig_value)
+
+
+def alt_preimage(tbs_der: bytes) -> bytes:
+    """The bytes the alternative signature covers: the TBS with only the
+    altSignatureValue extension removed, re-encoded canonically.
+
+    Works on the raw structure so fields this tool does not model pass
+    through byte-exactly.
+    """
+    value = der.decode(tbs_der)
+    value.expect(der.SEQUENCE)
+    out = []
+    removed = False
+    for child in value.children:
+        if (child.cls == der.CONTEXT and child.tag == 3 and child.constructed
+                and len(child.children) == 1):
+            kept = tuple(e for e in child.children[0].children
+                         if not _is_alt_value_extension(e))
+            if len(kept) != len(child.children[0].children):
+                removed = True
+            if not kept:
+                continue  # empty extension list is encoded as absent
+            out.append(der.explicit(3, der.seq(*kept)))
+        else:
+            out.append(child)
+    if not removed:
+        raise MalformedAltExtension("TBS carries no altSignatureValue extension")
+    return der.encode(der.seq(*out))
+
+
+def _is_alt_value_extension(ext: der.DerValue) -> bool:
+    try:
+        return (ext.tag == der.SEQUENCE and bool(ext.children)
+                and ext.children[0].as_oid() == EXT_ALT_SIGNATURE_VALUE)
+    except DerError:
+        return False
+
+
+def alt_verdict(cert: CertificateDocument,
+                alt_issuer_spki: algs.SubjectPublicKeyInfo | None = None,
+                registry: algs.Registry | None = None) -> str:
+    """Verdict string for the alternative signature path alone."""
+    registry = registry or algs.default_registry()
+    triple = CatalystExtensionTriple.from_certificate(cert)
+    if triple is None:
+        raise MalformedAltExtension("certificate carries no alternative extensions")
+    spki = alt_issuer_spki if alt_issuer_spki is not None else triple.alt_spki
+    spec = algs.spec_from_spki(spki, registry)
+    if spec is None:
+        return UNSUPPORTED
+    expected = algs.signature_algorithm_for(spec, registry)
+    if triple.alt_sig_alg.oid != expected.oid:
+        return INVALID  # declared algorithm disagrees with the key
+    preimage = alt_preimage(cert.tbs_der)
+    ok = algs.verify(spec, spki.key_bits, preimage, triple.alt_sig_value)
+    return VALID if ok else INVALID
+
+
+# -- composite: one signature value, a verdict per component ---------------
+
+@dataclass(frozen=True)
+class CompositeVerification:
+    """Per-component verdicts plus the AND over them. A structural problem
+    (count mismatch, undecodable key or signature) leaves components empty
+    and carries an explanatory note."""
+
+    components: tuple[str, ...]
+    overall: bool
+    note: str | None = None
+
+
+def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
+                     sig: algs.CompositeSignatureValue) -> CompositeVerification:
+    verdicts = algs.component_verdicts(key, message, sig)
+    if verdicts is None:
+        return CompositeVerification(
+            (), False,
+            f"signature has {len(sig.parts)} parts for {len(key.components)} components")
+    return CompositeVerification(
+        tuple(VALID if ok else INVALID for ok in verdicts), all(verdicts))
+
+
+def verify_certificate_signature(cert, issuer_spki: algs.SubjectPublicKeyInfo,
+                                 registry: algs.Registry | None = None,
+                                 ) -> CompositeVerification:
+    """Composite check of a certificate's outer signature over tbs_der."""
+    spec = algs.spec_from_spki(issuer_spki, registry)
+    if spec is None or spec.family != algs.FAMILY_COMPOSITE:
+        return CompositeVerification((), False, "issuer key is not a usable composite key")
+    # spec_from_spki has decoded every component key already
+    material = algs.material_from_public(spec, issuer_spki.key_bits, registry)
+    try:
+        sig = algs.CompositeSignatureValue.from_der(cert.signature)
+    except DerError:
+        return CompositeVerification(
+            (), False, "signature is not a sequence of bit strings")
+    return composite_verify(material, cert.tbs_der, sig)
 
 
 def verify_certificate(cert: CertificateDocument,
@@ -326,8 +463,9 @@ def verify_certificate(cert: CertificateDocument,
 
     Never raises: structural problems become report entries. For Catalyst
     certificates with no alt_issuer_spki given, the certificate's own alt
-    key is used (the self-signed reading).
-    """
+    key is used only when issuer_spki is the certificate's own key (the
+    self-signed reading); any other issuer leaves the alternative path
+    unsupported."""
     registry = registry or algs.default_registry()
     notes: list[str] = []
     now = der.normalize_time(at_time or datetime.datetime.now(datetime.timezone.utc))
@@ -346,8 +484,7 @@ def verify_certificate(cert: CertificateDocument,
         native = UNSUPPORTED
         notes.append("issuer key algorithm not recognized")
     elif issuer_spec.family == algs.FAMILY_COMPOSITE:
-        from . import composite
-        outcome = composite.verify_certificate_signature(cert, issuer_spki, registry)
+        outcome = verify_certificate_signature(cert, issuer_spki, registry)
         composite_verdicts = outcome.components
         native = VALID if outcome.overall else INVALID
         if outcome.note:
@@ -358,12 +495,15 @@ def verify_certificate(cert: CertificateDocument,
 
     alt = None
     if cert.has_alt_extensions():
-        from . import catalyst
-        try:
-            alt = catalyst.alt_verdict(cert, alt_issuer_spki, registry)
-        except MalformedAltExtension as exc:
-            alt = INVALID
-            notes.append(str(exc))
+        if alt_issuer_spki is None and issuer_spki != cert.tbs.spki:
+            alt = UNSUPPORTED
+            notes.append("issuer has no alternative key; alternative signature not checked")
+        else:
+            try:
+                alt = alt_verdict(cert, alt_issuer_spki, registry)
+            except MalformedAltExtension as exc:
+                alt = INVALID
+                notes.append(str(exc))
     return VerificationReport(native, alt, composite_verdicts, tuple(notes))
 
 
@@ -379,13 +519,10 @@ class CsrDocument:
     signature: bytes
 
     def emit(self) -> bytes:
-        return der.wrap_sequence(
-            self.cri_der
-            + der.encode(self.signature_alg.to_der_value())
-            + der.encode(der.bit_string(self.signature)))
+        return _write_signed(self.cri_der, self.signature_alg, self.signature)
 
     def emit_pem(self) -> str:
-        return pem.encode_pem("CERTIFICATE REQUEST", self.emit())
+        return pem.encode_pem(pem.LABEL_CSR, self.emit())
 
 
 def _encode_cri(subject: DistinguishedName, spki: algs.SubjectPublicKeyInfo,
@@ -420,19 +557,8 @@ def build_csr(subject: DistinguishedName, keypair: algs.KeyPairRecord,
     return doc
 
 
-def parse_csr(data: bytes) -> CsrDocument:
-    blob = _der_from_input(data, "CERTIFICATE REQUEST", NotACsr)
-    try:
-        outer = der.decode(blob)
-    except DerError as exc:
-        raise NotACsr(f"not valid DER: {exc}") from exc
-    if outer.tag != der.SEQUENCE or len(outer.children) != 3:
-        raise NotACsr("request needs info, algorithm, and signature")
-    content_start, _ = der.content_span(blob, 0)
-    _, cri_end = der.split_tlv(blob, content_start)
-    cri_der = blob[content_start:cri_end]
-
-    info = outer.children[0]
+def _decode_cri(info: der.DerValue):
+    """(subject, spki, extensions): the inverse of _encode_cri."""
     info.expect(der.SEQUENCE)
     if len(info.children) < 3:
         raise NotACsr("request info is missing required fields")
@@ -455,8 +581,12 @@ def parse_csr(data: bytes) -> CsrDocument:
                     ext_seq.expect(der.SEQUENCE)
                     extensions = tuple(ExtensionBlock.from_der_value(e)
                                        for e in ext_seq.children)
-    signature_alg = algs.AlgorithmIdentifier.from_der_value(outer.children[1])
-    signature = outer.children[2].as_bits()
+    return subject, spki, extensions
+
+
+def parse_csr(data: bytes) -> CsrDocument:
+    cri_der, (subject, spki, extensions), signature_alg, signature = _read_signed(
+        data, pem.LABEL_CSR, NotACsr, _decode_cri)
     return CsrDocument(subject, spki, extensions, cri_der, signature_alg, signature)
 
 
@@ -522,9 +652,8 @@ def render_text(cert: CertificateDocument,
             lines.append(f"            {extension_name(ext.oid)}:{flag}")
             lines.append(f"                ({len(ext.value)} bytes)")
 
-    alt_spki_ext = t.find_extension(EXT_SUBJECT_ALT_PUBLIC_KEY_INFO)
-    alt_alg_ext = t.find_extension(EXT_ALT_SIGNATURE_ALGORITHM)
-    alt_val_ext = t.find_extension(EXT_ALT_SIGNATURE_VALUE)
+    alt_spki_ext, alt_alg_ext, alt_val_ext = (t.find_extension(o)
+                                              for o in ALT_EXTENSION_OIDS)
     if alt_spki_ext or alt_alg_ext or alt_val_ext:
         lines.append("    Alt Public Key Info:")
         if alt_spki_ext:

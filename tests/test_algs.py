@@ -232,3 +232,18 @@ def test_sign_with_mismatched_key_raises(ec_key):
         algs.sign(algs.parse_alg_spec("ml-dsa:2"), ec_key.private, b"m")
     with pytest.raises(KeyMismatch):
         algs.sign(algs.parse_alg_spec("slh-dsa:128f"), ec_key.private, b"m")
+
+
+def test_explicit_spec_rejects_a_key_of_another_curve(ec_key, ec384_key):
+    with pytest.raises(KeyMismatch):
+        algs.keypair_from_private(ec_key.spec, ec384_key.private)
+
+
+def test_explicit_spec_rejects_a_key_of_another_modulus_size(rsa_key):
+    with pytest.raises(KeyMismatch):
+        algs.keypair_from_private(algs.parse_alg_spec("rsa:3072"), rsa_key.private)
+
+
+def test_sign_rejects_bytes_of_another_curve(ec_key, ec384_key):
+    with pytest.raises(KeyMismatch):
+        algs.sign(ec_key.spec, ec384_key.private, b"m")

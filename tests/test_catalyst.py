@@ -116,6 +116,18 @@ def test_explicit_alt_issuer_key(ec_key, ml2_key):
     assert report.alt_sig == x509.VALID
 
 
+def test_foreign_native_issuer_without_alt_key_is_unsupported(ec_key, ec384_key, ml2_key):
+    """Only the self-signed reading may use the certificate's own
+    alternative key; a separate native issuer brings none."""
+    cert = catalyst.issue_catalyst(_base_tbs(ec_key), ec_key, ml2_key)
+    report = catalyst.verify_catalyst(cert, native_issuer_spki=algs.spki_for_key(ec_key))
+    assert (report.native_sig, report.alt_sig) == (x509.VALID, x509.VALID)
+    report = catalyst.verify_catalyst(cert, native_issuer_spki=algs.spki_for_key(ec384_key))
+    assert report.alt_sig == x509.UNSUPPORTED
+    assert not report.all_valid
+    assert any("no alternative key" in note for note in report.chain_notes)
+
+
 def test_partial_triple_raises(hybrid_cert):
     for drop in (oids.EXT_SUBJECT_ALT_PUBLIC_KEY_INFO,
                  oids.EXT_ALT_SIGNATURE_VALUE):

@@ -263,6 +263,29 @@ def test_verify_with_ca_file(workdir, capsys, rng):
     capsys.readouterr()
 
 
+def test_hybrid_leaf_of_classical_ca_alt_path_unsupported(workdir, capsys, rng):
+    """A classical CA has no alternative key, so the leaf's own alternative
+    key must not vouch for its alternative signature: exit 6, not 0."""
+    ca_key = algs.generate_keypair(algs.parse_alg_spec("ECDSA"), rng=rng)
+    leaf_key = algs.generate_keypair(algs.parse_alg_spec("ECDSA"), rng=rng)
+    leaf_alt = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
+    ca_name = parse_name("CN=Classical Root")
+    ca_tbs = x509.build_tbs(ca_name, ca_name, algs.spki_for_key(ca_key),
+                            x509.default_validity(30),
+                            algs.signature_algorithm_for(ca_key.spec), rng=rng)
+    _write_cert(workdir / "ca.pem", x509.sign_certificate(ca_tbs, ca_key))
+    leaf_tbs = x509.build_tbs(parse_name("CN=Hybrid Leaf"), ca_name,
+                              algs.spki_for_key(leaf_key), x509.default_validity(30),
+                              algs.signature_algorithm_for(ca_key.spec), rng=rng)
+    _write_cert(workdir / "leaf.pem", catalyst.issue_catalyst(leaf_tbs, ca_key, leaf_alt))
+
+    assert run("verify", "-CAfile", "ca.pem", "leaf.pem") == 6
+    captured = capsys.readouterr()
+    assert "native signature: valid" in captured.out
+    assert "alt signature: unsupported" in captured.out
+    assert "no alternative key" in captured.err
+
+
 def test_expired_certificate_warns_but_verifies(workdir, capsys, rng):
     import datetime
     key = algs.generate_keypair(algs.parse_alg_spec("ECDSA"), rng=rng)

@@ -1,32 +1,34 @@
-"""algs is the bottom of the package: every algorithm family, composite
+"""The package's import structure.
+
+algs is the bottom of the package: every algorithm family, composite
 included, is a backend in its table, so it imports only the codec, the OID
-table, SLH-DSA and the errors, and never imports lazily."""
+table, SLH-DSA and the errors. x509 reads and verifies every certificate
+shape, so it needs none of the issuing modules above it. No module imports
+inside a function, and the package-internal imports form no cycle."""
 
 import ast
 import pathlib
 
+import pytest
+
 import pqcli
+from pqcli import catalyst, composite, x509
 
-ALGS_PATH = pathlib.Path(pqcli.__file__).with_name("algs.py")
-ALLOWED = {"der", "oids", "slhdsa", "errors"}
-
-
-def _tree():
-    return ast.parse(ALGS_PATH.read_text(), filename=str(ALGS_PATH))
-
-
-def test_algs_has_no_import_inside_a_function():
-    lazy = [f"{func.name}: line {node.lineno}"
-            for func in ast.walk(_tree())
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(func)
-            if isinstance(node, (ast.Import, ast.ImportFrom))]
-    assert lazy == []
+PACKAGE = pathlib.Path(pqcli.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
+ALGS_ALLOWED = {"der", "oids", "slhdsa", "errors"}
+ABOVE_X509 = {"catalyst", "composite", "chameleon", "cli"}
 
 
-def test_algs_imports_only_its_allowed_package_modules():
+def _tree(module):
+    path = PACKAGE / f"{module}.py"
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _package_imports(module):
+    """Package modules that module imports anywhere in its source."""
     imported = set()
-    for node in ast.walk(_tree()):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.ImportFrom) and node.level:
             if node.module:
                 imported.add(node.module.split(".")[0])
@@ -37,4 +39,52 @@ def test_algs_imports_only_its_allowed_package_modules():
         elif isinstance(node, ast.Import):
             imported.update(alias.name.partition(".")[2] or alias.name
                             for alias in node.names if alias.name.startswith("pqcli"))
-    assert imported <= ALLOWED, imported - ALLOWED
+    return imported
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_import_inside_a_function(module):
+    lazy = [f"{func.name}: line {node.lineno}"
+            for func in ast.walk(_tree(module))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert lazy == []
+
+
+def test_package_imports_form_no_cycle():
+    graph = {m: _package_imports(m) & set(MODULES) for m in MODULES}
+    done, active = set(), []
+
+    def visit(module):
+        if module in active:
+            cycle = active[active.index(module):] + [module]
+            pytest.fail("import cycle: " + " -> ".join(cycle))
+        if module in done:
+            return
+        active.append(module)
+        for imported in sorted(graph[module]):
+            visit(imported)
+        active.pop()
+        done.add(module)
+
+    for module in MODULES:
+        visit(module)
+
+
+def test_x509_imports_no_issuing_module():
+    assert _package_imports("x509") & ABOVE_X509 == set()
+
+
+def test_catalyst_and_composite_reexport_the_x509_readers():
+    moved = {catalyst: ("CatalystExtensionTriple", "alt_preimage", "alt_verdict"),
+             composite: ("CompositeVerification", "composite_verify",
+                         "verify_certificate_signature")}
+    for module, names in moved.items():
+        for name in names:
+            assert getattr(module, name) is getattr(x509, name), f"{module.__name__}.{name}"
+
+
+def test_algs_imports_only_its_allowed_package_modules():
+    imported = _package_imports("algs")
+    assert imported <= ALGS_ALLOWED, imported - ALGS_ALLOWED

@@ -69,15 +69,50 @@ def test_openssl_reads_private_key(text, keys, tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_deterministic_slh_dsa_signature_matches_openssl(keys, tmp_path):
-    key = keys["slh-dsa:128f"]
-    message = b"the same bytes from two implementations"
+_MESSAGE = b"the same bytes from two implementations"
+
+
+def _digest_args(text):
+    """pkeyutl hashes the raw input itself only when told the digest; the
+    PQC schemes sign the message directly."""
+    return ("-digest", "sha256") if text.startswith(("rsa", "ecdsa")) else ()
+
+
+@pytest.mark.parametrize("text", sorted(_SHAPES))
+def test_openssl_verifies_our_signature(text, keys, tmp_path):
+    key = keys[text]
+    pem.write_public_key(tmp_path / "pub.pem", algs.spki_for_key(key).der)
+    (tmp_path / "msg").write_bytes(_MESSAGE)
+    (tmp_path / "sig").write_bytes(algs.sign(key.spec, key, _MESSAGE))
+    result = _openssl("pkeyutl", "-verify", "-rawin", *_digest_args(text),
+                      "-pubin", "-inkey", "pub.pem", "-in", "msg", "-sigfile", "sig",
+                      cwd=tmp_path)
+    assert result.returncode == 0, result.stderr + result.stdout
+
+
+@pytest.mark.parametrize("text", sorted(_SHAPES))
+def test_we_verify_openssl_signature(text, keys, tmp_path):
+    key = keys[text]
     pem.write_private_key(tmp_path / "key.pem", key.private)
-    (tmp_path / "msg").write_bytes(message)
+    (tmp_path / "msg").write_bytes(_MESSAGE)
+    result = _openssl("pkeyutl", "-sign", "-rawin", *_digest_args(text),
+                      "-inkey", "key.pem", "-in", "msg", "-out", "sig", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    signature = (tmp_path / "sig").read_bytes()
+    assert algs.verify(key.spec, key.public, _MESSAGE, signature)
+    assert not algs.verify(key.spec, key.public, _MESSAGE + b"!", signature)
+
+
+# The small "s" parameter sets are left out: each adds seconds of signing.
+@pytest.mark.parametrize("name", ["128f", "192f", "256f"])
+def test_deterministic_slh_dsa_signature_matches_openssl(name, tmp_path):
+    key = algs.generate_keypair(algs.parse_alg_spec(f"slh-dsa:{name}"), random.Random(206))
+    pem.write_private_key(tmp_path / "key.pem", key.private)
+    (tmp_path / "msg").write_bytes(_MESSAGE)
     result = _openssl("pkeyutl", "-sign", "-rawin", "-inkey", "key.pem", "-in", "msg",
                       "-pkeyopt", "deterministic:1", "-out", "sig", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
-    ours = slhdsa.sign(slhdsa.PARAMETER_SETS["128f"], message, key.key, deterministic=True)
+    ours = slhdsa.sign(slhdsa.PARAMETER_SETS[name], _MESSAGE, key.key, deterministic=True)
     assert (tmp_path / "sig").read_bytes() == ours
 
 
