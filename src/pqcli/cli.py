@@ -140,7 +140,7 @@ def _write_keys(path: pathlib.Path, records, as_der: bool) -> list[pathlib.Path]
 
 def _read_first_block(path: pathlib.Path, label: str) -> bytes:
     data = path.read_bytes()
-    if b"-----BEGIN" in data:
+    if pem.is_pem(data):
         return pem.first_block(pem.decode_pem(data.decode("utf-8", "replace")), label)
     return data
 
@@ -227,12 +227,20 @@ def cmd_csr(args, registry: algs.Registry) -> int:
 
 def cmd_view(args, registry: algs.Registry) -> int:
     data = pathlib.Path(args.path).read_bytes()
-    if b"-----BEGIN" in data:
-        labels = [label for label, _ in pem.decode_pem(data.decode("utf-8", "replace"))]
-        if pem.LABEL_CSR in labels and pem.LABEL_CERTIFICATE not in labels:
-            print(x509.render_csr_text(x509.parse_csr(data), registry), end="")
+    if pem.is_pem(data):
+        # decode once; the parsers get the first block of the chosen label as DER
+        try:
+            blocks = dict(reversed(pem.decode_pem(data.decode("utf-8"))))
+        except UnicodeDecodeError:
+            raise NotACertificate("input is neither DER nor readable PEM") from None
+        if pem.LABEL_CSR in blocks and pem.LABEL_CERTIFICATE not in blocks:
+            print(x509.render_csr_text(x509.parse_csr(blocks[pem.LABEL_CSR]), registry),
+                  end="")
+        elif pem.LABEL_CERTIFICATE in blocks:
+            cert = x509.parse_certificate(blocks[pem.LABEL_CERTIFICATE])
+            print(x509.render_text(cert, registry), end="")
         else:
-            print(x509.render_text(x509.parse_certificate(data), registry), end="")
+            raise NotACertificate(f"no {pem.LABEL_CERTIFICATE} block in PEM input")
         return 0
     try:
         cert = x509.parse_certificate(data)

@@ -66,6 +66,12 @@ def decode_pem(text: str) -> list[tuple[str, bytes]]:
     return blocks
 
 
+def is_pem(data: bytes) -> bool:
+    """PEM armor rather than DER. DER certificates, requests and keys begin
+    with a SEQUENCE tag, and their names may hold the BEGIN text."""
+    return not data.startswith(b"\x30") and b"-----BEGIN" in data
+
+
 def write_pem(path, label: str, payload: bytes) -> None:
     with open(path, "w", encoding="ascii") as handle:
         handle.write(encode_pem(label, payload))

@@ -9,6 +9,16 @@ secret key SK.seed || SK.prf || PK.seed || PK.root (4n bytes), public key
 PK.seed || PK.root (2n bytes). Key generation is deterministic from a
 3n-byte seed, which is also what gets serialized as the private key.
 
+Hashing core: nearly all the time goes into the tweakable hashes
+SHAKE-256(PK.seed || ADRS || M), so each is one bytes concatenation and
+one shake_256 call. An address is immutable bytes packed by one struct
+(_ADRS). The part of PK.seed || ADRS that stays constant over a WOTS+ key
+pair, a chain, an XMSS node or the FORS trees of a signature is
+concatenated once as a prefix; the loops below it append only the
+varying words (hash step, tree height, tree index), taken from _WORDS
+where they are small. The functions and the number of SHAKE calls follow
+the FIPS 205 algorithms one to one.
+
 Not constant-time; fine for certificate tooling, not for production
 signing on shared hardware.
 """
@@ -78,7 +88,7 @@ PARAMETER_SETS: dict[str, ParameterSet] = {
 }
 
 
-# -- 32-byte ADRS helpers ----------------------------------------------
+# -- 32-byte ADRS ------------------------------------------------------
 
 _TYPE_WOTS_HASH = 0
 _TYPE_WOTS_PK = 1
@@ -88,52 +98,17 @@ _TYPE_FORS_ROOTS = 4
 _TYPE_WOTS_PRF = 5
 _TYPE_FORS_PRF = 6
 
-
-def _adrs_new(layer: int, tree: int) -> bytearray:
-    adrs = bytearray(32)
-    struct.pack_into(">I", adrs, 0, layer)
-    adrs[4:16] = tree.to_bytes(12, "big")
-    return adrs
-
-
-def _set_type(adrs: bytearray, type_val: int) -> None:
-    struct.pack_into(">I", adrs, 16, type_val)
-    adrs[20:32] = bytes(12)
+# layer, tree (12 bytes; every tree index fits the low 8), type, key pair,
+# chain or tree height, hash step or tree index
+_ADRS = struct.Struct(">I4xQIIII")
+_U32 = struct.Struct(">I")
+# Hash steps (< w), tree heights (<= a, hp) and chain indices (< len):
+# every small word an address takes.
+_WORDS = tuple(_U32.pack(i)
+               for i in range(max(ps.wots_len for ps in PARAMETER_SETS.values())))
 
 
-def _set_keypair(adrs: bytearray, kp: int) -> None:
-    struct.pack_into(">I", adrs, 20, kp)
-
-
-def _keypair(adrs: bytearray) -> int:
-    return struct.unpack_from(">I", adrs, 20)[0]
-
-
-def _set_chain(adrs: bytearray, chain: int) -> None:
-    struct.pack_into(">I", adrs, 24, chain)
-
-
-def _set_hash(adrs: bytearray, idx: int) -> None:
-    struct.pack_into(">I", adrs, 28, idx)
-
-
-def _set_tree_height(adrs: bytearray, height: int) -> None:
-    struct.pack_into(">I", adrs, 24, height)
-
-
-def _set_tree_index(adrs: bytearray, index: int) -> None:
-    struct.pack_into(">I", adrs, 28, index)
-
-
-# -- tweakable hashes (SHAKE-256 with PK.seed || ADRS prefix) ----------
-
-def _F(ps: ParameterSet, pk_seed: bytes, adrs: bytearray, msg: bytes) -> bytes:
-    return hashlib.shake_256(pk_seed + bytes(adrs) + msg).digest(ps.n)
-
-
-def _PRF(ps: ParameterSet, pk_seed: bytes, sk_seed: bytes, adrs: bytearray) -> bytes:
-    return hashlib.shake_256(pk_seed + bytes(adrs) + sk_seed).digest(ps.n)
-
+# -- message hashes -----------------------------------------------------
 
 def _PRF_msg(ps: ParameterSet, sk_prf: bytes, opt_rand: bytes, msg: bytes) -> bytes:
     return hashlib.shake_256(sk_prf + opt_rand + msg).digest(ps.n)
@@ -145,13 +120,13 @@ def _H_msg(ps: ParameterSet, r: bytes, pk_seed: bytes, pk_root: bytes, msg: byte
 
 # -- WOTS+ --------------------------------------------------------------
 
-def _chain(ps: ParameterSet, x: bytes, start: int, steps: int,
-           pk_seed: bytes, adrs: bytearray) -> bytes:
-    tmp = x
+def _chain(n: int, x: bytes, start: int, steps: int, prefix: bytes) -> bytes:
+    """F applied `steps` times from hash step `start`; prefix is
+    PK.seed || ADRS up to and including the chain word."""
+    shake = hashlib.shake_256
     for i in range(start, start + steps):
-        _set_hash(adrs, i)
-        tmp = _F(ps, pk_seed, adrs, tmp)
-    return tmp
+        x = shake(prefix + _WORDS[i] + x).digest(n)
+    return x
 
 
 def _wots_digits(ps: ParameterSet, msg: bytes) -> list[int]:
@@ -169,102 +144,85 @@ def _wots_digits(ps: ParameterSet, msg: bytes) -> list[int]:
     return digits
 
 
-def _wots_pk(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, adrs: bytearray) -> bytes:
-    sk_adrs = bytearray(adrs)
-    _set_type(sk_adrs, _TYPE_WOTS_PRF)
-    _set_keypair(sk_adrs, _keypair(adrs))
+def _wots_pk_compress(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, kp: int,
+                      chains: list[bytes]) -> bytes:
+    adrs = _ADRS.pack(layer, tree, _TYPE_WOTS_PK, kp, 0, 0)
+    return hashlib.shake_256(pk_seed + adrs + b"".join(chains)).digest(ps.n)
+
+
+def _wots_chains(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
+                 kp: int, steps: list[int]) -> list[bytes]:
+    """Chain i of key pair kp run steps[i] times from its secret value."""
+    sk_prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_PRF, kp, 0, 0)[:24]
+    chain_prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_HASH, kp, 0, 0)[:24]
+    sk_suffix = _WORDS[0] + sk_seed
+    shake, n = hashlib.shake_256, ps.n
     chains = []
-    for i in range(ps.wots_len):
-        _set_chain(sk_adrs, i)
-        sk = _PRF(ps, pk_seed, sk_seed, sk_adrs)
-        chain_adrs = bytearray(adrs)
-        _set_chain(chain_adrs, i)
-        chains.append(_chain(ps, sk, 0, _W - 1, pk_seed, chain_adrs))
-    pk_adrs = bytearray(adrs)
-    _set_type(pk_adrs, _TYPE_WOTS_PK)
-    _set_keypair(pk_adrs, _keypair(adrs))
-    return _F(ps, pk_seed, pk_adrs, b"".join(chains))
+    for i, count in enumerate(steps):
+        word = _WORDS[i]
+        sk = shake(sk_prefix + word + sk_suffix).digest(n)
+        chains.append(_chain(n, sk, 0, count, chain_prefix + word))
+    return chains
 
 
-def _wots_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, pk_seed: bytes,
-               adrs: bytearray) -> bytes:
+def _wots_pk(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
+             kp: int) -> bytes:
+    chains = _wots_chains(ps, sk_seed, pk_seed, layer, tree, kp, [_W - 1] * ps.wots_len)
+    return _wots_pk_compress(ps, pk_seed, layer, tree, kp, chains)
+
+
+def _wots_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, pk_seed: bytes, layer: int,
+               tree: int, kp: int) -> bytes:
     digits = _wots_digits(ps, msg)
-    sk_adrs = bytearray(adrs)
-    _set_type(sk_adrs, _TYPE_WOTS_PRF)
-    _set_keypair(sk_adrs, _keypair(adrs))
-    parts = []
-    for i in range(ps.wots_len):
-        _set_chain(sk_adrs, i)
-        sk = _PRF(ps, pk_seed, sk_seed, sk_adrs)
-        chain_adrs = bytearray(adrs)
-        _set_chain(chain_adrs, i)
-        parts.append(_chain(ps, sk, 0, digits[i], pk_seed, chain_adrs))
-    return b"".join(parts)
+    return b"".join(_wots_chains(ps, sk_seed, pk_seed, layer, tree, kp, digits))
 
 
-def _wots_pk_from_sig(ps: ParameterSet, sig: bytes, msg: bytes, pk_seed: bytes,
-                      adrs: bytearray) -> bytes:
-    digits = _wots_digits(ps, msg)
+def _wots_pk_from_sig(ps: ParameterSet, sig: bytes, msg: bytes, pk_seed: bytes, layer: int,
+                      tree: int, kp: int) -> bytes:
+    chain_prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_HASH, kp, 0, 0)[:24]
+    n = ps.n
     chains = []
-    for i in range(ps.wots_len):
-        chain_adrs = bytearray(adrs)
-        _set_chain(chain_adrs, i)
-        part = sig[i * ps.n:(i + 1) * ps.n]
-        chains.append(_chain(ps, part, digits[i], _W - 1 - digits[i], pk_seed, chain_adrs))
-    pk_adrs = bytearray(adrs)
-    _set_type(pk_adrs, _TYPE_WOTS_PK)
-    _set_keypair(pk_adrs, _keypair(adrs))
-    return _F(ps, pk_seed, pk_adrs, b"".join(chains))
+    for i, digit in enumerate(_wots_digits(ps, msg)):
+        chains.append(_chain(n, sig[i * n:(i + 1) * n], digit, _W - 1 - digit,
+                             chain_prefix + _WORDS[i]))
+    return _wots_pk_compress(ps, pk_seed, layer, tree, kp, chains)
 
 
 # -- XMSS ---------------------------------------------------------------
 
+def _tree_hash(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, z: int, i: int,
+               children: bytes) -> bytes:
+    adrs = _ADRS.pack(layer, tree, _TYPE_TREE, 0, z, i)
+    return hashlib.shake_256(pk_seed + adrs + children).digest(ps.n)
+
+
 def _xmss_node(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, i: int, z: int,
-               adrs: bytearray) -> bytes:
+               layer: int, tree: int) -> bytes:
     if z == 0:
-        wots_adrs = bytearray(adrs)
-        _set_type(wots_adrs, _TYPE_WOTS_HASH)
-        _set_keypair(wots_adrs, i)
-        return _wots_pk(ps, sk_seed, pk_seed, wots_adrs)
-    left = _xmss_node(ps, sk_seed, pk_seed, 2 * i, z - 1, adrs)
-    right = _xmss_node(ps, sk_seed, pk_seed, 2 * i + 1, z - 1, adrs)
-    node_adrs = bytearray(adrs)
-    _set_type(node_adrs, _TYPE_TREE)
-    _set_tree_height(node_adrs, z)
-    _set_tree_index(node_adrs, i)
-    return _F(ps, pk_seed, node_adrs, left + right)
+        return _wots_pk(ps, sk_seed, pk_seed, layer, tree, i)
+    left = _xmss_node(ps, sk_seed, pk_seed, 2 * i, z - 1, layer, tree)
+    right = _xmss_node(ps, sk_seed, pk_seed, 2 * i + 1, z - 1, layer, tree)
+    return _tree_hash(ps, pk_seed, layer, tree, z, i, left + right)
 
 
 def _xmss_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, idx: int,
-               pk_seed: bytes, adrs: bytearray) -> tuple[bytes, bytes]:
-    wots_adrs = bytearray(adrs)
-    _set_type(wots_adrs, _TYPE_WOTS_HASH)
-    _set_keypair(wots_adrs, idx)
-    sig = _wots_sign(ps, msg, sk_seed, pk_seed, wots_adrs)
+               pk_seed: bytes, layer: int, tree: int) -> tuple[bytes, bytes]:
+    sig = _wots_sign(ps, msg, sk_seed, pk_seed, layer, tree, idx)
     auth = []
     node = idx
     for j in range(ps.hp):
-        auth.append(_xmss_node(ps, sk_seed, pk_seed, node ^ 1, j, adrs))
+        auth.append(_xmss_node(ps, sk_seed, pk_seed, node ^ 1, j, layer, tree))
         node >>= 1
     return sig, b"".join(auth)
 
 
 def _xmss_root_from_sig(ps: ParameterSet, idx: int, sig: bytes, auth: bytes,
-                        msg: bytes, pk_seed: bytes, adrs: bytearray) -> bytes:
-    wots_adrs = bytearray(adrs)
-    _set_type(wots_adrs, _TYPE_WOTS_HASH)
-    _set_keypair(wots_adrs, idx)
-    node = _wots_pk_from_sig(ps, sig, msg, pk_seed, wots_adrs)
-    tree_adrs = bytearray(adrs)
-    _set_type(tree_adrs, _TYPE_TREE)
+                        msg: bytes, pk_seed: bytes, layer: int, tree: int) -> bytes:
+    node = _wots_pk_from_sig(ps, sig, msg, pk_seed, layer, tree, idx)
     for j in range(ps.hp):
-        _set_tree_height(tree_adrs, j + 1)
-        _set_tree_index(tree_adrs, idx >> (j + 1))
         sibling = auth[j * ps.n:(j + 1) * ps.n]
-        if (idx >> j) & 1 == 0:
-            node = _F(ps, pk_seed, tree_adrs, node + sibling)
-        else:
-            node = _F(ps, pk_seed, tree_adrs, sibling + node)
+        children = node + sibling if (idx >> j) & 1 == 0 else sibling + node
+        node = _tree_hash(ps, pk_seed, layer, tree, j + 1, idx >> (j + 1), children)
     return node
 
 
@@ -272,19 +230,17 @@ def _xmss_root_from_sig(ps: ParameterSet, idx: int, sig: bytes, auth: bytes,
 
 def _ht_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, pk_seed: bytes,
              idx_tree: int, idx_leaf: int) -> bytes:
-    adrs = _adrs_new(0, idx_tree)
-    sig, auth = _xmss_sign(ps, msg, sk_seed, idx_leaf, pk_seed, adrs)
+    sig, auth = _xmss_sign(ps, msg, sk_seed, idx_leaf, pk_seed, 0, idx_tree)
     parts = [sig, auth]
-    root = _xmss_root_from_sig(ps, idx_leaf, sig, auth, msg, pk_seed, adrs)
+    root = _xmss_root_from_sig(ps, idx_leaf, sig, auth, msg, pk_seed, 0, idx_tree)
     for j in range(1, ps.d):
         idx_leaf = idx_tree % (1 << ps.hp)
         idx_tree >>= ps.hp
-        adrs = _adrs_new(j, idx_tree)
-        sig, auth = _xmss_sign(ps, root, sk_seed, idx_leaf, pk_seed, adrs)
+        sig, auth = _xmss_sign(ps, root, sk_seed, idx_leaf, pk_seed, j, idx_tree)
         parts.append(sig)
         parts.append(auth)
         if j < ps.d - 1:
-            root = _xmss_root_from_sig(ps, idx_leaf, sig, auth, root, pk_seed, adrs)
+            root = _xmss_root_from_sig(ps, idx_leaf, sig, auth, root, pk_seed, j, idx_tree)
     return b"".join(parts)
 
 
@@ -297,36 +253,37 @@ def _ht_verify(ps: ParameterSet, msg: bytes, sig_ht: bytes, pk_seed: bytes,
         if j > 0:
             idx_leaf = idx_tree % (1 << ps.hp)
             idx_tree >>= ps.hp
-        adrs = _adrs_new(j, idx_tree)
         sig = sig_ht[offset:offset + ps.wots_len * ps.n]
         auth = sig_ht[offset + ps.wots_len * ps.n:offset + layer]
         offset += layer
-        node = _xmss_root_from_sig(ps, idx_leaf, sig, auth, node, pk_seed, adrs)
+        node = _xmss_root_from_sig(ps, idx_leaf, sig, auth, node, pk_seed, j, idx_tree)
     return node == pk_root
 
 
 # -- FORS ---------------------------------------------------------------
+# Every FORS address of one signature shares layer 0, the tree and the key
+# pair; the FORS trees differ only in their tree indices. So one prefix
+# PK.seed || ADRS[:24] per address type serves all k trees.
 
-def _fors_sk(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, adrs: bytearray,
-             idx: int) -> bytes:
-    sk_adrs = bytearray(adrs)
-    _set_type(sk_adrs, _TYPE_FORS_PRF)
-    _set_keypair(sk_adrs, _keypair(adrs))
-    _set_tree_index(sk_adrs, idx)
-    return _PRF(ps, pk_seed, sk_seed, sk_adrs)
+def _fors_prefixes(pk_seed: bytes, tree: int, kp: int) -> tuple[bytes, bytes]:
+    """The secret-key PRF prefix, which includes its height word 0, and
+    the node prefix, to which each node appends its height and index."""
+    return (pk_seed + _ADRS.pack(0, tree, _TYPE_FORS_PRF, kp, 0, 0)[:28],
+            pk_seed + _ADRS.pack(0, tree, _TYPE_FORS_TREE, kp, 0, 0)[:24])
 
 
-def _fors_node(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, adrs: bytearray,
+def _fors_sk(ps: ParameterSet, sk_seed: bytes, sk_prefix: bytes, idx: int) -> bytes:
+    return hashlib.shake_256(sk_prefix + _U32.pack(idx) + sk_seed).digest(ps.n)
+
+
+def _fors_node(ps: ParameterSet, sk_seed: bytes, sk_prefix: bytes, node_prefix: bytes,
                i: int, z: int) -> bytes:
-    node_adrs = bytearray(adrs)
-    _set_tree_height(node_adrs, z)
-    _set_tree_index(node_adrs, i)
     if z == 0:
-        sk = _fors_sk(ps, sk_seed, pk_seed, adrs, i)
-        return _F(ps, pk_seed, node_adrs, sk)
-    left = _fors_node(ps, sk_seed, pk_seed, adrs, 2 * i, z - 1)
-    right = _fors_node(ps, sk_seed, pk_seed, adrs, 2 * i + 1, z - 1)
-    return _F(ps, pk_seed, node_adrs, left + right)
+        children = _fors_sk(ps, sk_seed, sk_prefix, i)
+    else:
+        children = (_fors_node(ps, sk_seed, sk_prefix, node_prefix, 2 * i, z - 1)
+                    + _fors_node(ps, sk_seed, sk_prefix, node_prefix, 2 * i + 1, z - 1))
+    return hashlib.shake_256(node_prefix + _WORDS[z] + _U32.pack(i) + children).digest(ps.n)
 
 
 def _fors_indices(ps: ParameterSet, md: bytes) -> list[int]:
@@ -341,46 +298,39 @@ def _fors_indices(ps: ParameterSet, md: bytes) -> list[int]:
 
 
 def _fors_sign(ps: ParameterSet, md: bytes, sk_seed: bytes, pk_seed: bytes,
-               adrs: bytearray) -> bytes:
-    out = bytearray()
+               tree: int, kp: int) -> bytes:
+    sk_prefix, node_prefix = _fors_prefixes(pk_seed, tree, kp)
+    out = []
     for i, idx in enumerate(_fors_indices(ps, md)):
-        out += _fors_sk(ps, sk_seed, pk_seed, adrs, (i << ps.a) + idx)
+        out.append(_fors_sk(ps, sk_seed, sk_prefix, (i << ps.a) + idx))
         for j in range(ps.a):
             sibling = (idx >> j) ^ 1
-            out += _fors_node(ps, sk_seed, pk_seed, adrs, (i << (ps.a - j)) + sibling, j)
-    return bytes(out)
+            out.append(_fors_node(ps, sk_seed, sk_prefix, node_prefix,
+                                  (i << (ps.a - j)) + sibling, j))
+    return b"".join(out)
 
 
 def _fors_pk_from_sig(ps: ParameterSet, sig: bytes, md: bytes, pk_seed: bytes,
-                      adrs: bytearray) -> bytes:
-    roots = bytearray()
+                      tree: int, kp: int) -> bytes:
+    node_prefix = _fors_prefixes(pk_seed, tree, kp)[1]
+    shake, n = hashlib.shake_256, ps.n
+    roots = []
     offset = 0
     for i, idx in enumerate(_fors_indices(ps, md)):
-        sk = sig[offset:offset + ps.n]
-        offset += ps.n
         tree_index = (i << ps.a) + idx
-        node_adrs = bytearray(adrs)
-        _set_tree_height(node_adrs, 0)
-        _set_tree_index(node_adrs, tree_index)
-        node = _F(ps, pk_seed, node_adrs, sk)
+        node = shake(node_prefix + _WORDS[0] + _U32.pack(tree_index)
+                     + sig[offset:offset + n]).digest(n)
+        offset += n
         for j in range(ps.a):
-            sibling = sig[offset:offset + ps.n]
-            offset += ps.n
-            parent_adrs = bytearray(adrs)
-            _set_tree_height(parent_adrs, j + 1)
-            if (idx >> j) & 1 == 0:
-                tree_index >>= 1
-                _set_tree_index(parent_adrs, tree_index)
-                node = _F(ps, pk_seed, parent_adrs, node + sibling)
-            else:
-                tree_index = (tree_index - 1) >> 1
-                _set_tree_index(parent_adrs, tree_index)
-                node = _F(ps, pk_seed, parent_adrs, sibling + node)
-        roots += node
-    pk_adrs = bytearray(adrs)
-    _set_type(pk_adrs, _TYPE_FORS_ROOTS)
-    _set_keypair(pk_adrs, _keypair(adrs))
-    return _F(ps, pk_seed, pk_adrs, bytes(roots))
+            sibling = sig[offset:offset + n]
+            offset += n
+            children = node + sibling if (idx >> j) & 1 == 0 else sibling + node
+            tree_index >>= 1
+            node = shake(node_prefix + _WORDS[j + 1] + _U32.pack(tree_index)
+                         + children).digest(n)
+        roots.append(node)
+    adrs = _ADRS.pack(0, tree, _TYPE_FORS_ROOTS, kp, 0, 0)
+    return shake(pk_seed + adrs + b"".join(roots)).digest(n)
 
 
 # -- top level ----------------------------------------------------------
@@ -390,8 +340,7 @@ def keygen(ps: ParameterSet, seed: bytes) -> tuple[bytes, bytes]:
     if len(seed) != ps.seed_size:
         raise ValueError(f"seed must be {ps.seed_size} bytes, got {len(seed)}")
     sk_seed, sk_prf, pk_seed = seed[:ps.n], seed[ps.n:2 * ps.n], seed[2 * ps.n:]
-    adrs = _adrs_new(ps.d - 1, 0)
-    pk_root = _xmss_node(ps, sk_seed, pk_seed, 0, ps.hp, adrs)
+    pk_root = _xmss_node(ps, sk_seed, pk_seed, 0, ps.hp, ps.d - 1, 0)
     return sk_seed + sk_prf + pk_seed + pk_root, pk_seed + pk_root
 
 
@@ -433,11 +382,8 @@ def sign(ps: ParameterSet, message: bytes, sk: bytes, ctx: bytes = b"", *,
     r = _PRF_msg(ps, sk_prf, opt_rand, m_prime)
     md, idx_tree, idx_leaf = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
 
-    fors_adrs = _adrs_new(0, idx_tree)
-    _set_type(fors_adrs, _TYPE_FORS_TREE)
-    _set_keypair(fors_adrs, idx_leaf)
-    sig_fors = _fors_sign(ps, md, sk_seed, pk_seed, fors_adrs)
-    pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, fors_adrs)
+    sig_fors = _fors_sign(ps, md, sk_seed, pk_seed, idx_tree, idx_leaf)
+    pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, idx_tree, idx_leaf)
     sig_ht = _ht_sign(ps, pk_fors, sk_seed, pk_seed, idx_tree, idx_leaf)
     return r + sig_fors + sig_ht
 
@@ -455,8 +401,5 @@ def verify(ps: ParameterSet, message: bytes, signature: bytes, pk: bytes,
     sig_ht = signature[ps.n + fors_size:]
 
     md, idx_tree, idx_leaf = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
-    fors_adrs = _adrs_new(0, idx_tree)
-    _set_type(fors_adrs, _TYPE_FORS_TREE)
-    _set_keypair(fors_adrs, idx_leaf)
-    pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, fors_adrs)
+    pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, idx_tree, idx_leaf)
     return _ht_verify(ps, pk_fors, sig_ht, pk_seed, idx_tree, idx_leaf, pk_root)

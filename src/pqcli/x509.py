@@ -287,7 +287,7 @@ def _read_signed(data: bytes, label: str, error_cls, decode_signed):
     """Read what _write_signed makes, from DER or the first PEM block with
     this label: the signed bytes exactly as found, decode_signed of their
     value, the outer algorithm and the signature."""
-    if b"-----BEGIN" in data:
+    if pem.is_pem(data):
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError:

@@ -149,6 +149,34 @@ def test_view_certificate_and_csr(workdir, capsys):
     assert "CN=req" in capsys.readouterr().out
 
 
+def test_view_decodes_pem_once(workdir, capsys, monkeypatch):
+    run("cert", "-newkey", "ECDSA", "-subj", "CN=viewer")
+    run("csr", "-newkey", "ECDSA", "-subj", "CN=req", "-out", "r.pem", "-keyout", "rk.pem")
+    capsys.readouterr()
+    calls = []
+    decode_pem = pem.decode_pem
+    monkeypatch.setattr(pem, "decode_pem", lambda text: calls.append(1) or decode_pem(text))
+    for path, subject in (("certificate.pem", "CN=viewer"), ("r.pem", "CN=req")):
+        calls.clear()
+        assert run("view", path) == 0
+        assert subject in capsys.readouterr().out
+        assert len(calls) == 1
+
+
+def test_begin_text_in_a_name_is_not_pem(workdir, capsys, ec_key):
+    name = parse_name("CN=-----BEGIN CERTIFICATE-----")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(1),
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key).emit()
+    assert x509.parse_certificate(blob).emit() == blob
+    (workdir / "c.der").write_bytes(blob)
+    pem.write_pem(workdir / "c.pem", pem.LABEL_CERTIFICATE, blob)
+    for path in ("c.der", "c.pem"):
+        assert run("view", path) == 0
+        assert "CN=-----BEGIN CERTIFICATE-----" in capsys.readouterr().out
+        assert run("verify", path) == 0
+
+
 def test_missing_file_is_io_error(capsys):
     assert run("view", "nope.pem") == 3
     assert run("verify", "nope.pem") == 3

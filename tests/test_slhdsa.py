@@ -1,5 +1,6 @@
 import hashlib
 import random
+import types
 
 import pytest
 
@@ -24,6 +25,14 @@ _REGRESSION_SIG_DIGESTS = {
     "192f": "88b4e94321f51212c3d5db609c3ba58265a9405d53549c124f7ed6c6010b2cd3",
     "256s": "c75a04bca79579aa462f93a599b285fb052c82f6ebd681a0bdc2ca633355fbfc",
     "256f": "e8abb650053174d6516062fc09457ab4beeb0e0a9fc20a286a8eb11170dc9630",
+}
+
+# public keys grown from the same seeds, so keygen is pinned beyond 128s
+_REGRESSION_PUBLIC_KEYS = {
+    "192f": ("936a94f7bf59cd5919f93559b9c7475b6133a73310e9ed21"
+             "ae35fe0696832d5d30fba0caf20d11fd51e2c3956b82cd24"),
+    "256f": ("5ffa13c44b77ba5ed4db4976dd99c21597dd1a5e789d6f195bd5bde029f9aa52"
+             "e5a5987b82bfe09f915afdc734459febc49073b2dae60759c3698c63d56d01dd"),
 }
 
 
@@ -62,15 +71,51 @@ def test_deterministic_sign_kat_128s():
     assert slhdsa.verify(ps, message, sig, pk)
 
 
-def test_regression_digests_all_parameter_sets():
+def _regression_keypair(name):
+    ps = slhdsa.PARAMETER_SETS[name]
+    return ps, slhdsa.keygen(ps, hashlib.shake_256(name.encode()).digest(ps.seed_size))
+
+
+@pytest.mark.parametrize("name", sorted(_REGRESSION_SIG_DIGESTS))
+def test_regression_digests_all_parameter_sets(name):
     message = b"parameter set shakedown"
-    for name, ps in slhdsa.PARAMETER_SETS.items():
-        seed = hashlib.shake_256(name.encode()).digest(ps.seed_size)
-        sk, pk = slhdsa.keygen(ps, seed)
-        sig = slhdsa.sign(ps, message, sk, deterministic=True)
-        assert len(sig) == ps.sig_size
-        assert hashlib.sha256(sig).hexdigest() == _REGRESSION_SIG_DIGESTS[name], name
-        assert slhdsa.verify(ps, message, sig, pk), name
+    ps, (sk, pk) = _regression_keypair(name)
+    sig = slhdsa.sign(ps, message, sk, deterministic=True)
+    assert len(sig) == ps.sig_size
+    assert hashlib.sha256(sig).hexdigest() == _REGRESSION_SIG_DIGESTS[name]
+    assert slhdsa.verify(ps, message, sig, pk)
+
+
+@pytest.mark.parametrize("name", sorted(_REGRESSION_PUBLIC_KEYS))
+def test_regression_public_keys(name):
+    _, (_, pk) = _regression_keypair(name)
+    assert pk.hex() == _REGRESSION_PUBLIC_KEYS[name]
+
+
+def test_hedged_signature_with_context_regression():
+    """addrnd and a non-empty context reach every hash a signature makes."""
+    ps = slhdsa.PARAMETER_SETS["128f"]
+    sk, pk = slhdsa.keygen(ps, bytes(range(48)))
+    message, ctx = b"hedged with context", b"pqcli ctx"
+    sig = slhdsa.sign(ps, message, sk, ctx=ctx, addrnd=bytes(range(100, 116)))
+    assert hashlib.sha256(sig).hexdigest() == (
+        "4382579a0246e9005a5e5c15bc67f6426622304c27c08efaeb3a45c28ffbf3c9")
+    assert slhdsa.verify(ps, message, sig, pk, ctx=ctx)
+
+
+def test_shake_calls_per_signature_128f(monkeypatch):
+    """One SHAKE call per FIPS 205 hash: no call is cached or skipped."""
+    ps = slhdsa.PARAMETER_SETS["128f"]
+    sk, _ = slhdsa.keygen(ps, bytes(range(48)))
+    calls = []
+
+    def counting_shake_256(data):
+        calls.append(len(data))
+        return hashlib.shake_256(data)
+
+    monkeypatch.setattr(slhdsa, "hashlib", types.SimpleNamespace(shake_256=counting_shake_256))
+    slhdsa.sign(ps, b"m", sk, deterministic=True)
+    assert len(calls) == 104937
 
 
 def test_hedged_signatures_differ_but_both_verify():
