@@ -18,6 +18,7 @@ from .algs import (
     oid_for,
     parse_alg_spec,
     sign,
+    use_registry,
     verify,
 )
 from .catalyst import CatalystExtensionTriple, issue_catalyst, verify_catalyst
@@ -93,6 +94,7 @@ __all__ = [
     "render_text",
     "sign",
     "sign_certificate",
+    "use_registry",
     "verify",
     "verify_catalyst",
     "verify_certificate",

@@ -2,10 +2,10 @@
 
 The textual spec grammar drives everything: "rsa:2048", "ml-dsa:3",
 "slh-dsa:192f", "ecdsa:P-384", and underscore-joined composites like
-"ml-dsa_rsa". Each spec resolves through a Registry to a signature
-algorithm OID; the registry table can be replaced at runtime from a text
-file so interim OIDs can be swapped for standardized ones without a
-rebuild.
+"ml-dsa_rsa". Each spec resolves through the process's Registry to a
+signature algorithm OID; use_registry swaps in a table with overrides read
+from a text file, so interim OIDs can be replaced by standardized ones
+without a rebuild.
 
 Each algorithm family is one backend in the _FAMILIES table: RSA, ECDSA
 and ML-DSA are backed by the cryptography package, SLH-DSA by the
@@ -16,6 +16,7 @@ encodings dispatch through that table, keyed by the spec's family.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import re
@@ -133,7 +134,7 @@ def _parse_single(text: str) -> AlgorithmSpec:
             bits = int(param)
         except ValueError:
             raise InvalidParameter(f"RSA modulus size must be an integer: {param!r}") from None
-        if not 512 <= bits <= 16384:
+        if not 1024 <= bits <= 16384:
             raise InvalidParameter(f"RSA modulus size out of range: {bits}")
         return AlgorithmSpec(FAMILY_RSA, bits)
 
@@ -258,17 +259,33 @@ class Registry:
         return tuple(self._by_name)
 
 
-_default_registry = Registry.default()
+# The OID table is a deployment setting, one per process: every lookup
+# reads it at call time, and use_registry is the one way to replace it.
+# Threads share it, so threads must not install different tables at once.
+_registry = Registry.default()
 
 
 def default_registry() -> Registry:
-    return _default_registry
+    """The OID table in force: the built-in one unless use_registry
+    replaced it."""
+    return _registry
 
 
-def oid_for(spec: AlgorithmSpec, registry: Registry | None = None) -> ObjectIdentifier:
+@contextlib.contextmanager
+def use_registry(table: Registry):
+    """Make table the process's OID table inside the with block, then
+    restore the previous one."""
+    global _registry
+    previous, _registry = _registry, table
+    try:
+        yield
+    finally:
+        _registry = previous
+
+
+def oid_for(spec: AlgorithmSpec) -> ObjectIdentifier:
     """Signature algorithm OID for a spec."""
-    registry = registry or _default_registry
-    return registry.oid_for_name(spec.oid_name())
+    return _registry.oid_for_name(spec.oid_name())
 
 
 # -- algorithm identifiers and SPKI -------------------------------------
@@ -318,10 +335,9 @@ class SubjectPublicKeyInfo:
         return cls.from_der_value(der.decode(data))
 
 
-def signature_algorithm_for(spec: AlgorithmSpec,
-                            registry: Registry | None = None) -> AlgorithmIdentifier:
+def signature_algorithm_for(spec: AlgorithmSpec) -> AlgorithmIdentifier:
     """Certificate signature AlgorithmIdentifier for a signing key spec."""
-    value = oid_for(spec, registry)
+    value = oid_for(spec)
     # Only the RSA PKCS#1 algorithms carry the legacy explicit NULL.
     params = der.null() if spec.family == FAMILY_RSA else None
     return AlgorithmIdentifier(value, params)
@@ -354,53 +370,47 @@ def _family(spec: AlgorithmSpec) -> "_Family":
         raise UnsupportedAlgorithm(spec.family) from None
 
 
-def spki_for_key(record: KeyPairRecord,
-                 registry: Registry | None = None) -> SubjectPublicKeyInfo:
+def spki_for_key(record: KeyPairRecord) -> SubjectPublicKeyInfo:
     """SubjectPublicKeyInfo for a keypair."""
-    algorithm = _family(record.spec).spki_algorithm(record.spec, registry)
+    algorithm = _family(record.spec).spki_algorithm(record.spec)
     return SubjectPublicKeyInfo(algorithm, record.public)
 
 
-def spec_from_spki(spki: SubjectPublicKeyInfo,
-                   registry: Registry | None = None) -> AlgorithmSpec | None:
+def spec_from_spki(spki: SubjectPublicKeyInfo) -> AlgorithmSpec | None:
     """Infer the algorithm spec a public key belongs to; None if unknown."""
     try:
-        return _spec_from_key(spki.algorithm, spki.key_bits,
-                              registry or _default_registry, private=False)
+        return _spec_from_key(spki.algorithm, spki.key_bits, private=False)
     except PqcliError:  # malformed, unknown, or an impossible composite
         return None
 
 
-def _spec_from_key(alg: AlgorithmIdentifier, key: bytes, registry: Registry,
-                   private: bool) -> AlgorithmSpec:
+def _spec_from_key(alg: AlgorithmIdentifier, key: bytes, private: bool) -> AlgorithmSpec:
     """Spec of a public key (SPKI key bits) or of a private key (PKCS#8
     privateKey octets). RSA and ECDSA keys carry their own key OID; every
     other key carries its signature OID, a registry name."""
     family = _KEY_OID_FAMILIES.get(alg.oid)
     if family is not None:
         return family.spec_from_key(alg, key, private)
-    name = registry.name_for_oid(alg.oid)
+    name = _registry.name_for_oid(alg.oid)
     if name is None or (private and name == "composite"):
         raise KeyMismatch(f"unrecognized key algorithm {alg.oid}")
     if name == "composite":
         return AlgorithmSpec(FAMILY_COMPOSITE, components=tuple(
-            _spec_from_key(c.algorithm, c.key_bits, registry, private)
+            _spec_from_key(c.algorithm, c.key_bits, private)
             for c in map(SubjectPublicKeyInfo.from_der_value, _components(key))))
     return _parse_single(name)
 
 
-def generate_keypair(spec: AlgorithmSpec, rng=None,
-                     registry: Registry | None = None) -> KeyPairRecord:
+def generate_keypair(spec: AlgorithmSpec, rng=None) -> KeyPairRecord:
     """Generate a keypair; a seeded rng (randbytes interface) makes it
     deterministic for tests."""
-    return _family(spec).keygen(spec, rng, registry)
+    return _family(spec).keygen(spec, rng)
 
 
-def keypair_from_private(spec: AlgorithmSpec, private: bytes,
-                         registry: Registry | None = None) -> KeyPairRecord:
+def keypair_from_private(spec: AlgorithmSpec, private: bytes) -> KeyPairRecord:
     """Parse and check an encoded private key of a known spec, once: the
     record holds the loaded key and the public key recomputed from it."""
-    return _family(spec).load(spec, private, registry)
+    return _family(spec).load(spec, private)
 
 
 def _one_asymmetric_key(value: der.DerValue) -> tuple[AlgorithmIdentifier, bytes]:
@@ -412,23 +422,21 @@ def _one_asymmetric_key(value: der.DerValue) -> tuple[AlgorithmIdentifier, bytes
             value.children[2].as_octets())
 
 
-def load_private_key(data: bytes,
-                     registry: Registry | None = None) -> KeyPairRecord:
+def load_private_key(data: bytes) -> KeyPairRecord:
     """Rebuild a KeyPairRecord from an encoded private key, inferring the
     spec from the structure. Composite containers are recognized by their
     leading component (a nested SEQUENCE instead of a version INTEGER)."""
-    registry = registry or _default_registry
     try:
         value = der.decode(data)
         value.expect(der.SEQUENCE)
         if (value.children and value.children[0].cls == der.UNIVERSAL
                 and value.children[0].tag == der.SEQUENCE):
-            comps = tuple(_spec_from_key(*_one_asymmetric_key(child), registry, private=True)
+            comps = tuple(_spec_from_key(*_one_asymmetric_key(child), private=True)
                           for child in value.children)
             spec = AlgorithmSpec(FAMILY_COMPOSITE, components=comps)
         else:
-            spec = _spec_from_key(*_one_asymmetric_key(value), registry, private=True)
-        return keypair_from_private(spec, data, registry)
+            spec = _spec_from_key(*_one_asymmetric_key(value), private=True)
+        return keypair_from_private(spec, data)
     except DerError as exc:
         raise KeyMismatch(f"cannot decode private key: {exc}") from exc
 
@@ -465,9 +473,8 @@ class _Family:
 
     key_oid: ObjectIdentifier | None = None
 
-    def spki_algorithm(self, spec: AlgorithmSpec,
-                       registry: Registry | None) -> AlgorithmIdentifier:
-        return AlgorithmIdentifier(oid_for(spec, registry))
+    def spki_algorithm(self, spec: AlgorithmSpec) -> AlgorithmIdentifier:
+        return AlgorithmIdentifier(oid_for(spec))
 
 
 class _CryptographyFamily(_Family):
@@ -479,13 +486,13 @@ class _CryptographyFamily(_Family):
     public_format = serialization.PublicFormat.Raw
     sign_args: tuple = ()
 
-    def keygen(self, spec, rng, registry):
+    def keygen(self, spec, rng):
         key = self.generate(spec.parameter, rng)
         return self._record(spec, key, key.private_bytes(
             serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption()))
 
-    def load(self, spec, private, registry):
+    def load(self, spec, private):
         try:
             key = serialization.load_der_private_key(private, password=None)
         except Exception as exc:
@@ -537,7 +544,7 @@ class _Rsa(_CryptographyFamily):
     def public_key(self, spec, public):
         return _decode_pkcs1_public(public).public_key()
 
-    def spki_algorithm(self, spec, registry):
+    def spki_algorithm(self, spec):
         return AlgorithmIdentifier(self.key_oid, der.null())
 
     def spec_from_key(self, alg, key, private):
@@ -574,7 +581,7 @@ class _Ecdsa(_CryptographyFamily):
     def public_key(self, spec, public):
         return ec.EllipticCurvePublicKey.from_encoded_point(_CURVES[spec.parameter][0], public)
 
-    def spki_algorithm(self, spec, registry):
+    def spki_algorithm(self, spec):
         return AlgorithmIdentifier(self.key_oid, der.oid_value(_CURVES[spec.parameter][1]))
 
     def spec_from_key(self, alg, key, private):
@@ -604,15 +611,15 @@ class _SlhDsa(_Family):
     """The in-package SLH-DSA: the key is the raw secret, whose trailing
     half is the public key."""
 
-    def keygen(self, spec, rng, registry):
+    def keygen(self, spec, rng):
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
         seed = os.urandom(ps.seed_size) if rng is None else rng.randbytes(ps.seed_size)
         sk, public = slhdsa.keygen(ps, seed)
-        alg = AlgorithmIdentifier(oid_for(spec, registry)).to_der_value()
+        alg = AlgorithmIdentifier(oid_for(spec)).to_der_value()
         private = der.encode(der.seq(der.integer(0), alg, der.octet_string(sk)))
         return KeyPairRecord(spec, public, private, key=sk)
 
-    def load(self, spec, private, registry):
+    def load(self, spec, private):
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
         sk = _slh_private(private, ps)
         return KeyPairRecord(spec, sk[2 * ps.n:], private, key=sk)
@@ -629,11 +636,11 @@ class _Composite(_Family):
     """Several component keys under one OID; every step delegates to the
     components' own families through the same table."""
 
-    def keygen(self, spec, rng, registry):
-        return composite_keygen(spec.components, rng, registry).to_record()
+    def keygen(self, spec, rng):
+        return composite_keygen(spec.components, rng).to_record()
 
-    def load(self, spec, private, registry):
-        return material_from_private(spec, private, registry).to_record()
+    def load(self, spec, private):
+        return material_from_private(spec, private).to_record()
 
     def sign(self, spec, key, message):
         return composite_sign(key, message).der
@@ -695,10 +702,8 @@ class CompositeComponent:
     key: object = field(default=None, compare=False, repr=False)
 
     @classmethod
-    def of(cls, record: KeyPairRecord,
-           registry: Registry | None = None) -> "CompositeComponent":
-        return cls(record.spec, spki_for_key(record, registry=registry),
-                   record.private, record.key)
+    def of(cls, record: KeyPairRecord) -> "CompositeComponent":
+        return cls(record.spec, spki_for_key(record), record.private, record.key)
 
 
 @dataclass(frozen=True)
@@ -726,8 +731,8 @@ class CompositeKeyMaterial:
             parts.append(comp.private)
         return der.wrap_sequence(b"".join(parts))
 
-    def outer_spki(self, registry: Registry | None = None) -> SubjectPublicKeyInfo:
-        algorithm = _family(self.spec).spki_algorithm(self.spec, registry)
+    def outer_spki(self) -> SubjectPublicKeyInfo:
+        algorithm = _family(self.spec).spki_algorithm(self.spec)
         return SubjectPublicKeyInfo(algorithm, self.public_der())
 
     def to_record(self) -> KeyPairRecord:
@@ -758,28 +763,24 @@ def _components(data: bytes, spec: AlgorithmSpec | None = None) -> tuple[der.Der
     return value.children
 
 
-def composite_keygen(specs, rng=None,
-                     registry: Registry | None = None) -> CompositeKeyMaterial:
+def composite_keygen(specs, rng=None) -> CompositeKeyMaterial:
     spec = AlgorithmSpec(FAMILY_COMPOSITE, components=tuple(specs))
     return CompositeKeyMaterial(tuple(
-        CompositeComponent.of(generate_keypair(s, rng, registry), registry)
-        for s in spec.components))
+        CompositeComponent.of(generate_keypair(s, rng)) for s in spec.components))
 
 
-def material_from_public(spec: AlgorithmSpec, public: bytes,
-                         registry: Registry | None = None) -> CompositeKeyMaterial:
+def material_from_public(spec: AlgorithmSpec, public: bytes) -> CompositeKeyMaterial:
     """Decode the component-SPKI sequence; verification-only material."""
     return CompositeKeyMaterial(tuple(
         CompositeComponent(s, SubjectPublicKeyInfo.from_der_value(child))
         for s, child in zip(spec.components, _components(public, spec))))
 
 
-def material_from_private(spec: AlgorithmSpec, private: bytes,
-                          registry: Registry | None = None) -> CompositeKeyMaterial:
+def material_from_private(spec: AlgorithmSpec, private: bytes) -> CompositeKeyMaterial:
     """Decode the private container, loading each component key once and
     recomputing its public key."""
     return CompositeKeyMaterial(tuple(
-        CompositeComponent.of(keypair_from_private(s, der.encode(child), registry), registry)
+        CompositeComponent.of(keypair_from_private(s, der.encode(child)))
         for s, child in zip(spec.components, _components(private, spec))))
 
 

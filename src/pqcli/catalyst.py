@@ -34,7 +34,6 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
                    native_issuer_key: algs.KeyPairRecord,
                    alt_issuer_key: algs.KeyPairRecord,
                    alt_subject_spki: algs.SubjectPublicKeyInfo | None = None,
-                   registry: algs.Registry | None = None,
                    ) -> x509.CertificateDocument:
     """Two-pass issuance: alt-sign the TBS extended with the first two
     alternative extensions, append the alt signature as the third, then
@@ -43,12 +42,11 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
     alt_subject_spki defaults to the alt issuer's own public key, the
     self-signed case.
     """
-    registry = registry or algs.default_registry()
     for oid in x509.ALT_EXTENSION_OIDS:
         if tbs_base.find_extension(oid) is not None:
             raise DuplicateExtension(
                 f"base TBS already carries {extension_name(oid)}")
-    expected = algs.signature_algorithm_for(native_issuer_key.spec, registry)
+    expected = algs.signature_algorithm_for(native_issuer_key.spec)
     if tbs_base.signature_alg != expected:
         raise AlgorithmMismatch(
             f"TBS says {tbs_base.signature_alg.oid}, native key signs as {expected.oid}")
@@ -57,9 +55,9 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
             "native and alternative keys share one algorithm family; the "
             "hybrid adds no migration value", stacklevel=2)
     if alt_subject_spki is None:
-        alt_subject_spki = algs.spki_for_key(alt_issuer_key, registry=registry)
+        alt_subject_spki = algs.spki_for_key(alt_issuer_key)
 
-    alt_sig_alg = algs.signature_algorithm_for(alt_issuer_key.spec, registry)
+    alt_sig_alg = algs.signature_algorithm_for(alt_issuer_key.spec)
     spki_ext = x509.ExtensionBlock(
         EXT_SUBJECT_ALT_PUBLIC_KEY_INFO, False, alt_subject_spki.der)
     alg_ext = x509.ExtensionBlock(
@@ -72,17 +70,15 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
         EXT_ALT_SIGNATURE_VALUE, False, der.encode(der.bit_string(alt_signature)))
     final_tbs = dataclasses.replace(
         intermediate, extensions=intermediate.extensions + (value_ext,))
-    return x509.sign_certificate(final_tbs, native_issuer_key, registry)
+    return x509.sign_certificate(final_tbs, native_issuer_key)
 
 
 def verify_catalyst(cert: x509.CertificateDocument,
                     native_issuer_spki: algs.SubjectPublicKeyInfo | None = None,
                     alt_issuer_spki: algs.SubjectPublicKeyInfo | None = None,
-                    registry: algs.Registry | None = None,
-                    at_time=None) -> x509.VerificationReport:
+                    ) -> x509.VerificationReport:
     """Full report over both paths. Unlike verify_certificate, a partial
     alternative-extension triple raises MalformedAltExtension."""
     CatalystExtensionTriple.from_certificate(cert)
     native_spki = native_issuer_spki if native_issuer_spki is not None else cert.tbs.spki
-    return x509.verify_certificate(cert, native_spki, at_time, registry,
-                                   alt_issuer_spki)
+    return x509.verify_certificate(cert, native_spki, alt_issuer_spki=alt_issuer_spki)

@@ -128,7 +128,6 @@ class CertParams:
 def issue_paired(base_params: CertParams, delta_params: CertParams,
                  base_issuer_key: algs.KeyPairRecord,
                  delta_issuer_key: algs.KeyPairRecord,
-                 registry: algs.Registry | None = None,
                  rng=None) -> tuple[x509.CertificateDocument, x509.CertificateDocument]:
     """Issue the self-signed pair: delta first so its signature can ride in
     the base's descriptor extension.
@@ -137,7 +136,6 @@ def issue_paired(base_params: CertParams, delta_params: CertParams,
     differing only in algorithm produce a minimal descriptor; callers who
     want basicConstraints and the like pass them explicitly.
     """
-    registry = registry or algs.default_registry()
     base_subject = base_params.subject or parse_name(x509.DEFAULT_SUBJECT)
     base_validity = base_params.validity or x509.default_validity()
     base_validity = (der.normalize_time(base_validity[0]),
@@ -164,15 +162,15 @@ def issue_paired(base_params: CertParams, delta_params: CertParams,
             "delta has no extensions while the base has some; the descriptor "
             "cannot express an empty extension list")
 
-    delta_spki = algs.spki_for_key(delta_issuer_key, registry=registry)
-    delta_alg = algs.signature_algorithm_for(delta_issuer_key.spec, registry)
+    delta_spki = algs.spki_for_key(delta_issuer_key)
+    delta_alg = algs.signature_algorithm_for(delta_issuer_key.spec)
     delta_tbs = x509.build_tbs(delta_subject, delta_subject, delta_spki,
                                delta_validity, delta_alg, serial=delta_serial,
                                extensions=delta_exts,
                                add_default_extensions=False, rng=rng)
-    delta_cert = x509.sign_certificate(delta_tbs, delta_issuer_key, registry)
+    delta_cert = x509.sign_certificate(delta_tbs, delta_issuer_key)
 
-    base_alg = algs.signature_algorithm_for(base_issuer_key.spec, registry)
+    base_alg = algs.signature_algorithm_for(base_issuer_key.spec)
     descriptor = DeltaCertificateDescriptor(
         serial=delta_serial,
         spki=delta_spki,
@@ -186,12 +184,12 @@ def issue_paired(base_params: CertParams, delta_params: CertParams,
     dcd_ext = x509.ExtensionBlock(
         EXT_DELTA_CERTIFICATE_DESCRIPTOR, False, descriptor.der)
 
-    base_spki = algs.spki_for_key(base_issuer_key, registry=registry)
+    base_spki = algs.spki_for_key(base_issuer_key)
     base_tbs = x509.build_tbs(base_subject, base_subject, base_spki,
                               base_validity, base_alg, serial=base_serial,
                               extensions=base_exts + (dcd_ext,),
                               add_default_extensions=False, rng=rng)
-    base_cert = x509.sign_certificate(base_tbs, base_issuer_key, registry)
+    base_cert = x509.sign_certificate(base_tbs, base_issuer_key)
     return base_cert, delta_cert
 
 
@@ -206,14 +204,11 @@ def descriptor_from_certificate(base: x509.CertificateDocument,
         raise ReconstructionMismatch(f"descriptor does not decode: {exc}") from exc
 
 
-def reconstruct_delta(base: x509.CertificateDocument,
-                      registry: algs.Registry | None = None,
-                      ) -> x509.CertificateDocument:
+def reconstruct_delta(base: x509.CertificateDocument) -> x509.CertificateDocument:
     """Rebuild the delta certificate from the base: copy the base TBS,
     substitute every descriptor field, drop the descriptor extension, and
     attach the stored signature. Self-signed results are verified; one
     whose key algorithm is not recognized fails."""
-    registry = registry or algs.default_registry()
     descriptor = descriptor_from_certificate(base)
 
     base_exts = tuple(e for e in base.tbs.extensions
@@ -236,7 +231,7 @@ def reconstruct_delta(base: x509.CertificateDocument,
     doc = x509.CertificateDocument(tbs, tbs.der, signature_alg,
                                    descriptor.signature_value)
     if doc.tbs.subject == doc.tbs.issuer:
-        spec = algs.spec_from_spki(descriptor.spki, registry)
+        spec = algs.spec_from_spki(descriptor.spki)
         if spec is None or not algs.verify(
                 spec, descriptor.spki.key_bits, doc.tbs_der, doc.signature):
             raise ReconstructionMismatch(

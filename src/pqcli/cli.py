@@ -4,8 +4,8 @@ Exit codes are stable: 0 success, 2 usage, algorithm-spec or OID table
 errors, 3 file IO, 4 parse failures, 5 native signature invalid, 6
 alternative (Catalyst) signature invalid or unsupported (the issuer has
 no alternative key), or delta signature invalid, 7 composite signature
-invalid. All diagnostics go to stderr; artifacts and reports go to stdout.
-No prompts anywhere.
+invalid. All diagnostics go to stderr, warnings as "warning: ..." lines;
+artifacts and reports go to stdout. No prompts anywhere.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import pathlib
 import sys
+import warnings
 
 from . import algs, catalyst, chameleon, pem, x509
 from .errors import (
@@ -96,8 +97,11 @@ def main(argv=None) -> int:
             return 0
         return code if isinstance(code, int) else 2
     try:
-        registry = algs.Registry.from_environment()
-        return args.func(args, registry)
+        with algs.use_registry(algs.Registry.from_environment()), \
+                warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            return args.func(args)
     except _PARSE_ERRORS as exc:
         print(f"pqcli: {exc}", file=sys.stderr)
         return 4
@@ -111,6 +115,10 @@ def main(argv=None) -> int:
 
 
 # -- output helpers -----------------------------------------------------
+
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
 
 def _write_certificate(path: pathlib.Path, cert: x509.CertificateDocument,
                        as_der: bool) -> None:
@@ -147,7 +155,7 @@ def _read_first_block(path: pathlib.Path, label: str) -> bytes:
 
 # -- commands -----------------------------------------------------------
 
-def cmd_cert(args, registry: algs.Registry) -> int:
+def cmd_cert(args) -> int:
     subject = parse_name(args.subj if args.subj else x509.DEFAULT_SUBJECT)
     validity = x509.default_validity(args.days)
     out = pathlib.Path(args.out or "certificate.pem")
@@ -161,21 +169,19 @@ def cmd_cert(args, registry: algs.Registry) -> int:
             return 2
         native_spec = algs.parse_alg_spec(parts[0])
         alt_spec = algs.parse_alg_spec(parts[1])
-        native_key = algs.generate_keypair(native_spec, registry=registry)
-        alt_key = algs.generate_keypair(alt_spec, registry=registry)
-        tbs = x509.build_tbs(
-            subject, subject, algs.spki_for_key(native_key, registry=registry),
-            validity, algs.signature_algorithm_for(native_spec, registry))
-        cert = catalyst.issue_catalyst(tbs, native_key, alt_key, registry=registry)
+        native_key = algs.generate_keypair(native_spec)
+        alt_key = algs.generate_keypair(alt_spec)
+        tbs = x509.build_tbs(subject, subject, algs.spki_for_key(native_key), validity,
+                             algs.signature_algorithm_for(native_spec))
+        cert = catalyst.issue_catalyst(tbs, native_key, alt_key)
         records = [native_key, alt_key]
         kind = f"hybrid {native_spec}+{alt_spec}"
     else:
         spec = algs.parse_alg_spec(args.newkey)
-        keypair = algs.generate_keypair(spec, registry=registry)
-        tbs = x509.build_tbs(
-            subject, subject, algs.spki_for_key(keypair, registry=registry),
-            validity, algs.signature_algorithm_for(spec, registry))
-        cert = x509.sign_certificate(tbs, keypair, registry)
+        keypair = algs.generate_keypair(spec)
+        tbs = x509.build_tbs(subject, subject, algs.spki_for_key(keypair), validity,
+                             algs.signature_algorithm_for(spec))
+        cert = x509.sign_certificate(tbs, keypair)
         records = [keypair]
         kind = "composite " + str(spec) if spec.family == algs.FAMILY_COMPOSITE else str(spec)
 
@@ -186,12 +192,12 @@ def cmd_cert(args, registry: algs.Registry) -> int:
     return 0
 
 
-def cmd_key(args, registry: algs.Registry) -> int:
+def cmd_key(args) -> int:
     spec = algs.parse_alg_spec(args.t)
-    keypair = algs.generate_keypair(spec, registry=registry)
+    keypair = algs.generate_keypair(spec)
     out = pathlib.Path(args.out or "private_key.pem")
     pub = out.with_suffix(".pub")
-    spki_der = algs.spki_for_key(keypair, registry=registry).der
+    spki_der = algs.spki_for_key(keypair).der
     if args.der:
         with pem.open_private(out) as handle:
             handle.write(keypair.private)
@@ -203,19 +209,19 @@ def cmd_key(args, registry: algs.Registry) -> int:
     return 0
 
 
-def cmd_csr(args, registry: algs.Registry) -> int:
+def cmd_csr(args) -> int:
     subject = parse_name(args.subj)
     out = pathlib.Path(args.out or "csr.pem")
     if args.newkey:
         spec = algs.parse_alg_spec(args.newkey)
-        keypair = algs.generate_keypair(spec, registry=registry)
+        keypair = algs.generate_keypair(spec)
         keyout = pathlib.Path(args.keyout or "private_key.pem")
         key_paths = _write_keys(keyout, [keypair], args.der)
     else:
         blob = _read_first_block(pathlib.Path(args.key), pem.LABEL_PRIVATE_KEY)
-        keypair = algs.load_private_key(blob, registry)
+        keypair = algs.load_private_key(blob)
         key_paths = []
-    doc = x509.build_csr(subject, keypair, registry=registry)
+    doc = x509.build_csr(subject, keypair)
     if args.der:
         out.write_bytes(doc.emit())
     else:
@@ -225,7 +231,7 @@ def cmd_csr(args, registry: algs.Registry) -> int:
     return 0
 
 
-def cmd_view(args, registry: algs.Registry) -> int:
+def cmd_view(args) -> int:
     data = pathlib.Path(args.path).read_bytes()
     if pem.is_pem(data):
         # decode once; the parsers get the first block of the chosen label as DER
@@ -234,11 +240,10 @@ def cmd_view(args, registry: algs.Registry) -> int:
         except UnicodeDecodeError:
             raise NotACertificate("input is neither DER nor readable PEM") from None
         if pem.LABEL_CSR in blocks and pem.LABEL_CERTIFICATE not in blocks:
-            print(x509.render_csr_text(x509.parse_csr(blocks[pem.LABEL_CSR]), registry),
-                  end="")
+            print(x509.render_csr_text(x509.parse_csr(blocks[pem.LABEL_CSR])), end="")
         elif pem.LABEL_CERTIFICATE in blocks:
             cert = x509.parse_certificate(blocks[pem.LABEL_CERTIFICATE])
-            print(x509.render_text(cert, registry), end="")
+            print(x509.render_text(cert), end="")
         else:
             raise NotACertificate(f"no {pem.LABEL_CERTIFICATE} block in PEM input")
         return 0
@@ -251,13 +256,13 @@ def cmd_view(args, registry: algs.Registry) -> int:
         except NotACsr:
             raise NotACertificate(
                 f"{args.path} is neither a certificate nor a request") from None
-        print(x509.render_csr_text(doc, registry), end="")
+        print(x509.render_csr_text(doc), end="")
         return 0
-    print(x509.render_text(cert, registry), end="")
+    print(x509.render_text(cert), end="")
     return 0
 
 
-def cmd_verify(args, registry: algs.Registry) -> int:
+def cmd_verify(args) -> int:
     cert = x509.parse_certificate(pathlib.Path(args.path).read_bytes())
     alt_issuer_spki = None
     if args.CAfile:
@@ -272,11 +277,10 @@ def cmd_verify(args, registry: algs.Registry) -> int:
     else:
         issuer_spki = cert.tbs.spki
 
-    report = x509.verify_certificate(cert, issuer_spki, registry=registry,
-                                     alt_issuer_spki=alt_issuer_spki)
+    report = x509.verify_certificate(cert, issuer_spki, alt_issuer_spki=alt_issuer_spki)
 
     if report.composite_components is not None:
-        issuer_spec = algs.spec_from_spki(issuer_spki, registry)
+        issuer_spec = algs.spec_from_spki(issuer_spki)
         names = ([str(c) for c in issuer_spec.components]
                  if issuer_spec is not None and issuer_spec.components
                  else [])
@@ -291,7 +295,7 @@ def cmd_verify(args, registry: algs.Registry) -> int:
         print(f"alt signature: {report.alt_sig}")
     delta_invalid = False
     try:
-        delta = chameleon.reconstruct_delta(cert, registry)
+        delta = chameleon.reconstruct_delta(cert)
     except NoDescriptor:
         pass
     except ReconstructionMismatch as exc:

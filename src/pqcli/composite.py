@@ -29,14 +29,12 @@ from .x509 import (  # likewise: composite verification lives in x509
 def issue_composite_certificate(subject, key: CompositeKeyMaterial,
                                 validity=None, serial: int | None = None,
                                 extensions=(),
-                                registry: algs.Registry | None = None,
                                 rng=None) -> x509.CertificateDocument:
     """Self-signed certificate over the composite SPKI."""
-    registry = registry or algs.default_registry()
-    spki = key.outer_spki(registry)
+    spki = key.outer_spki()
     if validity is None:
         validity = x509.default_validity()
-    signature_alg = algs.signature_algorithm_for(key.spec, registry)
+    signature_alg = algs.signature_algorithm_for(key.spec)
     tbs = x509.build_tbs(subject, subject, spki, validity, signature_alg,
                          serial=serial, extensions=extensions, rng=rng)
-    return x509.sign_certificate(tbs, key.to_record(), registry)
+    return x509.sign_certificate(tbs, key.to_record())

@@ -21,9 +21,7 @@ from .oids import ObjectIdentifier
 
 # Tag classes
 UNIVERSAL = 0x00
-APPLICATION = 0x40
 CONTEXT = 0x80
-PRIVATE = 0xC0
 
 # Universal tag numbers
 BOOLEAN = 0x01
@@ -74,9 +72,9 @@ class DerValue:
 
     # -- typed accessors ------------------------------------------------
 
-    def expect(self, tag: int, cls: int = UNIVERSAL) -> "DerValue":
-        if self.tag != tag or self.cls != cls:
-            raise BadTag(f"expected tag {tag:#x} (class {cls:#x}), got {self.tag:#x} (class {self.cls:#x})")
+    def expect(self, tag: int) -> "DerValue":
+        if self.tag != tag or self.cls != UNIVERSAL:
+            raise BadTag(f"expected tag {tag:#x} (class {UNIVERSAL:#x}), got {self.tag:#x} (class {self.cls:#x})")
         return self
 
     def as_int(self) -> int:
@@ -146,12 +144,9 @@ def octet_string(data: bytes) -> DerValue:
     return DerValue(OCTET_STRING, content=bytes(data))
 
 
-def bit_string(data: bytes, unused: int = 0) -> DerValue:
-    if not 0 <= unused <= 7:
-        raise BadValue("unused bit count must be in 0..7")
-    if unused and not data:
-        raise BadValue("empty BIT STRING cannot have unused bits")
-    return DerValue(BIT_STRING, content=bytes([unused]) + bytes(data))
+def bit_string(data: bytes) -> DerValue:
+    """BIT STRING of whole octets, the zero-unused-bits form as_bits reads."""
+    return DerValue(BIT_STRING, content=b"\x00" + bytes(data))
 
 
 def utf8(text: str) -> DerValue:
@@ -166,9 +161,9 @@ def ia5(text: str) -> DerValue:
     return DerValue(IA5_STRING, content=text.encode("ascii"))
 
 
-def explicit(tag: int, child: DerValue, cls: int = CONTEXT) -> DerValue:
-    """EXPLICIT context (or other class) tag wrapping one child."""
-    return DerValue(tag, cls=cls, constructed=True, children=(child,))
+def explicit(tag: int, child: DerValue) -> DerValue:
+    """EXPLICIT context tag wrapping one child."""
+    return DerValue(tag, cls=CONTEXT, constructed=True, children=(child,))
 
 
 def encode_time(moment: datetime.datetime) -> DerValue:
@@ -360,22 +355,12 @@ def decode(data: bytes) -> DerValue:
     return value
 
 
-def split_tlv(data: bytes, pos: int = 0) -> tuple[int, int]:
-    """Bounds (start, end) of the TLV beginning at pos, without decoding it.
-
-    Used to slice signed sub-structures (like a TBS) byte-exactly out of a
-    larger encoding.
+def tlv_bounds(data: bytes, pos: int) -> tuple[int, int]:
+    """(content start, end) of the TLV beginning at pos, without decoding
+    it: data[pos:end] is the whole TLV and data[content start:end] its
+    content. Slices signed sub-structures (like a TBS) byte-exactly out of
+    a larger encoding.
     """
-    end = len(data)
-    _, _, _, after_tag = _read_tag(data, pos, end)
-    length, after_len = _read_length(data, after_tag, end)
-    if after_len + length > end:
-        raise Truncated("content extends past end of input")
-    return pos, after_len + length
-
-
-def content_span(data: bytes, pos: int = 0) -> tuple[int, int]:
-    """(content_start, content_end) of the TLV at pos."""
     end = len(data)
     _, _, _, after_tag = _read_tag(data, pos, end)
     length, after_len = _read_length(data, after_tag, end)

@@ -75,7 +75,7 @@ class DuplicateExtension(PqcliError):
 
 
 class InvalidValidity(PqcliError):
-    """notBefore does not precede notAfter."""
+    """notBefore does not precede notAfter, or a date is out of range."""
 
 
 class AlgorithmMismatch(PqcliError):

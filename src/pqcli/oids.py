@@ -186,17 +186,6 @@ EXTENSION_NAMES: dict[ObjectIdentifier, str] = {
     EXT_DELTA_CERTIFICATE_DESCRIPTOR: "deltaCertificateDescriptor",
 }
 
-ATTRIBUTE_NAMES: dict[ObjectIdentifier, str] = {
-    AT_COMMON_NAME: "CN",
-    AT_SERIAL_NUMBER: "SERIALNUMBER",
-    AT_COUNTRY: "C",
-    AT_LOCALITY: "L",
-    AT_STATE: "ST",
-    AT_ORGANIZATION: "O",
-    AT_ORG_UNIT: "OU",
-}
-
-
 def algorithm_name(value: ObjectIdentifier) -> str:
     """Display name for an algorithm OID, falling back to dotted form."""
     name = ALGORITHM_NAMES.get(value)

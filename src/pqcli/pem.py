@@ -89,9 +89,8 @@ def open_private(path):
         raise
 
 
-def write_private_key(path, payload: bytes, label: str = LABEL_PRIVATE_KEY) -> None:
-    with open_private(path) as handle:
-        handle.write(encode_pem(label, payload).encode("ascii"))
+def write_private_key(path, payload: bytes) -> None:
+    write_private_key_blocks(path, [(LABEL_PRIVATE_KEY, payload)])
 
 
 def write_private_key_blocks(path, blocks) -> None:

@@ -204,15 +204,19 @@ def random_serial(rng=None) -> int:
             return value
 
 
-def default_validity(days: int = DEFAULT_DAYS,
-                     start: datetime.datetime | None = None):
-    start = der.normalize_time(start or datetime.datetime.now(datetime.timezone.utc))
-    return start, start + datetime.timedelta(days=days)
+def default_validity(days: int = DEFAULT_DAYS):
+    """(not_before, not_after): now, to the second, and days later."""
+    start = der.normalize_time(datetime.datetime.now(datetime.timezone.utc))
+    try:
+        return start, start + datetime.timedelta(days=days)
+    except OverflowError:
+        raise InvalidValidity(f"{days} days from now is outside the years 1 to 9999") from None
 
 
-def basic_constraints_extension(ca: bool = True, critical: bool = False) -> ExtensionBlock:
-    inner = der.seq(der.boolean(True)) if ca else der.seq()
-    return ExtensionBlock(EXT_BASIC_CONSTRAINTS, critical, der.encode(inner))
+def basic_constraints_extension() -> ExtensionBlock:
+    """Non-critical basicConstraints marking a CA."""
+    return ExtensionBlock(EXT_BASIC_CONSTRAINTS, False,
+                          der.encode(der.seq(der.boolean(True))))
 
 
 def subject_key_id_extension(spki: algs.SubjectPublicKeyInfo) -> ExtensionBlock:
@@ -263,9 +267,9 @@ def build_tbs(subject: DistinguishedName,
         subject=subject, spki=spki, extensions=tuple(final))
 
 
-def sign_certificate(tbs: TbsCertificate, issuer_key: algs.KeyPairRecord,
-                     registry: algs.Registry | None = None) -> CertificateDocument:
-    expected = algs.signature_algorithm_for(issuer_key.spec, registry)
+def sign_certificate(tbs: TbsCertificate,
+                     issuer_key: algs.KeyPairRecord) -> CertificateDocument:
+    expected = algs.signature_algorithm_for(issuer_key.spec)
     if tbs.signature_alg != expected:
         raise AlgorithmMismatch(
             f"TBS says {tbs.signature_alg.oid}, key signs as {expected.oid}")
@@ -306,8 +310,8 @@ def _read_signed(data: bytes, label: str, error_cls, decode_signed):
             or len(outer.children) != 3):
         raise error_cls(f"{label.lower()} must be a SEQUENCE of signed data, "
                         "algorithm, and signature")
-    content_start, _ = der.content_span(blob, 0)
-    _, signed_end = der.split_tlv(blob, content_start)
+    content_start, _ = der.tlv_bounds(blob, 0)
+    _, signed_end = der.tlv_bounds(blob, content_start)
     return (blob[content_start:signed_end],
             decode_signed(outer.children[0]),
             algs.AlgorithmIdentifier.from_der_value(outer.children[1]),
@@ -393,18 +397,16 @@ def _is_alt_value_extension(ext: der.DerValue) -> bool:
 
 
 def alt_verdict(cert: CertificateDocument,
-                alt_issuer_spki: algs.SubjectPublicKeyInfo | None = None,
-                registry: algs.Registry | None = None) -> str:
+                alt_issuer_spki: algs.SubjectPublicKeyInfo | None = None) -> str:
     """Verdict string for the alternative signature path alone."""
-    registry = registry or algs.default_registry()
     triple = CatalystExtensionTriple.from_certificate(cert)
     if triple is None:
         raise MalformedAltExtension("certificate carries no alternative extensions")
     spki = alt_issuer_spki if alt_issuer_spki is not None else triple.alt_spki
-    spec = algs.spec_from_spki(spki, registry)
+    spec = algs.spec_from_spki(spki)
     if spec is None:
         return UNSUPPORTED
-    expected = algs.signature_algorithm_for(spec, registry)
+    expected = algs.signature_algorithm_for(spec)
     if triple.alt_sig_alg.oid != expected.oid:
         return INVALID  # declared algorithm disagrees with the key
     preimage = alt_preimage(cert.tbs_der)
@@ -436,15 +438,14 @@ def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
         tuple(VALID if ok else INVALID for ok in verdicts), all(verdicts))
 
 
-def verify_certificate_signature(cert, issuer_spki: algs.SubjectPublicKeyInfo,
-                                 registry: algs.Registry | None = None,
-                                 ) -> CompositeVerification:
+def verify_certificate_signature(
+        cert, issuer_spki: algs.SubjectPublicKeyInfo) -> CompositeVerification:
     """Composite check of a certificate's outer signature over tbs_der."""
-    spec = algs.spec_from_spki(issuer_spki, registry)
+    spec = algs.spec_from_spki(issuer_spki)
     if spec is None or spec.family != algs.FAMILY_COMPOSITE:
         return CompositeVerification((), False, "issuer key is not a usable composite key")
     # spec_from_spki has decoded every component key already
-    material = algs.material_from_public(spec, issuer_spki.key_bits, registry)
+    material = algs.material_from_public(spec, issuer_spki.key_bits)
     try:
         sig = algs.CompositeSignatureValue.from_der(cert.signature)
     except DerError:
@@ -456,7 +457,6 @@ def verify_certificate_signature(cert, issuer_spki: algs.SubjectPublicKeyInfo,
 def verify_certificate(cert: CertificateDocument,
                        issuer_spki: algs.SubjectPublicKeyInfo,
                        at_time: datetime.datetime | None = None,
-                       registry: algs.Registry | None = None,
                        alt_issuer_spki: algs.SubjectPublicKeyInfo | None = None,
                        ) -> VerificationReport:
     """Check every signature path present and report each verdict.
@@ -466,7 +466,6 @@ def verify_certificate(cert: CertificateDocument,
     key is used only when issuer_spki is the certificate's own key (the
     self-signed reading); any other issuer leaves the alternative path
     unsupported."""
-    registry = registry or algs.default_registry()
     notes: list[str] = []
     now = der.normalize_time(at_time or datetime.datetime.now(datetime.timezone.utc))
     if now < cert.tbs.not_before:
@@ -478,13 +477,13 @@ def verify_certificate(cert: CertificateDocument,
     if cert.tbs.signature_alg != cert.signature_alg:
         notes.append("signature algorithm differs between TBS and certificate")
 
-    issuer_spec = algs.spec_from_spki(issuer_spki, registry)
+    issuer_spec = algs.spec_from_spki(issuer_spki)
     composite_verdicts = None
     if issuer_spec is None:
         native = UNSUPPORTED
         notes.append("issuer key algorithm not recognized")
     elif issuer_spec.family == algs.FAMILY_COMPOSITE:
-        outcome = verify_certificate_signature(cert, issuer_spki, registry)
+        outcome = verify_certificate_signature(cert, issuer_spki)
         composite_verdicts = outcome.components
         native = VALID if outcome.overall else INVALID
         if outcome.note:
@@ -500,7 +499,7 @@ def verify_certificate(cert: CertificateDocument,
             notes.append("issuer has no alternative key; alternative signature not checked")
         else:
             try:
-                alt = alt_verdict(cert, alt_issuer_spki, registry)
+                alt = alt_verdict(cert, alt_issuer_spki)
             except MalformedAltExtension as exc:
                 alt = INVALID
                 notes.append(str(exc))
@@ -544,15 +543,15 @@ def _encode_cri(subject: DistinguishedName, spki: algs.SubjectPublicKeyInfo,
 
 
 def build_csr(subject: DistinguishedName, keypair: algs.KeyPairRecord,
-              extensions=(), registry: algs.Registry | None = None) -> CsrDocument:
+              extensions=()) -> CsrDocument:
     """PKCS#10 request self-signed with the subject key; verified on build."""
-    spki = algs.spki_for_key(keypair, registry=registry)
+    spki = algs.spki_for_key(keypair)
     extensions = tuple(extensions)
     cri_der = _encode_cri(subject, spki, extensions)
-    signature_alg = algs.signature_algorithm_for(keypair.spec, registry)
+    signature_alg = algs.signature_algorithm_for(keypair.spec)
     signature = algs.sign(keypair.spec, keypair, cri_der)
     doc = CsrDocument(subject, spki, extensions, cri_der, signature_alg, signature)
-    if not verify_csr(doc, registry):
+    if not verify_csr(doc):
         raise AlgorithmMismatch("freshly built CSR failed self-verification")
     return doc
 
@@ -590,9 +589,9 @@ def parse_csr(data: bytes) -> CsrDocument:
     return CsrDocument(subject, spki, extensions, cri_der, signature_alg, signature)
 
 
-def verify_csr(doc: CsrDocument, registry: algs.Registry | None = None) -> bool:
+def verify_csr(doc: CsrDocument) -> bool:
     """Self-signature check against the key inside the request."""
-    spec = algs.spec_from_spki(doc.spki, registry)
+    spec = algs.spec_from_spki(doc.spki)
     if spec is None:
         return False
     return algs.verify(spec, doc.spki.key_bits, doc.cri_der, doc.signature)
@@ -604,9 +603,9 @@ def _format_time(moment: datetime.datetime) -> str:
     return moment.strftime("%b %e %H:%M:%S %Y GMT")
 
 
-def _describe_spki(spki: algs.SubjectPublicKeyInfo, registry, indent: str) -> list[str]:
+def _describe_spki(spki: algs.SubjectPublicKeyInfo, indent: str) -> list[str]:
     lines = [f"{indent}Algorithm: {algorithm_name(spki.algorithm.oid)}"]
-    spec = algs.spec_from_spki(spki, registry)
+    spec = algs.spec_from_spki(spki)
     if spec is None:
         lines.append(f"{indent}    (unknown algorithm - view only)")
         lines.append(f"{indent}    Key: {len(spki.key_bits)} bytes")
@@ -626,9 +625,7 @@ def _describe_spki(spki: algs.SubjectPublicKeyInfo, registry, indent: str) -> li
     return lines
 
 
-def render_text(cert: CertificateDocument,
-                registry: algs.Registry | None = None) -> str:
-    registry = registry or algs.default_registry()
+def render_text(cert: CertificateDocument) -> str:
     t = cert.tbs
     lines = [
         "Certificate:",
@@ -644,7 +641,7 @@ def render_text(cert: CertificateDocument,
         f"        Subject: {t.subject}",
         "        Subject Public Key Info:",
     ]
-    lines.extend(_describe_spki(t.spki, registry, "            "))
+    lines.extend(_describe_spki(t.spki, "            "))
     if t.extensions:
         lines.append("        X509v3 Extensions:")
         for ext in t.extensions:
@@ -659,7 +656,7 @@ def render_text(cert: CertificateDocument,
         if alt_spki_ext:
             try:
                 alt_spki = algs.SubjectPublicKeyInfo.from_der(alt_spki_ext.value)
-                lines.extend(_describe_spki(alt_spki, registry, "        "))
+                lines.extend(_describe_spki(alt_spki, "        "))
             except DerError:
                 lines.append("        (malformed)")
         else:
@@ -689,15 +686,13 @@ def render_text(cert: CertificateDocument,
     return "\n".join(lines) + "\n"
 
 
-def render_csr_text(doc: CsrDocument,
-                    registry: algs.Registry | None = None) -> str:
-    registry = registry or algs.default_registry()
+def render_csr_text(doc: CsrDocument) -> str:
     lines = [
         "Certificate Request:",
         f"    Subject: {doc.subject}",
         "    Subject Public Key Info:",
     ]
-    lines.extend(_describe_spki(doc.spki, registry, "        "))
+    lines.extend(_describe_spki(doc.spki, "        "))
     if doc.extensions:
         lines.append("    Requested Extensions:")
         for ext in doc.extensions:

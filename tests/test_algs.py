@@ -60,6 +60,8 @@ def test_parse_errors():
     with pytest.raises(InvalidParameter):
         algs.parse_alg_spec("rsa:100")
     with pytest.raises(InvalidParameter):
+        algs.parse_alg_spec("rsa:512")  # below the 1024 bits key generation accepts
+    with pytest.raises(InvalidParameter):
         algs.parse_alg_spec("ecdsa:P-224")
     with pytest.raises(InvalidParameter):
         algs.parse_alg_spec("slh-dsa")  # parameter set is mandatory

@@ -98,6 +98,31 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ("cert", "-newkey", "rsa:512"),
+    ("key", "-t", "rsa:1000"),
+    ("csr", "-newkey", "rsa:600", "-subj", "CN=x"),
+], ids=["cert", "key", "csr"])
+def test_rsa_below_1024_bits_is_a_usage_error(capsys, argv):
+    assert run(*argv) == 2
+    assert "RSA modulus size out of range" in capsys.readouterr().err
+
+
+def test_cert_days_past_year_9999_is_a_usage_error(workdir, capsys):
+    assert run("cert", "-newkey", "ECDSA", "-days", "99999999") == 2
+    assert "outside the years 1 to 9999" in capsys.readouterr().err
+    assert not (workdir / "certificate.pem").exists()
+
+
+def test_same_family_hybrid_warning_is_one_warning_line(capsys):
+    assert run("cert", "-newkey", "ECDSA,ECDSA:P-384") == 0
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "warning: native and alternative keys share one algorithm family; "
+        "the hybrid adds no migration value"]
+    assert "UserWarning" not in err and "issue_catalyst" not in err
+
+
 def test_key_command(workdir, capsys):
     assert run("key", "-t", "slh-dsa:128f", "-out", "slh.pem") == 0
     assert "wrote slh.pem and slh.pub" in capsys.readouterr().out
@@ -340,18 +365,33 @@ def test_expired_certificate_warns_but_verifies(workdir, capsys, rng):
 def test_oid_table_names_must_be_registry_keys(workdir, capsys, monkeypatch, rng,
                                                table):
     # a certificate whose key and signature carry the table's OID
-    registry = algs.default_registry().with_overrides("ml-dsa:2 = 2.999.9\n")
     key = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
     name = parse_name("CN=table")
-    tbs = x509.build_tbs(name, name, algs.spki_for_key(key, registry=registry),
-                         x509.default_validity(5),
-                         algs.signature_algorithm_for(key.spec, registry), rng=rng)
-    _write_cert(workdir / "c.pem", x509.sign_certificate(tbs, key, registry))
+    with algs.use_registry(algs.default_registry().with_overrides("ml-dsa:2 = 2.999.9\n")):
+        tbs = x509.build_tbs(name, name, algs.spki_for_key(key),
+                             x509.default_validity(5),
+                             algs.signature_algorithm_for(key.spec), rng=rng)
+        _write_cert(workdir / "c.pem", x509.sign_certificate(tbs, key))
     (workdir / "oids.conf").write_bytes(table)
     monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
     assert run("verify", "c.pem") == 2
     assert run("view", "c.pem") == 2
     assert "OID table" in capsys.readouterr().err
+
+
+def test_oid_table_holds_for_one_command_in_process(workdir, capsys, monkeypatch):
+    builtin = algs.default_registry()
+    (workdir / "oids.conf").write_text("composite = 2.999.10001\n")
+    monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
+    assert run("cert", "-newkey", "ML-DSA:2_ECDSA") == 0
+    cert = x509.parse_certificate((workdir / "certificate.pem").read_bytes())
+    assert str(cert.tbs.spki.algorithm.oid) == "2.999.10001"
+    assert str(cert.signature_alg.oid) == "2.999.10001"
+    capsys.readouterr()
+    assert run("verify", "certificate.pem") == 0
+    assert "component 1 (ml-dsa:2): valid" in capsys.readouterr().out
+    assert algs.default_registry() is builtin
+    assert algs.oid_for(algs.parse_alg_spec("ML-DSA:2_ECDSA")) == oids.COMPOSITE_INTERIM
 
 
 # -- delta certificates inside paired bases -----------------------------

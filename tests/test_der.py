@@ -199,15 +199,14 @@ def test_normalize_time_strips_microseconds_and_converts_zone():
     assert normal.hour == 12 and normal.microsecond == 0
 
 
-def test_split_tlv_and_content_span():
+def test_tlv_bounds():
     inner = der.encode(der.integer(7)) + der.encode(der.boolean(False))
     blob = der.wrap_sequence(inner)
-    start, end = der.split_tlv(blob)
-    assert (start, end) == (0, len(blob))
-    cstart, cend = der.content_span(blob)
-    assert blob[cstart:cend] == inner
-    first_start, first_end = der.split_tlv(blob, cstart)
-    assert blob[first_start:first_end] == der.encode(der.integer(7))
+    cstart, end = der.tlv_bounds(blob, 0)
+    assert end == len(blob)
+    assert blob[cstart:end] == inner
+    _, first_end = der.tlv_bounds(blob, cstart)
+    assert blob[cstart:first_end] == der.encode(der.integer(7))
 
 
 def test_high_tag_numbers():

@@ -4,7 +4,9 @@ algs is the bottom of the package: every algorithm family, composite
 included, is a backend in its table, so it imports only the codec, the OID
 table, SLH-DSA and the errors. x509 reads and verifies every certificate
 shape, so it needs none of the issuing modules above it. No module imports
-inside a function, and the package-internal imports form no cycle."""
+inside a function, and the package-internal imports form no cycle. The OID
+table is process state that algs.use_registry replaces, so no function
+takes it as a parameter."""
 
 import ast
 import pathlib
@@ -83,6 +85,16 @@ def test_catalyst_and_composite_reexport_the_x509_readers():
     for module, names in moved.items():
         for name in names:
             assert getattr(module, name) is getattr(x509, name), f"{module.__name__}.{name}"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_takes_a_registry(module):
+    takers = [f"{func.name}: line {func.lineno}"
+              for func in ast.walk(_tree(module))
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for arg in ast.walk(func.args)
+              if isinstance(arg, ast.arg) and arg.arg == "registry"]
+    assert takers == []
 
 
 def test_algs_imports_only_its_allowed_package_modules():
