@@ -22,12 +22,7 @@ from .algs import (
     verify,
 )
 from .catalyst import CatalystExtensionTriple, issue_catalyst, verify_catalyst
-from .chameleon import (
-    CertParams,
-    DeltaCertificateDescriptor,
-    issue_paired,
-    reconstruct_delta,
-)
+from .chameleon import CertParams, issue_paired
 from .composite import (
     CompositeKeyMaterial,
     CompositeSignatureValue,
@@ -41,6 +36,7 @@ from .names import DistinguishedName, parse_name
 from .x509 import (
     CertificateDocument,
     CsrDocument,
+    DeltaCertificateDescriptor,
     ExtensionBlock,
     TbsCertificate,
     VerificationReport,
@@ -48,6 +44,7 @@ from .x509 import (
     build_tbs,
     parse_certificate,
     parse_csr,
+    reconstruct_delta,
     render_text,
     sign_certificate,
     verify_certificate,

@@ -262,7 +262,10 @@ class Registry:
 # The OID table is a deployment setting, one per process: every lookup
 # reads it at call time, and use_registry is the one way to replace it.
 # Threads share it, so threads must not install different tables at once.
-_registry = Registry.default()
+# Private key files always carry the standard OIDs, as cryptography writes
+# them, so they are read and written with the built-in table.
+_BUILTIN_REGISTRY = Registry.default()
+_registry = _BUILTIN_REGISTRY
 
 
 def default_registry() -> Registry:
@@ -387,11 +390,12 @@ def spec_from_spki(spki: SubjectPublicKeyInfo) -> AlgorithmSpec | None:
 def _spec_from_key(alg: AlgorithmIdentifier, key: bytes, private: bool) -> AlgorithmSpec:
     """Spec of a public key (SPKI key bits) or of a private key (PKCS#8
     privateKey octets). RSA and ECDSA keys carry their own key OID; every
-    other key carries its signature OID, a registry name."""
+    other key carries its signature OID, a name in the table in force for
+    a public key and in the built-in table for a private key."""
     family = _KEY_OID_FAMILIES.get(alg.oid)
     if family is not None:
         return family.spec_from_key(alg, key, private)
-    name = _registry.name_for_oid(alg.oid)
+    name = (_BUILTIN_REGISTRY if private else _registry).name_for_oid(alg.oid)
     if name is None or (private and name == "composite"):
         raise KeyMismatch(f"unrecognized key algorithm {alg.oid}")
     if name == "composite":
@@ -615,7 +619,7 @@ class _SlhDsa(_Family):
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
         seed = os.urandom(ps.seed_size) if rng is None else rng.randbytes(ps.seed_size)
         sk, public = slhdsa.keygen(ps, seed)
-        alg = AlgorithmIdentifier(oid_for(spec)).to_der_value()
+        alg = der.seq(der.oid_value(_BUILTIN_REGISTRY.oid_for_name(spec.oid_name())))
         private = der.encode(der.seq(der.integer(0), alg, der.octet_string(sk)))
         return KeyPairRecord(spec, public, private, key=sk)
 

@@ -1,10 +1,9 @@
 """Paired certificates: a base certificate embedding a delta certificate
 descriptor from which the second certificate is reconstructed byte-exactly.
 
-The descriptor (extension 2.16.840.1.114027.80.6.1, non-critical) stores
-the delta's serial, public key, and signature, plus any field whose value
-differs from the base. Absent optional fields mean "same as the base", so
-reconstruction is a copy-and-substitute over the base TBS.
+This module issues the pair. The descriptor, reading it from a base and
+rebuilding the delta live in x509, which reads every certificate shape;
+they are re-exported here.
 """
 
 from __future__ import annotations
@@ -13,105 +12,14 @@ import datetime
 from dataclasses import dataclass
 
 from . import algs, der, x509
-from .errors import (
-    BadValue,
-    DerError,
-    FieldConflict,
-    NoDescriptor,
-    ReconstructionMismatch,
-)
+from .errors import FieldConflict
 from .names import DistinguishedName, parse_name
 from .oids import EXT_DELTA_CERTIFICATE_DESCRIPTOR
-
-
-@dataclass(frozen=True)
-class DeltaCertificateDescriptor:
-    serial: int
-    spki: algs.SubjectPublicKeyInfo
-    signature_value: bytes
-    signature_alg: algs.AlgorithmIdentifier | None = None
-    issuer: DistinguishedName | None = None
-    validity: tuple[datetime.datetime, datetime.datetime] | None = None
-    subject: DistinguishedName | None = None
-    extensions: tuple[x509.ExtensionBlock, ...] | None = None
-
-    def to_der_value(self) -> der.DerValue:
-        children = [der.integer(self.serial)]
-        if self.signature_alg is not None:
-            children.append(der.explicit(0, self.signature_alg.to_der_value()))
-        if self.issuer is not None:
-            children.append(der.explicit(1, self.issuer.to_der_value()))
-        if self.validity is not None:
-            children.append(der.explicit(2, der.seq(
-                der.encode_time(self.validity[0]),
-                der.encode_time(self.validity[1]))))
-        if self.subject is not None:
-            children.append(der.explicit(3, self.subject.to_der_value()))
-        children.append(self.spki.to_der_value())
-        if self.extensions is not None:
-            children.append(der.explicit(4, der.seq(
-                *(e.to_der_value() for e in self.extensions))))
-        children.append(der.bit_string(self.signature_value))
-        return der.seq(*children)
-
-    @property
-    def der(self) -> bytes:
-        return der.encode(self.to_der_value())
-
-    @classmethod
-    def from_der(cls, data: bytes) -> "DeltaCertificateDescriptor":
-        value = der.decode(data)
-        value.expect(der.SEQUENCE)
-        children = list(value.children)
-        if len(children) < 3:
-            raise BadValue("descriptor needs serial, key, and signature")
-        serial = children[0].as_int()
-        index = 1
-
-        def take(tag: int) -> der.DerValue | None:
-            nonlocal index
-            if (index < len(children) and children[index].cls == der.CONTEXT
-                    and children[index].tag == tag):
-                wrapper = children[index]
-                if not wrapper.constructed or len(wrapper.children) != 1:
-                    raise BadValue(f"malformed [{tag}] descriptor field")
-                index += 1
-                return wrapper.children[0]
-            return None
-
-        inner = take(0)
-        signature_alg = (algs.AlgorithmIdentifier.from_der_value(inner)
-                         if inner is not None else None)
-        inner = take(1)
-        issuer = DistinguishedName.from_der_value(inner) if inner is not None else None
-        inner = take(2)
-        validity = None
-        if inner is not None:
-            inner.expect(der.SEQUENCE)
-            if len(inner.children) != 2:
-                raise BadValue("descriptor validity needs two times")
-            validity = (der.decode_time(inner.children[0]),
-                        der.decode_time(inner.children[1]))
-        inner = take(3)
-        subject = DistinguishedName.from_der_value(inner) if inner is not None else None
-        if index >= len(children):
-            raise BadValue("descriptor is missing the public key")
-        spki = algs.SubjectPublicKeyInfo.from_der_value(children[index])
-        index += 1
-        inner = take(4)
-        extensions = None
-        if inner is not None:
-            inner.expect(der.SEQUENCE)
-            extensions = tuple(x509.ExtensionBlock.from_der_value(e)
-                               for e in inner.children)
-        if index >= len(children):
-            raise BadValue("descriptor is missing the signature value")
-        signature_value = children[index].as_bits()
-        index += 1
-        if index != len(children):
-            raise BadValue("trailing fields in descriptor")
-        return cls(serial, spki, signature_value, signature_alg, issuer,
-                   validity, subject, extensions)
+from .x509 import (  # re-exported, so chameleon.X keeps working
+    DeltaCertificateDescriptor,
+    descriptor_from_certificate,
+    reconstruct_delta,
+)
 
 
 @dataclass(frozen=True)
@@ -192,48 +100,3 @@ def issue_paired(base_params: CertParams, delta_params: CertParams,
     base_cert = x509.sign_certificate(base_tbs, base_issuer_key)
     return base_cert, delta_cert
 
-
-def descriptor_from_certificate(base: x509.CertificateDocument,
-                                ) -> DeltaCertificateDescriptor:
-    ext = base.tbs.find_extension(EXT_DELTA_CERTIFICATE_DESCRIPTOR)
-    if ext is None:
-        raise NoDescriptor("certificate carries no delta descriptor extension")
-    try:
-        return DeltaCertificateDescriptor.from_der(ext.value)
-    except DerError as exc:
-        raise ReconstructionMismatch(f"descriptor does not decode: {exc}") from exc
-
-
-def reconstruct_delta(base: x509.CertificateDocument) -> x509.CertificateDocument:
-    """Rebuild the delta certificate from the base: copy the base TBS,
-    substitute every descriptor field, drop the descriptor extension, and
-    attach the stored signature. Self-signed results are verified; one
-    whose key algorithm is not recognized fails."""
-    descriptor = descriptor_from_certificate(base)
-
-    base_exts = tuple(e for e in base.tbs.extensions
-                      if e.oid != EXT_DELTA_CERTIFICATE_DESCRIPTOR)
-    extensions = (descriptor.extensions if descriptor.extensions is not None
-                  else base_exts)
-    signature_alg = descriptor.signature_alg or base.tbs.signature_alg
-    validity = descriptor.validity or (base.tbs.not_before, base.tbs.not_after)
-    tbs = x509.TbsCertificate(
-        version=2,
-        serial=descriptor.serial,
-        signature_alg=signature_alg,
-        issuer=descriptor.issuer or base.tbs.issuer,
-        not_before=validity[0],
-        not_after=validity[1],
-        subject=descriptor.subject or base.tbs.subject,
-        spki=descriptor.spki,
-        extensions=extensions,
-    )
-    doc = x509.CertificateDocument(tbs, tbs.der, signature_alg,
-                                   descriptor.signature_value)
-    if doc.tbs.subject == doc.tbs.issuer:
-        spec = algs.spec_from_spki(descriptor.spki)
-        if spec is None or not algs.verify(
-                spec, descriptor.spki.key_bits, doc.tbs_der, doc.signature):
-            raise ReconstructionMismatch(
-                "reconstructed delta certificate fails signature verification")
-    return doc

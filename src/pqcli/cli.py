@@ -15,7 +15,7 @@ import pathlib
 import sys
 import warnings
 
-from . import algs, catalyst, chameleon, pem, x509
+from . import algs, catalyst, pem, x509
 from .errors import (
     DerError,
     KeyMismatch,
@@ -120,29 +120,24 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _write_certificate(path: pathlib.Path, cert: x509.CertificateDocument,
-                       as_der: bool) -> None:
+def _write(path: pathlib.Path, label: str, payload: bytes, as_der: bool) -> None:
     if as_der:
-        path.write_bytes(cert.emit())
+        path.write_bytes(payload)
     else:
-        pem.write_pem(path, pem.LABEL_CERTIFICATE, cert.emit())
+        pem.write_pem(path, label, payload)
 
 
 def _write_keys(path: pathlib.Path, records, as_der: bool) -> list[pathlib.Path]:
-    """One file for PEM (multiple blocks); DER splits extra keys into
-    .altN side files since raw DER has no framing for several keys."""
+    """One or two private keys, owner-only: one file of PEM blocks, or for
+    DER, which has no framing for two keys, the second in a .alt file."""
     if not as_der:
         pem.write_private_key_blocks(
             path, [(pem.LABEL_PRIVATE_KEY, r.private) for r in records])
         return [path]
-    paths = []
-    for i, record in enumerate(records):
-        target = path if i == 0 else path.with_name(
-            f"{path.stem}.alt{i if len(records) > 2 else ''}{path.suffix}")
-        fd = pem.open_private(target)
-        with fd:
-            fd.write(record.private)
-        paths.append(target)
+    paths = [path, path.with_name(f"{path.stem}.alt{path.suffix}")][:len(records)]
+    for target, record in zip(paths, records):
+        with pem.open_private(target) as handle:
+            handle.write(record.private)
     return paths
 
 
@@ -185,7 +180,7 @@ def cmd_cert(args) -> int:
         records = [keypair]
         kind = "composite " + str(spec) if spec.family == algs.FAMILY_COMPOSITE else str(spec)
 
-    _write_certificate(out, cert, args.der)
+    _write(out, pem.LABEL_CERTIFICATE, cert.emit(), args.der)
     key_paths = _write_keys(keyout, records, args.der)
     print(f"wrote {out} and {', '.join(str(p) for p in key_paths)} "
           f"({kind}, self-signed, {args.days} days)")
@@ -197,14 +192,8 @@ def cmd_key(args) -> int:
     keypair = algs.generate_keypair(spec)
     out = pathlib.Path(args.out or "private_key.pem")
     pub = out.with_suffix(".pub")
-    spki_der = algs.spki_for_key(keypair).der
-    if args.der:
-        with pem.open_private(out) as handle:
-            handle.write(keypair.private)
-        pub.write_bytes(spki_der)
-    else:
-        pem.write_private_key(out, keypair.private)
-        pem.write_public_key(pub, spki_der)
+    _write_keys(out, [keypair], args.der)
+    _write(pub, pem.LABEL_PUBLIC_KEY, algs.spki_for_key(keypair).der, args.der)
     print(f"wrote {out} and {pub} ({spec})")
     return 0
 
@@ -222,10 +211,7 @@ def cmd_csr(args) -> int:
         keypair = algs.load_private_key(blob)
         key_paths = []
     doc = x509.build_csr(subject, keypair)
-    if args.der:
-        out.write_bytes(doc.emit())
-    else:
-        pem.write_pem(out, pem.LABEL_CSR, doc.emit())
+    _write(out, pem.LABEL_CSR, doc.emit(), args.der)
     extra = f" and {key_paths[0]}" if key_paths else ""
     print(f"wrote {out}{extra} ({keypair.spec}, subject {subject})")
     return 0
@@ -269,7 +255,7 @@ def cmd_verify(args) -> int:
         ca = x509.parse_certificate(pathlib.Path(args.CAfile).read_bytes())
         issuer_spki = ca.tbs.spki
         try:
-            triple = catalyst.CatalystExtensionTriple.from_certificate(ca)
+            triple = x509.CatalystExtensionTriple.from_certificate(ca)
         except MalformedAltExtension:
             triple = None
         if triple is not None:
@@ -295,7 +281,7 @@ def cmd_verify(args) -> int:
         print(f"alt signature: {report.alt_sig}")
     delta_invalid = False
     try:
-        delta = chameleon.reconstruct_delta(cert)
+        delta = x509.reconstruct_delta(cert)
     except NoDescriptor:
         pass
     except ReconstructionMismatch as exc:

@@ -6,7 +6,10 @@ never over a re-encoding. Documents the tool emits round-trip byte-exactly
 through parse and emit.
 
 This is the one module that reads certificates and checks every signature
-path, Catalyst and composite included; catalyst and composite only issue.
+path, Catalyst, composite and the delta inside a paired base included;
+catalyst, composite and chameleon only issue. Each field shape the TBS,
+the delta descriptor and the request share (the validity pair, an
+extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder.
 """
 
 from __future__ import annotations
@@ -14,18 +17,21 @@ from __future__ import annotations
 import datetime
 import hashlib
 import secrets
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import algs, der, pem
 from .errors import (
     AlgorithmMismatch,
+    BadValue,
     DerError,
     DuplicateExtension,
     InvalidParameter,
     InvalidValidity,
     MalformedAltExtension,
+    NoDescriptor,
     NotACertificate,
     NotACsr,
+    ReconstructionMismatch,
 )
 from .names import DistinguishedName
 from .oids import (
@@ -54,6 +60,42 @@ ALT_EXTENSION_OIDS = (
     EXT_ALT_SIGNATURE_ALGORITHM,
     EXT_ALT_SIGNATURE_VALUE,
 )
+
+
+# -- field codecs shared by the TBS, the delta descriptor and the request --
+
+def _encode_validity(validity: tuple[datetime.datetime, datetime.datetime]) -> der.DerValue:
+    return der.seq(der.encode_time(validity[0]), der.encode_time(validity[1]))
+
+
+def _decode_validity(value: der.DerValue, error_cls):
+    """(not_before, not_after) of a validity SEQUENCE."""
+    value.expect(der.SEQUENCE)
+    if len(value.children) != 2:
+        raise error_cls("validity needs two times")
+    return der.decode_time(value.children[0]), der.decode_time(value.children[1])
+
+
+def _encode_extensions(extensions) -> der.DerValue:
+    return der.seq(*(e.to_der_value() for e in extensions))
+
+
+def _decode_extensions(value: der.DerValue) -> tuple["ExtensionBlock", ...]:
+    value.expect(der.SEQUENCE)
+    return tuple(ExtensionBlock.from_der_value(e) for e in value.children)
+
+
+def _read_explicit(children, index: int, tag: int, decode, error_cls, field: str):
+    """(decode(inner), next index), where inner is the one child of the
+    EXPLICIT [tag] wrapper at children[index]; (None, index) when that
+    optional field is absent."""
+    if index < len(children):
+        wrapper = children[index]
+        if wrapper.cls == der.CONTEXT and wrapper.tag == tag:
+            if not wrapper.constructed or len(wrapper.children) != 1:
+                raise error_cls(f"malformed {field}")
+            return decode(wrapper.children[0]), index + 1
+    return None, index
 
 
 @dataclass(frozen=True)
@@ -100,13 +142,12 @@ class TbsCertificate:
             der.integer(self.serial),
             self.signature_alg.to_der_value(),
             self.issuer.to_der_value(),
-            der.seq(der.encode_time(self.not_before), der.encode_time(self.not_after)),
+            _encode_validity((self.not_before, self.not_after)),
             self.subject.to_der_value(),
             self.spki.to_der_value(),
         ]
         if self.extensions:
-            children.append(der.explicit(
-                3, der.seq(*(e.to_der_value() for e in self.extensions))))
+            children.append(der.explicit(3, _encode_extensions(self.extensions)))
         return der.seq(*children)
 
     @property
@@ -125,43 +166,32 @@ class TbsCertificate:
         children = list(value.children)
         if not children:
             raise NotACertificate("empty TBS")
-        idx = 0
-        version = 0  # v1 when the [0] tag is absent
-        first = children[0]
-        if first.cls == der.CONTEXT and first.tag == 0:
-            if not first.constructed or len(first.children) != 1:
-                raise NotACertificate("malformed version field")
-            version = first.children[0].as_int()
-            if version not in (0, 1, 2):
-                raise NotACertificate(f"unsupported certificate version {version}")
-            idx = 1
+        version, idx = _read_explicit(children, 0, 0, der.DerValue.as_int,
+                                      NotACertificate, "version field")
+        if version is None:
+            version = 0  # v1 when the [0] tag is absent
+        elif version not in (0, 1, 2):
+            raise NotACertificate(f"unsupported certificate version {version}")
         try:
             serial = children[idx].as_int()
             signature_alg = algs.AlgorithmIdentifier.from_der_value(children[idx + 1])
             issuer = DistinguishedName.from_der_value(children[idx + 2])
-            validity = children[idx + 3]
-            validity.expect(der.SEQUENCE)
-            if len(validity.children) != 2:
-                raise NotACertificate("validity needs two times")
-            not_before = der.decode_time(validity.children[0])
-            not_after = der.decode_time(validity.children[1])
+            not_before, not_after = _decode_validity(children[idx + 3], NotACertificate)
             subject = DistinguishedName.from_der_value(children[idx + 4])
             spki = algs.SubjectPublicKeyInfo.from_der_value(children[idx + 5])
         except IndexError:
             raise NotACertificate("TBS is missing required fields") from None
-        extensions: tuple[ExtensionBlock, ...] = ()
-        for extra in children[idx + 6:]:
+        extensions, end = _read_explicit(children, idx + 6, 3, _decode_extensions,
+                                         NotACertificate, "extensions field")
+        if end < len(children):
+            extra = children[end]
             if extra.cls != der.CONTEXT:
                 raise NotACertificate("unexpected field after subjectPublicKeyInfo")
             if extra.tag in (1, 2):
                 raise NotACertificate("issuerUniqueID/subjectUniqueID are not supported")
-            if extra.tag != 3 or not extra.constructed or len(extra.children) != 1:
-                raise NotACertificate("malformed extensions field")
-            ext_seq = extra.children[0]
-            ext_seq.expect(der.SEQUENCE)
-            extensions = tuple(ExtensionBlock.from_der_value(e) for e in ext_seq.children)
+            raise NotACertificate("malformed extensions field")
         return cls(version, serial, signature_alg, issuer, not_before, not_after,
-                   subject, spki, extensions)
+                   subject, spki, extensions or ())
 
 
 @dataclass(frozen=True)
@@ -323,6 +353,112 @@ def parse_certificate(data: bytes) -> CertificateDocument:
     tbs_der, tbs, signature_alg, signature = _read_signed(
         data, pem.LABEL_CERTIFICATE, NotACertificate, TbsCertificate.from_der_value)
     return CertificateDocument(tbs, tbs_der, signature_alg, signature)
+
+
+# -- paired certificates: the delta certificate descriptor -----------------
+#
+# The descriptor (extension 2.16.840.1.114027.80.6.1, non-critical) stores
+# the delta's serial, public key, and signature, plus any field whose value
+# differs from the base. Absent optional fields mean "same as the base", so
+# reconstruction is a copy-and-substitute over the base TBS.
+
+@dataclass(frozen=True)
+class DeltaCertificateDescriptor:
+    serial: int
+    spki: algs.SubjectPublicKeyInfo
+    signature_value: bytes
+    signature_alg: algs.AlgorithmIdentifier | None = None
+    issuer: DistinguishedName | None = None
+    validity: tuple[datetime.datetime, datetime.datetime] | None = None
+    subject: DistinguishedName | None = None
+    extensions: tuple[ExtensionBlock, ...] | None = None
+
+    def to_der_value(self) -> der.DerValue:
+        children = [der.integer(self.serial)]
+        if self.signature_alg is not None:
+            children.append(der.explicit(0, self.signature_alg.to_der_value()))
+        if self.issuer is not None:
+            children.append(der.explicit(1, self.issuer.to_der_value()))
+        if self.validity is not None:
+            children.append(der.explicit(2, _encode_validity(self.validity)))
+        if self.subject is not None:
+            children.append(der.explicit(3, self.subject.to_der_value()))
+        children.append(self.spki.to_der_value())
+        if self.extensions is not None:
+            children.append(der.explicit(4, _encode_extensions(self.extensions)))
+        children.append(der.bit_string(self.signature_value))
+        return der.seq(*children)
+
+    @property
+    def der(self) -> bytes:
+        return der.encode(self.to_der_value())
+
+    @classmethod
+    def from_der(cls, data: bytes) -> "DeltaCertificateDescriptor":
+        value = der.decode(data)
+        value.expect(der.SEQUENCE)
+        children = list(value.children)
+        if len(children) < 3:
+            raise BadValue("descriptor needs serial, key, and signature")
+        serial = children[0].as_int()
+
+        def take(index, tag, decode):
+            return _read_explicit(children, index, tag, decode, BadValue,
+                                  f"[{tag}] descriptor field")
+
+        signature_alg, index = take(1, 0, algs.AlgorithmIdentifier.from_der_value)
+        issuer, index = take(index, 1, DistinguishedName.from_der_value)
+        validity, index = take(index, 2, lambda v: _decode_validity(v, BadValue))
+        subject, index = take(index, 3, DistinguishedName.from_der_value)
+        if index >= len(children):
+            raise BadValue("descriptor is missing the public key")
+        spki = algs.SubjectPublicKeyInfo.from_der_value(children[index])
+        extensions, index = take(index + 1, 4, _decode_extensions)
+        if index >= len(children):
+            raise BadValue("descriptor is missing the signature value")
+        signature_value = children[index].as_bits()
+        if index + 1 != len(children):
+            raise BadValue("trailing fields in descriptor")
+        return cls(serial, spki, signature_value, signature_alg, issuer,
+                   validity, subject, extensions)
+
+
+def descriptor_from_certificate(base: CertificateDocument) -> DeltaCertificateDescriptor:
+    ext = base.tbs.find_extension(EXT_DELTA_CERTIFICATE_DESCRIPTOR)
+    if ext is None:
+        raise NoDescriptor("certificate carries no delta descriptor extension")
+    try:
+        return DeltaCertificateDescriptor.from_der(ext.value)
+    except DerError as exc:
+        raise ReconstructionMismatch(f"descriptor does not decode: {exc}") from exc
+
+
+def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
+    """Rebuild the delta certificate from the base: copy the base TBS,
+    substitute every descriptor field, drop the descriptor extension, and
+    attach the stored signature. Self-signed results are verified; one
+    whose key algorithm is not recognized fails."""
+    descriptor = descriptor_from_certificate(base)
+    not_before, not_after = descriptor.validity or (base.tbs.not_before,
+                                                    base.tbs.not_after)
+    extensions = descriptor.extensions
+    if extensions is None:
+        extensions = tuple(e for e in base.tbs.extensions
+                           if e.oid != EXT_DELTA_CERTIFICATE_DESCRIPTOR)
+    tbs = replace(base.tbs, version=2, serial=descriptor.serial,
+                  signature_alg=descriptor.signature_alg or base.tbs.signature_alg,
+                  issuer=descriptor.issuer or base.tbs.issuer,
+                  not_before=not_before, not_after=not_after,
+                  subject=descriptor.subject or base.tbs.subject,
+                  spki=descriptor.spki, extensions=extensions)
+    doc = CertificateDocument(tbs, tbs.der, tbs.signature_alg, descriptor.signature_value)
+    if tbs.subject == tbs.issuer:
+        spec = algs.spec_from_spki(descriptor.spki)
+        if spec is None or not algs.verify(
+                spec, descriptor.spki.key_bits, doc.tbs_der, doc.signature):
+            raise ReconstructionMismatch(
+                "reconstructed delta certificate fails signature verification")
+    return doc
 
 
 # -- Catalyst: the alternative-extension triple ----------------------------
@@ -528,9 +664,8 @@ def _encode_cri(subject: DistinguishedName, spki: algs.SubjectPublicKeyInfo,
                 extensions: tuple[ExtensionBlock, ...]) -> bytes:
     attrs = []
     if extensions:
-        ext_seq = der.seq(*(e.to_der_value() for e in extensions))
         attrs.append(der.seq(der.oid_value(ATTR_EXTENSION_REQUEST),
-                             der.set_of(ext_seq)))
+                             der.set_of(_encode_extensions(extensions))))
     # attributes ride in an IMPLICIT [0] wrapper, present even when empty
     attributes = der.DerValue(0, cls=der.CONTEXT, constructed=True,
                               children=tuple(attrs))
@@ -576,10 +711,7 @@ def _decode_cri(info: der.DerValue):
                 values = attr.children[1]
                 values.expect(der.SET)
                 if len(values.children) == 1:
-                    ext_seq = values.children[0]
-                    ext_seq.expect(der.SEQUENCE)
-                    extensions = tuple(ExtensionBlock.from_der_value(e)
-                                       for e in ext_seq.children)
+                    extensions = _decode_extensions(values.children[0])
     return subject, spki, extensions
 
 

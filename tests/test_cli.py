@@ -159,6 +159,30 @@ def test_csr_newkey_and_reuse(workdir, capsys):
     capsys.readouterr()
 
 
+def _mode(path):
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_key_der_output(workdir, capsys):
+    assert run("key", "-t", "ML-DSA:2", "-out", "k.der", "--der") == 0
+    assert "wrote k.der and k.pub (ml-dsa:2)" in capsys.readouterr().out
+    record = algs.load_private_key((workdir / "k.der").read_bytes())
+    assert (workdir / "k.pub").read_bytes() == algs.spki_for_key(record).der
+    assert _mode(workdir / "k.der") == 0o600
+
+
+def test_csr_der_output(workdir, capsys):
+    assert run("csr", "-newkey", "ECDSA", "-subj", "CN=raw", "-out", "r.der",
+               "-keyout", "k.der", "--der") == 0
+    assert "wrote r.der and k.der" in capsys.readouterr().out
+    raw = (workdir / "r.der").read_bytes()
+    doc = x509.parse_csr(raw)
+    assert doc.emit() == raw and x509.verify_csr(doc)
+    record = algs.load_private_key((workdir / "k.der").read_bytes())
+    assert algs.spki_for_key(record) == doc.spki
+    assert _mode(workdir / "k.der") == 0o600
+
+
 def test_view_certificate_and_csr(workdir, capsys):
     run("cert", "-newkey", "ECDSA", "-subj", "CN=viewer")
     capsys.readouterr()
@@ -288,6 +312,21 @@ def test_broken_composite_exits_7(workdir, capsys, rng):
     assert "invalid" in capsys.readouterr().out
 
 
+def test_composite_signature_with_too_few_parts_exits_7(workdir, capsys, rng):
+    material = composite.composite_keygen(
+        (algs.parse_alg_spec("ML-DSA:2"), algs.parse_alg_spec("ECDSA")),
+        rng=rng)
+    cert = composite.issue_composite_certificate(parse_name("CN=c"), material,
+                                                 rng=rng)
+    first_part = composite.CompositeSignatureValue.from_der(cert.signature).parts[0]
+    one_part = composite.CompositeSignatureValue((first_part,)).der
+    _write_cert(workdir / "c.pem", dataclasses.replace(cert, signature=one_part))
+    assert run("verify", "c.pem") == 7
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["composite signature: invalid (structural)"]
+    assert "warning: signature has 1 parts for 2 components" in captured.err.splitlines()
+
+
 def test_verify_with_ca_file(workdir, capsys, rng):
     """A certificate signed by a separate issuer passes only with -CAfile."""
     issuer_key = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
@@ -337,6 +376,40 @@ def test_hybrid_leaf_of_classical_ca_alt_path_unsupported(workdir, capsys, rng):
     assert "native signature: valid" in captured.out
     assert "alt signature: unsupported" in captured.out
     assert "no alternative key" in captured.err
+
+
+@pytest.mark.parametrize("case, verdict, code", [
+    ("ca-alt-key", "valid", 0),
+    ("other-alt-key", "invalid", 6),
+    ("incomplete-ca-triple", "unsupported", 6),
+])
+def test_verify_with_a_catalyst_ca(workdir, capsys, rng, case, verdict, code):
+    """-CAfile of a Catalyst CA: its alternative key checks the leaf's
+    alternative signature, unless its own triple is incomplete."""
+    ca_key = algs.generate_keypair(algs.parse_alg_spec("ECDSA"), rng=rng)
+    ca_alt = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
+    leaf_key = algs.generate_keypair(algs.parse_alg_spec("ECDSA"), rng=rng)
+    leaf_alt = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
+    ca_name = parse_name("CN=Hybrid Root")
+    ca_tbs = x509.build_tbs(ca_name, ca_name, algs.spki_for_key(ca_key),
+                            x509.default_validity(30),
+                            algs.signature_algorithm_for(ca_key.spec), rng=rng)
+    ca = catalyst.issue_catalyst(ca_tbs, ca_key, ca_alt)
+    if case == "incomplete-ca-triple":
+        kept = tuple(e for e in ca.tbs.extensions
+                     if e.oid != oids.EXT_ALT_SIGNATURE_VALUE)
+        ca = x509.sign_certificate(dataclasses.replace(ca.tbs, extensions=kept), ca_key)
+    _write_cert(workdir / "ca.pem", ca)
+    alt_signer = leaf_alt if case == "other-alt-key" else ca_alt
+    leaf_tbs = x509.build_tbs(parse_name("CN=Hybrid Leaf"), ca_name,
+                              algs.spki_for_key(leaf_key), x509.default_validity(30),
+                              algs.signature_algorithm_for(ca_key.spec), rng=rng)
+    _write_cert(workdir / "leaf.pem", catalyst.issue_catalyst(
+        leaf_tbs, ca_key, alt_signer, alt_subject_spki=algs.spki_for_key(leaf_alt)))
+
+    assert run("verify", "-CAfile", "ca.pem", "leaf.pem") == code
+    assert capsys.readouterr().out.splitlines() == [
+        "native signature: valid", f"alt signature: {verdict}"]
 
 
 def test_expired_certificate_warns_but_verifies(workdir, capsys, rng):
@@ -392,6 +465,34 @@ def test_oid_table_holds_for_one_command_in_process(workdir, capsys, monkeypatch
     assert "component 1 (ml-dsa:2): valid" in capsys.readouterr().out
     assert algs.default_registry() is builtin
     assert algs.oid_for(algs.parse_alg_spec("ML-DSA:2_ECDSA")) == oids.COMPOSITE_INTERIM
+
+
+@pytest.mark.parametrize("table, write_argv, written_under_table, standard_oid", [
+    ("ml-dsa:2 = 2.999.9\n", ("key", "-t", "ml-dsa:2"), True, oids.ML_DSA_44),
+    ("ml-dsa:2 = 2.999.9\n", ("cert", "-newkey", "ml-dsa:2"), True, oids.ML_DSA_44),
+    ("slh-dsa:128f = 2.999.8\n", ("key", "-t", "slh-dsa:128f"), False,
+     oids.SLH_DSA_SHAKE_128F),
+    ("slh-dsa:128f = 2.999.8\n", ("key", "-t", "slh-dsa:128f"), True,
+     oids.SLH_DSA_SHAKE_128F),
+], ids=["key-ml-dsa", "cert-ml-dsa", "slh-dsa-builtin-key", "slh-dsa-table-key"])
+def test_private_keys_load_under_any_oid_table(workdir, capsys, monkeypatch, table,
+                                               write_argv, written_under_table,
+                                               standard_oid):
+    """Key files carry the standard OID whatever the table; the public key
+    and the signature follow the table."""
+    (workdir / "oids.conf").write_text(table)
+    if written_under_table:
+        monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
+    assert run(*write_argv) == 0
+    blob = pem.first_block(pem.read_pem(workdir / "private_key.pem"),
+                           pem.LABEL_PRIVATE_KEY)
+    assert der.decode(blob).children[1].children[0].as_oid() == standard_oid
+    monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
+    assert run("csr", "-key", "private_key.pem", "-subj", "CN=reload") == 0
+    doc = x509.parse_csr((workdir / "csr.pem").read_bytes())
+    table_oid = table.partition("=")[2].strip()
+    assert str(doc.spki.algorithm.oid) == str(doc.signature_alg.oid) == table_oid
+    capsys.readouterr()
 
 
 # -- delta certificates inside paired bases -----------------------------

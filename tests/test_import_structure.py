@@ -3,7 +3,9 @@
 algs is the bottom of the package: every algorithm family, composite
 included, is a backend in its table, so it imports only the codec, the OID
 table, SLH-DSA and the errors. x509 reads and verifies every certificate
-shape, so it needs none of the issuing modules above it. No module imports
+shape, the delta inside a paired base included, so it needs none of the
+issuing modules above it; catalyst, composite and chameleon re-export its
+readers, and cli reads deltas through x509, not chameleon. No module imports
 inside a function, and the package-internal imports form no cycle. The OID
 table is process state that algs.use_registry replaces, so no function
 takes it as a parameter."""
@@ -14,7 +16,7 @@ import pathlib
 import pytest
 
 import pqcli
-from pqcli import catalyst, composite, x509
+from pqcli import catalyst, chameleon, composite, x509
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -81,10 +83,16 @@ def test_x509_imports_no_issuing_module():
 def test_catalyst_and_composite_reexport_the_x509_readers():
     moved = {catalyst: ("CatalystExtensionTriple", "alt_preimage", "alt_verdict"),
              composite: ("CompositeVerification", "composite_verify",
-                         "verify_certificate_signature")}
+                         "verify_certificate_signature"),
+             chameleon: ("DeltaCertificateDescriptor", "descriptor_from_certificate",
+                         "reconstruct_delta")}
     for module, names in moved.items():
         for name in names:
             assert getattr(module, name) is getattr(x509, name), f"{module.__name__}.{name}"
+    defined = {node.name for node in _tree("chameleon").body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert defined == {"CertParams", "issue_paired"}
+    assert "chameleon" not in _package_imports("cli")
 
 
 @pytest.mark.parametrize("module", MODULES)
