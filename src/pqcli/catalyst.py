@@ -7,22 +7,15 @@ complete TBS including all three alternative extensions. Legacy verifiers
 that ignore non-critical extensions still see a valid classical
 certificate.
 
-This module issues; reading and checking the triple live in x509.
+x509 does the work: sign_certificate issues every shape, this one through
+its alternative-key branch, and x509 reads and checks the triple. This
+module keeps the issue_catalyst and verify_catalyst entry points and
+re-exports the readers.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import warnings
-
-from . import algs, der, x509
-from .errors import AlgorithmMismatch, DuplicateExtension
-from .oids import (
-    EXT_ALT_SIGNATURE_ALGORITHM,
-    EXT_ALT_SIGNATURE_VALUE,
-    EXT_SUBJECT_ALT_PUBLIC_KEY_INFO,
-    extension_name,
-)
+from . import algs, x509
 from .x509 import (  # re-exported, so catalyst.X keeps working
     CatalystExtensionTriple,
     alt_preimage,
@@ -35,42 +28,10 @@ def issue_catalyst(tbs_base: x509.TbsCertificate,
                    alt_issuer_key: algs.KeyPairRecord,
                    alt_subject_spki: algs.SubjectPublicKeyInfo | None = None,
                    ) -> x509.CertificateDocument:
-    """Two-pass issuance: alt-sign the TBS extended with the first two
-    alternative extensions, append the alt signature as the third, then
-    native-sign the whole thing.
-
-    alt_subject_spki defaults to the alt issuer's own public key, the
-    self-signed case.
-    """
-    for oid in x509.ALT_EXTENSION_OIDS:
-        if tbs_base.find_extension(oid) is not None:
-            raise DuplicateExtension(
-                f"base TBS already carries {extension_name(oid)}")
-    expected = algs.signature_algorithm_for(native_issuer_key.spec)
-    if tbs_base.signature_alg != expected:
-        raise AlgorithmMismatch(
-            f"TBS says {tbs_base.signature_alg.oid}, native key signs as {expected.oid}")
-    if native_issuer_key.spec.family == alt_issuer_key.spec.family:
-        warnings.warn(
-            "native and alternative keys share one algorithm family; the "
-            "hybrid adds no migration value", stacklevel=2)
-    if alt_subject_spki is None:
-        alt_subject_spki = algs.spki_for_key(alt_issuer_key)
-
-    alt_sig_alg = algs.signature_algorithm_for(alt_issuer_key.spec)
-    spki_ext = x509.ExtensionBlock(
-        EXT_SUBJECT_ALT_PUBLIC_KEY_INFO, False, alt_subject_spki.der)
-    alg_ext = x509.ExtensionBlock(
-        EXT_ALT_SIGNATURE_ALGORITHM, False, der.encode(alt_sig_alg.to_der_value()))
-    intermediate = dataclasses.replace(
-        tbs_base, extensions=tbs_base.extensions + (spki_ext, alg_ext))
-
-    alt_signature = algs.sign(alt_issuer_key.spec, alt_issuer_key, intermediate.der)
-    value_ext = x509.ExtensionBlock(
-        EXT_ALT_SIGNATURE_VALUE, False, der.encode(der.bit_string(alt_signature)))
-    final_tbs = dataclasses.replace(
-        intermediate, extensions=intermediate.extensions + (value_ext,))
-    return x509.sign_certificate(final_tbs, native_issuer_key)
+    """Two-pass Catalyst issuance: x509.sign_certificate with an
+    alternative issuer key."""
+    return x509.sign_certificate(tbs_base, native_issuer_key, alt_issuer_key,
+                                 alt_subject_spki)
 
 
 def verify_catalyst(cert: x509.CertificateDocument,

@@ -15,12 +15,13 @@ import pathlib
 import sys
 import warnings
 
-from . import algs, catalyst, pem, x509
+from . import algs, pem, x509
 from .errors import (
     DerError,
     KeyMismatch,
     MalformedAltExtension,
     MalformedPem,
+    MalformedSpec,
     NoDescriptor,
     NotACertificate,
     NotACsr,
@@ -156,29 +157,19 @@ def cmd_cert(args) -> int:
     out = pathlib.Path(args.out or "certificate.pem")
     keyout = pathlib.Path(args.keyout or "private_key.pem")
 
+    texts = [args.newkey]
     if "," in args.newkey:
-        parts = [p.strip() for p in args.newkey.split(",")]
-        if len(parts) != 2 or not all(parts):
-            print("pqcli: hybrid -newkey takes exactly two comma-joined specs",
-                  file=sys.stderr)
-            return 2
-        native_spec = algs.parse_alg_spec(parts[0])
-        alt_spec = algs.parse_alg_spec(parts[1])
-        native_key = algs.generate_keypair(native_spec)
-        alt_key = algs.generate_keypair(alt_spec)
-        tbs = x509.build_tbs(subject, subject, algs.spki_for_key(native_key), validity,
-                             algs.signature_algorithm_for(native_spec))
-        cert = catalyst.issue_catalyst(tbs, native_key, alt_key)
-        records = [native_key, alt_key]
-        kind = f"hybrid {native_spec}+{alt_spec}"
-    else:
-        spec = algs.parse_alg_spec(args.newkey)
-        keypair = algs.generate_keypair(spec)
-        tbs = x509.build_tbs(subject, subject, algs.spki_for_key(keypair), validity,
-                             algs.signature_algorithm_for(spec))
-        cert = x509.sign_certificate(tbs, keypair)
-        records = [keypair]
-        kind = "composite " + str(spec) if spec.family == algs.FAMILY_COMPOSITE else str(spec)
+        texts = [p.strip() for p in args.newkey.split(",")]
+        if len(texts) != 2 or not all(texts):
+            raise MalformedSpec("hybrid -newkey takes exactly two comma-joined specs")
+    specs = [algs.parse_alg_spec(text) for text in texts]
+    records = [algs.generate_keypair(spec) for spec in specs]
+    tbs = x509.build_tbs(subject, subject, algs.spki_for_key(records[0]), validity,
+                         algs.signature_algorithm_for(specs[0]))
+    cert = x509.sign_certificate(tbs, *records)
+    prefix = ("hybrid " if len(specs) == 2 else
+              "composite " if specs[0].family == algs.FAMILY_COMPOSITE else "")
+    kind = prefix + "+".join(map(str, specs))
 
     _write(out, pem.LABEL_CERTIFICATE, cert.emit(), args.der)
     key_paths = _write_keys(keyout, records, args.der)
@@ -250,31 +241,22 @@ def cmd_view(args) -> int:
 
 def cmd_verify(args) -> int:
     cert = x509.parse_certificate(pathlib.Path(args.path).read_bytes())
-    alt_issuer_spki = None
-    if args.CAfile:
-        ca = x509.parse_certificate(pathlib.Path(args.CAfile).read_bytes())
-        issuer_spki = ca.tbs.spki
-        try:
-            triple = x509.CatalystExtensionTriple.from_certificate(ca)
-        except MalformedAltExtension:
-            triple = None
-        if triple is not None:
-            alt_issuer_spki = triple.alt_spki
-    else:
-        issuer_spki = cert.tbs.spki
-
-    report = x509.verify_certificate(cert, issuer_spki, alt_issuer_spki=alt_issuer_spki)
+    ca = (x509.parse_certificate(pathlib.Path(args.CAfile).read_bytes())
+          if args.CAfile else cert)
+    try:
+        triple = x509.CatalystExtensionTriple.from_certificate(ca)
+    except MalformedAltExtension:
+        triple = None
+    report = x509.verify_certificate(
+        cert, ca.tbs.spki, alt_issuer_spki=triple.alt_spki if triple else None)
 
     if report.composite_components is not None:
-        issuer_spec = algs.spec_from_spki(issuer_spki)
-        names = ([str(c) for c in issuer_spec.components]
-                 if issuer_spec is not None and issuer_spec.components
-                 else [])
         if not report.composite_components:
             print("composite signature: invalid (structural)")
-        for i, verdict in enumerate(report.composite_components):
-            label = f" ({names[i]})" if i < len(names) else ""
-            print(f"component {i + 1}{label}: {verdict}")
+        # a composite verdict means the issuer key is a recognized composite
+        components = algs.spec_from_spki(ca.tbs.spki).components
+        for i, (spec, verdict) in enumerate(zip(components, report.composite_components), 1):
+            print(f"component {i} ({spec}): {verdict}")
     else:
         print(f"native signature: {report.native_sig}")
     if report.alt_sig is not None:

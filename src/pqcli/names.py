@@ -17,34 +17,44 @@ from .oids import (
     ObjectIdentifier,
 )
 
-# key -> (attribute OID, use PrintableString instead of UTF8String)
-_ATTRIBUTES: dict[str, tuple[ObjectIdentifier, bool]] = {
-    "CN": (AT_COMMON_NAME, False),
-    "C": (AT_COUNTRY, True),
-    "ST": (AT_STATE, False),
-    "L": (AT_LOCALITY, False),
-    "O": (AT_ORGANIZATION, False),
-    "OU": (AT_ORG_UNIT, False),
-    "SERIALNUMBER": (AT_SERIAL_NUMBER, False),
+# key -> (attribute OID, string tag parse_name gives its value)
+_ATTRIBUTES: dict[str, tuple[ObjectIdentifier, int]] = {
+    "CN": (AT_COMMON_NAME, der.UTF8_STRING),
+    "C": (AT_COUNTRY, der.PRINTABLE_STRING),
+    "ST": (AT_STATE, der.UTF8_STRING),
+    "L": (AT_LOCALITY, der.UTF8_STRING),
+    "O": (AT_ORGANIZATION, der.UTF8_STRING),
+    "OU": (AT_ORG_UNIT, der.UTF8_STRING),
+    "SERIALNUMBER": (AT_SERIAL_NUMBER, der.UTF8_STRING),
 }
 
 _KEY_BY_OID = {oid: key for key, (oid, _) in _ATTRIBUTES.items()}
+
+# the string types DerValue.as_text reads, each with its encoder
+_STRINGS = {der.UTF8_STRING: der.utf8, der.PRINTABLE_STRING: der.printable,
+            der.IA5_STRING: der.ia5}
 
 
 @dataclass(frozen=True)
 class NameAttribute:
     oid: ObjectIdentifier
     value: str
-    printable: bool = False
+    tag: int = der.UTF8_STRING    # UTF8String, PrintableString or IA5String
+    joins_previous: bool = False  # shares one RDN (SET) with the attribute before
 
     @property
     def key(self) -> str:
         return _KEY_BY_OID.get(self.oid, self.oid.dotted())
 
+    @property
+    def printable(self) -> bool:
+        return self.tag == der.PRINTABLE_STRING
+
 
 @dataclass(frozen=True)
 class DistinguishedName:
-    """An ordered sequence of single-attribute RDNs."""
+    """An ordered sequence of RDNs, flattened; each attribute keeps what a
+    byte-exact re-encoding needs: its string tag and its RDN grouping."""
 
     attributes: tuple[NameAttribute, ...] = ()
 
@@ -52,11 +62,12 @@ class DistinguishedName:
         return ",".join(f"{attr.key}={attr.value}" for attr in self.attributes)
 
     def to_der_value(self) -> der.DerValue:
-        rdns = []
+        rdns: list[list[der.DerValue]] = []
         for attr in self.attributes:
-            string = der.printable(attr.value) if attr.printable else der.utf8(attr.value)
-            rdns.append(der.set_of(der.seq(der.oid_value(attr.oid), string)))
-        return der.seq(*rdns)
+            if not (attr.joins_previous and rdns):
+                rdns.append([])
+            rdns[-1].append(der.seq(der.oid_value(attr.oid), _STRINGS[attr.tag](attr.value)))
+        return der.seq(*(der.set_of(*rdn) for rdn in rdns))
 
     @classmethod
     def from_der_value(cls, value: der.DerValue) -> "DistinguishedName":
@@ -64,17 +75,14 @@ class DistinguishedName:
         attrs = []
         for rdn in value.children:
             rdn.expect(der.SET)
-            for atv in rdn.children:
+            for position, atv in enumerate(rdn.children):
                 atv.expect(der.SEQUENCE)
                 if len(atv.children) != 2:
                     raise BadTag("AttributeTypeAndValue needs type and value")
                 oid = atv.children[0].as_oid()
                 text_value = atv.children[1]
-                attrs.append(NameAttribute(
-                    oid,
-                    text_value.as_text(),
-                    printable=text_value.tag == der.PRINTABLE_STRING,
-                ))
+                attrs.append(NameAttribute(oid, text_value.as_text(), text_value.tag,
+                                           joins_previous=position > 0))
         return cls(tuple(attrs))
 
 
@@ -92,6 +100,6 @@ def parse_name(text: str) -> DistinguishedName:
             raise UnknownAttributeKey(f"unknown name attribute {key or part!r}")
         if not value:
             raise EmptyValue(f"attribute {key} has an empty value")
-        oid, is_printable = _ATTRIBUTES[key]
-        attrs.append(NameAttribute(oid, value, printable=is_printable))
+        oid, tag = _ATTRIBUTES[key]
+        attrs.append(NameAttribute(oid, value, tag))
     return DistinguishedName(tuple(attrs))

@@ -6,8 +6,11 @@ never over a re-encoding. Documents the tool emits round-trip byte-exactly
 through parse and emit.
 
 This is the one module that reads certificates and checks every signature
-path, Catalyst, composite and the delta inside a paired base included;
-catalyst, composite and chameleon only issue. Each field shape the TBS,
+path, Catalyst, composite and the delta inside a paired base included, and
+the one that signs them: sign_certificate issues every shape, the Catalyst
+two-pass being its alternative-key branch, and describe_delta derives the
+descriptor that reconstruct_delta reads. catalyst, composite and chameleon
+keep thin issuing entry points over it. Each field shape the TBS,
 the delta descriptor and the request share (the validity pair, an
 extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import datetime
 import hashlib
 import secrets
+import warnings
 from dataclasses import dataclass, replace
 
 from . import algs, der, pem
@@ -25,6 +29,7 @@ from .errors import (
     BadValue,
     DerError,
     DuplicateExtension,
+    FieldConflict,
     InvalidParameter,
     InvalidValidity,
     MalformedAltExtension,
@@ -297,17 +302,6 @@ def build_tbs(subject: DistinguishedName,
         subject=subject, spki=spki, extensions=tuple(final))
 
 
-def sign_certificate(tbs: TbsCertificate,
-                     issuer_key: algs.KeyPairRecord) -> CertificateDocument:
-    expected = algs.signature_algorithm_for(issuer_key.spec)
-    if tbs.signature_alg != expected:
-        raise AlgorithmMismatch(
-            f"TBS says {tbs.signature_alg.oid}, key signs as {expected.oid}")
-    tbs_der = tbs.der
-    signature = algs.sign(issuer_key.spec, issuer_key, tbs_der)
-    return CertificateDocument(tbs, tbs_der, tbs.signature_alg, signature)
-
-
 def _write_signed(signed_der: bytes, signature_alg: algs.AlgorithmIdentifier,
                   signature: bytes) -> bytes:
     """The outer SEQUENCE of certificates and requests alike."""
@@ -433,6 +427,28 @@ def descriptor_from_certificate(base: CertificateDocument) -> DeltaCertificateDe
         raise ReconstructionMismatch(f"descriptor does not decode: {exc}") from exc
 
 
+def describe_delta(base_tbs: TbsCertificate,
+                   delta: CertificateDocument) -> DeltaCertificateDescriptor:
+    """The inverse of reconstruct_delta: the descriptor that rebuilds delta
+    over a base whose TBS, the descriptor aside, is base_tbs. It holds the
+    delta's serial, key and signature, and each field that differs."""
+    d = delta.tbs
+    if d.find_extension(EXT_DELTA_CERTIFICATE_DESCRIPTOR) is not None:
+        raise FieldConflict("delta certificate cannot itself carry a descriptor")
+    if d.extensions != base_tbs.extensions and not d.extensions:
+        # an extension list can express one-or-more entries but never
+        # "present and empty", so this difference has no encoding
+        raise FieldConflict(
+            "delta has no extensions while the base has some; the descriptor "
+            "cannot express an empty extension list")
+    differing = {field: getattr(d, field)
+                 for field in ("signature_alg", "issuer", "subject", "extensions")
+                 if getattr(d, field) != getattr(base_tbs, field)}
+    if (d.not_before, d.not_after) != (base_tbs.not_before, base_tbs.not_after):
+        differing["validity"] = (d.not_before, d.not_after)
+    return DeltaCertificateDescriptor(d.serial, d.spki, delta.signature, **differing)
+
+
 def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
     """Rebuild the delta certificate from the base: copy the base TBS,
     substitute every descriptor field, drop the descriptor extension, and
@@ -461,7 +477,7 @@ def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
     return doc
 
 
-# -- Catalyst: the alternative-extension triple ----------------------------
+# -- signing, and the Catalyst alternative-extension triple ----------------
 
 @dataclass(frozen=True)
 class CatalystExtensionTriple:
@@ -494,6 +510,42 @@ class CatalystExtensionTriple:
             raise MalformedAltExtension(
                 f"alternative extension contents malformed: {exc}") from exc
         return cls(alt_spki, alt_sig_alg, alt_sig_value)
+
+
+def sign_certificate(tbs: TbsCertificate,
+                     issuer_key: algs.KeyPairRecord,
+                     alt_issuer_key: algs.KeyPairRecord | None = None,
+                     alt_subject_spki: algs.SubjectPublicKeyInfo | None = None,
+                     ) -> CertificateDocument:
+    """Sign tbs with issuer_key. An alt_issuer_key makes it Catalyst: first
+    append subjectAltPublicKeyInfo (alt_subject_spki, by default the alt
+    issuer's own key) and altSignatureAlgorithm, alt-sign those bytes and
+    append the signature as altSignatureValue; alt_preimage undoes this."""
+    expected = algs.signature_algorithm_for(issuer_key.spec)
+    if tbs.signature_alg != expected:
+        raise AlgorithmMismatch(
+            f"TBS says {tbs.signature_alg.oid}, key signs as {expected.oid}")
+    if alt_issuer_key is not None:
+        for oid in ALT_EXTENSION_OIDS:
+            if tbs.find_extension(oid) is not None:
+                raise DuplicateExtension(f"base TBS already carries {extension_name(oid)}")
+        if issuer_key.spec.family == alt_issuer_key.spec.family:
+            warnings.warn(
+                "native and alternative keys share one algorithm family; the "
+                "hybrid adds no migration value", stacklevel=2)
+        alt_spki = alt_subject_spki or algs.spki_for_key(alt_issuer_key)
+        alt_sig_alg = algs.signature_algorithm_for(alt_issuer_key.spec)
+        tbs = replace(tbs, extensions=tbs.extensions + (
+            ExtensionBlock(EXT_SUBJECT_ALT_PUBLIC_KEY_INFO, False, alt_spki.der),
+            ExtensionBlock(EXT_ALT_SIGNATURE_ALGORITHM, False,
+                           der.encode(alt_sig_alg.to_der_value()))))
+        alt_signature = algs.sign(alt_issuer_key.spec, alt_issuer_key, tbs.der)
+        tbs = replace(tbs, extensions=tbs.extensions + (
+            ExtensionBlock(EXT_ALT_SIGNATURE_VALUE, False,
+                           der.encode(der.bit_string(alt_signature))),))
+    tbs_der = tbs.der
+    signature = algs.sign(issuer_key.spec, issuer_key, tbs_der)
+    return CertificateDocument(tbs, tbs_der, tbs.signature_alg, signature)
 
 
 def alt_preimage(tbs_der: bytes) -> bytes:

@@ -7,6 +7,7 @@ from pqcli import algs, chameleon, der, oids, pem, x509
 from pqcli.errors import (
     BadValue,
     DerError,
+    DuplicateExtension,
     FieldConflict,
     NoDescriptor,
     ReconstructionMismatch,
@@ -221,3 +222,62 @@ def test_pq_base_classical_delta(ml2_key, ec_key, rng):
     assert chameleon.reconstruct_delta(base).emit() == delta.emit()
     report = x509.verify_certificate(base, base.tbs.spki)
     assert report.native_sig == x509.VALID
+
+
+def test_descriptor_among_the_base_extensions_is_rejected(ec_key, ml2_key, rng):
+    own = x509.ExtensionBlock(oids.EXT_DELTA_CERTIFICATE_DESCRIPTOR, False, b"\x30\x00")
+    with pytest.raises(DuplicateExtension):
+        chameleon.issue_paired(
+            chameleon.CertParams(extensions=(own,)),
+            chameleon.CertParams(extensions=(x509.basic_constraints_extension(),)),
+            ec_key, ml2_key, rng=rng)
+    # a delta inheriting the base extensions would carry a descriptor itself
+    with pytest.raises(FieldConflict):
+        chameleon.issue_paired(chameleon.CertParams(extensions=(own,)),
+                               chameleon.CertParams(), ec_key, ml2_key, rng=rng)
+
+
+def test_describe_delta_is_the_inverse_of_reconstruct_delta(ec_key, ml2_key, rng):
+    base, delta = chameleon.issue_paired(
+        chameleon.CertParams(extensions=(x509.basic_constraints_extension(),)),
+        chameleon.CertParams(
+            subject=parse_name("CN=delta"),
+            validity=(datetime.datetime(2030, 1, 1), datetime.datetime(2031, 1, 1)),
+            extensions=(x509.subject_key_id_extension(algs.spki_for_key(ml2_key)),)),
+        ec_key, ml2_key, rng=rng)
+    bare = dataclasses.replace(base.tbs, extensions=base.tbs.extensions[:-1])
+    descriptor = x509.describe_delta(bare, delta)
+    assert descriptor == x509.descriptor_from_certificate(base)
+    assert None not in (descriptor.signature_alg, descriptor.issuer,
+                        descriptor.validity, descriptor.subject, descriptor.extensions)
+    assert x509.describe_delta(delta.tbs, delta) == chameleon.DeltaCertificateDescriptor(
+        delta.tbs.serial, delta.tbs.spki, delta.signature)
+
+
+def _with_names(tbs_der, name):
+    """tbs_der with its issuer and subject both replaced by name."""
+    children = list(der.decode(tbs_der).children)
+    children[3] = children[5] = name
+    return der.encode(der.seq(*children))
+
+
+def test_delta_rebuilds_under_names_this_tool_does_not_emit(pair, ec_key, ml2_key):
+    """A sound pair from another issuer whose inherited names hold a
+    multi-valued RDN and an IA5String: the rebuilt delta re-encodes those
+    names as found, so its signature verifies."""
+    name = der.seq(
+        der.set_of(der.seq(der.oid_value(oids.AT_COMMON_NAME), der.utf8("a")),
+                   der.seq(der.oid_value(oids.AT_ORGANIZATION), der.utf8("b"))),
+        der.set_of(der.seq(der.oid_value(oids.oid("1.2.840.113549.1.9.1")),
+                           der.ia5("who@example.org"))))
+    base, delta = pair
+    delta_tbs = _with_names(delta.tbs_der, name)
+    delta_sig = algs.sign(ml2_key.spec, ml2_key, delta_tbs)
+    descriptor = dataclasses.replace(chameleon.descriptor_from_certificate(base),
+                                     signature_value=delta_sig)
+    base_tbs = _with_names(_swap_descriptor(base, descriptor.der).tbs_der, name)
+    blob = x509.CertificateDocument(base.tbs, base_tbs, base.signature_alg,
+                                    algs.sign(ec_key.spec, ec_key, base_tbs)).emit()
+    rebuilt = chameleon.reconstruct_delta(x509.parse_certificate(blob))
+    assert rebuilt.tbs_der == delta_tbs
+    assert rebuilt.signature == delta_sig

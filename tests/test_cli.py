@@ -542,3 +542,17 @@ def test_verify_warns_on_a_delta_it_cannot_check(workdir, capsys, paired_base,
     captured = capsys.readouterr()
     assert captured.out.splitlines() == ["native signature: valid"]
     assert "not self-signed; its signature was not checked" in captured.err
+
+
+@pytest.mark.parametrize("newkey, message", [
+    ("", "empty algorithm spec"),
+    ("ECDSA,", "hybrid -newkey takes exactly two comma-joined specs"),
+    (",ECDSA", "hybrid -newkey takes exactly two comma-joined specs"),
+    (" , ", "hybrid -newkey takes exactly two comma-joined specs"),
+    ("ECDSA,,ML-DSA:2", "hybrid -newkey takes exactly two comma-joined specs"),
+])
+def test_cert_newkey_edge_cases(workdir, capsys, newkey, message):
+    assert run("cert", "-newkey", newkey) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"pqcli: {message}\n")
+    assert list(workdir.iterdir()) == []

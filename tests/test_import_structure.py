@@ -5,7 +5,10 @@ included, is a backend in its table, so it imports only the codec, the OID
 table, SLH-DSA and the errors. x509 reads and verifies every certificate
 shape, the delta inside a paired base included, so it needs none of the
 issuing modules above it; catalyst, composite and chameleon re-export its
-readers, and cli reads deltas through x509, not chameleon. No module imports
+readers, and cli reads deltas through x509, not chameleon. x509 also signs
+every shape, so cli issues through x509.sign_certificate and imports no
+catalyst; catalyst.issue_catalyst calls it but stays a function of its own,
+since a tracer that wraps both by identity needs two objects. No module imports
 inside a function, and the package-internal imports form no cycle. The OID
 table is process state that algs.use_registry replaces, so no function
 takes it as a parameter."""
@@ -93,6 +96,11 @@ def test_catalyst_and_composite_reexport_the_x509_readers():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert defined == {"CertParams", "issue_paired"}
     assert "chameleon" not in _package_imports("cli")
+
+
+def test_cli_issues_through_x509_and_catalyst_delegates():
+    assert "catalyst" not in _package_imports("cli")
+    assert catalyst.issue_catalyst is not x509.sign_certificate
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -3,7 +3,7 @@ import pytest
 from pqcli import der
 from pqcli.errors import EmptyValue, UnknownAttributeKey
 from pqcli.names import DistinguishedName, NameAttribute, parse_name
-from pqcli.oids import AT_COMMON_NAME, AT_COUNTRY
+from pqcli.oids import AT_COMMON_NAME, AT_COUNTRY, AT_ORGANIZATION, ObjectIdentifier
 
 
 def test_parse_single_cn():
@@ -71,3 +71,30 @@ def test_unknown_oid_key_falls_back_to_dotted():
     from pqcli.oids import ObjectIdentifier
     attr = NameAttribute(ObjectIdentifier("1.2.3.4"), "v")
     assert attr.key == "1.2.3.4"
+
+
+EMAIL_ADDRESS = ObjectIdentifier("1.2.840.113549.1.9.1")
+
+
+def _atv(oid, string):
+    return der.seq(der.oid_value(oid), string)
+
+
+def test_multi_valued_rdn_re_encodes_byte_exactly():
+    blob = der.encode(der.seq(der.set_of(_atv(AT_COMMON_NAME, der.utf8("a")),
+                                         _atv(AT_ORGANIZATION, der.utf8("b")))))
+    assert blob.hex().startswith("30163114")
+    name = DistinguishedName.from_der_value(der.decode(blob))
+    assert der.encode(name.to_der_value()) == blob
+    assert [a.key for a in name.attributes] == ["CN", "O"]
+    assert str(name) == "CN=a,O=b"
+
+
+def test_ia5_string_attribute_re_encodes_byte_exactly():
+    blob = der.encode(der.seq(
+        der.set_of(_atv(EMAIL_ADDRESS, der.ia5("who@example.org"))),
+        der.set_of(_atv(AT_COUNTRY, der.printable("DE")))))
+    name = DistinguishedName.from_der_value(der.decode(blob))
+    assert der.encode(name.to_der_value()) == blob
+    assert [a.printable for a in name.attributes] == [False, True]
+    assert str(name) == "1.2.840.113549.1.9.1=who@example.org,C=DE"

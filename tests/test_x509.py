@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 
 import pytest
@@ -295,3 +296,20 @@ def test_write_and_reload_from_disk(tmp_path, ec_key):
     pem.write_pem(path, pem.LABEL_CERTIFICATE, cert.emit())
     blocks = pem.read_pem(path)
     assert blocks == [(pem.LABEL_CERTIFICATE, cert.emit())]
+
+
+def test_sign_certificate_alt_branch_issues_catalyst(ec_key, ml2_key):
+    name = parse_name("CN=hybrid")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(7),
+                         algs.signature_algorithm_for(ec_key.spec))
+    cert = x509.sign_certificate(tbs, ec_key, ml2_key)
+    assert tuple(e.oid for e in cert.tbs.extensions[-3:]) == x509.ALT_EXTENSION_OIDS
+    assert x509.alt_preimage(cert.tbs_der) == dataclasses.replace(
+        cert.tbs, extensions=cert.tbs.extensions[:-1]).der
+    report = x509.verify_certificate(cert, cert.tbs.spki)
+    assert (report.native_sig, report.alt_sig) == (x509.VALID, x509.VALID)
+    with pytest.raises(DuplicateExtension):
+        x509.sign_certificate(cert.tbs, ec_key, ml2_key)
+    # the algorithm check runs before either signature
+    with pytest.raises(AlgorithmMismatch):
+        x509.sign_certificate(tbs, ml2_key, ec_key)
