@@ -6,6 +6,8 @@ alternative (Catalyst) signature invalid or unsupported (the issuer has
 no alternative key), or delta signature invalid, 7 composite signature
 invalid. All diagnostics go to stderr, warnings as "warning: ..." lines;
 artifacts and reports go to stdout. No prompts anywhere.
+Commands only print: pem.read_block, x509.read_document and
+x509.verify_issued read the inputs and make every decision.
 """
 
 from __future__ import annotations
@@ -19,19 +21,15 @@ from . import algs, pem, x509
 from .errors import (
     DerError,
     KeyMismatch,
-    MalformedAltExtension,
     MalformedPem,
     MalformedSpec,
-    NoDescriptor,
     NotACertificate,
     NotACsr,
     PqcliError,
-    ReconstructionMismatch,
 )
 from .names import parse_name
 
-_PARSE_ERRORS = (NotACertificate, NotACsr, MalformedPem, DerError, KeyMismatch,
-                 MalformedAltExtension, NoDescriptor, ReconstructionMismatch)
+_PARSE_ERRORS = (NotACertificate, NotACsr, MalformedPem, DerError, KeyMismatch)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -142,13 +140,6 @@ def _write_keys(path: pathlib.Path, records, as_der: bool) -> list[pathlib.Path]
     return paths
 
 
-def _read_first_block(path: pathlib.Path, label: str) -> bytes:
-    data = path.read_bytes()
-    if pem.is_pem(data):
-        return pem.first_block(pem.decode_pem(data.decode("utf-8", "replace")), label)
-    return data
-
-
 # -- commands -----------------------------------------------------------
 
 def cmd_cert(args) -> int:
@@ -198,7 +189,9 @@ def cmd_csr(args) -> int:
         keyout = pathlib.Path(args.keyout or "private_key.pem")
         key_paths = _write_keys(keyout, [keypair], args.der)
     else:
-        blob = _read_first_block(pathlib.Path(args.key), pem.LABEL_PRIVATE_KEY)
+        # undecodable text around a key's armor is no error, unlike a certificate's
+        _, blob = pem.read_block(pathlib.Path(args.key).read_bytes(),
+                                 (pem.LABEL_PRIVATE_KEY,), errors="replace")
         keypair = algs.load_private_key(blob)
         key_paths = []
     doc = x509.build_csr(subject, keypair)
@@ -209,33 +202,9 @@ def cmd_csr(args) -> int:
 
 
 def cmd_view(args) -> int:
-    data = pathlib.Path(args.path).read_bytes()
-    if pem.is_pem(data):
-        # decode once; the parsers get the first block of the chosen label as DER
-        try:
-            blocks = dict(reversed(pem.decode_pem(data.decode("utf-8"))))
-        except UnicodeDecodeError:
-            raise NotACertificate("input is neither DER nor readable PEM") from None
-        if pem.LABEL_CSR in blocks and pem.LABEL_CERTIFICATE not in blocks:
-            print(x509.render_csr_text(x509.parse_csr(blocks[pem.LABEL_CSR])), end="")
-        elif pem.LABEL_CERTIFICATE in blocks:
-            cert = x509.parse_certificate(blocks[pem.LABEL_CERTIFICATE])
-            print(x509.render_text(cert), end="")
-        else:
-            raise NotACertificate(f"no {pem.LABEL_CERTIFICATE} block in PEM input")
-        return 0
-    try:
-        cert = x509.parse_certificate(data)
-    except NotACertificate:
-        # fall back to request parsing for raw DER inputs
-        try:
-            doc = x509.parse_csr(data)
-        except NotACsr:
-            raise NotACertificate(
-                f"{args.path} is neither a certificate nor a request") from None
-        print(x509.render_csr_text(doc), end="")
-        return 0
-    print(x509.render_text(cert), end="")
+    doc = x509.read_document(pathlib.Path(args.path).read_bytes())
+    render = x509.render_csr_text if isinstance(doc, x509.CsrDocument) else x509.render_text
+    print(render(doc), end="")
     return 0
 
 
@@ -243,12 +212,7 @@ def cmd_verify(args) -> int:
     cert = x509.parse_certificate(pathlib.Path(args.path).read_bytes())
     ca = (x509.parse_certificate(pathlib.Path(args.CAfile).read_bytes())
           if args.CAfile else cert)
-    try:
-        triple = x509.CatalystExtensionTriple.from_certificate(ca)
-    except MalformedAltExtension:
-        triple = None
-    report = x509.verify_certificate(
-        cert, ca.tbs.spki, alt_issuer_spki=triple.alt_spki if triple else None)
+    report = x509.verify_issued(cert, ca)
 
     if report.composite_components is not None:
         if not report.composite_components:
@@ -261,28 +225,11 @@ def cmd_verify(args) -> int:
         print(f"native signature: {report.native_sig}")
     if report.alt_sig is not None:
         print(f"alt signature: {report.alt_sig}")
-    delta_invalid = False
-    try:
-        delta = x509.reconstruct_delta(cert)
-    except NoDescriptor:
-        pass
-    except ReconstructionMismatch as exc:
-        delta_invalid = True
-        print("delta signature: invalid")
-        print(f"pqcli: delta certificate: {exc}", file=sys.stderr)
-    else:
-        if delta.tbs.subject == delta.tbs.issuer:
-            print("delta signature: valid")
-        else:
-            print("warning: delta certificate is not self-signed; its signature "
-                  "was not checked", file=sys.stderr)
+    if report.delta_sig is not None:
+        print(f"delta signature: {report.delta_sig}")
     for note in report.chain_notes:
         print(f"warning: {note}", file=sys.stderr)
 
-    if report.composite_components is not None and report.native_sig != x509.VALID:
-        return 7
     if report.native_sig != x509.VALID:
-        return 5
-    if report.alt_sig not in (None, x509.VALID) or delta_invalid:
-        return 6
-    return 0
+        return 7 if report.composite_components is not None else 5
+    return 0 if report.all_valid else 6

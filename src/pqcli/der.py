@@ -46,6 +46,9 @@ _MUST_BE_PRIMITIVE = frozenset({
 })
 _MUST_BE_CONSTRUCTED = frozenset({SEQUENCE, SET})
 
+# The universal string types as_text reads, each with its codec.
+_TEXT_CODECS = {UTF8_STRING: "utf-8", PRINTABLE_STRING: "ascii", IA5_STRING: "ascii"}
+
 # The deepest structure this tool emits, a composite SPKI inside a chameleon
 # descriptor inside a certificate, is 13 levels even counted through the
 # OCTET and BIT STRINGs that wrap it; each decode of it sees at most 6.
@@ -101,12 +104,9 @@ class DerValue:
         return self.content
 
     def as_text(self) -> str:
-        if self.tag == UTF8_STRING:
-            codec = "utf-8"
-        elif self.tag in (PRINTABLE_STRING, IA5_STRING):
-            codec = "ascii"
-        else:
-            raise BadTag(f"not a supported string tag: {self.tag:#x}")
+        codec = _TEXT_CODECS.get(self.tag) if self.cls == UNIVERSAL else None
+        if codec is None:
+            raise BadTag(f"not a supported string tag: {self.tag:#x} (class {self.cls:#x})")
         try:
             return self.content.decode(codec)
         except UnicodeDecodeError as exc:
@@ -177,6 +177,8 @@ def encode_time(moment: datetime.datetime) -> DerValue:
 
 
 def decode_time(value: DerValue) -> datetime.datetime:
+    if value.cls != UNIVERSAL or value.tag not in (UTC_TIME, GENERALIZED_TIME):
+        raise BadTag(f"not a time tag: {value.tag:#x} (class {value.cls:#x})")
     text = value.content.decode("ascii", errors="replace")
     try:
         if value.tag == UTC_TIME:
@@ -186,12 +188,10 @@ def decode_time(value: DerValue) -> datetime.datetime:
             # UTCTime two-digit years: 50..99 -> 19xx, 00..49 -> 20xx
             if parsed.year >= 2050:
                 parsed = parsed.replace(year=parsed.year - 100)
-        elif value.tag == GENERALIZED_TIME:
+        else:
             if len(text) != 15 or not text.endswith("Z"):
                 raise ValueError(text)
             parsed = datetime.datetime.strptime(text, "%Y%m%d%H%M%SZ")
-        else:
-            raise BadTag(f"not a time tag: {value.tag:#x}")
     except ValueError:
         raise BadValue(f"malformed time string {text!r}") from None
     return parsed.replace(tzinfo=datetime.timezone.utc)

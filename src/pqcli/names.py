@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import der
-from .errors import BadTag, EmptyValue, UnknownAttributeKey
+from .errors import BadTag, BadValue, EmptyValue, UnknownAttributeKey
 from .oids import (
     AT_COMMON_NAME,
     AT_COUNTRY,
@@ -74,7 +74,8 @@ class DistinguishedName:
         value.expect(der.SEQUENCE)
         attrs = []
         for rdn in value.children:
-            rdn.expect(der.SET)
+            if not rdn.expect(der.SET).children:
+                raise BadValue("empty RDN")  # RFC 5280: SET SIZE (1..MAX)
             for position, atv in enumerate(rdn.children):
                 atv.expect(der.SEQUENCE)
                 if len(atv.children) != 2:

@@ -66,10 +66,22 @@ def decode_pem(text: str) -> list[tuple[str, bytes]]:
     return blocks
 
 
-def is_pem(data: bytes) -> bool:
-    """PEM armor rather than DER. DER certificates, requests and keys begin
-    with a SEQUENCE tag, and their names may hold the BEGIN text."""
-    return not data.startswith(b"\x30") and b"-----BEGIN" in data
+def read_block(data: bytes, labels, errors: str = "strict") -> tuple[str | None, bytes]:
+    """(label, DER) of the first block whose label comes earliest in labels,
+    the armor decoded once; DER passes through unchanged as (None, data).
+    The text is UTF-8 under errors, as for bytes.decode."""
+    # DER certificates, requests and keys begin with a SEQUENCE tag, and
+    # their names may hold the BEGIN text
+    if data.startswith(b"\x30") or b"-----BEGIN" not in data:
+        return None, bytes(data)
+    try:
+        blocks = dict(reversed(decode_pem(data.decode("utf-8", errors))))
+    except UnicodeDecodeError:
+        raise MalformedPem("input is neither DER nor readable PEM") from None
+    for label in labels:
+        if label in blocks:
+            return label, blocks[label]
+    raise MalformedPem(f"no {labels[0]} block in PEM input")
 
 
 def write_pem(path, label: str, payload: bytes) -> None:

@@ -10,7 +10,8 @@ path, Catalyst, composite and the delta inside a paired base included, and
 the one that signs them: sign_certificate issues every shape, the Catalyst
 two-pass being its alternative-key branch, and describe_delta derives the
 descriptor that reconstruct_delta reads. catalyst, composite and chameleon
-keep thin issuing entry points over it. Each field shape the TBS,
+keep thin issuing entry points over it. read_document and verify_issued
+make every decision pqcli view and verify need. Each field shape the TBS,
 the delta descriptor and the request share (the validity pair, an
 extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder.
 """
@@ -33,6 +34,7 @@ from .errors import (
     InvalidParameter,
     InvalidValidity,
     MalformedAltExtension,
+    MalformedPem,
     NoDescriptor,
     NotACertificate,
     NotACsr,
@@ -121,7 +123,7 @@ class ExtensionBlock:
         value.expect(der.SEQUENCE)
         children = list(value.children)
         if not 2 <= len(children) <= 3:
-            raise NotACertificate("extension needs 2 or 3 fields")
+            raise BadValue("extension needs 2 or 3 fields")
         ext_oid = children[0].as_oid()
         critical = False
         if len(children) == 3:
@@ -223,12 +225,14 @@ class VerificationReport:
     alt_sig: str | None = None
     composite_components: tuple[str, ...] | None = None
     chain_notes: tuple[str, ...] = ()
+    delta_sig: str | None = None  # set by verify_issued only
 
     @property
     def all_valid(self) -> bool:
         """Every signature path that is present verified. A composite
         native_sig is valid only when every component is."""
-        return self.native_sig == VALID and self.alt_sig in (None, VALID)
+        return (self.native_sig == VALID
+                and self.alt_sig in (None, VALID) and self.delta_sig in (None, VALID))
 
 
 def random_serial(rng=None) -> int:
@@ -315,17 +319,10 @@ def _read_signed(data: bytes, label: str, error_cls, decode_signed):
     """Read what _write_signed makes, from DER or the first PEM block with
     this label: the signed bytes exactly as found, decode_signed of their
     value, the outer algorithm and the signature."""
-    if pem.is_pem(data):
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            raise error_cls("input is neither DER nor readable PEM") from None
-        blob = next((block for block_label, block in pem.decode_pem(text)
-                     if block_label == label), None)
-        if blob is None:
-            raise error_cls(f"no {label} block in PEM input")
-    else:
-        blob = bytes(data)
+    try:
+        _, blob = pem.read_block(data, (label,))
+    except MalformedPem as exc:
+        raise error_cls(str(exc)) from exc
     try:
         outer = der.decode(blob)
     except DerError as exc:
@@ -694,6 +691,33 @@ def verify_certificate(cert: CertificateDocument,
     return VerificationReport(native, alt, composite_verdicts, tuple(notes))
 
 
+def verify_issued(cert: CertificateDocument,
+                  issuer: CertificateDocument) -> VerificationReport:
+    """verify_certificate under the issuer certificate (cert itself for the
+    self-signed reading) and its alternative key, if its triple is complete,
+    plus delta_sig for a paired base. Never raises. A delta that fails to
+    rebuild is invalid, one not self-signed goes unchecked; a first note
+    says which."""
+    try:
+        triple = CatalystExtensionTriple.from_certificate(issuer)
+    except MalformedAltExtension:
+        triple = None
+    report = verify_certificate(cert, issuer.tbs.spki,
+                                alt_issuer_spki=triple.alt_spki if triple else None)
+    try:
+        delta = reconstruct_delta(cert)
+    except NoDescriptor:
+        return report
+    except ReconstructionMismatch as exc:
+        verdict, note = INVALID, f"delta certificate: {exc}"
+    else:
+        if delta.tbs.subject == delta.tbs.issuer:
+            return replace(report, delta_sig=VALID)
+        verdict, note = None, ("delta certificate is not self-signed; "
+                               "its signature was not checked")
+    return replace(report, delta_sig=verdict, chain_notes=(note,) + report.chain_notes)
+
+
 # -- certificate signing requests ---------------------------------------
 
 @dataclass(frozen=True)
@@ -771,6 +795,23 @@ def parse_csr(data: bytes) -> CsrDocument:
     cri_der, (subject, spki, extensions), signature_alg, signature = _read_signed(
         data, pem.LABEL_CSR, NotACsr, _decode_cri)
     return CsrDocument(subject, spki, extensions, cri_der, signature_alg, signature)
+
+
+def read_document(data: bytes) -> CertificateDocument | CsrDocument:
+    """The certificate in DER or PEM data or, failing that, the request:
+    from PEM the first CERTIFICATE block, else the first CERTIFICATE REQUEST
+    block; DER that parse_certificate rejects with NotACertificate is read
+    as a request."""
+    label, blob = pem.read_block(data, (pem.LABEL_CERTIFICATE, pem.LABEL_CSR))
+    try:
+        return parse_csr(blob) if label == pem.LABEL_CSR else parse_certificate(blob)
+    except NotACertificate:
+        if label is not None:
+            raise
+    try:
+        return parse_csr(blob)
+    except NotACsr:
+        raise NotACertificate("input is neither a certificate nor a request") from None
 
 
 def verify_csr(doc: CsrDocument) -> bool:

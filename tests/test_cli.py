@@ -544,6 +544,26 @@ def test_verify_warns_on_a_delta_it_cannot_check(workdir, capsys, paired_base,
     assert "not self-signed; its signature was not checked" in captured.err
 
 
+def test_verify_rejects_a_delta_whose_descriptor_extension_is_malformed(
+        workdir, capsys, paired_base, ec_key):
+    """An extension of one field inside the descriptor's [4] list is a
+    malformed delta (exit 6), not an input that fails to parse (exit 4)."""
+    bad_extensions = der.explicit(4, der.seq(der.seq(der.oid_value(oids.EXT_SUBJECT_KEY_ID))))
+    fields = list(der.decode(chameleon.descriptor_from_certificate(paired_base).der).children)
+    fields.insert(len(fields) - 1, bad_extensions)  # [4] sits just before the signature
+    exts = tuple(
+        x509.ExtensionBlock(e.oid, e.critical, der.encode(der.seq(*fields)))
+        if e.oid == oids.EXT_DELTA_CERTIFICATE_DESCRIPTOR else e
+        for e in paired_base.tbs.extensions)
+    _write_cert(workdir / "bad.pem", x509.sign_certificate(
+        dataclasses.replace(paired_base.tbs, extensions=exts), ec_key))
+    assert run("verify", "bad.pem") == 6
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "native signature: valid", "delta signature: invalid"]
+    assert "warning: delta certificate: descriptor does not decode" in captured.err
+
+
 @pytest.mark.parametrize("newkey, message", [
     ("", "empty algorithm spec"),
     ("ECDSA,", "hybrid -newkey takes exactly two comma-joined specs"),

@@ -191,6 +191,17 @@ def test_time_codec_utc_and_generalized():
         der.decode_time(der.DerValue(der.UTC_TIME, content=b"26082312000Z"))
 
 
+def test_typed_readers_take_universal_tags_only():
+    """A context tag that shares its number with a string or time type is
+    not that type; reading it as one would re-encode it under another tag."""
+    text = der.decode(bytes.fromhex("8c0161"))            # [12] "a", no UTF8String
+    moment = der.decode(b"\x97\x0d" + b"260823120005Z")  # [23], no UTCTime
+    with pytest.raises(BadTag):
+        text.as_text()
+    with pytest.raises(BadTag):
+        der.decode_time(moment)
+
+
 def test_normalize_time_strips_microseconds_and_converts_zone():
     plus2 = datetime.timezone(datetime.timedelta(hours=2))
     local = datetime.datetime(2026, 3, 1, 14, 30, 9, 123456, tzinfo=plus2)

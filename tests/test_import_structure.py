@@ -5,10 +5,14 @@ included, is a backend in its table, so it imports only the codec, the OID
 table, SLH-DSA and the errors. x509 reads and verifies every certificate
 shape, the delta inside a paired base included, so it needs none of the
 issuing modules above it; catalyst, composite and chameleon re-export its
-readers, and cli reads deltas through x509, not chameleon. x509 also signs
-every shape, so cli issues through x509.sign_certificate and imports no
-catalyst; catalyst.issue_catalyst calls it but stays a function of its own,
-since a tracer that wraps both by identity needs two objects. No module imports
+readers. x509 also signs every shape, so cli issues through
+x509.sign_certificate and imports no catalyst; catalyst.issue_catalyst
+calls it but stays a function of its own, since a tracer that wraps both by
+identity needs two objects. cli only prints: pem.read_block reads its
+PEM-or-DER inputs, x509.read_document picks certificate or request, and
+x509.verify_issued gives the whole verdict, the issuer's alternative key
+and the delta included, so cli touches no PEM armor, Catalyst triple or
+delta reader, and no error those raise. No module imports
 inside a function, and the package-internal imports form no cycle. The OID
 table is process state that algs.use_registry replaces, so no function
 takes it as a parameter."""
@@ -116,3 +120,20 @@ def test_no_function_takes_a_registry(module):
 def test_algs_imports_only_its_allowed_package_modules():
     imported = _package_imports("algs")
     assert imported <= ALGS_ALLOWED, imported - ALGS_ALLOWED
+
+
+def test_cli_leaves_reading_and_verdicts_to_pem_and_x509():
+    decided_elsewhere = {
+        "CatalystExtensionTriple", "reconstruct_delta", "descriptor_from_certificate",
+        "MalformedAltExtension", "NoDescriptor", "ReconstructionMismatch",
+        "decode_pem", "is_pem"}
+    referenced = set()
+    for node in ast.walk(_tree("cli")):
+        if isinstance(node, ast.Name):
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            referenced.add(node.attr)
+        elif isinstance(node, ast.alias):
+            referenced.add(node.name)
+    assert referenced & decided_elsewhere == set()
+    assert "chameleon" not in _package_imports("cli") | _package_imports("x509")

@@ -1,7 +1,7 @@
 import pytest
 
 from pqcli import der
-from pqcli.errors import EmptyValue, UnknownAttributeKey
+from pqcli.errors import DerError, EmptyValue, UnknownAttributeKey
 from pqcli.names import DistinguishedName, NameAttribute, parse_name
 from pqcli.oids import AT_COMMON_NAME, AT_COUNTRY, AT_ORGANIZATION, ObjectIdentifier
 
@@ -98,3 +98,12 @@ def test_ia5_string_attribute_re_encodes_byte_exactly():
     assert der.encode(name.to_der_value()) == blob
     assert [a.printable for a in name.attributes] == [False, True]
     assert str(name) == "1.2.840.113549.1.9.1=who@example.org,C=DE"
+
+
+@pytest.mark.parametrize("blob_hex", [
+    "300c310a300806035504038c0161",  # CN value under a context [12] tag
+    "30023100",                      # an empty RDN
+])
+def test_names_that_would_not_re_encode_byte_exactly_are_rejected(blob_hex):
+    with pytest.raises(DerError):
+        DistinguishedName.from_der_value(der.decode(bytes.fromhex(blob_hex)))

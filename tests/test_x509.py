@@ -313,3 +313,25 @@ def test_sign_certificate_alt_branch_issues_catalyst(ec_key, ml2_key):
     # the algorithm check runs before either signature
     with pytest.raises(AlgorithmMismatch):
         x509.sign_certificate(tbs, ml2_key, ec_key)
+
+
+def test_verify_issued_adds_the_delta_verdict_verify_certificate_leaves_out(ec_key, ml2_key,
+                                                                           rng):
+    base, _ = chameleon.issue_paired(chameleon.CertParams(), chameleon.CertParams(),
+                                     ec_key, ml2_key, rng=rng)
+    assert x509.verify_certificate(base, base.tbs.spki).delta_sig is None
+    report = x509.verify_issued(base, base)
+    assert (report.native_sig, report.delta_sig) == (x509.VALID, x509.VALID)
+    assert report.all_valid
+    cert = _self_signed(ec_key)
+    plain = x509.verify_issued(cert, cert)
+    assert plain.delta_sig is None and plain.all_valid
+
+
+def test_read_document_prefers_the_certificate_block(ec_key):
+    cert = _self_signed(ec_key, subject="CN=cert")
+    csr = x509.build_csr(parse_name("CN=req"), ec_key)
+    for text in (cert.emit_pem() + csr.emit_pem(), csr.emit_pem() + cert.emit_pem()):
+        assert x509.read_document(text.encode()) == cert
+    assert x509.read_document(csr.emit_pem().encode()) == csr
+    assert x509.read_document(cert.emit()) == cert
