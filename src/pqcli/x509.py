@@ -11,7 +11,9 @@ the one that signs them: sign_certificate issues every shape, the Catalyst
 two-pass being its alternative-key branch, and describe_delta derives the
 descriptor that reconstruct_delta reads. catalyst, composite and chameleon
 keep thin issuing entry points over it. read_document and verify_issued
-make every decision pqcli view and verify need. Each field shape the TBS,
+make every decision pqcli view and verify need, and every signature
+verdict, on every path and for requests, comes from one check that also
+requires the declared algorithm to be the key's. Each field shape the TBS,
 the delta descriptor and the request share (the validity pair, an
 extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder.
 """
@@ -465,12 +467,10 @@ def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
                   subject=descriptor.subject or base.tbs.subject,
                   spki=descriptor.spki, extensions=extensions)
     doc = CertificateDocument(tbs, tbs.der, tbs.signature_alg, descriptor.signature_value)
-    if tbs.subject == tbs.issuer:
-        spec = algs.spec_from_spki(descriptor.spki)
-        if spec is None or not algs.verify(
-                spec, descriptor.spki.key_bits, doc.tbs_der, doc.signature):
-            raise ReconstructionMismatch(
-                "reconstructed delta certificate fails signature verification")
+    if tbs.subject == tbs.issuer and _check_signature(
+            tbs.spki, doc.signature_alg, doc.tbs_der, doc.signature)[0] != VALID:
+        raise ReconstructionMismatch(
+            "reconstructed delta certificate fails signature verification")
     return doc
 
 
@@ -588,15 +588,8 @@ def alt_verdict(cert: CertificateDocument,
     if triple is None:
         raise MalformedAltExtension("certificate carries no alternative extensions")
     spki = alt_issuer_spki if alt_issuer_spki is not None else triple.alt_spki
-    spec = algs.spec_from_spki(spki)
-    if spec is None:
-        return UNSUPPORTED
-    expected = algs.signature_algorithm_for(spec)
-    if triple.alt_sig_alg.oid != expected.oid:
-        return INVALID  # declared algorithm disagrees with the key
-    preimage = alt_preimage(cert.tbs_der)
-    ok = algs.verify(spec, spki.key_bits, preimage, triple.alt_sig_value)
-    return VALID if ok else INVALID
+    return _check_signature(spki, triple.alt_sig_alg, alt_preimage(cert.tbs_der),
+                            triple.alt_sig_value)[0]
 
 
 # -- composite: one signature value, a verdict per component ---------------
@@ -623,20 +616,39 @@ def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
         tuple(VALID if ok else INVALID for ok in verdicts), all(verdicts))
 
 
+def _check_signature(spki: algs.SubjectPublicKeyInfo,
+                     declared_alg: algs.AlgorithmIdentifier,
+                     message: bytes, signature: bytes,
+                     ) -> tuple[str, CompositeVerification | None]:
+    """The one signature check behind every verdict: UNSUPPORTED for a key
+    algorithm not recognized, else INVALID unless declared_alg is the key's
+    and the signature verifies; plus a composite key's per-component
+    outcome."""
+    spec = algs.spec_from_spki(spki)
+    if spec is None:
+        return UNSUPPORTED, None
+    declared_ok = declared_alg.oid == algs.oid_for(spec)
+    if spec.family != algs.FAMILY_COMPOSITE:
+        ok = declared_ok and algs.verify(spec, spki.key_bits, message, signature)
+        return (VALID if ok else INVALID), None
+    if not declared_ok:
+        return INVALID, CompositeVerification(
+            (), False, "signature algorithm does not match the composite key")
+    try:
+        sig = algs.CompositeSignatureValue.from_der(signature)
+    except DerError:
+        return INVALID, CompositeVerification(
+            (), False, "signature is not a sequence of bit strings")
+    # spec_from_spki has decoded every component key already
+    outcome = composite_verify(algs.material_from_public(spec, spki.key_bits), message, sig)
+    return (VALID if outcome.overall else INVALID), outcome
+
+
 def verify_certificate_signature(
         cert, issuer_spki: algs.SubjectPublicKeyInfo) -> CompositeVerification:
     """Composite check of a certificate's outer signature over tbs_der."""
-    spec = algs.spec_from_spki(issuer_spki)
-    if spec is None or spec.family != algs.FAMILY_COMPOSITE:
-        return CompositeVerification((), False, "issuer key is not a usable composite key")
-    # spec_from_spki has decoded every component key already
-    material = algs.material_from_public(spec, issuer_spki.key_bits)
-    try:
-        sig = algs.CompositeSignatureValue.from_der(cert.signature)
-    except DerError:
-        return CompositeVerification(
-            (), False, "signature is not a sequence of bit strings")
-    return composite_verify(material, cert.tbs_der, sig)
+    _, outcome = _check_signature(issuer_spki, cert.signature_alg, cert.tbs_der, cert.signature)
+    return outcome or CompositeVerification((), False, "issuer key is not a usable composite key")
 
 
 def verify_certificate(cert: CertificateDocument,
@@ -662,20 +674,12 @@ def verify_certificate(cert: CertificateDocument,
     if cert.tbs.signature_alg != cert.signature_alg:
         notes.append("signature algorithm differs between TBS and certificate")
 
-    issuer_spec = algs.spec_from_spki(issuer_spki)
-    composite_verdicts = None
-    if issuer_spec is None:
-        native = UNSUPPORTED
+    native, outcome = _check_signature(issuer_spki, cert.signature_alg,
+                                       cert.tbs_der, cert.signature)
+    if native == UNSUPPORTED:
         notes.append("issuer key algorithm not recognized")
-    elif issuer_spec.family == algs.FAMILY_COMPOSITE:
-        outcome = verify_certificate_signature(cert, issuer_spki)
-        composite_verdicts = outcome.components
-        native = VALID if outcome.overall else INVALID
-        if outcome.note:
-            notes.append(outcome.note)
-    else:
-        ok = algs.verify(issuer_spec, issuer_spki.key_bits, cert.tbs_der, cert.signature)
-        native = VALID if ok else INVALID
+    if outcome is not None and outcome.note:
+        notes.append(outcome.note)
 
     alt = None
     if cert.has_alt_extensions():
@@ -688,7 +692,8 @@ def verify_certificate(cert: CertificateDocument,
             except MalformedAltExtension as exc:
                 alt = INVALID
                 notes.append(str(exc))
-    return VerificationReport(native, alt, composite_verdicts, tuple(notes))
+    return VerificationReport(native, alt, outcome.components if outcome else None,
+                              tuple(notes))
 
 
 def verify_issued(cert: CertificateDocument,
@@ -800,26 +805,27 @@ def parse_csr(data: bytes) -> CsrDocument:
 def read_document(data: bytes) -> CertificateDocument | CsrDocument:
     """The certificate in DER or PEM data or, failing that, the request:
     from PEM the first CERTIFICATE block, else the first CERTIFICATE REQUEST
-    block; DER that parse_certificate rejects with NotACertificate is read
-    as a request."""
+    block; DER that parse_certificate rejects is read as a request, and if
+    that fails too, a DerError of the certificate stands."""
     label, blob = pem.read_block(data, (pem.LABEL_CERTIFICATE, pem.LABEL_CSR))
+    if label == pem.LABEL_CSR:
+        return parse_csr(blob)
     try:
-        return parse_csr(blob) if label == pem.LABEL_CSR else parse_certificate(blob)
-    except NotACertificate:
+        return parse_certificate(blob)
+    except (NotACertificate, DerError) as exc:
         if label is not None:
             raise
+        error = exc if isinstance(exc, DerError) else NotACertificate(
+            "input is neither a certificate nor a request")
     try:
         return parse_csr(blob)
-    except NotACsr:
-        raise NotACertificate("input is neither a certificate nor a request") from None
+    except (NotACsr, DerError):
+        raise error from None
 
 
 def verify_csr(doc: CsrDocument) -> bool:
     """Self-signature check against the key inside the request."""
-    spec = algs.spec_from_spki(doc.spki)
-    if spec is None:
-        return False
-    return algs.verify(spec, doc.spki.key_bits, doc.cri_der, doc.signature)
+    return _check_signature(doc.spki, doc.signature_alg, doc.cri_der, doc.signature)[0] == VALID
 
 
 # -- rendering ----------------------------------------------------------

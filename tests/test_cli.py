@@ -233,6 +233,15 @@ def test_missing_file_is_io_error(capsys):
     capsys.readouterr()
 
 
+def test_view_reads_a_der_request(workdir, capsys):
+    assert run("csr", "-newkey", "ECDSA", "-subj", "CN=raw", "-out", "r.der",
+               "-keyout", "k.der", "--der") == 0
+    capsys.readouterr()
+    assert run("view", "r.der") == 0
+    out = capsys.readouterr().out
+    assert out.startswith("Certificate Request:\n    Subject: CN=raw\n")
+
+
 def test_garbage_input_is_parse_error(workdir, capsys):
     (workdir / "junk.pem").write_text("not even close\n")
     assert run("view", "junk.pem") == 4
@@ -353,6 +362,27 @@ def test_verify_with_ca_file(workdir, capsys, rng):
     # without the CA the leaf's own key is the wrong issuer
     assert run("verify", "leaf.pem") == 5
     capsys.readouterr()
+
+
+def test_declared_algorithm_that_disagrees_with_the_ca_key_exits_5(
+        workdir, capsys, rng, ec_key, ml2_key):
+    """An ECDSA CA signs a leaf whose TBS and outer algorithm both say
+    ML-DSA-44. The signature checks out under the CA key, but the declared
+    algorithm is not the key's, so the native path is invalid, as openssl
+    verify has it."""
+    ca_name, leaf_name = parse_name("CN=EC Root"), parse_name("CN=Leaf")
+    ca_tbs = x509.build_tbs(ca_name, ca_name, algs.spki_for_key(ec_key),
+                            x509.default_validity(30),
+                            algs.signature_algorithm_for(ec_key.spec), rng=rng)
+    _write_cert(workdir / "ca.pem", x509.sign_certificate(ca_tbs, ec_key))
+    leaf_tbs = x509.build_tbs(leaf_name, ca_name, algs.spki_for_key(ml2_key),
+                              x509.default_validity(30),
+                              algs.signature_algorithm_for(ml2_key.spec), rng=rng)
+    signature = algs.sign(ec_key.spec, ec_key, leaf_tbs.der)
+    _write_cert(workdir / "leaf.pem", x509.CertificateDocument(
+        leaf_tbs, leaf_tbs.der, leaf_tbs.signature_alg, signature))
+    assert run("verify", "-CAfile", "ca.pem", "leaf.pem") == 5
+    assert capsys.readouterr().out == "native signature: invalid\n"
 
 
 def test_hybrid_leaf_of_classical_ca_alt_path_unsupported(workdir, capsys, rng):

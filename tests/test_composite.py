@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -164,6 +165,17 @@ def test_certificate_tamper_detected(key_pair):
     report = x509.verify_certificate(doc, doc.tbs.spki)
     assert not report.all_valid
     assert x509.INVALID in report.composite_components
+
+
+def test_declared_algorithm_that_disagrees_with_the_composite_key(key_pair):
+    from pqcli.names import parse_name
+    cert = composite.issue_composite_certificate(parse_name("CN=multi"), key_pair)
+    ml_dsa_44 = algs.signature_algorithm_for(algs.parse_alg_spec("ml-dsa:2"))
+    relabeled = dataclasses.replace(cert, signature_alg=ml_dsa_44)
+    report = x509.verify_certificate(relabeled, relabeled.tbs.spki)
+    assert report.native_sig == x509.INVALID
+    assert report.composite_components == ()
+    assert "signature algorithm does not match the composite key" in report.chain_notes
 
 
 def test_verify_certificate_signature_wrong_issuer(key_pair, ec_key):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from pqcli import algs, der, oids, x509
@@ -43,6 +45,15 @@ def test_tampered_subject_fails(ec_key):
     forged = x509.CsrDocument(doc.subject, doc.spki, doc.extensions,
                               forged_cri, doc.signature_alg, doc.signature)
     assert not x509.verify_csr(forged)
+
+
+def test_declared_algorithm_that_disagrees_with_the_key_fails(ec_key):
+    """An ECDSA signature declared as ML-DSA-44: openssl req -verify says
+    wrong public key type."""
+    doc = x509.build_csr(parse_name("CN=mislabeled"), ec_key)
+    ml_dsa_44 = algs.signature_algorithm_for(algs.parse_alg_spec("ml-dsa:2"))
+    mislabeled = dataclasses.replace(doc, signature_alg=ml_dsa_44)
+    assert not x509.verify_csr(x509.parse_csr(mislabeled.emit()))
 
 
 def test_composite_csr_self_signature(rng):

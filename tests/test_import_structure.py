@@ -12,10 +12,13 @@ identity needs two objects. cli only prints: pem.read_block reads its
 PEM-or-DER inputs, x509.read_document picks certificate or request, and
 x509.verify_issued gives the whole verdict, the issuer's alternative key
 and the delta included, so cli touches no PEM armor, Catalyst triple or
-delta reader, and no error those raise. No module imports
-inside a function, and the package-internal imports form no cycle. The OID
-table is process state that algs.use_registry replaces, so no function
-takes it as a parameter."""
+delta reader, and no error those raise. Every signature verdict in x509
+comes from one check, the only caller of algs.verify there. The package
+itself re-exports nothing, so pqcli/__init__.py imports no package module
+and each name has one import path. No module imports inside a function,
+and the package-internal imports form no cycle. The OID table is process
+state that algs.use_registry replaces, so no function takes it as a
+parameter."""
 
 import ast
 import pathlib
@@ -137,3 +140,23 @@ def test_cli_leaves_reading_and_verdicts_to_pem_and_x509():
             referenced.add(node.name)
     assert referenced & decided_elsewhere == set()
     assert "chameleon" not in _package_imports("cli") | _package_imports("x509")
+
+
+def test_x509_calls_algs_verify_only_in_the_one_check():
+    tree = _tree("x509")
+
+    def verify_calls(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Attribute) and n.attr == "verify"
+                and isinstance(n.value, ast.Name) and n.value.id == "algs"]
+
+    check = [f for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name == "_check_signature"]
+    assert len(check) == 1
+    inside = verify_calls(check[0])
+    assert len(inside) == 1
+    assert verify_calls(tree) == inside
+
+
+def test_package_init_imports_no_package_module():
+    assert _package_imports("__init__") == set()
