@@ -3,8 +3,9 @@
 Values are immutable DerValue trees. The decoder accepts exactly canonical
 DER: definite minimal lengths, minimal tag and OID subidentifier encodings,
 primitive/constructed form as X.690 prescribes for each universal type, and
-canonical BOOLEAN, INTEGER, and BIT STRING content. That strictness is what
-makes decode/encode a byte-exact round trip, which the hybrid-certificate
+canonical BOOLEAN, INTEGER, and BIT STRING content; decode_time reads times
+of ASCII digits only (X.690 11.7/11.8). That strictness is what makes
+decode/encode a byte-exact round trip, which the hybrid-certificate
 pre-image reconstruction depends on.
 
 BER features (indefinite lengths, constructed strings) are rejected, and
@@ -177,24 +178,24 @@ def encode_time(moment: datetime.datetime) -> DerValue:
 
 
 def decode_time(value: DerValue) -> datetime.datetime:
+    """UTCTime YYMMDDHHMMSSZ or GeneralizedTime YYYYMMDDHHMMSSZ, digits only."""
     if value.cls != UNIVERSAL or value.tag not in (UTC_TIME, GENERALIZED_TIME):
         raise BadTag(f"not a time tag: {value.tag:#x} (class {value.cls:#x})")
-    text = value.content.decode("ascii", errors="replace")
+    text = value.content
+    year_digits = 2 if value.tag == UTC_TIME else 4
+    digits = text[:-1]
     try:
+        if len(text) != year_digits + 11 or text[-1:] != b"Z" or not digits.isdigit():
+            raise ValueError(text)
+        year = int(digits[:year_digits])
         if value.tag == UTC_TIME:
-            if len(text) != 13 or not text.endswith("Z"):
-                raise ValueError(text)
-            parsed = datetime.datetime.strptime(text, "%y%m%d%H%M%SZ")
             # UTCTime two-digit years: 50..99 -> 19xx, 00..49 -> 20xx
-            if parsed.year >= 2050:
-                parsed = parsed.replace(year=parsed.year - 100)
-        else:
-            if len(text) != 15 or not text.endswith("Z"):
-                raise ValueError(text)
-            parsed = datetime.datetime.strptime(text, "%Y%m%d%H%M%SZ")
+            year += 1900 if year >= 50 else 2000
+        fields = [int(digits[i:i + 2]) for i in range(year_digits, len(digits), 2)]
+        return datetime.datetime(year, *fields, tzinfo=datetime.timezone.utc)
     except ValueError:
+        text = text.decode("ascii", errors="replace")
         raise BadValue(f"malformed time string {text!r}") from None
-    return parsed.replace(tzinfo=datetime.timezone.utc)
 
 
 def normalize_time(moment: datetime.datetime) -> datetime.datetime:
@@ -355,13 +356,14 @@ def decode(data: bytes) -> DerValue:
     return value
 
 
-def tlv_bounds(data: bytes, pos: int) -> tuple[int, int]:
+def tlv_bounds(data: bytes, pos: int, end: int | None = None) -> tuple[int, int]:
     """(content start, end) of the TLV beginning at pos, without decoding
     it: data[pos:end] is the whole TLV and data[content start:end] its
-    content. Slices signed sub-structures (like a TBS) byte-exactly out of
-    a larger encoding.
+    content. A TLV running past end (by default, the end of data) raises
+    Truncated. Slices signed sub-structures (like a TBS) byte-exactly out
+    of a larger encoding.
     """
-    end = len(data)
+    end = len(data) if end is None else end
     _, _, _, after_tag = _read_tag(data, pos, end)
     length, after_len = _read_length(data, after_tag, end)
     if after_len + length > end:
@@ -369,6 +371,7 @@ def tlv_bounds(data: bytes, pos: int) -> tuple[int, int]:
     return after_len, after_len + length
 
 
-def wrap_sequence(content: bytes) -> bytes:
-    """SEQUENCE header around already-encoded content bytes."""
-    return b"\x30" + _encode_length(len(content)) + content
+def wrap_sequence(content: bytes, first_octet: int = 0x30) -> bytes:
+    """SEQUENCE header, or the header of the identifier octet first_octet,
+    around already-encoded content bytes."""
+    return bytes([first_octet]) + _encode_length(len(content)) + content

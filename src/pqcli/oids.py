@@ -76,13 +76,18 @@ class ObjectIdentifier:
 
     @classmethod
     def decode_content(cls, data: bytes) -> "ObjectIdentifier":
-        """Parse content octets; rejects non-minimal base-128 subidentifiers."""
+        """Parse content octets; rejects non-minimal base-128 subidentifiers.
+        A valid encoding is decoded once per process (see _DECODED)."""
+        data = bytes(data)
+        known = _DECODED.get(data)
+        if known is not None:
+            return known
         if not data:
             raise BadValue("empty OID content")
         arcs: list[int] = []
         value = 0
         pending = False
-        for i, byte in enumerate(data):
+        for byte in data:
             if not pending and byte == 0x80:
                 raise BadValue("non-minimal OID subidentifier")
             value = (value << 7) | (byte & 0x7F)
@@ -99,7 +104,17 @@ class ObjectIdentifier:
             head = (1, first - 40)
         else:
             head = (2, first - 80)
-        return cls(head + tuple(arcs[1:]))
+        decoded = cls(head + tuple(arcs[1:]))
+        if len(_DECODED) < _DECODED_LIMIT:
+            _DECODED[data] = decoded
+        return decoded
+
+
+# Decoded OIDs by content octets: a certificate's OIDs are decoded twice
+# (validated, then read) and repeat across certificates. Insert-only and
+# bounded; a rejected encoding is never stored, so it raises every time.
+_DECODED: dict[bytes, ObjectIdentifier] = {}
+_DECODED_LIMIT = 1024
 
 
 def oid(dotted: str) -> ObjectIdentifier:

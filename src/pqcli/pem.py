@@ -37,9 +37,10 @@ def decode_pem(text: str) -> list[tuple[str, bytes]]:
     label: str | None = None
     body: list[str] = []
     for raw in text.splitlines():
-        line = raw.rstrip("\r").strip()
-        begin = _BEGIN.match(line)
-        end = _END.match(line)
+        line = raw.strip()
+        armor = line.startswith("-----")  # both patterns are anchored on it
+        begin = armor and _BEGIN.match(line)
+        end = armor and _END.match(line)
         if begin:
             if label is not None:
                 raise MalformedPem(f"BEGIN {begin.group(1)} inside open {label} block")

@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from . import algs, der, pem
 from .errors import (
     AlgorithmMismatch,
+    BadTag,
     BadValue,
     DerError,
     DuplicateExtension,
@@ -41,6 +42,7 @@ from .errors import (
     NotACertificate,
     NotACsr,
     ReconstructionMismatch,
+    TrailingBytes,
 )
 from .names import DistinguishedName
 from .oids import (
@@ -69,6 +71,8 @@ ALT_EXTENSION_OIDS = (
     EXT_ALT_SIGNATURE_ALGORITHM,
     EXT_ALT_SIGNATURE_VALUE,
 )
+# The OID TLV that opens an altSignatureValue extension: 06 03 55 1d 4a
+_ALT_VALUE_OID_TLV = der.encode(der.oid_value(EXT_ALT_SIGNATURE_VALUE))
 
 
 # -- field codecs shared by the TBS, the delta descriptor and the request --
@@ -546,39 +550,40 @@ def sign_certificate(tbs: TbsCertificate,
 
 
 def alt_preimage(tbs_der: bytes) -> bytes:
-    """The bytes the alternative signature covers: the TBS with only the
-    altSignatureValue extension removed, re-encoded canonically.
+    """The bytes the alternative signature covers: the TBS with every
+    altSignatureValue extension cut out, the two enclosing lengths rebuilt,
+    and [3] left out once no extension is left in it.
 
-    Works on the raw structure so fields this tool does not model pass
-    through byte-exactly.
+    Spliced from the TBS's own byte spans, so fields this tool does not
+    model pass through byte-exactly; for strict DER this is the canonical
+    re-encoding of the remaining tree.
     """
-    value = der.decode(tbs_der)
-    value.expect(der.SEQUENCE)
-    out = []
-    removed = False
-    for child in value.children:
-        if (child.cls == der.CONTEXT and child.tag == 3 and child.constructed
-                and len(child.children) == 1):
-            kept = tuple(e for e in child.children[0].children
-                         if not _is_alt_value_extension(e))
-            if len(kept) != len(child.children[0].children):
-                removed = True
-            if not kept:
-                continue  # empty extension list is encoded as absent
-            out.append(der.explicit(3, der.seq(*kept)))
+    pos, end = der.tlv_bounds(tbs_der, 0)
+    if tbs_der[0] != 0x30 or end != len(tbs_der):
+        raise BadTag("TBS must be exactly one SEQUENCE")
+    fields, removed = [], False
+    while pos < end:
+        content, field_end = der.tlv_bounds(tbs_der, pos, end)
+        if tbs_der[pos] != 0xA3:  # anything but the [3] extensions wrapper
+            fields.append(tbs_der[pos:field_end])
         else:
-            out.append(child)
+            ext, exts_end = der.tlv_bounds(tbs_der, content, field_end)
+            if exts_end != field_end:
+                raise TrailingBytes("[3] holds more than the extension list")
+            kept = []
+            while ext < exts_end:
+                ext_content, ext_end = der.tlv_bounds(tbs_der, ext, exts_end)
+                if tbs_der.startswith(_ALT_VALUE_OID_TLV, ext_content, ext_end):
+                    removed = True
+                else:
+                    kept.append(tbs_der[ext:ext_end])
+                ext = ext_end
+            if kept:  # an empty extension list is encoded as absent
+                fields.append(der.wrap_sequence(der.wrap_sequence(b"".join(kept)), 0xA3))
+        pos = field_end
     if not removed:
         raise MalformedAltExtension("TBS carries no altSignatureValue extension")
-    return der.encode(der.seq(*out))
-
-
-def _is_alt_value_extension(ext: der.DerValue) -> bool:
-    try:
-        return (ext.tag == der.SEQUENCE and bool(ext.children)
-                and ext.children[0].as_oid() == EXT_ALT_SIGNATURE_VALUE)
-    except DerError:
-        return False
+    return der.wrap_sequence(b"".join(fields))
 
 
 def alt_verdict(cert: CertificateDocument,

@@ -1,10 +1,13 @@
 import dataclasses
+import random
 
 import pytest
 
 from pqcli import algs, catalyst, der, oids, x509
-from pqcli.errors import DuplicateExtension, MalformedAltExtension
+from pqcli.errors import DerError, DuplicateExtension, MalformedAltExtension
 from pqcli.names import parse_name
+
+import test_pinned_issuance as pinned
 
 
 def _base_tbs(native_key, subject="CN=hybrid", **kwargs):
@@ -168,3 +171,85 @@ def test_slh_dsa_alt(ec_key, slh_key):
     cert = catalyst.issue_catalyst(_base_tbs(ec_key), ec_key, slh_key)
     report = catalyst.verify_catalyst(cert)
     assert report.native_sig == x509.VALID and report.alt_sig == x509.VALID
+
+
+# -- alt_preimage against decode, filter and re-encode ---------------------
+
+def _reference_preimage(tbs_der):
+    """The preimage by decoding the whole TBS, dropping the
+    altSignatureValue extensions and re-encoding: the oracle for the
+    splice in x509.alt_preimage."""
+    value = der.decode(tbs_der)
+    value.expect(der.SEQUENCE)
+    out, removed = [], False
+    for child in value.children:
+        if (child.cls == der.CONTEXT and child.tag == 3 and child.constructed
+                and len(child.children) == 1):
+            kept = tuple(e for e in child.children[0].children
+                         if e.children[0].as_oid() != oids.EXT_ALT_SIGNATURE_VALUE)
+            removed |= len(kept) != len(child.children[0].children)
+            if kept:
+                out.append(der.explicit(3, der.seq(*kept)))
+        else:
+            out.append(child)
+    if not removed:
+        raise MalformedAltExtension("TBS carries no altSignatureValue extension")
+    return der.encode(der.seq(*out))
+
+
+def test_preimage_splice_matches_reencoding_on_pinned_pairs():
+    keys = {text: algs.generate_keypair(algs.parse_alg_spec(text), random.Random(text))
+            for pair in pinned.CATALYST for text in pair}
+    rng = random.Random(0x5EED)
+    other_subject = algs.spki_for_key(keys["ml-dsa:2"])
+    for native, alt in pinned.CATALYST:
+        for alt_subject in (None, other_subject):
+            cert = catalyst.issue_catalyst(pinned._tbs(keys[native], rng), keys[native],
+                                           keys[alt], alt_subject_spki=alt_subject)
+            assert x509.alt_preimage(cert.tbs_der) == _reference_preimage(cert.tbs_der)
+
+
+def test_preimage_splice_matches_reencoding_wherever_the_value_sits(ec_key):
+    value = x509.ExtensionBlock(oids.EXT_ALT_SIGNATURE_VALUE, False,
+                                der.encode(der.bit_string(bytes(200))))
+    critical_value = dataclasses.replace(value, critical=True)
+    bc = x509.basic_constraints_extension()
+    ski = x509.subject_key_id_extension(algs.spki_for_key(ec_key))
+    tbs = _base_tbs(ec_key, add_default_extensions=False)
+    for extensions in ((value, bc, ski), (bc, value, ski), (bc, ski, value), (value,),
+                       (value, bc, critical_value), (critical_value, value)):
+        tbs_der = dataclasses.replace(tbs, extensions=extensions).der
+        spliced = x509.alt_preimage(tbs_der)
+        assert spliced == _reference_preimage(tbs_der)
+        assert x509.TbsCertificate.from_der_value(der.decode(spliced)).extensions == tuple(
+            e for e in extensions if e.oid != oids.EXT_ALT_SIGNATURE_VALUE)
+    with pytest.raises(MalformedAltExtension):
+        x509.alt_preimage(dataclasses.replace(tbs, extensions=(bc, ski)).der)
+    with pytest.raises(MalformedAltExtension):
+        x509.alt_preimage(tbs.der)
+
+
+def test_preimage_of_a_truncated_extensions_field_raises(hybrid_cert):
+    tbs_der = hybrid_cert.tbs_der
+    content, _ = der.tlv_bounds(tbs_der, 0)
+    fields = []
+    while content < len(tbs_der):
+        _, end = der.tlv_bounds(tbs_der, content)
+        fields.append(tbs_der[content:end])
+        content = end
+    assert fields[-1][0] == 0xA3
+    for cut in (1, 100, len(fields[-1]) - 2):
+        broken = der.wrap_sequence(b"".join(fields[:-1]) + fields[-1][:-cut])
+        with pytest.raises(DerError):
+            x509.alt_preimage(broken)
+        with pytest.raises(DerError):
+            _reference_preimage(broken)
+    # [3] holding more than its one extension list
+    exts_start, _ = der.tlv_bounds(fields[-1], 0)
+    extra = der.wrap_sequence(fields[-1][exts_start:] + b"\x05\x00", 0xA3)
+    with pytest.raises(DerError):
+        x509.alt_preimage(der.wrap_sequence(b"".join(fields[:-1]) + extra))
+    with pytest.raises(DerError):
+        x509.alt_preimage(tbs_der[:-1])
+    with pytest.raises(DerError):
+        x509.alt_preimage(tbs_der + b"\x00")

@@ -1,17 +1,20 @@
 import datetime
 import random
 
+import cryptography.x509
 import pytest
 
-from pqcli import der
+from pqcli import algs, der, oids, x509
 from pqcli.errors import (
     BadTag,
     BadValue,
     DerError,
     NonCanonicalLength,
+    PqcliError,
     TrailingBytes,
     Truncated,
 )
+from pqcli.names import parse_name
 from pqcli.oids import ObjectIdentifier
 
 
@@ -82,6 +85,51 @@ def test_oid_round_trip():
 def test_oid_rejects_non_minimal_subidentifier():
     with pytest.raises(BadValue):
         der.decode(b"\x06\x04\x55\x1d\x80\x48")
+
+
+def test_oid_decoded_once_per_encoding(monkeypatch, ec_key, ml2_key):
+    """The first read of a certificate builds one ObjectIdentifier per
+    distinct OID encoding in it; a second read builds none."""
+    name = parse_name("CN=interned")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(7),
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key, ml2_key).emit()
+    encodings = set()
+
+    def collect(value):
+        if value.tag == der.OID and value.cls == der.UNIVERSAL:
+            encodings.add(value.content)
+        for child in value.children:
+            collect(child)
+
+    collect(der.decode(blob))
+    monkeypatch.setattr(oids, "_DECODED", {})
+    built = []
+    plain_init = ObjectIdentifier.__init__
+
+    def counting_init(self, value):
+        built.append(value)
+        plain_init(self, value)
+
+    monkeypatch.setattr(ObjectIdentifier, "__init__", counting_init)
+    x509.parse_certificate(blob)
+    assert len(built) == len(encodings) == len(oids._DECODED)
+    built.clear()
+    x509.parse_certificate(blob)
+    assert built == []
+
+
+def test_oid_table_keeps_no_rejected_encoding_and_stays_bounded(monkeypatch):
+    monkeypatch.setattr(oids, "_DECODED", {})
+    for bad, error in ((b"\x55\x1d\x80\x48", BadValue), (b"\x55\x9d", Truncated)):
+        for _ in range(2):
+            with pytest.raises(error):
+                ObjectIdentifier.decode_content(bad)
+    assert oids._DECODED == {}
+    values = [ObjectIdentifier((1, 2, arc)) for arc in range(oids._DECODED_LIMIT + 8)]
+    for _ in range(2):
+        assert [ObjectIdentifier.decode_content(v.encode_content()) for v in values] == values
+    assert len(oids._DECODED) == oids._DECODED_LIMIT
 
 
 def test_length_forms():
@@ -190,6 +238,42 @@ def test_time_codec_utc_and_generalized():
     with pytest.raises(BadValue):
         der.decode_time(der.DerValue(der.UTC_TIME, content=b"26082312000Z"))
 
+    # the UTCTime pivot at its two ends
+    for text, moment in ((b"500101000000Z", datetime.datetime(1950, 1, 1, tzinfo=utc)),
+                         (b"491231235959Z", datetime.datetime(2049, 12, 31, 23, 59, 59,
+                                                              tzinfo=utc))):
+        value = der.DerValue(der.UTC_TIME, content=text)
+        assert der.decode_time(value) == moment
+        assert der.encode_time(moment) == value
+
+    # digits only, every field in range: a space-padded day, a sign,
+    # second 60, month 13, 30 February
+    for tag, text in ((der.UTC_TIME, b"2601 1000000Z"), (der.UTC_TIME, b"26+101000000Z"),
+                      (der.GENERALIZED_TIME, b"2026010100000 Z"),
+                      (der.GENERALIZED_TIME, b"+0260101000000Z"),
+                      (der.UTC_TIME, b"260101000060Z"), (der.UTC_TIME, b"261301000000Z"),
+                      (der.GENERALIZED_TIME, b"20260230000000Z")):
+        with pytest.raises(BadValue):
+            der.decode_time(der.DerValue(tag, content=text))
+
+
+def test_space_padded_time_is_rejected_as_the_oracle_rejects_it(ec_key):
+    """Read as 2026-01-01, "2601 1000000Z" would re-encode without the
+    space and the TBS would not round-trip; cryptography rejects it too."""
+    start = datetime.datetime(2026, 1, 1, tzinfo=datetime.timezone.utc)
+    name = parse_name("CN=padded")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key),
+                         (start, start + datetime.timedelta(days=30)),
+                         algs.signature_algorithm_for(ec_key.spec))
+    good = x509.sign_certificate(tbs, ec_key).emit()
+    assert good.count(b"260101000000Z") == 1
+    padded = good.replace(b"260101000000Z", b"2601 1000000Z")
+    cryptography.x509.load_der_x509_certificate(good)
+    with pytest.raises(ValueError):
+        cryptography.x509.load_der_x509_certificate(padded)
+    with pytest.raises(PqcliError):
+        x509.parse_certificate(padded)
+
 
 def test_typed_readers_take_universal_tags_only():
     """A context tag that shares its number with a string or time type is
@@ -218,6 +302,8 @@ def test_tlv_bounds():
     assert blob[cstart:end] == inner
     _, first_end = der.tlv_bounds(blob, cstart)
     assert blob[cstart:first_end] == der.encode(der.integer(7))
+    with pytest.raises(Truncated):
+        der.tlv_bounds(blob, cstart, first_end - 1)  # a TLV past the given end
 
 
 def test_high_tag_numbers():
