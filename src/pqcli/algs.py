@@ -228,7 +228,10 @@ class Registry:
             name, sep, value = line.partition("=")
             if not sep:
                 raise InvalidParameter(f"OID table line {lineno}: expected name = oid")
-            table[name.strip().lower()] = ObjectIdentifier(value.strip())
+            try:
+                table[name.strip().lower()] = ObjectIdentifier(value.strip())
+            except BadValue as exc:
+                raise InvalidParameter(f"OID table line {lineno}: {exc}") from None
         return Registry(table)
 
     @classmethod

@@ -126,18 +126,34 @@ def _write(path: pathlib.Path, label: str, payload: bytes, as_der: bool) -> None
         pem.write_pem(path, label, payload)
 
 
-def _write_keys(path: pathlib.Path, records, as_der: bool) -> list[pathlib.Path]:
-    """One or two private keys, owner-only: one file of PEM blocks, or for
+def _key_paths(path: pathlib.Path, count: int, as_der: bool) -> list[pathlib.Path]:
+    """Files for one or two private keys: one file of PEM blocks, or for
     DER, which has no framing for two keys, the second in a .alt file."""
+    if as_der and count == 2:
+        return [path, path.with_name(f"{path.stem}.alt{path.suffix}")]
+    return [path]
+
+
+def _check_distinct(*paths: pathlib.Path) -> None:
+    """Refuse, before anything is written, paths that name one file: the
+    later write would destroy the earlier."""
+    seen = {}
+    for path in paths:
+        key = path.resolve()
+        if key in seen:
+            raise PqcliError(f"{seen[key]} and {path} are the same file; nothing written")
+        seen[key] = path
+
+
+def _write_keys(paths: list[pathlib.Path], records, as_der: bool) -> None:
+    """Private keys, owner-only, into the files _key_paths named."""
     if not as_der:
         pem.write_private_key_blocks(
-            path, [(pem.LABEL_PRIVATE_KEY, r.private) for r in records])
-        return [path]
-    paths = [path, path.with_name(f"{path.stem}.alt{path.suffix}")][:len(records)]
+            paths[0], [(pem.LABEL_PRIVATE_KEY, r.private) for r in records])
+        return
     for target, record in zip(paths, records):
         with pem.open_private(target) as handle:
             handle.write(record.private)
-    return paths
 
 
 # -- commands -----------------------------------------------------------
@@ -154,6 +170,8 @@ def cmd_cert(args) -> int:
         if len(texts) != 2 or not all(texts):
             raise MalformedSpec("hybrid -newkey takes exactly two comma-joined specs")
     specs = [algs.parse_alg_spec(text) for text in texts]
+    key_paths = _key_paths(keyout, len(specs), args.der)
+    _check_distinct(out, *key_paths)
     records = [algs.generate_keypair(spec) for spec in specs]
     tbs = x509.build_tbs(subject, subject, algs.spki_for_key(records[0]), validity,
                          algs.signature_algorithm_for(specs[0]))
@@ -163,7 +181,7 @@ def cmd_cert(args) -> int:
     kind = prefix + "+".join(map(str, specs))
 
     _write(out, pem.LABEL_CERTIFICATE, cert.emit(), args.der)
-    key_paths = _write_keys(keyout, records, args.der)
+    _write_keys(key_paths, records, args.der)
     print(f"wrote {out} and {', '.join(str(p) for p in key_paths)} "
           f"({kind}, self-signed, {args.days} days)")
     return 0
@@ -171,10 +189,11 @@ def cmd_cert(args) -> int:
 
 def cmd_key(args) -> int:
     spec = algs.parse_alg_spec(args.t)
-    keypair = algs.generate_keypair(spec)
     out = pathlib.Path(args.out or "private_key.pem")
     pub = out.with_suffix(".pub")
-    _write_keys(out, [keypair], args.der)
+    _check_distinct(out, pub)
+    keypair = algs.generate_keypair(spec)
+    _write_keys([out], [keypair], args.der)
     _write(pub, pem.LABEL_PUBLIC_KEY, algs.spki_for_key(keypair).der, args.der)
     print(f"wrote {out} and {pub} ({spec})")
     return 0
@@ -183,20 +202,20 @@ def cmd_key(args) -> int:
 def cmd_csr(args) -> int:
     subject = parse_name(args.subj)
     out = pathlib.Path(args.out or "csr.pem")
+    # written with -newkey; with -key, read, and the request must not replace it
+    key_path = pathlib.Path((args.keyout or "private_key.pem") if args.newkey else args.key)
+    _check_distinct(key_path, out)
     if args.newkey:
-        spec = algs.parse_alg_spec(args.newkey)
-        keypair = algs.generate_keypair(spec)
-        keyout = pathlib.Path(args.keyout or "private_key.pem")
-        key_paths = _write_keys(keyout, [keypair], args.der)
+        keypair = algs.generate_keypair(algs.parse_alg_spec(args.newkey))
+        _write_keys([key_path], [keypair], args.der)
     else:
         # undecodable text around a key's armor is no error, unlike a certificate's
-        _, blob = pem.read_block(pathlib.Path(args.key).read_bytes(),
-                                 (pem.LABEL_PRIVATE_KEY,), errors="replace")
+        _, blob = pem.read_block(key_path.read_bytes(), (pem.LABEL_PRIVATE_KEY,),
+                                 errors="replace")
         keypair = algs.load_private_key(blob)
-        key_paths = []
     doc = x509.build_csr(subject, keypair)
     _write(out, pem.LABEL_CSR, doc.emit(), args.der)
-    extra = f" and {key_paths[0]}" if key_paths else ""
+    extra = f" and {key_path}" if args.newkey else ""
     print(f"wrote {out}{extra} ({keypair.spec}, subject {subject})")
     return 0
 

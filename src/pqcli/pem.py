@@ -12,7 +12,8 @@ import binascii
 import os
 import re
 
-from .errors import MalformedPem
+from . import der
+from .errors import DerError, MalformedPem
 
 LABEL_CERTIFICATE = "CERTIFICATE"
 LABEL_PRIVATE_KEY = "PRIVATE KEY"
@@ -71,9 +72,9 @@ def read_block(data: bytes, labels, errors: str = "strict") -> tuple[str | None,
     """(label, DER) of the first block whose label comes earliest in labels,
     the armor decoded once; DER passes through unchanged as (None, data).
     The text is UTF-8 under errors, as for bytes.decode."""
-    # DER certificates, requests and keys begin with a SEQUENCE tag, and
-    # their names may hold the BEGIN text
-    if data.startswith(b"\x30") or b"-----BEGIN" not in data:
+    # DER certificates, requests and keys are one SEQUENCE, and their names
+    # may hold the BEGIN text
+    if b"-----BEGIN" not in data or _is_one_sequence(data):
         return None, bytes(data)
     try:
         blocks = dict(reversed(decode_pem(data.decode("utf-8", errors))))
@@ -83,6 +84,13 @@ def read_block(data: bytes, labels, errors: str = "strict") -> tuple[str | None,
         if label in blocks:
             return label, blocks[label]
     raise MalformedPem(f"no {labels[0]} block in PEM input")
+
+
+def _is_one_sequence(data: bytes) -> bool:
+    try:
+        return data.startswith(b"\x30") and der.tlv_bounds(data, 0)[1] == len(data)
+    except DerError:
+        return False
 
 
 def write_pem(path, label: str, payload: bytes) -> None:

@@ -13,11 +13,20 @@ Hashing core: nearly all the time goes into the tweakable hashes
 SHAKE-256(PK.seed || ADRS || M), so each is one bytes concatenation and
 one shake_256 call. An address is immutable bytes packed by one struct
 (_ADRS). The part of PK.seed || ADRS that stays constant over a WOTS+ key
-pair, a chain, an XMSS node or the FORS trees of a signature is
+pair, a chain, an XMSS tree or the FORS trees of a signature is
 concatenated once as a prefix; the loops below it append only the
 varying words (hash step, tree height, tree index), taken from _WORDS
-where they are small. The functions and the number of SHAKE calls follow
-the FIPS 205 algorithms one to one.
+where they are small.
+
+The SHAKE calls are FIPS 205's, one for one, but each structure that
+FIPS 205 writes out twice has one routine here (FIPS 205 name: routine):
+  chain, in wots_pkGen, wots_sign, wots_pkFromSig: _wots_chains
+  xmss_node, fors_node: _node
+  the paths of xmss_sign, fors_sign: _auth_path
+  the climbs of xmss_pkFromSig, fors_pkFromSig: _root_from_path
+  ht_sign, ht_verify: _ht_walk
+The rest of an algorithm is the function of its name: wots_pkGen is
+_wots_pk, wots_pkFromSig _wots_pk_from_sig, fors_sign _fors_sign, etc.
 
 Not constant-time; fine for certificate tooling, not for production
 signing on shared hardware.
@@ -29,10 +38,11 @@ import hashlib
 import os
 import struct
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 
 # All SHAKE parameter sets use w=16, so base-w digits are nibbles and the
-# WOTS+ checksum always occupies len2=3 digits packed into 2 bytes.
-_LG_W = 4
+# WOTS+ checksum always occupies len2=3 digits.
 _W = 16
 
 
@@ -60,7 +70,7 @@ class ParameterSet:
 
 def _make(name: str, n: int, h: int, d: int, a: int, k: int) -> ParameterSet:
     hp = h // d
-    len1 = (8 * n + _LG_W - 1) // _LG_W
+    len1 = 2 * n
     len2 = 3
     wots_len = len1 + len2
     md_bytes = (k * a + 7) // 8
@@ -108,11 +118,7 @@ _WORDS = tuple(_U32.pack(i)
                for i in range(max(ps.wots_len for ps in PARAMETER_SETS.values())))
 
 
-# -- message hashes -----------------------------------------------------
-
-def _PRF_msg(ps: ParameterSet, sk_prf: bytes, opt_rand: bytes, msg: bytes) -> bytes:
-    return hashlib.shake_256(sk_prf + opt_rand + msg).digest(ps.n)
-
+# -- message hash -------------------------------------------------------
 
 def _H_msg(ps: ParameterSet, r: bytes, pk_seed: bytes, pk_root: bytes, msg: bytes) -> bytes:
     return hashlib.shake_256(r + pk_seed + pk_root + msg).digest(ps.m)
@@ -120,217 +126,177 @@ def _H_msg(ps: ParameterSet, r: bytes, pk_seed: bytes, pk_root: bytes, msg: byte
 
 # -- WOTS+ --------------------------------------------------------------
 
-def _chain(n: int, x: bytes, start: int, steps: int, prefix: bytes) -> bytes:
-    """F applied `steps` times from hash step `start`; prefix is
-    PK.seed || ADRS up to and including the chain word."""
-    shake = hashlib.shake_256
-    for i in range(start, start + steps):
-        x = shake(prefix + _WORDS[i] + x).digest(n)
-    return x
+def _wots_digits(msg: bytes) -> list[int]:
+    """Message nibbles plus the len2 = 3 nibbles of the WOTS+ checksum."""
+    digits = [d for byte in msg for d in (byte >> 4, byte & 0x0F)]
+    csum = (_W - 1) * len(digits) - sum(digits)
+    return digits + [csum >> 8, (csum >> 4) & 0x0F, csum & 0x0F]
 
 
-def _wots_digits(ps: ParameterSet, msg: bytes) -> list[int]:
-    """Message nibbles plus the WOTS+ checksum digits."""
-    digits = []
-    for byte in msg:
-        digits.append(byte >> 4)
-        digits.append(byte & 0x0F)
-    digits = digits[:ps.len1]
-    csum = sum(_W - 1 - v for v in digits)
-    csum <<= (8 - ((ps.len2 * _LG_W) % 8)) % 8
-    csum_bytes = csum.to_bytes((ps.len2 * _LG_W + 7) // 8, "big")
-    for i in range(ps.len2):
-        digits.append((csum_bytes[i // 2] >> (4 if i % 2 == 0 else 0)) & 0x0F)
-    return digits
-
-
-def _wots_pk_compress(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, kp: int,
-                      chains: list[bytes]) -> bytes:
-    adrs = _ADRS.pack(layer, tree, _TYPE_WOTS_PK, kp, 0, 0)
-    return hashlib.shake_256(pk_seed + adrs + b"".join(chains)).digest(ps.n)
-
-
-def _wots_chains(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
-                 kp: int, steps: list[int]) -> list[bytes]:
-    """Chain i of key pair kp run steps[i] times from its secret value."""
-    sk_prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_PRF, kp, 0, 0)[:24]
-    chain_prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_HASH, kp, 0, 0)[:24]
-    sk_suffix = _WORDS[0] + sk_seed
+def _wots_chains(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, kp: int,
+                 values, starts, stops) -> list[bytes]:
+    """FIPS 205 chain() over every chain of key pair kp: chain i takes
+    values[i] from hash step starts[i] up to stops[i]."""
+    prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_HASH, kp, 0, 0)[:24]
     shake, n = hashlib.shake_256, ps.n
-    chains = []
-    for i, count in enumerate(steps):
-        word = _WORDS[i]
-        sk = shake(sk_prefix + word + sk_suffix).digest(n)
-        chains.append(_chain(n, sk, 0, count, chain_prefix + word))
-    return chains
+    ends = []
+    for word, x, start, stop in zip(_WORDS, values, starts, stops):
+        chain = prefix + word
+        for step in range(start, stop):
+            x = shake(chain + _WORDS[step] + x).digest(n)
+        ends.append(x)
+    return ends
+
+
+def _wots_from_secrets(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int,
+                       tree: int, kp: int, stops) -> list[bytes]:
+    """Chain i of key pair kp run from its secret value up to stops[i]."""
+    prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_PRF, kp, 0, 0)[:24]
+    suffix = _WORDS[0] + sk_seed
+    shake, n = hashlib.shake_256, ps.n
+    secrets = [shake(prefix + _WORDS[i] + suffix).digest(n) for i in range(ps.wots_len)]
+    return _wots_chains(ps, pk_seed, layer, tree, kp, secrets, repeat(0), stops)
+
+
+def _wots_compress(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, kp: int,
+                   ends: list[bytes]) -> bytes:
+    adrs = _ADRS.pack(layer, tree, _TYPE_WOTS_PK, kp, 0, 0)
+    return hashlib.shake_256(pk_seed + adrs + b"".join(ends)).digest(ps.n)
 
 
 def _wots_pk(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
              kp: int) -> bytes:
-    chains = _wots_chains(ps, sk_seed, pk_seed, layer, tree, kp, [_W - 1] * ps.wots_len)
-    return _wots_pk_compress(ps, pk_seed, layer, tree, kp, chains)
+    ends = _wots_from_secrets(ps, sk_seed, pk_seed, layer, tree, kp, repeat(_W - 1))
+    return _wots_compress(ps, pk_seed, layer, tree, kp, ends)
 
 
 def _wots_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, pk_seed: bytes, layer: int,
                tree: int, kp: int) -> bytes:
-    digits = _wots_digits(ps, msg)
-    return b"".join(_wots_chains(ps, sk_seed, pk_seed, layer, tree, kp, digits))
+    digits = _wots_digits(msg)
+    return b"".join(_wots_from_secrets(ps, sk_seed, pk_seed, layer, tree, kp, digits))
 
 
 def _wots_pk_from_sig(ps: ParameterSet, sig: bytes, msg: bytes, pk_seed: bytes, layer: int,
                       tree: int, kp: int) -> bytes:
-    chain_prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_HASH, kp, 0, 0)[:24]
     n = ps.n
-    chains = []
-    for i, digit in enumerate(_wots_digits(ps, msg)):
-        chains.append(_chain(n, sig[i * n:(i + 1) * n], digit, _W - 1 - digit,
-                             chain_prefix + _WORDS[i]))
-    return _wots_pk_compress(ps, pk_seed, layer, tree, kp, chains)
+    values = [sig[i:i + n] for i in range(0, ps.wots_len * n, n)]
+    ends = _wots_chains(ps, pk_seed, layer, tree, kp, values, _wots_digits(msg),
+                        repeat(_W - 1))
+    return _wots_compress(ps, pk_seed, layer, tree, kp, ends)
 
 
-# -- XMSS ---------------------------------------------------------------
+# -- Merkle trees -------------------------------------------------------
+# XMSS and FORS trees hash a node as SHAKE(prefix || height || index ||
+# left || right), where prefix is PK.seed || ADRS[:24] of the tree; they
+# differ only in their leaves. A FORS signature's k trees share one prefix,
+# so leaf idx of FORS tree i takes the global index g = (i << a) + idx. For
+# both kinds the node above leaf g at height j is then g >> j, and its
+# sibling (g >> j) ^ 1.
 
-def _tree_hash(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, z: int, i: int,
-               children: bytes) -> bytes:
-    adrs = _ADRS.pack(layer, tree, _TYPE_TREE, 0, z, i)
-    return hashlib.shake_256(pk_seed + adrs + children).digest(ps.n)
+def _node_hash(n: int, prefix: bytes, z: int, i: int, data: bytes) -> bytes:
+    return hashlib.shake_256(prefix + _WORDS[z] + _U32.pack(i) + data).digest(n)
 
 
-def _xmss_node(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, i: int, z: int,
-               layer: int, tree: int) -> bytes:
+def _node(n: int, prefix: bytes, leaf, i: int, z: int) -> bytes:
+    """Node i at height z, with leaf(i) giving the leaves."""
     if z == 0:
-        return _wots_pk(ps, sk_seed, pk_seed, layer, tree, i)
-    left = _xmss_node(ps, sk_seed, pk_seed, 2 * i, z - 1, layer, tree)
-    right = _xmss_node(ps, sk_seed, pk_seed, 2 * i + 1, z - 1, layer, tree)
-    return _tree_hash(ps, pk_seed, layer, tree, z, i, left + right)
+        return leaf(i)
+    return _node_hash(n, prefix, z, i, _node(n, prefix, leaf, 2 * i, z - 1)
+                      + _node(n, prefix, leaf, 2 * i + 1, z - 1))
 
 
-def _xmss_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, idx: int,
-               pk_seed: bytes, layer: int, tree: int) -> tuple[bytes, bytes]:
-    sig = _wots_sign(ps, msg, sk_seed, pk_seed, layer, tree, idx)
-    auth = []
-    node = idx
-    for j in range(ps.hp):
-        auth.append(_xmss_node(ps, sk_seed, pk_seed, node ^ 1, j, layer, tree))
-        node >>= 1
-    return sig, b"".join(auth)
+def _auth_path(n: int, prefix: bytes, leaf, g: int, height: int) -> bytes:
+    return b"".join(_node(n, prefix, leaf, (g >> j) ^ 1, j) for j in range(height))
 
 
-def _xmss_root_from_sig(ps: ParameterSet, idx: int, sig: bytes, auth: bytes,
-                        msg: bytes, pk_seed: bytes, layer: int, tree: int) -> bytes:
-    node = _wots_pk_from_sig(ps, sig, msg, pk_seed, layer, tree, idx)
-    for j in range(ps.hp):
-        sibling = auth[j * ps.n:(j + 1) * ps.n]
-        children = node + sibling if (idx >> j) & 1 == 0 else sibling + node
-        node = _tree_hash(ps, pk_seed, layer, tree, j + 1, idx >> (j + 1), children)
+def _root_from_path(n: int, prefix: bytes, node: bytes, g: int, auth: bytes,
+                    height: int) -> bytes:
+    """Climb from leaf g, whose value is node, to the root."""
+    for j in range(height):
+        sibling = auth[j * n:(j + 1) * n]
+        children = node + sibling if (g >> j) & 1 == 0 else sibling + node
+        node = _node_hash(n, prefix, j + 1, g >> (j + 1), children)
     return node
 
 
-# -- hypertree ----------------------------------------------------------
+# -- XMSS and the hypertree ---------------------------------------------
 
-def _ht_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, pk_seed: bytes,
-             idx_tree: int, idx_leaf: int) -> bytes:
-    sig, auth = _xmss_sign(ps, msg, sk_seed, idx_leaf, pk_seed, 0, idx_tree)
-    parts = [sig, auth]
-    root = _xmss_root_from_sig(ps, idx_leaf, sig, auth, msg, pk_seed, 0, idx_tree)
-    for j in range(1, ps.d):
-        idx_leaf = idx_tree % (1 << ps.hp)
-        idx_tree >>= ps.hp
-        sig, auth = _xmss_sign(ps, root, sk_seed, idx_leaf, pk_seed, j, idx_tree)
-        parts.append(sig)
-        parts.append(auth)
-        if j < ps.d - 1:
-            root = _xmss_root_from_sig(ps, idx_leaf, sig, auth, root, pk_seed, j, idx_tree)
-    return b"".join(parts)
+def _xmss_prefix(pk_seed: bytes, layer: int, tree: int) -> bytes:
+    return pk_seed + _ADRS.pack(layer, tree, _TYPE_TREE, 0, 0, 0)[:24]
 
 
-def _ht_verify(ps: ParameterSet, msg: bytes, sig_ht: bytes, pk_seed: bytes,
-               idx_tree: int, idx_leaf: int, pk_root: bytes) -> bool:
-    layer = (ps.wots_len + ps.hp) * ps.n
-    node = msg
-    offset = 0
-    for j in range(ps.d):
-        if j > 0:
-            idx_leaf = idx_tree % (1 << ps.hp)
-            idx_tree >>= ps.hp
-        sig = sig_ht[offset:offset + ps.wots_len * ps.n]
-        auth = sig_ht[offset + ps.wots_len * ps.n:offset + layer]
-        offset += layer
-        node = _xmss_root_from_sig(ps, idx_leaf, sig, auth, node, pk_seed, j, idx_tree)
-    return node == pk_root
+def _xmss_sign(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
+               idx: int, msg: bytes) -> bytes:
+    """WOTS+ signature of key pair idx, then its authentication path."""
+    leaf = partial(_wots_pk, ps, sk_seed, pk_seed, layer, tree)
+    return (_wots_sign(ps, msg, sk_seed, pk_seed, layer, tree, idx)
+            + _auth_path(ps.n, _xmss_prefix(pk_seed, layer, tree), leaf, idx, ps.hp))
+
+
+def _xmss_pk_from_sig(ps: ParameterSet, idx: int, sig: bytes, msg: bytes, pk_seed: bytes,
+                      layer: int, tree: int) -> bytes:
+    wots_size = ps.wots_len * ps.n
+    node = _wots_pk_from_sig(ps, sig[:wots_size], msg, pk_seed, layer, tree, idx)
+    return _root_from_path(ps.n, _xmss_prefix(pk_seed, layer, tree), node, idx,
+                           sig[wots_size:], ps.hp)
+
+
+def _ht_walk(ps: ParameterSet, msg: bytes, pk_seed: bytes, idx_tree: int, idx_leaf: int,
+             xmss_sig, top_root: bool) -> tuple[bytes, bytes]:
+    """Walk up the d layers: layer j's XMSS signature of msg is xmss_sig(j,
+    tree, leaf, msg), and its root is the msg of layer j + 1. Returns the
+    signatures joined and the last root computed, the top one if top_root."""
+    sigs = []
+    for layer in range(ps.d):
+        sig = xmss_sig(layer, idx_tree, idx_leaf, msg)
+        sigs.append(sig)
+        if top_root or layer < ps.d - 1:
+            msg = _xmss_pk_from_sig(ps, idx_leaf, sig, msg, pk_seed, layer, idx_tree)
+        idx_tree, idx_leaf = idx_tree >> ps.hp, idx_tree & ((1 << ps.hp) - 1)
+    return b"".join(sigs), msg
 
 
 # -- FORS ---------------------------------------------------------------
-# Every FORS address of one signature shares layer 0, the tree and the key
-# pair; the FORS trees differ only in their tree indices. So one prefix
-# PK.seed || ADRS[:24] per address type serves all k trees.
 
-def _fors_prefixes(pk_seed: bytes, tree: int, kp: int) -> tuple[bytes, bytes]:
-    """The secret-key PRF prefix, which includes its height word 0, and
-    the node prefix, to which each node appends its height and index."""
-    return (pk_seed + _ADRS.pack(0, tree, _TYPE_FORS_PRF, kp, 0, 0)[:28],
-            pk_seed + _ADRS.pack(0, tree, _TYPE_FORS_TREE, kp, 0, 0)[:24])
+def _fors_prefix(pk_seed: bytes, tree: int, kp: int) -> bytes:
+    return pk_seed + _ADRS.pack(0, tree, _TYPE_FORS_TREE, kp, 0, 0)[:24]
 
 
-def _fors_sk(ps: ParameterSet, sk_seed: bytes, sk_prefix: bytes, idx: int) -> bytes:
-    return hashlib.shake_256(sk_prefix + _U32.pack(idx) + sk_seed).digest(ps.n)
-
-
-def _fors_node(ps: ParameterSet, sk_seed: bytes, sk_prefix: bytes, node_prefix: bytes,
-               i: int, z: int) -> bytes:
-    if z == 0:
-        children = _fors_sk(ps, sk_seed, sk_prefix, i)
-    else:
-        children = (_fors_node(ps, sk_seed, sk_prefix, node_prefix, 2 * i, z - 1)
-                    + _fors_node(ps, sk_seed, sk_prefix, node_prefix, 2 * i + 1, z - 1))
-    return hashlib.shake_256(node_prefix + _WORDS[z] + _U32.pack(i) + children).digest(ps.n)
-
-
-def _fors_indices(ps: ParameterSet, md: bytes) -> list[int]:
-    """Split the digest into k indices of a bits each, left to right."""
+def _fors_leaves(ps: ParameterSet, md: bytes) -> list[int]:
+    """Split the digest into k indices of a bits each, left to right, and
+    return each as its global leaf index."""
     bits = int.from_bytes(md[:ps.md_bytes], "big")
-    total = ps.md_bytes * 8
-    out = []
-    for i in range(ps.k):
-        shift = total - (i + 1) * ps.a
-        out.append((bits >> shift) & ((1 << ps.a) - 1))
-    return out
+    total, mask = ps.md_bytes * 8, (1 << ps.a) - 1
+    return [(i << ps.a) + ((bits >> (total - (i + 1) * ps.a)) & mask) for i in range(ps.k)]
 
 
 def _fors_sign(ps: ParameterSet, md: bytes, sk_seed: bytes, pk_seed: bytes,
                tree: int, kp: int) -> bytes:
-    sk_prefix, node_prefix = _fors_prefixes(pk_seed, tree, kp)
-    out = []
-    for i, idx in enumerate(_fors_indices(ps, md)):
-        out.append(_fors_sk(ps, sk_seed, sk_prefix, (i << ps.a) + idx))
-        for j in range(ps.a):
-            sibling = (idx >> j) ^ 1
-            out.append(_fors_node(ps, sk_seed, sk_prefix, node_prefix,
-                                  (i << (ps.a - j)) + sibling, j))
-    return b"".join(out)
+    n, node_prefix = ps.n, _fors_prefix(pk_seed, tree, kp)
+    # the secret-key PRF address ends in height 0, then the leaf index
+    sk_prefix = pk_seed + _ADRS.pack(0, tree, _TYPE_FORS_PRF, kp, 0, 0)[:28]
+
+    def secret(g: int) -> bytes:
+        return hashlib.shake_256(sk_prefix + _U32.pack(g) + sk_seed).digest(n)
+
+    def leaf(g: int) -> bytes:
+        return _node_hash(n, node_prefix, 0, g, secret(g))
+
+    return b"".join(secret(g) + _auth_path(n, node_prefix, leaf, g, ps.a)
+                    for g in _fors_leaves(ps, md))
 
 
 def _fors_pk_from_sig(ps: ParameterSet, sig: bytes, md: bytes, pk_seed: bytes,
                       tree: int, kp: int) -> bytes:
-    node_prefix = _fors_prefixes(pk_seed, tree, kp)[1]
-    shake, n = hashlib.shake_256, ps.n
+    node_prefix = _fors_prefix(pk_seed, tree, kp)
+    n, size = ps.n, (1 + ps.a) * ps.n
     roots = []
-    offset = 0
-    for i, idx in enumerate(_fors_indices(ps, md)):
-        tree_index = (i << ps.a) + idx
-        node = shake(node_prefix + _WORDS[0] + _U32.pack(tree_index)
-                     + sig[offset:offset + n]).digest(n)
-        offset += n
-        for j in range(ps.a):
-            sibling = sig[offset:offset + n]
-            offset += n
-            children = node + sibling if (idx >> j) & 1 == 0 else sibling + node
-            tree_index >>= 1
-            node = shake(node_prefix + _WORDS[j + 1] + _U32.pack(tree_index)
-                         + children).digest(n)
-        roots.append(node)
+    for offset, g in zip(range(0, ps.k * size, size), _fors_leaves(ps, md)):
+        leaf = _node_hash(n, node_prefix, 0, g, sig[offset:offset + n])
+        roots.append(_root_from_path(n, node_prefix, leaf, g, sig[offset + n:offset + size],
+                                     ps.a))
     adrs = _ADRS.pack(0, tree, _TYPE_FORS_ROOTS, kp, 0, 0)
-    return shake(pk_seed + adrs + b"".join(roots)).digest(n)
+    return hashlib.shake_256(pk_seed + adrs + b"".join(roots)).digest(n)
 
 
 # -- top level ----------------------------------------------------------
@@ -340,7 +306,8 @@ def keygen(ps: ParameterSet, seed: bytes) -> tuple[bytes, bytes]:
     if len(seed) != ps.seed_size:
         raise ValueError(f"seed must be {ps.seed_size} bytes, got {len(seed)}")
     sk_seed, sk_prf, pk_seed = seed[:ps.n], seed[ps.n:2 * ps.n], seed[2 * ps.n:]
-    pk_root = _xmss_node(ps, sk_seed, pk_seed, 0, ps.hp, ps.d - 1, 0)
+    leaf = partial(_wots_pk, ps, sk_seed, pk_seed, ps.d - 1, 0)
+    pk_root = _node(ps.n, _xmss_prefix(pk_seed, ps.d - 1, 0), leaf, 0, ps.hp)
     return sk_seed + sk_prf + pk_seed + pk_root, pk_seed + pk_root
 
 
@@ -364,10 +331,7 @@ def sign(ps: ParameterSet, message: bytes, sk: bytes, ctx: bytes = b"", *,
         raise ValueError(f"secret key must be {ps.sk_size} bytes, got {len(sk)}")
     if len(ctx) > 255:
         raise ValueError("context string longer than 255 bytes")
-    sk_seed = sk[:ps.n]
-    sk_prf = sk[ps.n:2 * ps.n]
-    pk_seed = sk[2 * ps.n:3 * ps.n]
-    pk_root = sk[3 * ps.n:]
+    sk_seed, sk_prf, pk_seed, pk_root = (sk[i:i + ps.n] for i in range(0, ps.sk_size, ps.n))
 
     if addrnd is not None:
         if len(addrnd) != ps.n:
@@ -379,12 +343,13 @@ def sign(ps: ParameterSet, message: bytes, sk: bytes, ctx: bytes = b"", *,
         opt_rand = os.urandom(ps.n)
 
     m_prime = b"\x00" + bytes([len(ctx)]) + ctx + message
-    r = _PRF_msg(ps, sk_prf, opt_rand, m_prime)
+    r = hashlib.shake_256(sk_prf + opt_rand + m_prime).digest(ps.n)  # PRF_msg
     md, idx_tree, idx_leaf = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
 
     sig_fors = _fors_sign(ps, md, sk_seed, pk_seed, idx_tree, idx_leaf)
     pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, idx_tree, idx_leaf)
-    sig_ht = _ht_sign(ps, pk_fors, sk_seed, pk_seed, idx_tree, idx_leaf)
+    sig_ht, _ = _ht_walk(ps, pk_fors, pk_seed, idx_tree, idx_leaf,
+                         partial(_xmss_sign, ps, sk_seed, pk_seed), top_root=False)
     return r + sig_fors + sig_ht
 
 
@@ -402,4 +367,8 @@ def verify(ps: ParameterSet, message: bytes, signature: bytes, pk: bytes,
 
     md, idx_tree, idx_leaf = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
     pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, idx_tree, idx_leaf)
-    return _ht_verify(ps, pk_fors, sig_ht, pk_seed, idx_tree, idx_leaf, pk_root)
+    size = (ps.hp + ps.wots_len) * ps.n
+    _, root = _ht_walk(ps, pk_fors, pk_seed, idx_tree, idx_leaf,
+                       lambda layer, tree, leaf, msg: sig_ht[layer * size:(layer + 1) * size],
+                       top_root=True)
+    return root == pk_root

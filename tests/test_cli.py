@@ -226,6 +226,45 @@ def test_begin_text_in_a_name_is_not_pem(workdir, capsys, ec_key):
         assert run("verify", path) == 0
 
 
+def test_pem_after_a_note_starting_with_zero_is_pem(workdir, capsys, ec_key):
+    # "0" is the SEQUENCE tag byte; DER is a SEQUENCE spanning the input
+    name = parse_name("CN=noted")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(1),
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key).emit()
+    armored = pem.encode_pem(pem.LABEL_CERTIFICATE, blob)
+    (workdir / "c.pem").write_text("0 leading note\n" + armored)
+    assert run("verify", "c.pem") == 0
+    assert run("view", "c.pem") == 0
+    assert "CN=noted" in capsys.readouterr().out
+    # DER with bytes after it is still read as DER, and rejected
+    (workdir / "c.der").write_bytes(blob + armored.encode())
+    assert run("view", "c.der") == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("key", "-t", "ecdsa", "-out", "k.pub"),
+    ("key", "-t", "ecdsa", "-out", "k.pub", "--der"),
+    ("cert", "-newkey", "ecdsa", "-out", "same.pem", "-keyout", "same.pem"),
+    ("cert", "-newkey", "ecdsa", "-out", "sub/../same.pem", "-keyout", "same.pem"),
+    ("cert", "-newkey", "ecdsa,ml-dsa:2", "--der", "-out", "k.alt.der", "-keyout", "k.der"),
+    ("csr", "-newkey", "ecdsa", "-subj", "CN=x", "-out", "same.pem", "-keyout", "same.pem"),
+], ids=["key-pub", "key-pub-der", "cert", "cert-dotdot", "cert-der-alt", "csr"])
+def test_outputs_naming_one_file_exit_2_and_write_nothing(workdir, capsys, argv):
+    (workdir / "sub").mkdir()
+    assert run(*argv) == 2
+    assert "are the same file; nothing written" in capsys.readouterr().err
+    assert [p.name for p in workdir.iterdir()] == ["sub"]
+
+
+def test_csr_output_must_not_replace_its_key(workdir, capsys):
+    assert run("key", "-t", "ecdsa", "-out", "k.pem") == 0
+    key = (workdir / "k.pem").read_bytes()
+    assert run("csr", "-key", "k.pem", "-subj", "CN=x", "-out", "./k.pem") == 2
+    assert (workdir / "k.pem").read_bytes() == key
+    capsys.readouterr()
+
+
 def test_missing_file_is_io_error(capsys):
     assert run("view", "nope.pem") == 3
     assert run("verify", "nope.pem") == 3
@@ -464,7 +503,11 @@ def test_expired_certificate_warns_but_verifies(workdir, capsys, rng):
     b"slh-dsa:999 = 2.999.9\n",
     b"ml-dsa:x = 2.999.9\n",
     b"\xff\xfe = 1.2.3\n",
-], ids=["ml-dsa-level", "slh-dsa-set", "ml-dsa-text", "not-utf8"])
+    b"composite = notanoid\n",
+    b"composite = 1\n",
+    b"composite = 3.1.2\n",
+], ids=["ml-dsa-level", "slh-dsa-set", "ml-dsa-text", "not-utf8", "oid-text", "one-arc",
+        "first-arc"])
 def test_oid_table_names_must_be_registry_keys(workdir, capsys, monkeypatch, rng,
                                                table):
     # a certificate whose key and signature carry the table's OID

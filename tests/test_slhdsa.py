@@ -104,9 +104,9 @@ def test_hedged_signature_with_context_regression():
 
 
 def test_shake_calls_per_signature_128f(monkeypatch):
-    """One SHAKE call per FIPS 205 hash: no call is cached or skipped."""
+    """One SHAKE call per FIPS 205 hash: no call is cached or skipped, in
+    keygen, sign or verify."""
     ps = slhdsa.PARAMETER_SETS["128f"]
-    sk, _ = slhdsa.keygen(ps, bytes(range(48)))
     calls = []
 
     def counting_shake_256(data):
@@ -114,8 +114,14 @@ def test_shake_calls_per_signature_128f(monkeypatch):
         return hashlib.shake_256(data)
 
     monkeypatch.setattr(slhdsa, "hashlib", types.SimpleNamespace(shake_256=counting_shake_256))
-    slhdsa.sign(ps, b"m", sk, deterministic=True)
+    sk, pk = slhdsa.keygen(ps, bytes(range(48)))
+    assert len(calls) == 4495
+    calls.clear()
+    sig = slhdsa.sign(ps, b"m", sk, deterministic=True)
     assert len(calls) == 104937
+    calls.clear()
+    assert slhdsa.verify(ps, b"m", sig, pk)
+    assert len(calls) == 6336
 
 
 def test_hedged_signatures_differ_but_both_verify():
