@@ -1,7 +1,9 @@
 """Strict DER encoder/decoder for the ASN.1 shapes certificates need.
 
-Values are immutable DerValue trees. The decoder accepts exactly canonical
-DER: definite minimal lengths, minimal tag and OID subidentifier encodings,
+Values are immutable DerValue trees, plain named tuples for speed: the
+decoder builds one per TLV, and tuple.__new__ costs a tenth of a frozen
+dataclass __init__. The decoder accepts exactly canonical DER: definite
+minimal lengths, minimal tag and OID subidentifier encodings,
 primitive/constructed form as X.690 prescribes for each universal type, and
 canonical BOOLEAN, INTEGER, and BIT STRING content; decode_time reads times
 of ASCII digits only (X.690 11.7/11.8). That strictness is what makes
@@ -15,7 +17,7 @@ so is nesting deeper than MAX_DEPTH.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import BadTag, BadValue, NonCanonicalLength, Truncated, TrailingBytes
 from .oids import ObjectIdentifier
@@ -46,6 +48,8 @@ _MUST_BE_PRIMITIVE = frozenset({
     0x0A,  # ENUMERATED
 })
 _MUST_BE_CONSTRUCTED = frozenset({SEQUENCE, SET})
+# The universal tags whose content _check_primitive_content checks.
+_CHECKED_CONTENT = frozenset({BOOLEAN, INTEGER, NULL, BIT_STRING, OID})
 
 # The universal string types as_text reads, each with its codec.
 _TEXT_CODECS = {UTF8_STRING: "utf-8", PRINTABLE_STRING: "ascii", IA5_STRING: "ascii"}
@@ -58,15 +62,14 @@ _TEXT_CODECS = {UTF8_STRING: "utf-8", PRINTABLE_STRING: "ascii", IA5_STRING: "as
 MAX_DEPTH = 32
 
 
-@dataclass(frozen=True)
-class DerValue:
+class DerValue(NamedTuple):
     """One ASN.1 value: primitive content bytes or constructed children."""
 
     tag: int
     cls: int = UNIVERSAL
     constructed: bool = False
     content: bytes = b""
-    children: tuple["DerValue", ...] = field(default_factory=tuple)
+    children: tuple["DerValue", ...] = ()
 
     def __repr__(self) -> str:
         kind = f"tag={self.tag:#x}" if self.cls == UNIVERSAL else f"cls={self.cls:#x},tag={self.tag}"
@@ -116,8 +119,11 @@ class DerValue:
 
 # -- constructors -------------------------------------------------------
 
+_new = tuple.__new__  # a DerValue from its five fields, skipping the keyword __new__
+
+
 def seq(*children: DerValue) -> DerValue:
-    return DerValue(SEQUENCE, constructed=True, children=tuple(children))
+    return _new(DerValue, (SEQUENCE, UNIVERSAL, True, b"", children))
 
 
 def set_of(*children: DerValue) -> DerValue:
@@ -138,7 +144,7 @@ def null() -> DerValue:
 
 
 def oid_value(value: ObjectIdentifier) -> DerValue:
-    return DerValue(OID, content=value.encode_content())
+    return _new(DerValue, (OID, UNIVERSAL, False, value.encode_content(), ()))
 
 
 def octet_string(data: bytes) -> DerValue:
@@ -230,11 +236,13 @@ def _encode_length(length: int) -> bytes:
 
 def encode(value: DerValue) -> bytes:
     """Canonical DER bytes for a DerValue tree."""
-    if value.constructed:
-        body = b"".join(encode(child) for child in value.children)
-    else:
-        body = value.content
-    return _encode_tag(value) + _encode_length(len(body)) + body
+    tag, cls, constructed, body, children = value
+    if constructed:
+        body = b"".join([encode(child) for child in children])
+    length = len(body)
+    if tag < 0x1F and length < 0x80:
+        return bytes((cls | (0x20 if constructed else 0) | tag, length)) + body
+    return _encode_tag(value) + _encode_length(length) + body
 
 
 # -- decoding -----------------------------------------------------------
@@ -326,11 +334,20 @@ def _check_primitive_content(tag: int, content: bytes) -> None:
 def _read_value(data: bytes, pos: int, end: int, depth: int = 1) -> tuple[DerValue, int]:
     if depth > MAX_DEPTH:
         raise BadValue(f"nesting deeper than {MAX_DEPTH} levels")
-    tag, cls, constructed, pos = _read_tag(data, pos, end)
-    length, pos = _read_length(data, pos, end)
-    if pos + length > end:
-        raise Truncated("content extends past end of input")
+    if pos >= end:
+        raise Truncated("input ends before a tag")
+    first = data[pos]
+    if first & 0x1F == 0x1F:
+        tag, cls, constructed, pos = _read_tag(data, pos, end)
+    else:
+        tag, cls, constructed, pos = first & 0x1F, first & 0xC0, first & 0x20 != 0, pos + 1
+    if pos < end and data[pos] < 0x80:
+        length, pos = data[pos], pos + 1
+    else:
+        length, pos = _read_length(data, pos, end)
     content_end = pos + length
+    if content_end > end:
+        raise Truncated("content extends past end of input")
     if cls == UNIVERSAL:
         if constructed and tag in _MUST_BE_PRIMITIVE:
             raise BadTag(f"tag {tag:#x} must be primitive in DER")
@@ -341,15 +358,16 @@ def _read_value(data: bytes, pos: int, end: int, depth: int = 1) -> tuple[DerVal
         while pos < content_end:
             child, pos = _read_value(data, pos, content_end, depth + 1)
             children.append(child)
-        return DerValue(tag, cls=cls, constructed=True, children=tuple(children)), content_end
-    content = bytes(data[pos:content_end])
-    if cls == UNIVERSAL:
+        return _new(DerValue, (tag, cls, True, b"", tuple(children))), content_end
+    content = data[pos:content_end]
+    if cls == UNIVERSAL and tag in _CHECKED_CONTENT:
         _check_primitive_content(tag, content)
-    return DerValue(tag, cls=cls, content=content), content_end
+    return _new(DerValue, (tag, cls, False, content, ())), content_end
 
 
 def decode(data: bytes) -> DerValue:
     """Decode exactly one DER value covering the whole input."""
+    data = bytes(data)
     value, pos = _read_value(data, 0, len(data))
     if pos != len(data):
         raise TrailingBytes(f"{len(data) - pos} unconsumed bytes after value")

@@ -18,7 +18,7 @@ class ObjectIdentifier:
     an iterable of ints, or another ObjectIdentifier.
     """
 
-    __slots__ = ("arcs",)
+    __slots__ = ("arcs", "_content")
 
     def __init__(self, value):
         if isinstance(value, ObjectIdentifier):
@@ -39,6 +39,7 @@ class ObjectIdentifier:
         if arcs[0] < 2 and arcs[1] >= 40:
             raise BadValue("second OID arc must be < 40 when the first is 0 or 1")
         object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "_content", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ObjectIdentifier is immutable")
@@ -62,7 +63,10 @@ class ObjectIdentifier:
         return self.arcs < other.arcs
 
     def encode_content(self) -> bytes:
-        """Content octets of the DER encoding (no tag or length)."""
+        """Content octets of the DER encoding (no tag or length), computed
+        once per object; a decoded OID keeps the octets it was read from."""
+        if self._content is not None:
+            return self._content
         out = bytearray()
         first = self.arcs[0] * 40 + self.arcs[1]
         for arc in (first,) + self.arcs[2:]:
@@ -72,7 +76,8 @@ class ObjectIdentifier:
                 chunk.append((arc & 0x7F) | 0x80)
                 arc >>= 7
             out.extend(reversed(chunk))
-        return bytes(out)
+        object.__setattr__(self, "_content", bytes(out))
+        return self._content
 
     @classmethod
     def decode_content(cls, data: bytes) -> "ObjectIdentifier":
@@ -105,6 +110,7 @@ class ObjectIdentifier:
         else:
             head = (2, first - 80)
         decoded = cls(head + tuple(arcs[1:]))
+        object.__setattr__(decoded, "_content", data)
         if len(_DECODED) < _DECODED_LIMIT:
             _DECODED[data] = decoded
         return decoded

@@ -131,9 +131,9 @@ class ExtensionBlock:
         if not 2 <= len(children) <= 3:
             raise BadValue("extension needs 2 or 3 fields")
         ext_oid = children[0].as_oid()
-        critical = False
-        if len(children) == 3:
-            critical = children[1].as_bool()
+        critical = len(children) == 3
+        if critical and not children[1].as_bool():
+            raise BadValue("extension encodes the DEFAULT critical FALSE")
         return cls(ext_oid, critical, children[-1].as_octets())
 
 

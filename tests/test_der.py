@@ -132,6 +132,19 @@ def test_oid_table_keeps_no_rejected_encoding_and_stays_bounded(monkeypatch):
     assert len(oids._DECODED) == oids._DECODED_LIMIT
 
 
+def test_oid_keeps_its_content_octets(monkeypatch):
+    monkeypatch.setattr(oids, "_DECODED", {})
+    built = ObjectIdentifier("2.5.29.72")
+    octets = built.encode_content()
+    assert octets == b"\x55\x1d\x48" and built.encode_content() is octets
+    source = bytes.fromhex("2a864886f70d01010b")
+    decoded = ObjectIdentifier.decode_content(source)
+    assert decoded.encode_content() is source
+    assert decoded == oids.SHA256_WITH_RSA and hash(decoded) == hash(oids.SHA256_WITH_RSA)
+    with pytest.raises(AttributeError):
+        decoded._content = b"\x55"
+
+
 def test_length_forms():
     long_payload = bytes(200)
     blob = der.encode(der.octet_string(long_payload))
@@ -316,6 +329,22 @@ def test_high_tag_numbers():
         der.decode(b"\xbf\x80\x28\x00")  # padded long-form tag
     with pytest.raises(BadTag):
         der.decode(b"\xbf\x05\x00")  # long form for a low tag
+
+
+def test_der_value_is_an_immutable_hashable_value():
+    tree = der.seq(der.integer(5), der.explicit(3, der.null()),
+                   der.DerValue(40, cls=der.CONTEXT, content=b"ab"))
+    with pytest.raises(AttributeError):
+        tree.tag = der.SET
+    with pytest.raises(AttributeError):
+        tree.children[0].content = b"\x07"
+    twin = der.decode(der.encode(tree))
+    assert twin == tree and twin is not tree
+    assert hash(twin) == hash(tree) and len({tree, twin}) == 1
+    assert repr(tree) == (
+        "DerValue(tag=0x10, children=[DerValue(tag=0x2, content='05'), "
+        "DerValue(cls=0x80,tag=3, children=[DerValue(tag=0x5, content='')]), "
+        "DerValue(cls=0x80,tag=40, content='6162')])")
 
 
 def _random_value(rng: random.Random, depth: int) -> der.DerValue:

@@ -110,9 +110,8 @@ def test_rsa_key_with_wrong_crt_coefficient_rejected(rsa_key):
     outer = der.decode(rsa_key.private)
     inner = der.decode(outer.children[2].as_octets())
     iqmp = inner.children[8].as_int()
-    bad_inner = dataclasses.replace(
-        inner, children=inner.children[:8] + (der.integer(iqmp ^ 2),))
-    bad = der.encode(dataclasses.replace(outer, children=outer.children[:2] + (
+    bad_inner = inner._replace(children=inner.children[:8] + (der.integer(iqmp ^ 2),))
+    bad = der.encode(outer._replace(children=outer.children[:2] + (
         der.octet_string(der.encode(bad_inner)),) + outer.children[3:]))
     with pytest.raises(KeyMismatch):
         algs.load_private_key(bad)

@@ -1,9 +1,12 @@
+import contextlib
 import dataclasses
 import datetime
+import io
 
+import cryptography.x509
 import pytest
 
-from pqcli import algs, chameleon, composite, der, oids, pem, x509
+from pqcli import algs, chameleon, cli, composite, der, oids, pem, x509
 from pqcli.errors import (
     AlgorithmMismatch,
     BadValue,
@@ -335,3 +338,33 @@ def test_read_document_prefers_the_certificate_block(ec_key):
         assert x509.read_document(text.encode()) == cert
     assert x509.read_document(csr.emit_pem().encode()) == csr
     assert x509.read_document(cert.emit()) == cert
+
+
+def test_explicit_critical_false_is_rejected_as_the_oracle_rejects_it(ec_key, tmp_path):
+    """DER never encodes a DEFAULT value (X.690 11.5): an extension that
+    writes out critical FALSE would re-encode without it, so the TBS
+    would not round-trip. cryptography rejects it too."""
+    good = _self_signed(ec_key).emit()
+    cert = der.decode(good)
+    tbs = cert.children[0]
+    index = next(i for i, child in enumerate(tbs.children)
+                 if child.cls == der.CONTEXT and child.tag == 3)
+    extensions = tbs.children[index].children[0]
+    first = extensions.children[0]
+    assert len(first.children) == 2  # non-critical, so no BOOLEAN
+    spelled_out = der.seq(first.children[0], der.boolean(False), first.children[1])
+    extensions = extensions._replace(children=(spelled_out,) + extensions.children[1:])
+    tbs = tbs._replace(children=tbs.children[:index] + (der.explicit(3, extensions),)
+                       + tbs.children[index + 1:])
+    bad = der.encode(cert._replace(children=(tbs,) + cert.children[1:]))
+    cryptography.x509.load_der_x509_certificate(good)
+    with pytest.raises(ValueError):
+        cryptography.x509.load_der_x509_certificate(bad)
+    with pytest.raises(BadValue):
+        x509.parse_certificate(bad)
+    path = tmp_path / "c.der"
+    path.write_bytes(bad)
+    for command in ("view", "verify"):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main([command, str(path)]) == 4
