@@ -15,7 +15,8 @@ make every decision pqcli view and verify need, and every signature
 verdict, on every path and for requests, comes from one check that also
 requires the declared algorithm to be the key's. Each field shape the TBS,
 the delta descriptor and the request share (the validity pair, an
-extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder.
+extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder,
+and the Catalyst triple has one reader, which render_text prints from.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import datetime
 import hashlib
 import secrets
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from . import algs, der, pem
 from .errors import (
@@ -77,7 +78,12 @@ _ALT_VALUE_OID_TLV = der.encode(der.oid_value(EXT_ALT_SIGNATURE_VALUE))
 
 # -- field codecs shared by the TBS, the delta descriptor and the request --
 
-def _encode_validity(validity: tuple[datetime.datetime, datetime.datetime]) -> der.DerValue:
+def _encode_validity(validity: tuple[datetime.datetime, datetime.datetime],
+                     as_read: der.DerValue | None = None) -> der.DerValue:
+    """The SEQUENCE as_read while it holds these two times (a time before
+    2050 may have been read as GeneralizedTime), else the canonical one."""
+    if as_read is not None and _decode_validity(as_read, BadValue) == validity:
+        return as_read
     return der.seq(der.encode_time(validity[0]), der.encode_time(validity[1]))
 
 
@@ -148,6 +154,7 @@ class TbsCertificate:
     subject: DistinguishedName
     spki: algs.SubjectPublicKeyInfo
     extensions: tuple[ExtensionBlock, ...] = ()
+    _validity: der.DerValue | None = field(default=None, repr=False, compare=False)
 
     def to_der_value(self) -> der.DerValue:
         children = [
@@ -155,7 +162,7 @@ class TbsCertificate:
             der.integer(self.serial),
             self.signature_alg.to_der_value(),
             self.issuer.to_der_value(),
-            _encode_validity((self.not_before, self.not_after)),
+            self.validity_value(),
             self.subject.to_der_value(),
             self.spki.to_der_value(),
         ]
@@ -166,6 +173,9 @@ class TbsCertificate:
     @property
     def der(self) -> bytes:
         return der.encode(self.to_der_value())
+
+    def validity_value(self) -> der.DerValue:
+        return _encode_validity((self.not_before, self.not_after), self._validity)
 
     def find_extension(self, ext_oid: ObjectIdentifier) -> ExtensionBlock | None:
         for ext in self.extensions:
@@ -204,7 +214,7 @@ class TbsCertificate:
                 raise NotACertificate("issuerUniqueID/subjectUniqueID are not supported")
             raise NotACertificate("malformed extensions field")
         return cls(version, serial, signature_alg, issuer, not_before, not_after,
-                   subject, spki, extensions or ())
+                   subject, spki, extensions or (), children[idx + 3])
 
 
 @dataclass(frozen=True)
@@ -369,6 +379,7 @@ class DeltaCertificateDescriptor:
     validity: tuple[datetime.datetime, datetime.datetime] | None = None
     subject: DistinguishedName | None = None
     extensions: tuple[ExtensionBlock, ...] | None = None
+    _validity: der.DerValue | None = field(default=None, repr=False, compare=False)
 
     def to_der_value(self) -> der.DerValue:
         children = [der.integer(self.serial)]
@@ -377,7 +388,7 @@ class DeltaCertificateDescriptor:
         if self.issuer is not None:
             children.append(der.explicit(1, self.issuer.to_der_value()))
         if self.validity is not None:
-            children.append(der.explicit(2, _encode_validity(self.validity)))
+            children.append(der.explicit(2, _encode_validity(self.validity, self._validity)))
         if self.subject is not None:
             children.append(der.explicit(3, self.subject.to_der_value()))
         children.append(self.spki.to_der_value())
@@ -405,7 +416,8 @@ class DeltaCertificateDescriptor:
 
         signature_alg, index = take(1, 0, algs.AlgorithmIdentifier.from_der_value)
         issuer, index = take(index, 1, DistinguishedName.from_der_value)
-        validity, index = take(index, 2, lambda v: _decode_validity(v, BadValue))
+        validity_read, index = take(index, 2, lambda v: v)
+        validity = None if validity_read is None else _decode_validity(validity_read, BadValue)
         subject, index = take(index, 3, DistinguishedName.from_der_value)
         if index >= len(children):
             raise BadValue("descriptor is missing the public key")
@@ -417,7 +429,7 @@ class DeltaCertificateDescriptor:
         if index + 1 != len(children):
             raise BadValue("trailing fields in descriptor")
         return cls(serial, spki, signature_value, signature_alg, issuer,
-                   validity, subject, extensions)
+                   validity, subject, extensions, validity_read)
 
 
 def descriptor_from_certificate(base: CertificateDocument) -> DeltaCertificateDescriptor:
@@ -447,8 +459,8 @@ def describe_delta(base_tbs: TbsCertificate,
     differing = {field: getattr(d, field)
                  for field in ("signature_alg", "issuer", "subject", "extensions")
                  if getattr(d, field) != getattr(base_tbs, field)}
-    if (d.not_before, d.not_after) != (base_tbs.not_before, base_tbs.not_after):
-        differing["validity"] = (d.not_before, d.not_after)
+    if d.validity_value() != base_tbs.validity_value():  # the times, or how they are written
+        differing.update(validity=(d.not_before, d.not_after), _validity=d._validity)
     return DeltaCertificateDescriptor(d.serial, d.spki, delta.signature, **differing)
 
 
@@ -469,7 +481,8 @@ def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
                   issuer=descriptor.issuer or base.tbs.issuer,
                   not_before=not_before, not_after=not_after,
                   subject=descriptor.subject or base.tbs.subject,
-                  spki=descriptor.spki, extensions=extensions)
+                  spki=descriptor.spki, extensions=extensions,
+                  _validity=descriptor._validity or base.tbs._validity)
     doc = CertificateDocument(tbs, tbs.der, tbs.signature_alg, descriptor.signature_value)
     if tbs.subject == tbs.issuer and _check_signature(
             tbs.spki, doc.signature_alg, doc.tbs_der, doc.signature)[0] != VALID:
@@ -796,8 +809,9 @@ def _decode_cri(info: der.DerValue):
             if len(attr.children) == 2 and attr.children[0].as_oid() == ATTR_EXTENSION_REQUEST:
                 values = attr.children[1]
                 values.expect(der.SET)
-                if len(values.children) == 1:
-                    extensions = _decode_extensions(values.children[0])
+                if len(values.children) != 1:
+                    raise NotACsr("extensionRequest attribute must hold exactly one value")
+                extensions = _decode_extensions(values.children[0])
     return subject, spki, extensions
 
 
@@ -885,33 +899,17 @@ def render_text(cert: CertificateDocument) -> str:
             lines.append(f"            {extension_name(ext.oid)}:{flag}")
             lines.append(f"                ({len(ext.value)} bytes)")
 
-    alt_spki_ext, alt_alg_ext, alt_val_ext = (t.find_extension(o)
-                                              for o in ALT_EXTENSION_OIDS)
-    if alt_spki_ext or alt_alg_ext or alt_val_ext:
-        lines.append("    Alt Public Key Info:")
-        if alt_spki_ext:
-            try:
-                alt_spki = algs.SubjectPublicKeyInfo.from_der(alt_spki_ext.value)
-                lines.extend(_describe_spki(alt_spki, "        "))
-            except DerError:
-                lines.append("        (malformed)")
-        else:
-            lines.append("        (absent)")
-        lines.append("    Alt Signature:")
-        if alt_alg_ext:
-            try:
-                alt_alg = algs.AlgorithmIdentifier.from_der_value(der.decode(alt_alg_ext.value))
-                lines.append(f"        Algorithm: {algorithm_name(alt_alg.oid)}")
-            except DerError:
-                lines.append("        Algorithm: (malformed)")
-        if alt_val_ext:
-            try:
-                alt_bits = der.decode(alt_val_ext.value).as_bits()
-                lines.append(f"        Value: {len(alt_bits)} bytes")
-            except DerError:
-                lines.append("        Value: (malformed)")
-        else:
-            lines.append("        Value: (absent)")
+    try:
+        triple = CatalystExtensionTriple.from_certificate(cert)
+    except MalformedAltExtension as exc:  # the reason pqcli verify gives
+        lines.append(f"    Alt Public Key Info: ({exc})")
+    else:
+        if triple is not None:
+            lines.append("    Alt Public Key Info:")
+            lines.extend(_describe_spki(triple.alt_spki, "        "))
+            lines += ["    Alt Signature:",
+                      f"        Algorithm: {algorithm_name(triple.alt_sig_alg.oid)}",
+                      f"        Value: {len(triple.alt_sig_value)} bytes"]
 
     if t.find_extension(EXT_DELTA_CERTIFICATE_DESCRIPTOR):
         lines.append("    Delta Certificate Descriptor: present")

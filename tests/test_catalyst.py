@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from pqcli import algs, catalyst, der, oids, x509
+from pqcli import algs, catalyst, cli, der, oids, x509
 from pqcli.errors import DerError, DuplicateExtension, MalformedAltExtension
 from pqcli.names import parse_name
 
@@ -165,6 +165,36 @@ def test_catalyst_render_sections(hybrid_cert):
     assert "Alt Public Key Info" in text
     assert "Alt Signature" in text
     assert "ML-DSA-44" in text
+
+
+@pytest.mark.parametrize("case, reason", [
+    ("partial", "alternative extension triple incomplete: missing altSignatureValue"),
+    ("malformed", "alternative extension contents malformed: "
+                  "expected tag 0x10 (class 0x0), got 0x5 (class 0x0)"),
+], ids=["partial", "malformed"])
+def test_view_prints_a_broken_triple_as_the_verifier_reason(hybrid_cert, ec_key, tmp_path,
+                                                            capsys, case, reason):
+    """A partial or malformed triple renders as one line carrying the
+    reason pqcli verify warns with; the extension list still names each
+    alternative extension present."""
+    spki_ext, _, value_ext = hybrid_cert.tbs.extensions[-3:]
+    null_alg = x509.ExtensionBlock(oids.EXT_ALT_SIGNATURE_ALGORITHM, False,
+                                   der.encode(der.null()))
+    blocks = {"partial": hybrid_cert.tbs.extensions[-3:-1],
+              "malformed": (spki_ext, null_alg, value_ext)}[case]
+    cert = x509.sign_certificate(_base_tbs(ec_key, extensions=blocks), ec_key)
+    text = x509.render_text(cert)
+    lines = text.splitlines()
+    assert f"    Alt Public Key Info: ({reason})" in lines
+    assert "Alt Signature" not in text
+    for ext in blocks:
+        assert f"            {oids.extension_name(ext.oid)}:" in lines
+    path = tmp_path / "broken.pem"
+    path.write_text(cert.emit_pem())
+    assert cli.main(["view", str(path)]) == 0
+    assert capsys.readouterr().out == text
+    assert cli.main(["verify", str(path)]) == 6
+    assert f"warning: {reason}" in capsys.readouterr().err.splitlines()
 
 
 def test_slh_dsa_alt(ec_key, slh_key):

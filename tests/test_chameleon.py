@@ -3,7 +3,7 @@ import datetime
 
 import pytest
 
-from pqcli import algs, chameleon, der, oids, pem, x509
+from pqcli import algs, chameleon, cli, der, oids, pem, x509
 from pqcli.errors import (
     BadValue,
     DerError,
@@ -207,6 +207,40 @@ def test_descriptor_codec_malformed():
     spki_less = der.seq(der.integer(1), der.bit_string(b"x"), der.integer(2))
     with pytest.raises(DerError):
         chameleon.DeltaCertificateDescriptor.from_der(der.encode(spki_less))
+
+
+@pytest.mark.parametrize("flaw", [
+    "descriptor is missing the public key",
+    "descriptor is missing the signature value",
+    "trailing fields in descriptor",
+])
+def test_descriptor_short_of_a_field_or_with_one_too_many(pair, ec_key, tmp_path, capsys, flaw):
+    """Read directly it is BadValue; inside a base, reconstruct_delta
+    raises ReconstructionMismatch and pqcli verify exits 6."""
+    base, _ = pair
+    descriptor = chameleon.descriptor_from_certificate(base)
+    serial = der.integer(descriptor.serial)
+    alg = der.explicit(0, descriptor.signature_alg.to_der_value())
+    spki = descriptor.spki.to_der_value()
+    fields = {
+        "descriptor is missing the public key":
+            (serial, alg, der.explicit(1, parse_name("CN=other").to_der_value())),
+        "descriptor is missing the signature value": (serial, alg, spki),
+        "trailing fields in descriptor":
+            (serial, alg, spki, der.bit_string(descriptor.signature_value), der.integer(2)),
+    }[flaw]
+    blob = der.encode(der.seq(*fields))
+    with pytest.raises(BadValue, match=flaw):
+        chameleon.DeltaCertificateDescriptor.from_der(blob)
+    broken = x509.sign_certificate(_swap_descriptor(base, blob).tbs, ec_key)
+    with pytest.raises(ReconstructionMismatch, match=f"descriptor does not decode: {flaw}"):
+        chameleon.reconstruct_delta(broken)
+    path = tmp_path / "base.pem"
+    path.write_text(broken.emit_pem())
+    assert cli.main(["verify", str(path)]) == 6
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == ["native signature: valid", "delta signature: invalid"]
+    assert f"warning: delta certificate: descriptor does not decode: {flaw}" in captured.err
 
 
 def test_view_flags_descriptor(pair):

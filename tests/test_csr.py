@@ -1,8 +1,9 @@
 import dataclasses
 
+import cryptography.x509
 import pytest
 
-from pqcli import algs, der, oids, x509
+from pqcli import algs, cli, der, oids, pem, x509
 from pqcli.errors import NotACsr
 from pqcli.names import parse_name
 
@@ -82,3 +83,50 @@ def test_render_csr_text(slh_key):
     text = x509.render_csr_text(doc)
     assert "CN=dump" in text
     assert "SLH-DSA-SHAKE-128f" in text
+
+
+
+def _signed_request(key, *fields):
+    """A request signed by key whose info is the SEQUENCE of fields."""
+    cri = der.encode(der.seq(*fields))
+    alg = algs.signature_algorithm_for(key.spec)
+    return x509.CsrDocument(parse_name("CN=attrs"), algs.spki_for_key(key), (), cri, alg,
+                            algs.sign(key.spec, key, cri)).emit()
+
+
+def _info_fields(key):
+    return der.integer(0), parse_name("CN=attrs").to_der_value(), algs.spki_for_key(key).to_der_value()
+
+
+def _attributes(*attributes, tag=0):
+    return der.DerValue(tag, cls=der.CONTEXT, constructed=True, children=attributes)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_extension_request_that_is_not_single_valued_is_rejected(ec_key, count):
+    """cryptography refuses an extensionRequest SET of zero or two values
+    ("Only single-valued attributes are supported"); so does parse_csr."""
+    ext = x509.ExtensionBlock(oids.EXT_KEY_USAGE, True, b"\x03\x02\x05\xa0")
+    values = der.set_of(*[der.seq(ext.to_der_value())] * count)
+    attribute = der.seq(der.oid_value(oids.ATTR_EXTENSION_REQUEST), values)
+    blob = _signed_request(ec_key, *_info_fields(ec_key), _attributes(attribute))
+    with pytest.raises(ValueError, match="single-valued"):
+        cryptography.x509.load_der_x509_csr(blob).extensions
+    with pytest.raises(NotACsr, match="extensionRequest attribute must hold exactly one value"):
+        x509.parse_csr(blob)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ("too short", "request info is missing required fields"),
+    ("version 1", "unsupported request version"),
+    ("attributes in [1]", "malformed attributes field"),
+])
+def test_view_rejects_malformed_request_info(ec_key, tmp_path, capsys, shape, message):
+    version, subject, spki = _info_fields(ec_key)
+    fields = {"too short": (version, subject),
+              "version 1": (der.integer(1), subject, spki, _attributes()),
+              "attributes in [1]": (version, subject, spki, _attributes(tag=1))}[shape]
+    path = tmp_path / "req.pem"
+    pem.write_pem(path, pem.LABEL_CSR, _signed_request(ec_key, *fields))
+    assert cli.main(["view", str(path)]) == 4
+    assert capsys.readouterr() == ("", f"pqcli: {message}\n")

@@ -13,7 +13,9 @@ PEM-or-DER inputs, x509.read_document picks certificate or request, and
 x509.verify_issued gives the whole verdict, the issuer's alternative key
 and the delta included, so cli touches no PEM armor, Catalyst triple or
 delta reader, and no error those raise. Every signature verdict in x509
-comes from one check, the only caller of algs.verify there. The package
+comes from one check, the only caller of algs.verify there. render_text,
+which pqcli view prints, calls no DER decoder itself: it prints what the
+readers return, the Catalyst triple from the same reader verify uses. The package
 itself re-exports nothing, so pqcli/__init__.py imports no package module
 and each name has one import path. No module imports inside a function,
 and the package-internal imports form no cycle. The OID table is process
@@ -160,3 +162,13 @@ def test_x509_calls_algs_verify_only_in_the_one_check():
 
 def test_package_init_imports_no_package_module():
     assert _package_imports("__init__") == set()
+
+
+def test_render_text_decodes_nothing_itself():
+    render = [f for f in _tree("x509").body
+              if isinstance(f, ast.FunctionDef) and f.name == "render_text"]
+    assert len(render) == 1
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for n in ast.walk(render[0]) if isinstance(n, (ast.Attribute, ast.Name))}
+    decoders = {n for n in names if n.startswith(("decode", "_decode", "from_der", "as_"))}
+    assert decoders == set()

@@ -64,6 +64,15 @@ def test_unterminated_block():
         pem.decode_pem("-----BEGIN CERTIFICATE-----\nAAAA\n")
 
 
+def test_begin_inside_an_open_block():
+    """A second BEGIN before the first block's END is malformed, even when
+    what follows it would close as one good block."""
+    text = ("-----BEGIN CERTIFICATE-----\nAAAA\n"
+            "-----BEGIN CERTIFICATE-----\nAAAA\n-----END CERTIFICATE-----\n")
+    with pytest.raises(MalformedPem, match="BEGIN CERTIFICATE inside open CERTIFICATE block"):
+        pem.decode_pem(text)
+
+
 def test_end_without_begin():
     with pytest.raises(MalformedPem):
         pem.decode_pem("-----END CERTIFICATE-----\n")

@@ -368,3 +368,110 @@ def test_explicit_critical_false_is_rejected_as_the_oracle_rejects_it(ec_key, tm
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli.main([command, str(path)]) == 4
+
+
+def _certificate_blob(tbs, key):
+    """A certificate over the TBS DerValue tbs, signed by key."""
+    alg = algs.signature_algorithm_for(key.spec)
+    return der.encode(der.seq(tbs, alg.to_der_value(),
+                              der.bit_string(algs.sign(key.spec, key, der.encode(tbs)))))
+
+
+@pytest.mark.parametrize("fields, message", [
+    (0, "empty TBS"),
+    (3, "TBS is missing required fields"),  # version, serial, algorithm
+])
+def test_parse_rejects_a_truncated_tbs(ec_key, fields, message):
+    cert = _self_signed(ec_key)
+    tbs = der.seq(*der.decode(cert.tbs_der).children[:fields])
+    with pytest.raises(NotACertificate, match=message):
+        x509.parse_certificate(_certificate_blob(tbs, ec_key))
+
+
+def test_composite_signature_that_is_not_bit_strings_is_structural(tmp_path, rng):
+    material = composite.composite_keygen(
+        (algs.parse_alg_spec("ML-DSA:2"), algs.parse_alg_spec("ECDSA")), rng=rng)
+    cert = composite.issue_composite_certificate(parse_name("CN=c"), material, rng=rng)
+    octets = der.encode(der.seq(der.octet_string(b"x"), der.octet_string(b"y")))
+    path = tmp_path / "c.pem"
+    path.write_text(dataclasses.replace(cert, signature=octets).emit_pem())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["verify", str(path)]) == 7
+    assert out.getvalue().splitlines() == ["composite signature: invalid (structural)"]
+    assert "warning: signature is not a sequence of bit strings" in err.getvalue().splitlines()
+
+
+# -- validity written as GeneralizedTime before 2050 ----------------------
+
+JANUARY = (datetime.datetime(2026, 1, 1, tzinfo=UTC), datetime.datetime(2026, 1, 31, tzinfo=UTC))
+
+
+def _generalized(tbs):
+    """The TBS DerValue of tbs with its validity written as GeneralizedTime,
+    which RFC 5280 4.1.2.5 lets a relying party meet before 2050."""
+    fields = list(tbs.to_der_value().children)
+    fields[4] = der.seq(*(der.DerValue(der.GENERALIZED_TIME,
+                                       content=t.strftime("%Y%m%d%H%M%SZ").encode())
+                          for t in (tbs.not_before, tbs.not_after)))
+    return der.seq(*fields)
+
+
+def _self_signed_tbs(key, subject, validity, extensions=()):
+    name = parse_name(subject)
+    return x509.build_tbs(name, name, algs.spki_for_key(key), validity,
+                          algs.signature_algorithm_for(key.spec), extensions=extensions,
+                          add_default_extensions=False)
+
+
+def _check_generalized_pair(base_blob, delta_blob, tmp_path):
+    """The delta rebuilds byte-exactly from the base and verifies; both
+    certificates re-emit their TBS as read, and cryptography loads both."""
+    base, delta = x509.parse_certificate(base_blob), x509.parse_certificate(delta_blob)
+    for cert in (base, delta):
+        assert cert.tbs.der == cert.tbs_der
+        assert cryptography.x509.load_der_x509_certificate(cert.emit())
+    assert x509.reconstruct_delta(base).emit() == delta_blob
+    report = x509.verify_issued(base, base)
+    assert (report.native_sig, report.delta_sig) == (x509.VALID, x509.VALID)
+    path = tmp_path / "base.pem"
+    path.write_text(base.emit_pem())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(["verify", str(path)]) == 0
+    assert out.getvalue().splitlines() == ["native signature: valid", "delta signature: valid"]
+    assert err.getvalue().splitlines() == ["warning: expired",
+                                           "warning: self-signed (subject equals issuer)"]
+
+
+def test_delta_inheriting_a_generalized_time_validity_rebuilds(ec_key, ml2_key, tmp_path):
+    delta_blob = _certificate_blob(
+        _generalized(_self_signed_tbs(ml2_key, "CN=pair", JANUARY)), ml2_key)
+    base_tbs = x509.TbsCertificate.from_der_value(
+        _generalized(_self_signed_tbs(ec_key, "CN=pair", JANUARY)))
+    descriptor = x509.describe_delta(base_tbs, x509.parse_certificate(delta_blob))
+    assert descriptor.validity is None  # written alike in both
+    dcd = x509.ExtensionBlock(oids.EXT_DELTA_CERTIFICATE_DESCRIPTOR, False, descriptor.der)
+    base_blob = _certificate_blob(
+        _generalized(_self_signed_tbs(ec_key, "CN=pair", JANUARY, (dcd,))), ec_key)
+    _check_generalized_pair(base_blob, delta_blob, tmp_path)
+
+
+@pytest.mark.parametrize("base_validity", [
+    JANUARY, (JANUARY[0], JANUARY[1] + datetime.timedelta(days=28))],
+    ids=["same times", "other times"])
+def test_descriptor_keeps_its_own_generalized_time_validity(ec_key, ml2_key, tmp_path,
+                                                            base_validity):
+    """Beside a base whose validity is UTCTime, the descriptor's [2] field
+    carries the delta's GeneralizedTime validity, even for equal times."""
+    delta_blob = _certificate_blob(
+        _generalized(_self_signed_tbs(ml2_key, "CN=pair", JANUARY)), ml2_key)
+    base_tbs = _self_signed_tbs(ec_key, "CN=pair", base_validity)
+    descriptor = x509.describe_delta(base_tbs, x509.parse_certificate(delta_blob))
+    assert descriptor.validity == JANUARY
+    assert b"\x18\x0f20260101000000Z" in descriptor.der
+    assert x509.DeltaCertificateDescriptor.from_der(descriptor.der).der == descriptor.der
+    dcd = x509.ExtensionBlock(oids.EXT_DELTA_CERTIFICATE_DESCRIPTOR, False, descriptor.der)
+    base = x509.sign_certificate(
+        _self_signed_tbs(ec_key, "CN=pair", base_validity, (dcd,)), ec_key)
+    _check_generalized_pair(base.emit(), delta_blob, tmp_path)
