@@ -17,6 +17,7 @@ encodings dispatch through that table, keyed by the spec's family.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import math
 import os
 import re
@@ -64,6 +65,7 @@ _CURVE_BY_OID = {oid: name for name, (_, oid, _) in _CURVES.items()}
 
 _ML_DSA_PRIVATE = {2: mldsa.MLDSA44PrivateKey, 3: mldsa.MLDSA65PrivateKey, 5: mldsa.MLDSA87PrivateKey}
 _ML_DSA_PUBLIC = {2: mldsa.MLDSA44PublicKey, 3: mldsa.MLDSA65PublicKey, 5: mldsa.MLDSA87PublicKey}
+_ML_DSA_EXPANDED_SIZE = {2: 2560, 3: 4032, 5: 4896}
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def _parse_single(text: str) -> AlgorithmSpec:
             level = int(param)
         except ValueError:
             raise InvalidParameter(f"ML-DSA level must be an integer: {param!r}") from None
-        if level not in (2, 3, 5):
+        if level not in _ML_DSA_PRIVATE:
             raise InvalidParameter(f"ML-DSA security level must be 2, 3, or 5: {level}")
         return AlgorithmSpec(FAMILY_ML_DSA, level)
 
@@ -172,20 +174,7 @@ def _parse_single(text: str) -> AlgorithmSpec:
 
 # -- registry -----------------------------------------------------------
 
-_DEFAULT_TABLE: dict[str, ObjectIdentifier] = {
-    "rsa": oids.SHA256_WITH_RSA,
-    "ecdsa": oids.ECDSA_WITH_SHA256,
-    "ml-dsa:2": oids.ML_DSA_44,
-    "ml-dsa:3": oids.ML_DSA_65,
-    "ml-dsa:5": oids.ML_DSA_87,
-    "slh-dsa:128s": oids.SLH_DSA_SHAKE_128S,
-    "slh-dsa:128f": oids.SLH_DSA_SHAKE_128F,
-    "slh-dsa:192s": oids.SLH_DSA_SHAKE_192S,
-    "slh-dsa:192f": oids.SLH_DSA_SHAKE_192F,
-    "slh-dsa:256s": oids.SLH_DSA_SHAKE_256S,
-    "slh-dsa:256f": oids.SLH_DSA_SHAKE_256F,
-    "composite": oids.COMPOSITE_INTERIM,
-}
+_DEFAULT_TABLE = {name: value for name, (value, _) in oids.SIGNATURE_ALGORITHMS.items()}
 
 OID_TABLE_ENV = "PQCLI_OID_TABLE"
 
@@ -195,18 +184,14 @@ class Registry:
 
     Immutable once built; overrides produce a new instance. The reverse
     mapping drives algorithm recognition when parsing certificates, so
-    every name is "composite" or the oid_name() of a spec.
+    every name is a row of oids.SIGNATURE_ALGORITHMS.
     """
 
     def __init__(self, table: dict[str, ObjectIdentifier]):
         self._by_name = dict(table)
         self._by_oid: dict[ObjectIdentifier, str] = {}
         for name, value in self._by_name.items():
-            try:
-                known = name == "composite" or _parse_single(name).oid_name() == name
-            except PqcliError:
-                known = False
-            if not known:
+            if name not in oids.SIGNATURE_ALGORITHMS:
                 raise InvalidParameter(
                     f"OID table name {name!r} is not a registry key such as 'ml-dsa:3'")
             if value in self._by_oid:
@@ -603,6 +588,26 @@ class _Ecdsa(_CryptographyFamily):
 
 
 class _MlDsa(_CryptographyFamily):
+    def load(self, spec, private):
+        """The seed or both form of draft-ietf-lamps-dilithium-certificates; in
+        both, expandedKey must match the seed's key in length, ρ and tr."""
+        alg = choice = seed = None
+        with contextlib.suppress(PqcliError, ValueError):
+            alg, body = _one_asymmetric_key(der.decode(private))
+            choice = der.decode(body)
+            seed, expanded = (c.as_octets() for c in choice.expect(der.SEQUENCE).children)
+        if choice is not None and (choice.tag, choice.cls) == (der.OCTET_STRING, der.UNIVERSAL):
+            raise KeyMismatch(f"ML-DSA private key for {spec} is an expanded key without its seed")
+        if (seed is None or len(seed) != 32
+                or alg.oid != _BUILTIN_REGISTRY.oid_for_name(spec.oid_name())):
+            return super().load(spec, private)
+        record = self._record(spec, _ML_DSA_PRIVATE[spec.parameter].from_seed_bytes(seed), private)
+        if (len(expanded) != _ML_DSA_EXPANDED_SIZE[spec.parameter]
+                or expanded[:32] != record.public[:32]
+                or expanded[64:128] != hashlib.shake_256(record.public).digest(64)):
+            raise KeyMismatch(f"ML-DSA expanded key for {spec} does not match its seed")
+        return record
+
     def generate(self, level, rng):
         cls = _ML_DSA_PRIVATE[level]
         return cls.generate() if rng is None else cls.from_seed_bytes(rng.randbytes(32))

@@ -1,9 +1,10 @@
 """Object identifiers: value type, content-octet codec, and well-known arcs.
 
 ObjectIdentifier is an immutable sequence of arcs with the canonical
-base-128 content encoding required by DER. The tables at the bottom give
-display names for OIDs this tool knows about; everything else renders in
-dotted form.
+base-128 content encoding required by DER. SIGNATURE_ALGORITHMS is the one
+catalogue of signature algorithms: each OID-table name algs.Registry
+accepts, with its OID and display name. The tables at the bottom name the
+OIDs this tool knows about; everything else renders in dotted form.
 """
 
 from __future__ import annotations
@@ -142,6 +143,22 @@ SLH_DSA_SHAKE_256F = oid("2.16.840.1.101.3.4.3.31")
 # Interim composite OID used until IANA issues standardized ones
 COMPOSITE_INTERIM = oid("1.3.6.1.4.1.18227.2.1")
 
+# OID-table name (an algs spec's oid_name()) -> (OID, display name)
+SIGNATURE_ALGORITHMS: dict[str, tuple[ObjectIdentifier, str]] = {
+    "rsa": (SHA256_WITH_RSA, "sha256WithRSAEncryption"),
+    "ecdsa": (ECDSA_WITH_SHA256, "ecdsa-with-SHA256"),
+    "ml-dsa:2": (ML_DSA_44, "ML-DSA-44"),
+    "ml-dsa:3": (ML_DSA_65, "ML-DSA-65"),
+    "ml-dsa:5": (ML_DSA_87, "ML-DSA-87"),
+    "slh-dsa:128s": (SLH_DSA_SHAKE_128S, "SLH-DSA-SHAKE-128s"),
+    "slh-dsa:128f": (SLH_DSA_SHAKE_128F, "SLH-DSA-SHAKE-128f"),
+    "slh-dsa:192s": (SLH_DSA_SHAKE_192S, "SLH-DSA-SHAKE-192s"),
+    "slh-dsa:192f": (SLH_DSA_SHAKE_192F, "SLH-DSA-SHAKE-192f"),
+    "slh-dsa:256s": (SLH_DSA_SHAKE_256S, "SLH-DSA-SHAKE-256s"),
+    "slh-dsa:256f": (SLH_DSA_SHAKE_256F, "SLH-DSA-SHAKE-256f"),
+    "composite": (COMPOSITE_INTERIM, "composite-signature"),
+}
+
 # Key algorithms (SubjectPublicKeyInfo)
 RSA_ENCRYPTION = oid("1.2.840.113549.1.1.1")
 EC_PUBLIC_KEY = oid("1.2.840.10045.2.1")
@@ -175,18 +192,7 @@ EXT_DELTA_CERTIFICATE_DESCRIPTOR = oid("2.16.840.1.114027.80.6.1")
 ATTR_EXTENSION_REQUEST = oid("1.2.840.113549.1.9.14")
 
 ALGORITHM_NAMES: dict[ObjectIdentifier, str] = {
-    SHA256_WITH_RSA: "sha256WithRSAEncryption",
-    ECDSA_WITH_SHA256: "ecdsa-with-SHA256",
-    ML_DSA_44: "ML-DSA-44",
-    ML_DSA_65: "ML-DSA-65",
-    ML_DSA_87: "ML-DSA-87",
-    SLH_DSA_SHAKE_128S: "SLH-DSA-SHAKE-128s",
-    SLH_DSA_SHAKE_128F: "SLH-DSA-SHAKE-128f",
-    SLH_DSA_SHAKE_192S: "SLH-DSA-SHAKE-192s",
-    SLH_DSA_SHAKE_192F: "SLH-DSA-SHAKE-192f",
-    SLH_DSA_SHAKE_256S: "SLH-DSA-SHAKE-256s",
-    SLH_DSA_SHAKE_256F: "SLH-DSA-SHAKE-256f",
-    COMPOSITE_INTERIM: "composite-signature",
+    **dict(SIGNATURE_ALGORITHMS.values()),
     RSA_ENCRYPTION: "rsaEncryption",
     EC_PUBLIC_KEY: "id-ecPublicKey",
     CURVE_P256: "prime256v1",

@@ -806,9 +806,10 @@ def _decode_cri(info: der.DerValue):
             raise NotACsr("malformed attributes field")
         for attr in attributes.children:
             attr.expect(der.SEQUENCE)
-            if len(attr.children) == 2 and attr.children[0].as_oid() == ATTR_EXTENSION_REQUEST:
-                values = attr.children[1]
-                values.expect(der.SET)
+            if len(attr.children) != 2:
+                raise NotACsr("request attribute must be a type and a SET of values")
+            values = attr.children[1].expect(der.SET)
+            if attr.children[0].as_oid() == ATTR_EXTENSION_REQUEST:
                 if len(values.children) != 1:
                     raise NotACsr("extensionRequest attribute must hold exactly one value")
                 extensions = _decode_extensions(values.children[0])

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pqcli import algs, der, oids
+from pqcli import algs, der, oids, slhdsa
 from pqcli.errors import (
     InvalidParameter,
     KeyMismatch,
@@ -101,6 +101,38 @@ def test_oid_for_injective_over_non_composite():
         value = registry.oid_for_name(name)
         assert value not in seen, f"{name} and {seen[value]} share an OID"
         seen[value] = name
+
+
+def test_catalogue_names_are_the_canonical_registry_keys():
+    """Each row but composite is the oid_name() of the spec it parses to,
+    the check Registry made of every name before the catalogue."""
+    for name in oids.SIGNATURE_ALGORITHMS:
+        if name != "composite":
+            assert algs._parse_single(name).oid_name() == name
+
+
+def test_catalogue_rows_are_exactly_the_implemented_parameter_sets():
+    names = set(oids.SIGNATURE_ALGORITHMS)
+    assert {n for n in names if n.startswith("slh-dsa:")} == {
+        f"slh-dsa:{ps}" for ps in slhdsa.PARAMETER_SETS}
+    assert {n for n in names if n.startswith("ml-dsa:")} == {
+        f"ml-dsa:{level}" for level in algs._ML_DSA_PRIVATE}
+    assert names - {n for n in names if n.startswith(("slh-dsa:", "ml-dsa:"))} == {
+        "rsa", "ecdsa", "composite"}
+
+
+def test_default_registry_and_display_names_come_from_the_catalogue():
+    registry = algs.Registry.default()
+    assert registry.names() == tuple(oids.SIGNATURE_ALGORITHMS)
+    for name, (value, display) in oids.SIGNATURE_ALGORITHMS.items():
+        assert registry.oid_for_name(name) == value
+        assert registry.name_for_oid(value) == name
+        assert oids.algorithm_name(value) == display
+    # the other display names are the key algorithms and curves only
+    signature_oids = {value for value, _ in oids.SIGNATURE_ALGORITHMS.values()}
+    assert set(oids.ALGORITHM_NAMES) - signature_oids == {
+        oids.RSA_ENCRYPTION, oids.EC_PUBLIC_KEY,
+        oids.CURVE_P256, oids.CURVE_P384, oids.CURVE_P521}
 
 
 def test_registry_override_and_injectivity():

@@ -506,8 +506,12 @@ def test_expired_certificate_warns_but_verifies(workdir, capsys, rng):
     b"composite = notanoid\n",
     b"composite = 1\n",
     b"composite = 3.1.2\n",
+    b"rsa:2048 = 2.999.9\n",
+    b"ecdsa:P-256 = 2.999.9\n",
+    b"mldsa:3 = 2.999.9\n",
+    b"ml-dsa:03 = 2.999.9\n",
 ], ids=["ml-dsa-level", "slh-dsa-set", "ml-dsa-text", "not-utf8", "oid-text", "one-arc",
-        "first-arc"])
+        "first-arc", "rsa-size", "ecdsa-curve", "ml-dsa-alias", "ml-dsa-leading-zero"])
 def test_oid_table_names_must_be_registry_keys(workdir, capsys, monkeypatch, rng,
                                                table):
     # a certificate whose key and signature carry the table's OID

@@ -130,3 +130,35 @@ def test_view_rejects_malformed_request_info(ec_key, tmp_path, capsys, shape, me
     pem.write_pem(path, pem.LABEL_CSR, _signed_request(ec_key, *fields))
     assert cli.main(["view", str(path)]) == 4
     assert capsys.readouterr() == ("", f"pqcli: {message}\n")
+
+
+@pytest.mark.parametrize("shape", ["type, values and a third field", "type alone"])
+def test_attribute_that_is_not_a_type_and_a_set_is_rejected(ec_key, tmp_path, capsys, shape):
+    """cryptography refuses an attribute SEQUENCE with a trailing field
+    (ExtraData) or without its values (ShortData); so do parse_csr and view."""
+    ext = x509.ExtensionBlock(oids.EXT_KEY_USAGE, True, b"\x03\x02\x05\xa0")
+    fields = {"type, values and a third field": (
+                  der.oid_value(oids.ATTR_EXTENSION_REQUEST),
+                  der.set_of(der.seq(ext.to_der_value())), der.integer(1)),
+              "type alone": (der.oid_value(oids.ATTR_EXTENSION_REQUEST),)}[shape]
+    blob = _signed_request(ec_key, *_info_fields(ec_key), _attributes(der.seq(*fields)))
+    with pytest.raises(ValueError):
+        cryptography.x509.load_der_x509_csr(blob).extensions
+    with pytest.raises(NotACsr, match="request attribute must be a type and a SET of values"):
+        x509.parse_csr(blob)
+    path = tmp_path / "req.pem"
+    pem.write_pem(path, pem.LABEL_CSR, blob)
+    assert cli.main(["view", str(path)]) == 4
+    assert capsys.readouterr() == (
+        "", "pqcli: request attribute must be a type and a SET of values\n")
+
+
+def test_well_formed_attribute_of_another_type_is_skipped(ec_key):
+    """A challengePassword attribute is read past; cryptography reads it too."""
+    challenge = der.seq(der.oid_value(oids.oid("1.2.840.113549.1.9.7")),
+                        der.set_of(der.DerValue(0x0C, content=b"secret")))
+    blob = _signed_request(ec_key, *_info_fields(ec_key), _attributes(challenge))
+    assert len(cryptography.x509.load_der_x509_csr(blob).extensions) == 0
+    doc = x509.parse_csr(blob)
+    assert doc.extensions == ()
+    assert x509.verify_csr(doc)

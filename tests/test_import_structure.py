@@ -20,7 +20,8 @@ itself re-exports nothing, so pqcli/__init__.py imports no package module
 and each name has one import path. No module imports inside a function,
 and the package-internal imports form no cycle. The OID table is process
 state that algs.use_registry replaces, so no function takes it as a
-parameter."""
+parameter. oids.SIGNATURE_ALGORITHMS is the one catalogue of signature
+algorithms, so algs names none of their OID constants."""
 
 import ast
 import pathlib
@@ -28,7 +29,7 @@ import pathlib
 import pytest
 
 import pqcli
-from pqcli import catalyst, chameleon, composite, x509
+from pqcli import catalyst, chameleon, composite, oids, x509
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -127,20 +128,25 @@ def test_algs_imports_only_its_allowed_package_modules():
     assert imported <= ALGS_ALLOWED, imported - ALGS_ALLOWED
 
 
-def test_cli_leaves_reading_and_verdicts_to_pem_and_x509():
-    decided_elsewhere = {
-        "CatalystExtensionTriple", "reconstruct_delta", "descriptor_from_certificate",
-        "MalformedAltExtension", "NoDescriptor", "ReconstructionMismatch",
-        "decode_pem", "is_pem"}
+def _referenced_names(module):
+    """Every name, attribute and imported name the module mentions."""
     referenced = set()
-    for node in ast.walk(_tree("cli")):
+    for node in ast.walk(_tree(module)):
         if isinstance(node, ast.Name):
             referenced.add(node.id)
         elif isinstance(node, ast.Attribute):
             referenced.add(node.attr)
         elif isinstance(node, ast.alias):
             referenced.add(node.name)
-    assert referenced & decided_elsewhere == set()
+    return referenced
+
+
+def test_cli_leaves_reading_and_verdicts_to_pem_and_x509():
+    decided_elsewhere = {
+        "CatalystExtensionTriple", "reconstruct_delta", "descriptor_from_certificate",
+        "MalformedAltExtension", "NoDescriptor", "ReconstructionMismatch",
+        "decode_pem", "is_pem"}
+    assert _referenced_names("cli") & decided_elsewhere == set()
     assert "chameleon" not in _package_imports("cli") | _package_imports("x509")
 
 
@@ -172,3 +178,11 @@ def test_render_text_decodes_nothing_itself():
              for n in ast.walk(render[0]) if isinstance(n, (ast.Attribute, ast.Name))}
     decoders = {n for n in names if n.startswith(("decode", "_decode", "from_der", "as_"))}
     assert decoders == set()
+
+
+def test_algs_names_no_signature_oid_constant():
+    catalogue = {value for value, _ in oids.SIGNATURE_ALGORITHMS.values()}
+    constants = {name for name, value in vars(oids).items()
+                 if isinstance(value, oids.ObjectIdentifier) and value in catalogue}
+    assert len(constants) == 12
+    assert _referenced_names("algs") & constants == set()

@@ -11,7 +11,8 @@ import subprocess
 
 import pytest
 
-from pqcli import algs, composite, pem, slhdsa, x509
+from pqcli import algs, cli, composite, der, pem, slhdsa, x509
+from pqcli.errors import KeyMismatch
 from pqcli.names import parse_name
 
 
@@ -127,3 +128,88 @@ def test_openssl_rejects_composite_certificate(keys, tmp_path):
     result = _openssl("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem", cwd=tmp_path)
     assert result.returncode != 0
     assert "unable to get certs public key" in result.stderr
+
+
+# -- ML-DSA private keys in the forms OpenSSL writes --------------------
+
+_ML_DSA_LEVELS = {"ML-DSA-44": 2, "ML-DSA-65": 3, "ML-DSA-87": 5}
+
+
+def _openssl_ml_dsa_key(tmp_path, name, form=None):
+    """An OpenSSL key file: its default form (seed-priv) unless form is given."""
+    args = ("-provparam", f"ml-dsa.output_formats={form}") if form else ()
+    result = _openssl("genpkey", "-algorithm", name, *args, "-out", "key.pem", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    return tmp_path / "key.pem"
+
+
+def _csr_from_key(path, tmp_path):
+    return cli.main(["csr", "-key", str(path), "-subj", "CN=openssl key",
+                     "-out", str(tmp_path / "req.pem")])
+
+
+@pytest.mark.parametrize("form", ["seed-priv", "seed-only", None],
+                         ids=["seed-priv", "seed-only", "default"])
+@pytest.mark.parametrize("name", sorted(_ML_DSA_LEVELS))
+def test_openssl_ml_dsa_key_signs_a_request_openssl_accepts(name, form, tmp_path, capsys):
+    path = _openssl_ml_dsa_key(tmp_path, name, form)
+    record = algs.load_private_key(pem.first_block(pem.read_pem(path), pem.LABEL_PRIVATE_KEY))
+    assert record.spec == algs.parse_alg_spec(f"ml-dsa:{_ML_DSA_LEVELS[name]}")
+    public = _openssl("pkey", "-in", "key.pem", "-pubout", "-outform", "DER", "-out", "pub.der",
+                      cwd=tmp_path)
+    assert public.returncode == 0, public.stderr
+    assert record.public == algs.SubjectPublicKeyInfo.from_der(
+        (tmp_path / "pub.der").read_bytes()).key_bits
+    assert _csr_from_key(path, tmp_path) == 0, capsys.readouterr().err
+    result = _openssl("req", "-in", "req.pem", "-verify", "-noout", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "verify OK" in result.stdout + result.stderr
+
+
+@pytest.mark.parametrize("name", sorted(_ML_DSA_LEVELS))
+def test_openssl_expanded_only_ml_dsa_key_is_refused(name, tmp_path, capsys):
+    path = _openssl_ml_dsa_key(tmp_path, name, "priv-only")
+    assert _csr_from_key(path, tmp_path) == 4
+    assert "is an expanded key without its seed" in capsys.readouterr().err
+    assert not (tmp_path / "req.pem").exists()
+
+
+def _with_expanded_key(blob, edit):
+    """The PKCS#8 key blob in the both form, its expandedKey passed through edit."""
+    version, algorithm, private = der.decode(blob).children
+    seed, expanded = der.decode(private.content).children
+    both = der.seq(seed, der.octet_string(edit(expanded.content)))
+    return der.encode(der.seq(version, algorithm, der.octet_string(der.encode(both))))
+
+
+def _flip(where):
+    return lambda key: key[:where] + bytes([key[where] ^ 1]) + key[where + 1:]
+
+
+@pytest.mark.parametrize("edit", [_flip(0), _flip(31), _flip(64), _flip(127),
+                                  lambda key: key[:-1], lambda key: key + b"\0"],
+                         ids=["rho", "rho-end", "tr", "tr-end", "short", "long"])
+@pytest.mark.parametrize("name", sorted(_ML_DSA_LEVELS))
+def test_both_form_key_whose_expanded_key_disagrees_is_refused(name, edit, tmp_path, capsys):
+    blob = pem.first_block(pem.read_pem(_openssl_ml_dsa_key(tmp_path, name)),
+                           pem.LABEL_PRIVATE_KEY)
+    assert _with_expanded_key(blob, lambda key: key) == blob
+    edited = _with_expanded_key(blob, edit)
+    with pytest.raises(KeyMismatch, match="does not match its seed"):
+        algs.load_private_key(edited)
+    pem.write_pem(tmp_path / "bad.pem", pem.LABEL_PRIVATE_KEY, edited)
+    assert _csr_from_key(tmp_path / "bad.pem", tmp_path) == 4
+    assert "does not match its seed" in capsys.readouterr().err
+
+
+def test_both_form_key_of_another_level_or_seed_size_is_refused(tmp_path):
+    blob = pem.first_block(pem.read_pem(_openssl_ml_dsa_key(tmp_path, "ML-DSA-44")),
+                           pem.LABEL_PRIVATE_KEY)
+    with pytest.raises(KeyMismatch, match="cannot load private key for ml-dsa:3"):
+        algs.keypair_from_private(algs.parse_alg_spec("ml-dsa:3"), blob)
+    version, algorithm, private = der.decode(blob).children
+    seed, expanded = der.decode(private.content).children
+    short_seed = der.seq(der.octet_string(seed.content[:31]), expanded)
+    with pytest.raises(KeyMismatch, match="cannot load private key for ml-dsa:2"):
+        algs.load_private_key(der.encode(der.seq(
+            version, algorithm, der.octet_string(der.encode(short_seed)))))
