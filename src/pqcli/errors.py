@@ -71,7 +71,7 @@ class EmptyValue(PqcliError):
 # --- certificate construction and parsing ---
 
 class DuplicateExtension(PqcliError):
-    """Two extensions with the same OID in one certificate."""
+    """Two extensions with the same OID in one certificate or request."""
 
 
 class InvalidValidity(PqcliError):

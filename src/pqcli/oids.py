@@ -15,16 +15,14 @@ from .errors import BadValue, Truncated
 class ObjectIdentifier:
     """An OID as a tuple of non-negative integer arcs.
 
-    Hashable and comparable; usable as a dict key. Accepts a dotted string,
-    an iterable of ints, or another ObjectIdentifier.
+    Hashable and equal by arcs, so usable as a dict key. Accepts a dotted
+    string or an iterable of ints.
     """
 
     __slots__ = ("arcs", "_content")
 
     def __init__(self, value):
-        if isinstance(value, ObjectIdentifier):
-            arcs = value.arcs
-        elif isinstance(value, str):
+        if isinstance(value, str):
             try:
                 arcs = tuple(int(part) for part in value.split("."))
             except ValueError:
@@ -59,9 +57,6 @@ class ObjectIdentifier:
 
     def __hash__(self) -> int:
         return hash(self.arcs)
-
-    def __lt__(self, other: "ObjectIdentifier") -> bool:
-        return self.arcs < other.arcs
 
     def encode_content(self) -> bytes:
         """Content octets of the DER encoding (no tag or length), computed

@@ -17,6 +17,8 @@ requires the declared algorithm to be the key's. Each field shape the TBS,
 the delta descriptor and the request share (the validity pair, an
 extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder,
 and the Catalyst triple has one reader, which render_text prints from.
+One check allows each extension type once (RFC 5280 4.2): building a TBS
+or a request raises DuplicateExtension, and reading a list, BadValue.
 """
 
 from __future__ import annotations
@@ -101,7 +103,15 @@ def _encode_extensions(extensions) -> der.DerValue:
 
 def _decode_extensions(value: der.DerValue) -> tuple["ExtensionBlock", ...]:
     value.expect(der.SEQUENCE)
-    return tuple(ExtensionBlock.from_der_value(e) for e in value.children)
+    return _one_per_type(tuple(map(ExtensionBlock.from_der_value, value.children)), BadValue)
+
+
+def _one_per_type(extensions, error_cls=DuplicateExtension):
+    """extensions, unless a type repeats: RFC 5280 4.2 allows one of each."""
+    if len({e.oid.arcs for e in extensions}) != len(extensions):  # arcs hash in C
+        types = [e.oid for e in extensions]
+        raise error_cls(f"duplicate extension {max(types, key=types.count)}")
+    return extensions
 
 
 def _read_explicit(children, index: int, tag: int, decode, error_cls, field: str):
@@ -155,6 +165,9 @@ class TbsCertificate:
     spki: algs.SubjectPublicKeyInfo
     extensions: tuple[ExtensionBlock, ...] = ()
     _validity: der.DerValue | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        _one_per_type(self.extensions)
 
     def to_der_value(self) -> der.DerValue:
         children = [
@@ -309,12 +322,6 @@ def build_tbs(subject: DistinguishedName,
         if EXT_SUBJECT_KEY_ID not in supplied_oids:
             final.append(subject_key_id_extension(spki))
     final.extend(supplied)
-
-    seen: set[ObjectIdentifier] = set()
-    for ext in final:
-        if ext.oid in seen:
-            raise DuplicateExtension(f"duplicate extension {ext.oid}")
-        seen.add(ext.oid)
 
     return TbsCertificate(
         version=2, serial=serial, signature_alg=signature_alg,
@@ -540,9 +547,6 @@ def sign_certificate(tbs: TbsCertificate,
         raise AlgorithmMismatch(
             f"TBS says {tbs.signature_alg.oid}, key signs as {expected.oid}")
     if alt_issuer_key is not None:
-        for oid in ALT_EXTENSION_OIDS:
-            if tbs.find_extension(oid) is not None:
-                raise DuplicateExtension(f"base TBS already carries {extension_name(oid)}")
         if issuer_key.spec.family == alt_issuer_key.spec.family:
             warnings.warn(
                 "native and alternative keys share one algorithm family; the "
@@ -780,7 +784,7 @@ def build_csr(subject: DistinguishedName, keypair: algs.KeyPairRecord,
               extensions=()) -> CsrDocument:
     """PKCS#10 request self-signed with the subject key; verified on build."""
     spki = algs.spki_for_key(keypair)
-    extensions = tuple(extensions)
+    extensions = _one_per_type(tuple(extensions))
     cri_der = _encode_cri(subject, spki, extensions)
     signature_alg = algs.signature_algorithm_for(keypair.spec)
     signature = algs.sign(keypair.spec, keypair, cri_der)

@@ -1,6 +1,9 @@
 import random
 
 import pytest
+from cryptography.exceptions import UnsupportedAlgorithm as UnsupportedKeyType
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import dsa, ec
 
 from pqcli import algs, der, oids, slhdsa
 from pqcli.errors import (
@@ -259,6 +262,53 @@ def test_load_private_key_rejects_garbage():
         algs.load_private_key(b"junk")
     with pytest.raises(KeyMismatch):
         algs.load_private_key(der.encode(der.seq(der.integer(0))))
+
+
+def _pkcs8(key, encryption=serialization.NoEncryption()):
+    return key.private_bytes(serialization.Encoding.DER,
+                             serialization.PrivateFormat.PKCS8, encryption)
+
+
+def _with_key_algorithm(private, *algorithm):
+    """The PKCS#8 key private with a privateKeyAlgorithm made of algorithm."""
+    info = der.decode(private)
+    return der.encode(info._replace(
+        children=(info.children[0], der.seq(*algorithm)) + info.children[2:]))
+
+
+# each key, from a P-256 key, and what load_der_private_key raises (None: it loads)
+_UNREADABLE_OR_UNMATCHED_KEYS = {
+    "garbage": (lambda p256: b"junk", ValueError),
+    "truncated": (lambda p256: _pkcs8(p256)[:-5], ValueError),
+    # the last octet is the public point's: flipping its low bit leaves the curve
+    "point off the curve": (lambda p256: _pkcs8(p256)[:-1] + bytes([_pkcs8(p256)[-1] ^ 1]),
+                            ValueError),
+    "unknown curve": (lambda p256: _with_key_algorithm(
+        _pkcs8(p256), der.oid_value(oids.EC_PUBLIC_KEY), der.oid_value(oids.oid("1.3.132.0.99"))),
+        UnsupportedKeyType),
+    "encrypted": (lambda p256: _pkcs8(p256, serialization.BestAvailableEncryption(b"pw")),
+                  TypeError),
+    "key OID 1.2.3.4": (lambda p256: _with_key_algorithm(
+        _pkcs8(p256), der.oid_value(oids.oid("1.2.3.4"))), UnsupportedKeyType),
+    "DSA": (lambda p256: _pkcs8(dsa.generate_private_key(1024)), None),
+    "brainpoolP256r1": (lambda p256: _pkcs8(ec.generate_private_key(ec.BrainpoolP256R1())), None),
+    "P-192": (lambda p256: _pkcs8(ec.generate_private_key(ec.SECP192R1())), None),
+}
+
+
+@pytest.mark.parametrize("row", list(_UNREADABLE_OR_UNMATCHED_KEYS))
+def test_unreadable_or_unmatched_key_is_a_key_mismatch(ec_key, row):
+    """The loader catches only what cryptography raises for a key it cannot
+    read; a key it reads that is not the spec's fails the match."""
+    make, raised = _UNREADABLE_OR_UNMATCHED_KEYS[row]
+    private = make(ec_key.key)
+    if raised is None:
+        serialization.load_der_private_key(private, password=None)
+    else:
+        with pytest.raises(raised):
+            serialization.load_der_private_key(private, password=None)
+    with pytest.raises(KeyMismatch):
+        algs.keypair_from_private(ec_key.spec, private)
 
 
 def test_sign_with_mismatched_key_raises(ec_key):

@@ -213,6 +213,7 @@ def test_descriptor_codec_malformed():
     "descriptor is missing the public key",
     "descriptor is missing the signature value",
     "trailing fields in descriptor",
+    "duplicate extension 2.5.29.19",
 ])
 def test_descriptor_short_of_a_field_or_with_one_too_many(pair, ec_key, tmp_path, capsys, flaw):
     """Read directly it is BadValue; inside a base, reconstruct_delta
@@ -222,12 +223,16 @@ def test_descriptor_short_of_a_field_or_with_one_too_many(pair, ec_key, tmp_path
     serial = der.integer(descriptor.serial)
     alg = der.explicit(0, descriptor.signature_alg.to_der_value())
     spki = descriptor.spki.to_der_value()
+    bc = x509.basic_constraints_extension()
     fields = {
         "descriptor is missing the public key":
             (serial, alg, der.explicit(1, parse_name("CN=other").to_der_value())),
         "descriptor is missing the signature value": (serial, alg, spki),
         "trailing fields in descriptor":
             (serial, alg, spki, der.bit_string(descriptor.signature_value), der.integer(2)),
+        "duplicate extension 2.5.29.19":
+            (serial, alg, spki, der.explicit(4, der.seq(*[bc.to_der_value()] * 2)),
+             der.bit_string(descriptor.signature_value)),
     }[flaw]
     blob = der.encode(der.seq(*fields))
     with pytest.raises(BadValue, match=flaw):

@@ -4,7 +4,7 @@ import cryptography.x509
 import pytest
 
 from pqcli import algs, cli, der, oids, pem, x509
-from pqcli.errors import NotACsr
+from pqcli.errors import DuplicateExtension, NotACsr
 from pqcli.names import parse_name
 
 
@@ -38,6 +38,12 @@ def test_requested_extensions_round_trip(ec_key):
     back = x509.parse_csr(doc.emit())
     assert back.extensions == (ext,)
     assert x509.verify_csr(back)
+
+
+def test_build_refuses_a_repeated_extension(ec_key):
+    ext = x509.ExtensionBlock(oids.EXT_KEY_USAGE, True, b"\x03\x02\x05\xa0")
+    with pytest.raises(DuplicateExtension, match="duplicate extension 2.5.29.15"):
+        x509.build_csr(parse_name("CN=ext"), ec_key, extensions=(ext, ext))
 
 
 def test_tampered_subject_fails(ec_key):
@@ -151,6 +157,41 @@ def test_attribute_that_is_not_a_type_and_a_set_is_rejected(ec_key, tmp_path, ca
     assert cli.main(["view", str(path)]) == 4
     assert capsys.readouterr() == (
         "", "pqcli: request attribute must be a type and a SET of values\n")
+
+
+def test_repeated_extension_is_refused_as_the_oracle_refuses_it(ec_key, tmp_path, capsys):
+    """RFC 5280 4.2 holds for a request's extension list as for a
+    certificate's: cryptography raises DuplicateExtension, view exits 4."""
+    bc = x509.basic_constraints_extension().to_der_value()
+    attribute = der.seq(der.oid_value(oids.ATTR_EXTENSION_REQUEST), der.set_of(der.seq(bc, bc)))
+    blob = _signed_request(ec_key, *_info_fields(ec_key), _attributes(attribute))
+    with pytest.raises(cryptography.x509.DuplicateExtension):
+        cryptography.x509.load_der_x509_csr(blob).extensions
+    path = tmp_path / "req.pem"
+    pem.write_pem(path, pem.LABEL_CSR, blob)
+    assert cli.main(["view", str(path)]) == 4
+    assert capsys.readouterr() == ("", "pqcli: duplicate extension 2.5.29.19\n")
+
+
+def test_view_prints_the_requested_extensions(ml2_key, tmp_path, capsys):
+    critical_bc = dataclasses.replace(x509.basic_constraints_extension(), critical=True)
+    ski = x509.subject_key_id_extension(algs.spki_for_key(ml2_key))
+    doc = x509.build_csr(parse_name("CN=dev1,O=Plant"), ml2_key, extensions=(critical_bc, ski))
+    path = tmp_path / "req.pem"
+    path.write_text(doc.emit_pem())
+    assert cli.main(["view", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "Certificate Request:",
+        "    Subject: CN=dev1,O=Plant",
+        "    Subject Public Key Info:",
+        "        Algorithm: ML-DSA-44",
+        "            Key: 1312 bytes",
+        "    Requested Extensions:",
+        "        basicConstraints: critical",
+        "        subjectKeyIdentifier:",
+        "    Signature Algorithm: ML-DSA-44",
+        "    Signature: 2420 bytes",
+    ]
 
 
 def test_well_formed_attribute_of_another_type_is_skipped(ec_key):

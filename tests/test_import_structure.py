@@ -21,7 +21,10 @@ and each name has one import path. No module imports inside a function,
 and the package-internal imports form no cycle. The OID table is process
 state that algs.use_registry replaces, so no function takes it as a
 parameter. oids.SIGNATURE_ALGORITHMS is the one catalogue of signature
-algorithms, so algs names none of their OID constants."""
+algorithms, so algs names none of their OID constants. RFC 5280's one
+extension of each type is checked in one function of x509, which the
+TbsCertificate constructor, the extension-list reader and build_csr call;
+chameleon leaves it to them."""
 
 import ast
 import pathlib
@@ -186,3 +189,15 @@ def test_algs_names_no_signature_oid_constant():
                  if isinstance(value, oids.ObjectIdentifier) and value in catalogue}
     assert len(constants) == 12
     assert _referenced_names("algs") & constants == set()
+
+
+def test_one_extension_per_type_is_checked_in_one_function():
+    functions = [f for f in ast.walk(_tree("x509")) if isinstance(f, ast.FunctionDef)]
+
+    def mentioning(name):
+        return {f.name for f in functions
+                if any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(f))}
+
+    assert mentioning("DuplicateExtension") == {"_one_per_type"}
+    assert mentioning("_one_per_type") == {"__post_init__", "_decode_extensions", "build_csr"}
+    assert "DuplicateExtension" not in _referenced_names("chameleon")

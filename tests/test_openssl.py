@@ -15,6 +15,8 @@ from pqcli import algs, cli, composite, der, pem, slhdsa, x509
 from pqcli.errors import KeyMismatch
 from pqcli.names import parse_name
 
+from test_x509 import certificate_with_a_repeated_extension
+
 
 def _openssl_version():
     path = shutil.which("openssl")
@@ -102,6 +104,16 @@ def test_we_verify_openssl_signature(text, keys, tmp_path):
     signature = (tmp_path / "sig").read_bytes()
     assert algs.verify(key.spec, key.public, _MESSAGE, signature)
     assert not algs.verify(key.spec, key.public, _MESSAGE + b"!", signature)
+
+
+def test_openssl_refuses_a_repeated_extension(keys, tmp_path):
+    """RFC 5280 4.2: one extension of each type. The signature is good, so
+    the repeated basicConstraints alone is what openssl refuses."""
+    pem.write_pem(tmp_path / "c.pem", pem.LABEL_CERTIFICATE,
+                  certificate_with_a_repeated_extension(keys["ecdsa:P-384"]))
+    result = _openssl("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem", cwd=tmp_path)
+    assert result.returncode != 0
+    assert "ossl_x509v3_cache_extensions:invalid certificate" in result.stderr
 
 
 # 192s and 256s are left out: each adds seconds of signing.

@@ -377,6 +377,71 @@ def _certificate_blob(tbs, key):
                               der.bit_string(algs.sign(key.spec, key, der.encode(tbs)))))
 
 
+def certificate_with_a_repeated_extension(key):
+    """A self-signed certificate whose TBS lists basicConstraints twice,
+    which RFC 5280 4.2 forbids; written with der, since a TbsCertificate
+    refuses it."""
+    tbs = der.decode(_self_signed(key).tbs_der)
+    extensions = tbs.children[-1].children[0]
+    assert extensions.children[0].children[0].as_oid() == oids.EXT_BASIC_CONSTRAINTS
+    repeated = der.explicit(3, der.seq(*extensions.children, extensions.children[0]))
+    return _certificate_blob(tbs._replace(children=tbs.children[:-1] + (repeated,)), key)
+
+
+def test_repeated_extension_is_refused_as_the_oracle_refuses_it(ec_key, tmp_path, capsys):
+    """cryptography refuses the second basicConstraints (DuplicateExtension);
+    parse_certificate says BadValue, and view and verify exit 4."""
+    blob = certificate_with_a_repeated_extension(ec_key)
+    with pytest.raises(cryptography.x509.DuplicateExtension):
+        cryptography.x509.load_der_x509_certificate(blob).extensions
+    with pytest.raises(BadValue, match="duplicate extension 2.5.29.19"):
+        x509.parse_certificate(blob)
+    path = tmp_path / "c.pem"
+    pem.write_pem(path, pem.LABEL_CERTIFICATE, blob)
+    for command in ("view", "verify"):
+        assert cli.main([command, str(path)]) == 4
+        assert capsys.readouterr() == ("", "pqcli: duplicate extension 2.5.29.19\n")
+
+
+def _oracle_certificate(shape, keys, rng):
+    name = parse_name("CN=oracle,O=Plant")
+    if shape.startswith("paired"):
+        pair = chameleon.issue_paired(
+            chameleon.CertParams(subject=name, extensions=(x509.basic_constraints_extension(),)),
+            chameleon.CertParams(), keys["ecdsa"], keys["ml-dsa:3"], rng=rng)
+        return pair[shape == "paired delta"]
+    if shape == "ml-dsa:3_rsa:2048":
+        material = composite.CompositeKeyMaterial(tuple(
+            composite.CompositeComponent.of(keys[text]) for text in ("ml-dsa:3", "rsa:2048")))
+        return composite.issue_composite_certificate(name, material, rng=rng)
+    native, _, alt = shape.partition(",")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(keys[native]), x509.default_validity(30),
+                         algs.signature_algorithm_for(keys[native].spec), rng=rng)
+    return x509.sign_certificate(tbs, keys[native], *([keys[alt]] if alt else []))
+
+
+@pytest.mark.parametrize("shape", [
+    "rsa:2048", "ecdsa", "ml-dsa:3", "slh-dsa:128f", "ml-dsa:3_rsa:2048", "ecdsa,ml-dsa:3",
+    "paired base", "paired delta"])
+def test_cryptography_reads_what_pqcli_reads(shape, rsa_key, ec_key, ml3_key, slh_key, rng):
+    """cryptography 48 as a strict parser oracle for every shape: the same
+    signed TBS bytes, serial, names (RFC 4514 lists the attributes last
+    first), validity, extensions in order and signature algorithm."""
+    keys = {"rsa:2048": rsa_key, "ecdsa": ec_key, "ml-dsa:3": ml3_key, "slh-dsa:128f": slh_key}
+    ours = x509.parse_certificate(_oracle_certificate(shape, keys, rng).emit())
+    theirs = cryptography.x509.load_der_x509_certificate(ours.emit())
+    t = ours.tbs
+    assert theirs.tbs_certificate_bytes == ours.tbs_der
+    assert theirs.serial_number == t.serial
+    for name, their_name in ((t.issuer, theirs.issuer), (t.subject, theirs.subject)):
+        assert their_name.rfc4514_string() == ",".join(reversed(str(name).split(",")))
+    assert (theirs.not_valid_before_utc, theirs.not_valid_after_utc) == (t.not_before,
+                                                                         t.not_after)
+    assert ([(e.oid.dotted_string, e.critical) for e in theirs.extensions]
+            == [(str(e.oid), e.critical) for e in t.extensions])
+    assert theirs.signature_algorithm_oid.dotted_string == str(ours.signature_alg.oid)
+
+
 @pytest.mark.parametrize("fields, message", [
     (0, "empty TBS"),
     (3, "TBS is missing required fields"),  # version, serial, algorithm
