@@ -1,5 +1,6 @@
 import datetime
 import random
+import re
 
 import cryptography.x509
 import pytest
@@ -80,6 +81,40 @@ def test_oid_round_trip():
         blob = der.encode(der.oid_value(oid))
         assert der.decode(blob).as_oid() == oid
     assert der.encode(der.oid_value(ObjectIdentifier("2.5.29.72"))) == b"\x06\x03\x55\x1d\x48"
+
+
+def test_oid_constructor_forms_and_text():
+    text = "1.2.840.113549.1.1.11"
+    built = ObjectIdentifier(text)
+    assert ObjectIdentifier((1, 2, 840, 113549, 1, 1, 11)) == built
+    assert ObjectIdentifier(iter([1, 2, 840, 113549, 1, 1, 11])) == built
+    assert {built: "rsa"}[oids.SHA256_WITH_RSA] == "rsa"
+    assert built.dotted() == str(built) == text
+    assert repr(built) == f"ObjectIdentifier({text!r})"
+    with pytest.raises(AttributeError):
+        built.extra = 1
+
+
+@pytest.mark.parametrize("value, error, message", [
+    ("1.2.x", BadValue, "not a dotted OID: '1.2.x'"),
+    ("1..2", BadValue, "not a dotted OID: '1..2'"),
+    ("1", BadValue, "OID needs at least two arcs"),
+    ((), BadValue, "OID needs at least two arcs"),
+    ((1, 2, -3), BadValue, "OID arcs must be non-negative"),
+    ("1.-2", BadValue, "OID arcs must be non-negative"),
+    ("3.1", BadValue, "first OID arc must be 0, 1, or 2"),
+    ((0, 40), BadValue, "second OID arc must be < 40 when the first is 0 or 1"),
+    ("1.40.5", BadValue, "second OID arc must be < 40 when the first is 0 or 1"),
+    (b"", BadValue, "empty OID content"),
+    (b"\x55\x1d\x80\x48", BadValue, "non-minimal OID subidentifier"),
+    (b"\x55\x9d", Truncated, "OID ends inside a subidentifier"),
+])
+def test_oid_refuses_each_invalid_form_with_its_message(value, error, message):
+    """Dotted strings and arc tuples go to the constructor, bytes to
+    decode_content."""
+    build = ObjectIdentifier.decode_content if isinstance(value, bytes) else ObjectIdentifier
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build(value)
 
 
 def test_oid_rejects_non_minimal_subidentifier():
