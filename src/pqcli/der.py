@@ -17,6 +17,7 @@ so is nesting deeper than MAX_DEPTH.
 from __future__ import annotations
 
 import datetime
+import string
 from typing import NamedTuple
 
 from .errors import BadTag, BadValue, NonCanonicalLength, Truncated, TrailingBytes
@@ -53,6 +54,8 @@ _CHECKED_CONTENT = frozenset({BOOLEAN, INTEGER, NULL, BIT_STRING, OID})
 
 # The universal string types as_text reads, each with its codec.
 _TEXT_CODECS = {UTF8_STRING: "utf-8", PRINTABLE_STRING: "ascii", IA5_STRING: "ascii"}
+# The characters a PrintableString may hold (X.680 41.4)
+PRINTABLE_ALPHABET = frozenset(string.ascii_letters + string.digits + " '()+,-./:=?")
 
 # The deepest structure this tool emits, a composite SPKI inside a chameleon
 # descriptor inside a certificate, is 13 levels even counted through the
@@ -112,9 +115,12 @@ class DerValue(NamedTuple):
         if codec is None:
             raise BadTag(f"not a supported string tag: {self.tag:#x} (class {self.cls:#x})")
         try:
-            return self.content.decode(codec)
+            text = self.content.decode(codec)
         except UnicodeDecodeError as exc:
             raise BadValue(f"string tag {self.tag:#x} is not {codec}: {exc.reason}") from None
+        if self.tag == PRINTABLE_STRING and not PRINTABLE_ALPHABET.issuperset(text):
+            raise BadValue(f"not a PrintableString: {text!r}")
+        return text
 
 
 # -- constructors -------------------------------------------------------

@@ -68,6 +68,10 @@ class EmptyValue(PqcliError):
     """Name attribute has an empty value."""
 
 
+class UnprintableValue(PqcliError):
+    """Name attribute value is outside the PrintableString alphabet its key needs."""
+
+
 # --- certificate construction and parsing ---
 
 class DuplicateExtension(PqcliError):

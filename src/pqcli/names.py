@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import der
-from .errors import BadTag, BadValue, EmptyValue, UnknownAttributeKey
+from .errors import BadTag, BadValue, EmptyValue, UnknownAttributeKey, UnprintableValue
 from .oids import (
     AT_COMMON_NAME,
     AT_COUNTRY,
@@ -102,5 +102,7 @@ def parse_name(text: str) -> DistinguishedName:
         if not value:
             raise EmptyValue(f"attribute {key} has an empty value")
         oid, tag = _ATTRIBUTES[key]
+        if tag == der.PRINTABLE_STRING and not der.PRINTABLE_ALPHABET.issuperset(value):
+            raise UnprintableValue(f"attribute {key} is not a PrintableString: {value!r}")
         attrs.append(NameAttribute(oid, value, tag))
     return DistinguishedName(tuple(attrs))

@@ -1,7 +1,8 @@
 """Object identifiers: value type, content-octet codec, and well-known arcs.
 
-ObjectIdentifier is an immutable sequence of arcs with the canonical
-base-128 content encoding required by DER. SIGNATURE_ALGORITHMS is the one
+An ObjectIdentifier is a plain immutable tuple of its arcs and the
+canonical base-128 content octets DER requires: it equals the plain tuple
+of the same pair, and sorts like one. SIGNATURE_ALGORITHMS is the one
 catalogue of signature algorithms: each OID-table name algs.Registry
 accepts, with its OID and display name. The tables at the bottom name the
 OIDs this tool knows about; everything else renders in dotted form.
@@ -12,16 +13,13 @@ from __future__ import annotations
 from .errors import BadValue, Truncated
 
 
-class ObjectIdentifier:
-    """An OID as a tuple of non-negative integer arcs.
+class ObjectIdentifier(tuple):
+    """An OID built from a dotted string or an iterable of ints: the tuple
+    (arcs, content octets of its DER encoding), both set here."""
 
-    Hashable and equal by arcs, so usable as a dict key. Accepts a dotted
-    string or an iterable of ints.
-    """
+    __slots__ = ()
 
-    __slots__ = ("arcs", "_content")
-
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, str):
             try:
                 arcs = tuple(int(part) for part in value.split("."))
@@ -37,14 +35,18 @@ class ObjectIdentifier:
             raise BadValue("first OID arc must be 0, 1, or 2")
         if arcs[0] < 2 and arcs[1] >= 40:
             raise BadValue("second OID arc must be < 40 when the first is 0 or 1")
-        object.__setattr__(self, "arcs", arcs)
-        object.__setattr__(self, "_content", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ObjectIdentifier is immutable")
+        out = bytearray()
+        for arc in (arcs[0] * 40 + arcs[1],) + arcs[2:]:
+            chunk = [arc & 0x7F]
+            arc >>= 7
+            while arc:
+                chunk.append((arc & 0x7F) | 0x80)
+                arc >>= 7
+            out.extend(reversed(chunk))
+        return tuple.__new__(cls, (arcs, bytes(out)))
 
     def dotted(self) -> str:
-        return ".".join(str(a) for a in self.arcs)
+        return ".".join(map(str, self[0]))
 
     def __str__(self) -> str:
         return self.dotted()
@@ -52,28 +54,10 @@ class ObjectIdentifier:
     def __repr__(self) -> str:
         return f"ObjectIdentifier({self.dotted()!r})"
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ObjectIdentifier) and self.arcs == other.arcs
-
-    def __hash__(self) -> int:
-        return hash(self.arcs)
-
     def encode_content(self) -> bytes:
-        """Content octets of the DER encoding (no tag or length), computed
-        once per object; a decoded OID keeps the octets it was read from."""
-        if self._content is not None:
-            return self._content
-        out = bytearray()
-        first = self.arcs[0] * 40 + self.arcs[1]
-        for arc in (first,) + self.arcs[2:]:
-            chunk = [arc & 0x7F]
-            arc >>= 7
-            while arc:
-                chunk.append((arc & 0x7F) | 0x80)
-                arc >>= 7
-            out.extend(reversed(chunk))
-        object.__setattr__(self, "_content", bytes(out))
-        return self._content
+        """Content octets of the DER encoding (no tag or length); a decoded
+        OID keeps the octets it was read from."""
+        return self[1]
 
     @classmethod
     def decode_content(cls, data: bytes) -> "ObjectIdentifier":
@@ -105,8 +89,8 @@ class ObjectIdentifier:
             head = (1, first - 40)
         else:
             head = (2, first - 80)
-        decoded = cls(head + tuple(arcs[1:]))
-        object.__setattr__(decoded, "_content", data)
+        # minimal octets hold valid arcs, so the constructor's checks would pass
+        decoded = tuple.__new__(cls, (head + tuple(arcs[1:]), data))
         if len(_DECODED) < _DECODED_LIMIT:
             _DECODED[data] = decoded
         return decoded

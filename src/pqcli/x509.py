@@ -108,7 +108,7 @@ def _decode_extensions(value: der.DerValue) -> tuple["ExtensionBlock", ...]:
 
 def _one_per_type(extensions, error_cls=DuplicateExtension):
     """extensions, unless a type repeats: RFC 5280 4.2 allows one of each."""
-    if len({e.oid.arcs for e in extensions}) != len(extensions):  # arcs hash in C
+    if len({e.oid for e in extensions}) != len(extensions):
         types = [e.oid for e in extensions]
         raise error_cls(f"duplicate extension {max(types, key=types.count)}")
     return extensions
@@ -170,8 +170,8 @@ class TbsCertificate:
         _one_per_type(self.extensions)
 
     def to_der_value(self) -> der.DerValue:
-        children = [
-            der.explicit(0, der.integer(self.version)),
+        children = [der.explicit(0, der.integer(self.version))] if self.version else []
+        children += [
             der.integer(self.serial),
             self.signature_alg.to_der_value(),
             self.issuer.to_der_value(),
@@ -206,7 +206,9 @@ class TbsCertificate:
                                       NotACertificate, "version field")
         if version is None:
             version = 0  # v1 when the [0] tag is absent
-        elif version not in (0, 1, 2):
+        elif version == 0:  # DER never writes out a DEFAULT value (X.690 11.5)
+            raise NotACertificate("version field encodes the DEFAULT v1")
+        elif version not in (1, 2):
             raise NotACertificate(f"unsupported certificate version {version}")
         try:
             serial = children[idx].as_int()

@@ -5,8 +5,9 @@ from cryptography.exceptions import UnsupportedAlgorithm as UnsupportedKeyType
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import dsa, ec
 
-from pqcli import algs, der, oids, slhdsa
+from pqcli import algs, cli, der, oids, pem, slhdsa, x509
 from pqcli.errors import (
+    BadValue,
     InvalidParameter,
     KeyMismatch,
     MalformedSpec,
@@ -15,6 +16,7 @@ from pqcli.errors import (
     TooManyComponents,
     UnknownAlgorithm,
 )
+from pqcli.names import parse_name
 
 
 # -- spec grammar -------------------------------------------------------
@@ -241,6 +243,29 @@ def test_spec_from_spki_unknown_oid_is_none():
 def test_rsa_spki_records_modulus_bits(rsa_key):
     spki = algs.spki_for_key(rsa_key)
     assert algs.spec_from_spki(spki).parameter == 2048
+
+
+@pytest.mark.parametrize("fields, message", [
+    ((0xC0FFEE, 65537, 1), "RSAPublicKey needs modulus and exponent"),
+    ((0, 65537), "RSA modulus and exponent must be positive"),
+])
+def test_malformed_rsa_public_key_is_unsupported(tmp_path, capsys, fields, message):
+    """The key is not recognized, so a certificate that carries it verifies
+    as unsupported (exit 5) rather than failing to parse."""
+    key_bits = der.encode(der.seq(*map(der.integer, fields)))
+    with pytest.raises(BadValue, match=f"^{message}$"):
+        algs._decode_pkcs1_public(key_bits)
+    spki = algs.SubjectPublicKeyInfo(
+        algs.AlgorithmIdentifier(oids.RSA_ENCRYPTION, der.null()), key_bits)
+    assert algs.spec_from_spki(spki) is None
+    name = parse_name("CN=rsa")
+    alg = algs.signature_algorithm_for(algs.parse_alg_spec("rsa:2048"))
+    tbs = x509.build_tbs(name, name, spki, x509.default_validity(1), alg)
+    path = tmp_path / "c.pem"
+    pem.write_pem(path, pem.LABEL_CERTIFICATE, der.encode(der.seq(
+        tbs.to_der_value(), alg.to_der_value(), der.bit_string(bytes(256)))))
+    assert cli.main(["verify", str(path)]) == 5
+    assert capsys.readouterr().out == "native signature: unsupported\n"
 
 
 # -- private key loading ------------------------------------------------

@@ -653,3 +653,23 @@ def test_cert_newkey_edge_cases(workdir, capsys, newkey, message):
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"pqcli: {message}\n")
     assert list(workdir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["cert", "csr"])
+@pytest.mark.parametrize("country", ["Ü", "D@E", "D*"])
+def test_country_outside_the_printable_alphabet_exits_2_and_writes_nothing(
+        workdir, capsys, command, country):
+    assert run(command, "-newkey", "ecdsa", "-subj", f"C={country}") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", f"pqcli: attribute C is not a PrintableString: {country!r}\n")
+    assert list(workdir.iterdir()) == []
+
+
+def test_country_in_the_printable_alphabet_is_written_as_before(workdir, capsys):
+    assert run("cert", "-newkey", "ecdsa", "-subj", "C=DE,CN=x") == 0
+    cert = x509.parse_certificate((workdir / "certificate.pem").read_bytes())
+    assert [(a.value, a.tag) for a in cert.tbs.subject.attributes] == [
+        ("DE", der.PRINTABLE_STRING), ("x", der.UTF8_STRING)]
+    assert run("view", "certificate.pem") == 0
+    assert "Subject: C=DE,CN=x\n" in capsys.readouterr().out

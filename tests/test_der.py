@@ -1,3 +1,4 @@
+import dataclasses
 import datetime
 import random
 import re
@@ -122,9 +123,21 @@ def test_oid_rejects_non_minimal_subidentifier():
         der.decode(b"\x06\x04\x55\x1d\x80\x48")
 
 
+def _oids_in(item):
+    """Every ObjectIdentifier in a parsed document, in field order."""
+    if isinstance(item, ObjectIdentifier):
+        return [item]
+    if dataclasses.is_dataclass(item):
+        item = [getattr(item, f.name) for f in dataclasses.fields(item)]
+    elif not isinstance(item, tuple):
+        return []
+    return [found for part in item for found in _oids_in(part)]
+
+
 def test_oid_decoded_once_per_encoding(monkeypatch, ec_key, ml2_key):
-    """The first read of a certificate builds one ObjectIdentifier per
-    distinct OID encoding in it; a second read builds none."""
+    """The first read of a certificate interns one ObjectIdentifier per
+    distinct OID encoding in it; a second read interns none and returns
+    the same object for every OID."""
     name = parse_name("CN=interned")
     tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(7),
                          algs.signature_algorithm_for(ec_key.spec))
@@ -139,19 +152,15 @@ def test_oid_decoded_once_per_encoding(monkeypatch, ec_key, ml2_key):
 
     collect(der.decode(blob))
     monkeypatch.setattr(oids, "_DECODED", {})
-    built = []
-    plain_init = ObjectIdentifier.__init__
-
-    def counting_init(self, value):
-        built.append(value)
-        plain_init(self, value)
-
-    monkeypatch.setattr(ObjectIdentifier, "__init__", counting_init)
-    x509.parse_certificate(blob)
-    assert len(built) == len(encodings) == len(oids._DECODED)
-    built.clear()
-    x509.parse_certificate(blob)
-    assert built == []
+    first = x509.parse_certificate(blob)
+    assert set(oids._DECODED) == encodings
+    table = dict(oids._DECODED)
+    second = x509.parse_certificate(blob)
+    assert oids._DECODED.keys() == table.keys()
+    assert all(oids._DECODED[octets] is known for octets, known in table.items())
+    pairs = list(zip(_oids_in(first), _oids_in(second), strict=True))
+    assert pairs
+    assert all(a is b is oids._DECODED[a.encode_content()] for a, b in pairs)
 
 
 def test_oid_table_keeps_no_rejected_encoding_and_stays_bounded(monkeypatch):
@@ -178,6 +187,11 @@ def test_oid_keeps_its_content_octets(monkeypatch):
     assert decoded == oids.SHA256_WITH_RSA and hash(decoded) == hash(oids.SHA256_WITH_RSA)
     with pytest.raises(AttributeError):
         decoded._content = b"\x55"
+
+
+def test_tlv_bounds_of_empty_input_is_truncated():
+    with pytest.raises(Truncated, match="^input ends before a tag$"):
+        der.tlv_bounds(b"", 0)
 
 
 def test_length_forms():

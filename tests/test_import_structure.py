@@ -24,7 +24,9 @@ parameter. oids.SIGNATURE_ALGORITHMS is the one catalogue of signature
 algorithms, so algs names none of their OID constants. RFC 5280's one
 extension of each type is checked in one function of x509, which the
 TbsCertificate constructor, the extension-list reader and build_csr call;
-chameleon leaves it to them."""
+chameleon leaves it to them. An ObjectIdentifier is a plain tuple of its
+arcs and content octets, as a DerValue is a plain tuple: it writes no
+equality, hashing or immutability of its own."""
 
 import ast
 import pathlib
@@ -201,3 +203,20 @@ def test_one_extension_per_type_is_checked_in_one_function():
     assert mentioning("DuplicateExtension") == {"_one_per_type"}
     assert mentioning("_one_per_type") == {"__post_init__", "_decode_extensions", "build_csr"}
     assert "DuplicateExtension" not in _referenced_names("chameleon")
+
+
+def test_object_identifier_is_a_plain_tuple():
+    tree = _tree("oids")
+    classes = [c for c in tree.body
+               if isinstance(c, ast.ClassDef) and c.name == "ObjectIdentifier"]
+    assert len(classes) == 1 and [ast.unparse(b) for b in classes[0].bases] == ["tuple"]
+    assert oids.ObjectIdentifier.__slots__ == () and issubclass(oids.ObjectIdentifier, tuple)
+    defined = {f.name for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+    assert defined & {"__init__", "__setattr__", "__eq__", "__hash__"} == set()
+    assert "object.__setattr__" not in {ast.unparse(n) for n in ast.walk(tree)
+                                        if isinstance(n, ast.Attribute)}
+    one_per_type = [f for f in _tree("x509").body
+                    if isinstance(f, ast.FunctionDef) and f.name == "_one_per_type"]
+    assert len(one_per_type) == 1
+    read = {n.attr for n in ast.walk(one_per_type[0]) if isinstance(n, ast.Attribute)}
+    assert "arcs" not in read

@@ -1,7 +1,9 @@
+import re
+
 import pytest
 
 from pqcli import der
-from pqcli.errors import DerError, EmptyValue, UnknownAttributeKey
+from pqcli.errors import DerError, EmptyValue, UnknownAttributeKey, UnprintableValue
 from pqcli.names import DistinguishedName, NameAttribute, parse_name
 from pqcli.oids import AT_COMMON_NAME, AT_COUNTRY, AT_ORGANIZATION, ObjectIdentifier
 
@@ -32,6 +34,23 @@ def test_country_uses_printable_string():
     assert back == name
     assert back.attributes[0].printable is True
     assert back.attributes[1].printable is False
+
+
+@pytest.mark.parametrize("value", ["Ü", "D@E", "D*", "a_b", "x&y"])
+def test_country_outside_the_printable_alphabet_is_refused(value):
+    """X.680 41.4 allows A-Z, a-z, 0-9, space and '()+,-./:=? in a
+    PrintableString; parse_name refuses anything else before it is
+    encoded, with an error that is not a DER error."""
+    message = f"^attribute C is not a PrintableString: {re.escape(repr(value))}$"
+    with pytest.raises(UnprintableValue, match=message) as info:
+        parse_name(f"CN=x,C={value}")
+    assert not isinstance(info.value, DerError)
+
+
+def test_country_takes_every_printable_character_but_the_separator():
+    name = parse_name("C=Az 09'()+-./:=?")  # ',' separates attributes
+    assert name.attributes[0].value == "Az 09'()+-./:=?"
+    assert DistinguishedName.from_der_value(der.decode(der.encode(name.to_der_value()))) == name
 
 
 def test_der_round_trip_is_byte_exact():

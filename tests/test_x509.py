@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import datetime
 import io
+import re
 
 import cryptography.x509
 import pytest
@@ -9,14 +10,16 @@ import pytest
 from pqcli import algs, chameleon, cli, composite, der, oids, pem, x509
 from pqcli.errors import (
     AlgorithmMismatch,
+    BadTag,
     BadValue,
     DuplicateExtension,
     InvalidParameter,
     InvalidValidity,
+    MalformedAltExtension,
     NotACertificate,
     NotACsr,
 )
-from pqcli.names import parse_name
+from pqcli.names import DistinguishedName, NameAttribute, parse_name
 
 UTC = datetime.timezone.utc
 
@@ -247,6 +250,100 @@ def test_parse_v1_without_version_tag(ec_key):
     doc = x509.parse_certificate(blob)
     assert doc.tbs.version == 0
     assert doc.tbs.serial == cert.tbs.serial
+
+
+def test_v1_certificate_is_written_back_without_a_version_field(ec_key):
+    """DER leaves out the DEFAULT v1, so a v1 TBS re-encodes to the bytes
+    it was read from; cryptography reads the same certificate as v1."""
+    cert = _self_signed(ec_key, add_default_extensions=False)
+    v1_tbs = der.seq(*der.decode(cert.tbs_der).children[1:])
+    doc = x509.parse_certificate(_certificate_blob(v1_tbs, ec_key))
+    assert doc.tbs.version == 0
+    assert doc.tbs.der == doc.tbs_der == der.encode(v1_tbs)
+    theirs = cryptography.x509.load_der_x509_certificate(doc.emit())
+    assert theirs.version == cryptography.x509.Version.v1
+
+
+def _refused_by_view_and_verify(blob, tmp_path, capsys, message):
+    """view and verify exit 4 with message; from PEM, view does not fall
+    back to reading a request."""
+    path = tmp_path / "c.pem"
+    pem.write_pem(path, pem.LABEL_CERTIFICATE, blob)
+    for command in ("view", "verify"):
+        assert cli.main([command, str(path)]) == 4
+        assert capsys.readouterr() == ("", f"pqcli: {message}\n")
+
+
+def test_written_out_v1_version_is_refused_as_the_oracle_refuses_it(ec_key, tmp_path, capsys):
+    """[0] INTEGER 0 writes out the DEFAULT v1, which DER forbids (X.690
+    11.5): cryptography says EncodedDefault, pqcli NotACertificate."""
+    cert = _self_signed(ec_key, add_default_extensions=False)
+    tbs = der.seq(der.explicit(0, der.integer(0)), *der.decode(cert.tbs_der).children[1:])
+    blob = _certificate_blob(tbs, ec_key)
+    with pytest.raises(ValueError, match="EncodedDefault"):
+        cryptography.x509.load_der_x509_certificate(blob)
+    message = "version field encodes the DEFAULT v1"
+    with pytest.raises(NotACertificate, match=f"^{message}$"):
+        x509.parse_certificate(blob)
+    _refused_by_view_and_verify(blob, tmp_path, capsys, message)
+
+
+def test_printable_string_outside_its_alphabet_is_refused_as_the_oracle_refuses_it(
+        ec_key, tmp_path, capsys):
+    """A PrintableString holding '@' (outside X.680 41.4's alphabet),
+    written past parse_name with der: cryptography refuses to load it,
+    pqcli reads BadValue, and view and verify exit 4."""
+    name = DistinguishedName((NameAttribute(oids.AT_COUNTRY, "D@E", der.PRINTABLE_STRING),))
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(1),
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key).emit()
+    with pytest.raises(ValueError, match="PrintableString"):
+        cryptography.x509.load_der_x509_certificate(blob)
+    message = "not a PrintableString: 'D@E'"
+    with pytest.raises(BadValue, match=f"^{re.escape(message)}$"):
+        x509.parse_certificate(blob)
+    _refused_by_view_and_verify(blob, tmp_path, capsys, message)
+
+
+_CN_WITHOUT_VALUE = der.seq(der.set_of(der.seq(der.oid_value(oids.AT_COMMON_NAME))))
+
+
+# TBS children: [0] version, serial, algorithm, issuer, validity, subject,
+# SPKI, [3] extensions. Each case replaces one child by a list of values.
+@pytest.mark.parametrize("index, replace, error, message", [
+    (4, lambda v: [der.seq(v.children[0])], NotACertificate, "validity needs two times"),
+    (0, lambda v: [der.DerValue(0, cls=der.CONTEXT, content=der.encode(v.children[0]))],
+     NotACertificate, "malformed version field"),
+    (0, lambda v: [v._replace(children=v.children * 2)],
+     NotACertificate, "malformed version field"),
+    (0, lambda v: [der.explicit(0, der.integer(3))],
+     NotACertificate, "unsupported certificate version 3"),
+    (7, lambda v: [v, v], NotACertificate, "malformed extensions field"),
+    (2, lambda v: [der.seq()], BadValue, "AlgorithmIdentifier needs 1 or 2 fields"),
+    (2, lambda v: [der.seq(*v.children, der.null(), der.null())],
+     BadValue, "AlgorithmIdentifier needs 1 or 2 fields"),
+    (6, lambda v: [der.seq(v.children[0])],
+     BadValue, "SubjectPublicKeyInfo needs algorithm and key"),
+    (6, lambda v: [der.seq(*v.children, v.children[1])],
+     BadValue, "SubjectPublicKeyInfo needs algorithm and key"),
+    (3, lambda v: [_CN_WITHOUT_VALUE], BadTag, "AttributeTypeAndValue needs type and value"),
+], ids=["one-time-validity", "primitive-version", "two-child-version", "version-3",
+        "second-extensions", "algorithm-0-fields", "algorithm-3-fields", "spki-1-field",
+        "spki-3-fields", "attribute-without-value"])
+def test_malformed_tbs_field_is_refused(ec_key, tmp_path, capsys, index, replace, error,
+                                        message):
+    children = list(der.decode(_self_signed(ec_key).tbs_der).children)
+    children[index:index + 1] = replace(children[index])
+    blob = _certificate_blob(der.seq(*children), ec_key)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        x509.parse_certificate(blob)
+    _refused_by_view_and_verify(blob, tmp_path, capsys, message)
+
+
+def test_alt_verdict_needs_the_alternative_extensions(ec_key):
+    with pytest.raises(MalformedAltExtension,
+                       match="^certificate carries no alternative extensions$"):
+        x509.alt_verdict(_self_signed(ec_key))
 
 
 def test_parse_unknown_algorithm_cert_for_view():
