@@ -20,7 +20,8 @@ import datetime
 import string
 from typing import NamedTuple
 
-from .errors import BadTag, BadValue, NonCanonicalLength, Truncated, TrailingBytes
+from .errors import (BadTag, BadValue, NonCanonicalLength, Truncated, TrailingBytes,
+                     UnprintableValue)
 from .oids import ObjectIdentifier
 
 # Tag classes
@@ -167,10 +168,14 @@ def utf8(text: str) -> DerValue:
 
 
 def printable(text: str) -> DerValue:
+    if not PRINTABLE_ALPHABET.issuperset(text):
+        raise UnprintableValue(f"not a PrintableString: {text!r}")
     return DerValue(PRINTABLE_STRING, content=text.encode("ascii"))
 
 
 def ia5(text: str) -> DerValue:
+    if not text.isascii():
+        raise UnprintableValue(f"not an IA5String: {text!r}")
     return DerValue(IA5_STRING, content=text.encode("ascii"))
 
 

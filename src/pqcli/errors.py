@@ -69,7 +69,7 @@ class EmptyValue(PqcliError):
 
 
 class UnprintableValue(PqcliError):
-    """Name attribute value is outside the PrintableString alphabet its key needs."""
+    """A string is outside the alphabet of its type: PrintableString or IA5String."""
 
 
 # --- certificate construction and parsing ---

@@ -14,8 +14,9 @@ from .errors import BadValue, Truncated
 
 
 class ObjectIdentifier(tuple):
-    """An OID built from a dotted string or an iterable of ints: the tuple
-    (arcs, content octets of its DER encoding), both set here."""
+    """An OID built from a dotted string, an iterable of ints, or another
+    OID's (arcs, octets) pair: the tuple (arcs, content octets of its DER
+    encoding), both set here."""
 
     __slots__ = ()
 
@@ -26,7 +27,10 @@ class ObjectIdentifier(tuple):
             except ValueError:
                 raise BadValue(f"not a dotted OID: {value!r}") from None
         else:
-            arcs = tuple(int(a) for a in value)
+            items = tuple(value)
+            if items and isinstance(items[0], tuple):   # an OID's own pair: copy, pickle
+                items = items[0]                        # and dataclasses.asdict pass it
+            arcs = tuple(int(a) for a in items)
         if len(arcs) < 2:
             raise BadValue("OID needs at least two arcs")
         if any(a < 0 for a in arcs):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import datetime
+import pickle
 import random
 import re
 
@@ -94,6 +96,15 @@ def test_oid_constructor_forms_and_text():
     assert repr(built) == f"ObjectIdentifier({text!r})"
     with pytest.raises(AttributeError):
         built.extra = 1
+
+
+@pytest.mark.parametrize("round_trip", [
+    copy.copy, copy.deepcopy, lambda oid: pickle.loads(pickle.dumps(oid))])
+def test_oid_copies_and_pickles(round_trip):
+    back = round_trip(oids.AT_COUNTRY)
+    assert type(back) is ObjectIdentifier
+    assert back == oids.AT_COUNTRY
+    assert back.encode_content() == oids.AT_COUNTRY.encode_content() == b"\x55\x04\x06"
 
 
 @pytest.mark.parametrize("value, error, message", [

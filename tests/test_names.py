@@ -53,6 +53,19 @@ def test_country_takes_every_printable_character_but_the_separator():
     assert DistinguishedName.from_der_value(der.decode(der.encode(name.to_der_value()))) == name
 
 
+@pytest.mark.parametrize("tag, value, message", [
+    (der.PRINTABLE_STRING, "Ü", "not a PrintableString: 'Ü'"),
+    (der.PRINTABLE_STRING, "a@b", "not a PrintableString: 'a@b'"),
+    (der.IA5_STRING, "é", "not an IA5String: 'é'"),
+])
+def test_name_built_in_the_library_stays_inside_its_string_alphabet(tag, value, message):
+    """The encoders refuse what parse_name never hands them, with the same
+    error, not a UnicodeEncodeError or bytes outside the type."""
+    name = DistinguishedName((NameAttribute(AT_COUNTRY, value, tag),))
+    with pytest.raises(UnprintableValue, match=f"^{re.escape(message)}$"):
+        name.to_der_value()
+
+
 def test_der_round_trip_is_byte_exact():
     name = parse_name("CN=pqcli self-signed")
     blob = der.encode(name.to_der_value())

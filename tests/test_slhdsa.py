@@ -1,5 +1,8 @@
 import hashlib
+import multiprocessing
+import os
 import random
+import threading
 import types
 
 import pytest
@@ -107,21 +110,22 @@ def test_shake_calls_per_signature_128f(monkeypatch):
     """One SHAKE call per FIPS 205 hash: no call is cached or skipped, in
     keygen, sign or verify."""
     ps = slhdsa.PARAMETER_SETS["128f"]
-    calls = []
+    calls = multiprocessing.Value("q", 0)   # shared, so the forked workers count too
 
     def counting_shake_256(data):
-        calls.append(len(data))
+        with calls.get_lock():
+            calls.value += 1
         return hashlib.shake_256(data)
 
     monkeypatch.setattr(slhdsa, "hashlib", types.SimpleNamespace(shake_256=counting_shake_256))
     sk, pk = slhdsa.keygen(ps, bytes(range(48)))
-    assert len(calls) == 4495
-    calls.clear()
+    assert calls.value == 4495
+    calls.value = 0
     sig = slhdsa.sign(ps, b"m", sk, deterministic=True)
-    assert len(calls) == 104937
-    calls.clear()
+    assert calls.value == 104937
+    calls.value = 0
     assert slhdsa.verify(ps, b"m", sig, pk)
-    assert len(calls) == 6336
+    assert calls.value == 6336
 
 
 def test_hedged_signatures_differ_but_both_verify():
@@ -185,3 +189,102 @@ def test_empty_message_signs_and_verifies():
     sk, pk = slhdsa.keygen(ps, bytes(48))
     sig = slhdsa.sign(ps, b"", sk, deterministic=True)
     assert slhdsa.verify(ps, b"", sig, pk)
+
+
+# -- the forked workers of keygen and sign ---------------------------------
+
+_SHAKEDOWN = b"parameter set shakedown"
+_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                               reason="no CPU affinity on this platform")
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _expected_forks():
+    """A child for every CPU but the caller's: keygen has two jobs, sign more."""
+    cpus = len(os.sched_getaffinity(0))
+    return min(cpus, 2) - 1 + cpus - 1
+
+
+def _counted_forks(monkeypatch):
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _refused_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+def _shakedown_128f_digest():
+    ps, (sk, _) = _regression_keypair("128f")
+    return hashlib.sha256(slhdsa.sign(ps, _SHAKEDOWN, sk, deterministic=True)).hexdigest()
+
+
+@_affinity
+def test_workers_are_reaped_before_keygen_and_sign_return(monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    ps, (sk, _) = _regression_keypair("128f")
+    _assert_no_child_left()
+    slhdsa.sign(ps, b"m", sk, deterministic=True)
+    _assert_no_child_left()
+    assert len(forks) == _expected_forks()
+
+
+@_affinity
+def test_a_job_failing_in_a_child_runs_again_in_the_caller(monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    caller, node = os.getpid(), slhdsa._node
+
+    def node_in_caller_only(*args):
+        if os.getpid() != caller:
+            raise RuntimeError("worker fails")
+        return node(*args)
+
+    monkeypatch.setattr(slhdsa, "_node", node_in_caller_only)
+    assert _shakedown_128f_digest() == _REGRESSION_SIG_DIGESTS["128f"]
+    _assert_no_child_left()
+    assert len(forks) == _expected_forks()
+
+
+def test_a_failing_fork_leaves_the_bytes_unchanged(monkeypatch):
+    def fork():
+        raise OSError("no fork here")
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _shakedown_128f_digest() == _REGRESSION_SIG_DIGESTS["128f"]
+    _assert_no_child_left()
+
+
+def test_a_second_thread_signs_without_forking(monkeypatch):
+    _refused_fork(monkeypatch)
+    digests = []
+    thread = threading.Thread(target=lambda: digests.append(_shakedown_128f_digest()))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert digests == [_REGRESSION_SIG_DIGESTS["128f"]]
+
+
+@_affinity
+def test_one_allowed_cpu_forks_nothing(monkeypatch):
+    cpus = os.sched_getaffinity(0)
+    _refused_fork(monkeypatch)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        assert _shakedown_128f_digest() == _REGRESSION_SIG_DIGESTS["128f"]
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert os.sched_getaffinity(0) == cpus

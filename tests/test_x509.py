@@ -19,7 +19,7 @@ from pqcli.errors import (
     NotACertificate,
     NotACsr,
 )
-from pqcli.names import DistinguishedName, NameAttribute, parse_name
+from pqcli.names import parse_name
 
 UTC = datetime.timezone.utc
 
@@ -109,6 +109,13 @@ def test_emit_parse_identity(ec_key, ml2_key, rsa_key, slh_key, rng):
         assert back.emit() == blob
         assert back.tbs_der == cert.tbs_der
         assert back.tbs == cert.tbs
+
+
+def test_parsed_certificate_converts_to_a_dict(ec_key):
+    """dataclasses.asdict rebuilds every tuple it meets, each OID included."""
+    fields = dataclasses.asdict(x509.parse_certificate(_self_signed(ec_key).emit()))
+    assert fields["tbs"]["signature_alg"]["oid"] == oids.ECDSA_WITH_SHA256
+    assert fields["tbs"]["subject"]["attributes"][0]["oid"] == oids.AT_COMMON_NAME
 
 
 def test_pem_round_trip(ec_key):
@@ -291,12 +298,11 @@ def test_written_out_v1_version_is_refused_as_the_oracle_refuses_it(ec_key, tmp_
 def test_printable_string_outside_its_alphabet_is_refused_as_the_oracle_refuses_it(
         ec_key, tmp_path, capsys):
     """A PrintableString holding '@' (outside X.680 41.4's alphabet),
-    written past parse_name with der: cryptography refuses to load it,
-    pqcli reads BadValue, and view and verify exit 4."""
-    name = DistinguishedName((NameAttribute(oids.AT_COUNTRY, "D@E", der.PRINTABLE_STRING),))
-    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(1),
-                         algs.signature_algorithm_for(ec_key.spec))
-    blob = x509.sign_certificate(tbs, ec_key).emit()
+    spliced into a signed TBS, since der.printable refuses to write it:
+    cryptography refuses to load it, pqcli reads BadValue, and view and
+    verify exit 4."""
+    tbs_der = _self_signed(ec_key, subject="C=DQE").tbs_der.replace(b"DQE", b"D@E")
+    blob = _certificate_blob(der.decode(tbs_der), ec_key)
     with pytest.raises(ValueError, match="PrintableString"):
         cryptography.x509.load_der_x509_certificate(blob)
     message = "not a PrintableString: 'D@E'"
