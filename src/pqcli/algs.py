@@ -429,7 +429,7 @@ def load_private_key(data: bytes) -> KeyPairRecord:
         else:
             spec = _spec_from_key(*_one_asymmetric_key(value), private=True)
         return keypair_from_private(spec, data)
-    except DerError as exc:
+    except (DerError, TooFewComponents, TooManyComponents) as exc:
         raise KeyMismatch(f"cannot decode private key: {exc}") from exc
 
 

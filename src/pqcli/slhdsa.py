@@ -33,11 +33,12 @@ Processes (_in_shares): given the digest, the FORS secrets and paths and
 each layer's XMSS path (88% of a 128f signature's calls, 99.8% of 128s)
 are split node by node into shares of equal SHAKE calls, one per CPU the
 process may run on. The caller works one; a child forked for each other
-share pipes its bytes back and is reaped before sign returns. The caller
-then does the rest in order: the FORS key, and each layer's WOTS+
-signature and climb. keygen splits the top tree in half. One CPU, no
-os.fork, or a second thread (a child forked beside one can deadlock)
-means no child; a failed child's share runs in the caller, so the bytes
+share writes its nodes into their slots of one shared anonymous mmap and
+is reaped before sign returns. The caller then does the rest in order:
+the FORS key, and each layer's WOTS+ signature and climb. keygen splits
+the top tree in half. One CPU, no os.fork, or a second thread (a child
+forked beside one can deadlock) means no child; the share of a child
+that failed, or of a fork that did, runs in the caller, so the bytes
 never change. verify stays serial.
 
 Not constant-time; fine for certificate tooling, not for production
@@ -47,6 +48,7 @@ signing on shared hardware.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import struct
 import threading
@@ -304,62 +306,45 @@ def _fors_pk_from_sig(ps: ParameterSet, sig: bytes, md: bytes, pk_seed: bytes,
 
 # -- shares across processes --------------------------------------------
 
-def _fork(run):
-    """(pid, reading end) of a child that pipes run()'s bytes; None if fork fails."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        try:   # only these bytes leave the child: no atexit, flush or traceback
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(run())
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
 def _in_shares(jobs: list, n: int) -> bytes:
     """b"".join(job() for _, job in jobs), where each job gives n bytes and
     comes with its SHAKE calls, worked out in shares (see Processes above)."""
-    def run(share):
-        return b"".join(job() for _, job in share)
-
     forkable = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and threading.active_count() == 1)
     count = min(len(os.sched_getaffinity(0)) if forkable else 1, len(jobs))
     ends = list(accumulate(calls for calls, _ in jobs))
     cuts = [0] + [bisect(ends, ends[-1] * w / count) for w in range(1, count)] + [len(jobs)]
-    shares = [jobs[a:b] for a, b in zip(cuts, cuts[1:])]
-    done, children = {}, []
-    try:
-        for w in range(1, count):
-            child = _fork(partial(run, shares[w]))
-            if child is None:
-                done[w] = run(shares[w])
-            else:
-                children.append((w, *child))
-        done[0] = run(shares[0])
-        while children:
-            w, pid, pipe = children[-1]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop()
-            ok = status == 0 and len(data) == n * len(shares[w])
-            done[w] = data if ok else run(shares[w])
-    finally:
-        for _, pid, pipe in children:
-            os.kill(pid, 9)   # SIGKILL; importing signal would add ~1 ms to a CLI start
-            os.waitpid(pid, 0)
-            pipe.close()
-    return b"".join(done[w] for w in range(count))
+    children = []
+    with mmap.mmap(-1, n * len(jobs)) as out:   # anonymous and shared with every child
+        def run(a, b):
+            out[a * n:b * n] = b"".join(job() for _, job in jobs[a:b])
+
+        try:
+            for share in zip(cuts[1:], cuts[2:]):
+                try:
+                    pid = os.fork()
+                except OSError:
+                    run(*share)
+                    continue
+                if pid == 0:
+                    try:   # the child leaves only here: no atexit, flush or traceback
+                        run(*share)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children.append((pid, share))
+            run(0, cuts[1])
+            while children:
+                pid, share = children[-1]
+                status = os.waitpid(pid, 0)[1]
+                children.pop()
+                if status:
+                    run(*share)
+        finally:
+            for pid, _ in children:
+                os.kill(pid, 9)   # SIGKILL; importing signal would add ~1 ms to a CLI start
+                os.waitpid(pid, 0)
+        return out[:]
 
 
 # -- top level ----------------------------------------------------------

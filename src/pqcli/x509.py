@@ -641,17 +641,17 @@ def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
 
 
 def _check_signature(spki: algs.SubjectPublicKeyInfo,
-                     declared_alg: algs.AlgorithmIdentifier,
+                     declared_alg: algs.AlgorithmIdentifier | None,
                      message: bytes, signature: bytes,
                      ) -> tuple[str, CompositeVerification | None]:
     """The one signature check behind every verdict: UNSUPPORTED for a key
     algorithm not recognized, else INVALID unless declared_alg is the key's
     and the signature verifies; plus a composite key's per-component
-    outcome."""
+    outcome. No declared_alg (see _outer_alg) matches no key."""
     spec = algs.spec_from_spki(spki)
     if spec is None:
         return UNSUPPORTED, None
-    declared_ok = declared_alg.oid == algs.oid_for(spec)
+    declared_ok = declared_alg is not None and declared_alg.oid == algs.oid_for(spec)
     if spec.family != algs.FAMILY_COMPOSITE:
         ok = declared_ok and algs.verify(spec, spki.key_bits, message, signature)
         return (VALID if ok else INVALID), None
@@ -668,10 +668,16 @@ def _check_signature(spki: algs.SubjectPublicKeyInfo,
     return (VALID if outcome.overall else INVALID), outcome
 
 
+def _outer_alg(cert: CertificateDocument) -> algs.AlgorithmIdentifier | None:
+    """The outer signatureAlgorithm, or None when the TBS signature field
+    differs from it, which RFC 5280 §4.1.1.2 forbids."""
+    return cert.signature_alg if cert.tbs.signature_alg == cert.signature_alg else None
+
+
 def verify_certificate_signature(
         cert, issuer_spki: algs.SubjectPublicKeyInfo) -> CompositeVerification:
     """Composite check of a certificate's outer signature over tbs_der."""
-    _, outcome = _check_signature(issuer_spki, cert.signature_alg, cert.tbs_der, cert.signature)
+    _, outcome = _check_signature(issuer_spki, _outer_alg(cert), cert.tbs_der, cert.signature)
     return outcome or CompositeVerification((), False, "issuer key is not a usable composite key")
 
 
@@ -698,7 +704,7 @@ def verify_certificate(cert: CertificateDocument,
     if cert.tbs.signature_alg != cert.signature_alg:
         notes.append("signature algorithm differs between TBS and certificate")
 
-    native, outcome = _check_signature(issuer_spki, cert.signature_alg,
+    native, outcome = _check_signature(issuer_spki, _outer_alg(cert),
                                        cert.tbs_der, cert.signature)
     if native == UNSUPPORTED:
         notes.append("issuer key algorithm not recognized")

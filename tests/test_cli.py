@@ -159,6 +159,22 @@ def test_csr_newkey_and_reuse(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("container, message", [
+    ("one", "composite needs at least two components"),
+    ("five", "composite supports at most 4 components"),
+    ("nested", "not a one-asymmetric-key structure"),
+])
+def test_malformed_composite_key_file_exits_4(container, message, ec_key, ml2_key, capsys):
+    """A composite container of one or five keys, or one holding another
+    container, is unparseable input, not a usage error."""
+    pair = ec_key.private + ml2_key.private
+    blob = der.wrap_sequence({"one": ec_key.private, "five": pair * 2 + ec_key.private,
+                              "nested": der.wrap_sequence(pair) + ec_key.private}[container])
+    pem.write_pem("k.pem", pem.LABEL_PRIVATE_KEY, blob)
+    assert run("csr", "-key", "k.pem", "-subj", "CN=dev") == 4
+    assert message in capsys.readouterr().err
+
+
 def _mode(path):
     return stat.S_IMODE(os.stat(path).st_mode)
 

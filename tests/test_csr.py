@@ -63,6 +63,20 @@ def test_declared_algorithm_that_disagrees_with_the_key_fails(ec_key):
     assert not x509.verify_csr(x509.parse_csr(mislabeled.emit()))
 
 
+@pytest.mark.parametrize("key_fixture", ["rsa_key", "ec_key", "ec384_key"])
+def test_cryptography_checks_the_request_signature(key_fixture, request):
+    """cryptography as a request oracle, for classical keys only: it calls
+    even an ML-DSA-44 request from openssl req -new invalid."""
+    ext = x509.ExtensionBlock(oids.EXT_KEY_USAGE, True, b"\x03\x02\x05\xa0")
+    blob = x509.build_csr(parse_name("CN=dev1,O=Plant"), request.getfixturevalue(key_fixture),
+                          extensions=(ext,)).emit()
+    theirs = cryptography.x509.load_der_x509_csr(blob)
+    assert theirs.is_signature_valid
+    assert theirs.subject.rfc4514_string() == "O=Plant,CN=dev1"
+    flipped = blob[:-1] + bytes([blob[-1] ^ 1])
+    assert not cryptography.x509.load_der_x509_csr(flipped).is_signature_valid
+
+
 def test_composite_csr_self_signature(rng):
     spec = algs.parse_alg_spec("ml-dsa:2_ecdsa")
     key = algs.generate_keypair(spec, rng)

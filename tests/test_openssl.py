@@ -15,7 +15,10 @@ from pqcli import algs, cli, composite, der, pem, slhdsa, x509
 from pqcli.errors import KeyMismatch
 from pqcli.names import parse_name
 
-from test_x509 import certificate_with_a_repeated_extension
+from test_x509 import (
+    certificate_with_a_repeated_extension,
+    certificate_with_another_tbs_algorithm,
+)
 
 
 def _openssl_version():
@@ -114,6 +117,35 @@ def test_openssl_refuses_a_repeated_extension(keys, tmp_path):
     result = _openssl("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem", cwd=tmp_path)
     assert result.returncode != 0
     assert "ossl_x509v3_cache_extensions:invalid certificate" in result.stderr
+
+
+@pytest.mark.parametrize("issuer, inner", [("ec", "sha384"), ("ml-dsa", "null")])
+def test_openssl_refuses_a_tbs_algorithm_that_differs_from_the_outer_one(
+        issuer, inner, ec_key, ml2_key, tmp_path):
+    """RFC 5280 4.1.1.2; -check_ss_sig, since openssl does not otherwise
+    check a trust anchor's own signature."""
+    key = {"ec": ec_key, "ml-dsa": ml2_key}[issuer]
+    pem.write_pem(tmp_path / "c.pem", pem.LABEL_CERTIFICATE,
+                  certificate_with_another_tbs_algorithm(key, inner))
+    result = _openssl("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem", cwd=tmp_path)
+    assert result.returncode != 0
+    assert "certificate signature failure" in result.stdout + result.stderr
+
+
+def test_explicit_curve_ec_key_is_not_ours_though_openssl_takes_it(tmp_path, capsys):
+    """RFC 5480 2.1.1: PKIX uses named curves only, never specifiedCurve."""
+    for args in (("ecparam", "-name", "prime256v1", "-param_enc", "explicit", "-genkey",
+                  "-out", "ec.pem"),
+                 ("pkcs8", "-topk8", "-nocrypt", "-in", "ec.pem", "-out", "key.pem"),
+                 ("req", "-new", "-x509", "-key", "key.pem", "-subj", "/CN=explicit",
+                  "-out", "c.pem"),
+                 ("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem")):
+        result = _openssl(*args, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+    assert cli.main(["verify", str(tmp_path / "c.pem")]) == 5
+    assert "native signature: unsupported" in capsys.readouterr().out
+    assert _csr_from_key(tmp_path / "key.pem", tmp_path) == 4
+    assert "EC key without a named curve" in capsys.readouterr().err
 
 
 # 192s and 256s are left out: each adds seconds of signing.

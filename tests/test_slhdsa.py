@@ -259,6 +259,35 @@ def test_a_job_failing_in_a_child_runs_again_in_the_caller(monkeypatch):
     assert len(forks) == _expected_forks()
 
 
+@_affinity
+def test_more_shares_than_cpus_write_the_same_bytes(monkeypatch):
+    """Eight shares, so seven children write their slots of the shared
+    buffer at once: a slot written twice or never changes the digest."""
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    assert _shakedown_128f_digest() == _REGRESSION_SIG_DIGESTS["128f"]
+    _assert_no_child_left()
+    assert len(forks) == 1 + 7
+
+
+@_affinity
+def test_an_error_in_the_caller_kills_and_reaps_every_worker(monkeypatch):
+    ps, (sk, _) = _regression_keypair("128f")
+    forks = _counted_forks(monkeypatch)
+    caller, node = os.getpid(), slhdsa._node
+
+    def node_in_workers_only(*args):
+        if os.getpid() == caller:
+            raise RuntimeError("caller fails")
+        return node(*args)
+
+    monkeypatch.setattr(slhdsa, "_node", node_in_workers_only)
+    with pytest.raises(RuntimeError, match="caller fails"):
+        slhdsa.sign(ps, b"m", sk, deterministic=True)
+    assert len(forks) == len(os.sched_getaffinity(0)) - 1
+    _assert_no_child_left()
+
+
 def test_a_failing_fork_leaves_the_bytes_unchanged(monkeypatch):
     def fork():
         raise OSError("no fork here")

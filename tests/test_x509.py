@@ -491,6 +491,48 @@ def certificate_with_a_repeated_extension(key):
     return _certificate_blob(tbs._replace(children=tbs.children[:-1] + (repeated,)), key)
 
 
+def certificate_with_another_tbs_algorithm(key, inner):
+    """A self-signed certificate with a good signature whose TBS signature
+    field differs from its outer signatureAlgorithm, the key's, which RFC
+    5280 4.1.1.2 forbids. inner is "sha384" (ecdsa-with-SHA384) or "null"
+    (the key's own algorithm with NULL parameters the outer field leaves out)."""
+    outer = algs.signature_algorithm_for(key.spec)
+    inner = {"sha384": algs.AlgorithmIdentifier(oids.ObjectIdentifier("1.2.840.10045.4.3.3")),
+             "null": algs.AlgorithmIdentifier(outer.oid, der.null())}[inner]
+    tbs = der.decode(_self_signed(key).tbs_der)
+    assert tbs.children[2] == outer.to_der_value()
+    return _certificate_blob(tbs._replace(children=tbs.children[:2] + (inner.to_der_value(),)
+                                          + tbs.children[3:]), key)
+
+
+def _composite_key(ml2_key, ec_key):
+    return composite.CompositeKeyMaterial(tuple(
+        composite.CompositeComponent.of(k) for k in (ml2_key, ec_key))).to_record()
+
+
+@pytest.mark.parametrize("issuer, inner, code", [("ec", "sha384", 5), ("ml-dsa", "null", 5),
+                                                 ("composite", "null", 7)])
+def test_tbs_algorithm_that_differs_from_the_outer_one_makes_the_path_invalid(
+        issuer, inner, code, ec_key, ml2_key, tmp_path, capsys):
+    key = {"ec": ec_key, "ml-dsa": ml2_key, "composite": _composite_key(ml2_key, ec_key)}[issuer]
+    blob = certificate_with_another_tbs_algorithm(key, inner)
+    cert = x509.parse_certificate(blob)
+    report = x509.verify_certificate(cert, cert.tbs.spki)
+    assert report.native_sig == x509.INVALID
+    assert "signature algorithm differs between TBS and certificate" in report.chain_notes
+    assert not x509.verify_certificate_signature(cert, cert.tbs.spki).overall
+    pem.write_pem(tmp_path / "c.pem", pem.LABEL_CERTIFICATE, blob)
+    assert cli.main(["verify", str(tmp_path / "c.pem")]) == code
+    assert "signature: invalid" in capsys.readouterr().out
+
+
+def test_cryptography_refuses_a_tbs_algorithm_that_differs_from_the_outer_one(ec_key):
+    cert = cryptography.x509.load_der_x509_certificate(
+        certificate_with_another_tbs_algorithm(ec_key, "sha384"))
+    with pytest.raises(ValueError, match="Inner and outer signature algorithms do not match"):
+        cert.verify_directly_issued_by(cert)
+
+
 def test_repeated_extension_is_refused_as_the_oracle_refuses_it(ec_key, tmp_path, capsys):
     """cryptography refuses the second basicConstraints (DuplicateExtension);
     parse_certificate says BadValue, and view and verify exit 4."""
