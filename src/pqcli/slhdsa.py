@@ -24,10 +24,12 @@ FIPS 205 writes out twice has one routine here (FIPS 205 name: routine):
   xmss_node, fors_node: _node
   the paths of xmss_sign, fors_sign: _auth_path
   the climbs of xmss_pkFromSig, fors_pkFromSig: _root_from_path
-  ht_sign, ht_verify, with xmss_pkFromSig: _ht_walk
+  slh_verify from fors_pkFromSig up, and ht_sign: _ht_walk
 The rest of an algorithm is the function of its name: wots_pkGen is
 _wots_pk, wots_pkFromSig _wots_pk_from_sig, fors_sign _fors_sign (as
 jobs), etc.; xmss_sign is the WOTS+ signature in sign and a path.
+sign and verify share that one walk, so sign also climbs the top layer,
+and raises KeyMismatch if its signature misses PK.root (parts disagree).
 
 Processes (_in_shares): given the digest, the FORS secrets and paths and
 each layer's XMSS path (88% of a 128f signature's calls, 99.8% of 128s)
@@ -56,6 +58,8 @@ from bisect import bisect
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat
+
+from .errors import KeyMismatch
 
 # All SHAKE parameter sets use w=16, so base-w digits are nibbles and the
 # WOTS+ checksum always occupies len2=3 digits.
@@ -243,19 +247,19 @@ def _xmss_prefix(pk_seed: bytes, layer: int, tree: int) -> bytes:
     return pk_seed + _ADRS.pack(layer, tree, _TYPE_TREE, 0, 0, 0)[:24]
 
 
-def _ht_walk(ps: ParameterSet, msg: bytes, pk_seed: bytes, layers: list[tuple[int, int]],
-             xmss_sig, top_root: bool) -> tuple[bytes, bytes]:
-    """Walk up the d layers: layer j's XMSS signature of msg is xmss_sig(j,
-    tree, leaf, msg), and its root is the msg of layer j + 1. Returns the
-    signatures joined and the last root computed, the top one if top_root."""
+def _ht_walk(ps: ParameterSet, sig_fors: bytes, md: bytes, pk_seed: bytes,
+             layers: list[tuple[int, int]], xmss_sig) -> tuple[bytes, bytes]:
+    """Verify from the FORS signature up: msg is the FORS key at layer 0 and
+    layer j's root at j + 1, where xmss_sig(j, tree, leaf, msg) signs it.
+    Returns the XMSS signatures joined and the top root, to match PK.root."""
+    msg = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, *layers[0])
     sigs, wots_size = [], ps.wots_len * ps.n
     for layer, (tree, leaf) in enumerate(layers):
         sig = xmss_sig(layer, tree, leaf, msg)
         sigs.append(sig)
-        if top_root or layer < ps.d - 1:
-            node = _wots_pk_from_sig(ps, sig[:wots_size], msg, pk_seed, layer, tree, leaf)
-            msg = _root_from_path(ps.n, _xmss_prefix(pk_seed, layer, tree), node, leaf,
-                                  sig[wots_size:], ps.hp)
+        node = _wots_pk_from_sig(ps, sig[:wots_size], msg, pk_seed, layer, tree, leaf)
+        msg = _root_from_path(ps.n, _xmss_prefix(pk_seed, layer, tree), node, leaf,
+                              sig[wots_size:], ps.hp)
     return b"".join(sigs), msg
 
 
@@ -406,12 +410,12 @@ def sign(ps: ParameterSet, message: bytes, sk: bytes, ctx: bytes = b"", *,
                            ps.wots_len * _W + 1, leaf, ps.hp)
     done, fors_size, path_size = _in_shares(jobs, ps.n), ps.k * (1 + ps.a) * ps.n, ps.hp * ps.n
     sig_fors, paths = done[:fors_size], done[fors_size:]
-    pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, *layers[0])
-    sig_ht, _ = _ht_walk(ps, pk_fors, pk_seed, layers,
-                         lambda layer, tree, leaf, msg: (
-                             _wots_sign(ps, msg, sk_seed, pk_seed, layer, tree, leaf)
-                             + paths[layer * path_size:(layer + 1) * path_size]),
-                         top_root=False)
+    sig_ht, root = _ht_walk(ps, sig_fors, md, pk_seed, layers,
+                            lambda layer, tree, leaf, msg: (
+                                _wots_sign(ps, msg, sk_seed, pk_seed, layer, tree, leaf)
+                                + paths[layer * path_size:(layer + 1) * path_size]))
+    if root != pk_root:
+        raise KeyMismatch("SLH-DSA signature does not lead to PK.root; the key's parts disagree")
     return r + sig_fors + sig_ht
 
 
@@ -422,15 +426,10 @@ def verify(ps: ParameterSet, message: bytes, signature: bytes, pk: bytes,
     pk_seed, pk_root = pk[:ps.n], pk[ps.n:]
     m_prime = b"\x00" + bytes([len(ctx)]) + ctx + message
 
-    r = signature[:ps.n]
-    fors_size = ps.k * (1 + ps.a) * ps.n
-    sig_fors = signature[ps.n:ps.n + fors_size]
-    sig_ht = signature[ps.n + fors_size:]
-
+    fors_end = ps.n + ps.k * (1 + ps.a) * ps.n
+    r, sig_fors, sig_ht = signature[:ps.n], signature[ps.n:fors_end], signature[fors_end:]
     md, layers = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
-    pk_fors = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, *layers[0])
     size = (ps.hp + ps.wots_len) * ps.n
-    _, root = _ht_walk(ps, pk_fors, pk_seed, layers,
-                       lambda layer, tree, leaf, msg: sig_ht[layer * size:(layer + 1) * size],
-                       top_root=True)
+    _, root = _ht_walk(ps, sig_fors, md, pk_seed, layers,
+                       lambda layer, tree, leaf, msg: sig_ht[layer * size:(layer + 1) * size])
     return root == pk_root

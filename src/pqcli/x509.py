@@ -657,7 +657,7 @@ def _check_signature(spki: algs.SubjectPublicKeyInfo,
         return (VALID if ok else INVALID), None
     if not declared_ok:
         return INVALID, CompositeVerification(
-            (), False, "signature algorithm does not match the composite key")
+            (), False, declared_alg and "signature algorithm does not match the composite key")
     try:
         sig = algs.CompositeSignatureValue.from_der(signature)
     except DerError:

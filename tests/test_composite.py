@@ -171,7 +171,8 @@ def test_declared_algorithm_that_disagrees_with_the_composite_key(key_pair):
     from pqcli.names import parse_name
     cert = composite.issue_composite_certificate(parse_name("CN=multi"), key_pair)
     ml_dsa_44 = algs.signature_algorithm_for(algs.parse_alg_spec("ml-dsa:2"))
-    relabeled = dataclasses.replace(cert, signature_alg=ml_dsa_44)
+    relabeled = dataclasses.replace(cert, signature_alg=ml_dsa_44,
+                                    tbs=dataclasses.replace(cert.tbs, signature_alg=ml_dsa_44))
     report = x509.verify_certificate(relabeled, relabeled.tbs.spki)
     assert report.native_sig == x509.INVALID
     assert report.composite_components == ()

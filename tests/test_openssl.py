@@ -15,6 +15,7 @@ from pqcli import algs, cli, composite, der, pem, slhdsa, x509
 from pqcli.errors import KeyMismatch
 from pqcli.names import parse_name
 
+from test_slhdsa import SLH_KEY_PARTS, with_a_flipped_part
 from test_x509 import (
     certificate_with_a_repeated_extension,
     certificate_with_another_tbs_algorithm,
@@ -159,6 +160,44 @@ def test_deterministic_slh_dsa_signature_matches_openssl(name, tmp_path):
     assert result.returncode == 0, result.stderr
     ours = slhdsa.sign(slhdsa.PARAMETER_SETS[name], _MESSAGE, key.key, deterministic=True)
     assert (tmp_path / "sig").read_bytes() == ours
+
+
+@pytest.mark.parametrize("part", SLH_KEY_PARTS)
+def test_openssl_checks_the_slh_dsa_key_parts_pqcli_refuses_to_sign_with(part, keys,
+                                                                          tmp_path):
+    """The parts whose flip makes pqcli refuse at the first signature are
+    those openssl pkey -check finds invalid; SK.prf is free in both."""
+    pem.write_private_key(tmp_path / "key.pem",
+                          with_a_flipped_part(keys["slh-dsa:128f"].private, 16, part))
+    result = _openssl("pkey", "-in", "key.pem", "-check", "-noout", cwd=tmp_path)
+    if part == "SK.prf":
+        assert result.returncode == 0, result.stderr
+        assert "Key is valid" in result.stdout + result.stderr
+    else:
+        assert result.returncode != 0
+        assert "Key is invalid" in result.stdout + result.stderr
+
+
+# SLH-DSA-SHA2 holds here until the SHA2 parameter sets share the Merkle core.
+@pytest.mark.parametrize("algorithm, oid", [
+    ("ED25519", "1.3.101.112"),
+    ("SLH-DSA-SHA2-128f", "2.16.840.1.101.3.4.3.21"),
+])
+def test_algorithms_pqcli_does_not_implement(algorithm, oid, tmp_path, capsys):
+    """An OpenSSL certificate under such a key is shown and reported
+    unsupported, and its key file is refused, by OID."""
+    result = _openssl("req", "-x509", "-newkey", algorithm, "-nodes", "-subj", "/CN=other",
+                      "-keyout", "key.pem", "-out", "c.pem", cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert cli.main(["verify", str(tmp_path / "c.pem")]) == 5
+    out, err = capsys.readouterr()
+    assert "native signature: unsupported" in out
+    assert "warning: issuer key algorithm not recognized" in err
+    assert cli.main(["view", str(tmp_path / "c.pem")]) == 0
+    capsys.readouterr()
+    assert _csr_from_key(tmp_path / "key.pem", tmp_path) == 4
+    assert f"unrecognized key algorithm {oid}" in capsys.readouterr().err
+    assert not (tmp_path / "req.pem").exists()
 
 
 def test_openssl_rejects_composite_certificate(keys, tmp_path):

@@ -4,7 +4,8 @@ One seeded certificate of each shape is mutated by byte flips, insertions
 and truncation. Every mutant goes through parse, verify, render and delta
 reconstruction in-process; a smaller sample goes through the CLI. Only a
 PqcliError may escape the library, verify_certificate never raises, and
-the CLI exits only with a documented code.
+the CLI exits only with a documented code. Requests, PKCS#8 key files and
+certificate PEM text are mutated the same way, each through its reader.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqcli import algs, catalyst, chameleon, cli, composite, x509
+from pqcli import algs, catalyst, chameleon, cli, composite, pem, x509
 from pqcli.errors import PqcliError
 from pqcli.names import parse_name
 
@@ -35,13 +36,22 @@ def _self_signed(key, rng):
 
 
 @pytest.fixture(scope="module")
-def corpus(ec_key, ml2_key, slh_key):
+def rsa1024_key():
+    return algs.generate_keypair(algs.parse_alg_spec("rsa:1024"), random.Random(4))
+
+
+@pytest.fixture(scope="module")
+def composite_material(ec_key, ml2_key):
+    return composite.composite_keygen((ml2_key.spec, ec_key.spec), random.Random(5))
+
+
+@pytest.fixture(scope="module")
+def corpus(ec_key, ml2_key, slh_key, rsa1024_key, composite_material):
     rng = random.Random(7)
-    rsa_key = algs.generate_keypair(algs.parse_alg_spec("rsa:1024"), random.Random(4))
+    rsa_key, material = rsa1024_key, composite_material
     name = parse_name("CN=catalyst")
     tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), _VALIDITY,
                          algs.signature_algorithm_for(ec_key.spec), rng=rng)
-    material = composite.composite_keygen((ml2_key.spec, ec_key.spec), random.Random(5))
     base, _ = chameleon.issue_paired(chameleon.CertParams(validity=_VALIDITY),
                                      chameleon.CertParams(), ec_key, ml2_key, rng=rng)
     certs = {
@@ -105,3 +115,50 @@ def test_cli_exits_with_documented_codes_on_mutants(corpus, mutant_path, data,
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([command, str(mutant_path)])
     assert code in _CLI_EXIT_CODES
+
+
+@pytest.fixture(scope="module")
+def key_files(ec_key, ml2_key, slh_key, rsa1024_key, composite_material):
+    """PKCS#8 files of RSA-1024, P-256, ML-DSA-44, SLH-DSA-128f and the
+    ML-DSA-44+P-256 composite."""
+    return {"rsa": rsa1024_key.private, "ecdsa": ec_key.private, "ml-dsa": ml2_key.private,
+            "slh-dsa-128f": slh_key.private,
+            "composite": composite_material.to_record().private}
+
+
+@pytest.fixture(scope="module")
+def requests(key_files):
+    name = parse_name("CN=fuzz,O=requests")
+    return {shape: x509.build_csr(name, algs.load_private_key(private)).emit()
+            for shape, private in key_files.items()}
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(data=st.data())
+def test_mutated_requests_raise_only_pqcli_errors(requests, data):
+    try:
+        doc = x509.parse_csr(data.draw(mutants(requests)))
+        x509.verify_csr(doc)
+        x509.render_csr_text(doc)
+    except PqcliError:
+        pass
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(data=st.data())
+def test_mutated_key_files_raise_only_pqcli_errors(key_files, data):
+    with contextlib.suppress(PqcliError):
+        algs.load_private_key(data.draw(mutants(key_files)))
+
+
+@pytest.fixture(scope="module")
+def pem_texts(corpus):
+    return {shape: pem.encode_pem(pem.LABEL_CERTIFICATE, blob).encode()
+            for shape, blob in corpus.items()}
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(data=st.data())
+def test_mutated_pem_text_raises_only_pqcli_errors(pem_texts, data):
+    with contextlib.suppress(PqcliError):
+        pem.read_block(data.draw(mutants(pem_texts)), (pem.LABEL_CERTIFICATE,))

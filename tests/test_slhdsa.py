@@ -7,7 +7,9 @@ import types
 
 import pytest
 
-from pqcli import slhdsa
+from pqcli import algs, cli, pem, slhdsa, x509
+from pqcli.errors import KeyMismatch
+from pqcli.names import parse_name
 
 # (n, h, d, a, k, sig_size) per FIPS 205 Table 2, SHAKE column
 _EXPECTED_SHAPES = {
@@ -106,10 +108,17 @@ def test_hedged_signature_with_context_regression():
     assert slhdsa.verify(ps, message, sig, pk, ctx=ctx)
 
 
-def test_shake_calls_per_signature_128f(monkeypatch):
-    """One SHAKE call per FIPS 205 hash: no call is cached or skipped, in
-    keygen, sign or verify."""
-    ps = slhdsa.PARAMETER_SETS["128f"]
+def _sign_calls(ps):
+    """SHAKE calls of a signature that checks itself up to PK.root: PRF_msg,
+    H_msg and the FORS public key; k trees of 2^a secrets, 2^a leaves and
+    2^a - 1 nodes; per layer a tree of 2^hp WOTS+ keys (len PRF calls,
+    len (w - 1) steps, 1 compression) and 2^hp - 1 nodes, plus the WOTS+
+    key and climb that check the layer's signature."""
+    return (3 + ps.k * (3 * 2 ** ps.a - 1)
+            + ps.d * ((ps.wots_len * slhdsa._W + 2) * 2 ** ps.hp - 1))
+
+
+def _counted_shake(monkeypatch):
     calls = multiprocessing.Value("q", 0)   # shared, so the forked workers count too
 
     def counting_shake_256(data):
@@ -118,14 +127,35 @@ def test_shake_calls_per_signature_128f(monkeypatch):
         return hashlib.shake_256(data)
 
     monkeypatch.setattr(slhdsa, "hashlib", types.SimpleNamespace(shake_256=counting_shake_256))
+    return calls
+
+
+def test_shake_calls_per_signature_128f(monkeypatch):
+    """One SHAKE call per FIPS 205 hash: no call is cached or skipped, in
+    keygen, sign or verify; sign adds one verification walk, so its count
+    is the same for every message."""
+    ps = slhdsa.PARAMETER_SETS["128f"]
+    calls = _counted_shake(monkeypatch)
     sk, pk = slhdsa.keygen(ps, bytes(range(48)))
     assert calls.value == 4495
     calls.value = 0
     sig = slhdsa.sign(ps, b"m", sk, deterministic=True)
-    assert calls.value == 104937
+    assert calls.value == 105196 == _sign_calls(ps)
     calls.value = 0
     assert slhdsa.verify(ps, b"m", sig, pk)
     assert calls.value == 6336
+    calls.value = 0
+    slhdsa.sign(ps, b"another message", sk, deterministic=True)
+    assert calls.value == 105196
+
+
+def test_sign_calls_match_the_closed_form_192f(monkeypatch):
+    ps, (sk, _) = _regression_keypair("192f")
+    calls = _counted_shake(monkeypatch)
+    for message in (b"m", b"another message"):
+        calls.value = 0
+        slhdsa.sign(ps, message, sk, deterministic=True)
+        assert calls.value == 169260 == _sign_calls(ps)
 
 
 def test_hedged_signatures_differ_but_both_verify():
@@ -317,3 +347,69 @@ def test_one_allowed_cpu_forks_nothing(monkeypatch):
     finally:
         os.sched_setaffinity(0, cpus)
     assert os.sched_getaffinity(0) == cpus
+
+
+@_affinity
+def test_a_wrong_node_from_a_worker_gives_no_signature(monkeypatch):
+    """sign climbs its own signature to PK.root, so a node a child got wrong
+    raises instead of reaching a certificate."""
+    ps, (sk, _) = _regression_keypair("128f")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    caller, node = os.getpid(), slhdsa._node
+
+    def zeros_in_workers(n, *args):
+        return node(n, *args) if os.getpid() == caller else bytes(n)
+
+    monkeypatch.setattr(slhdsa, "_node", zeros_in_workers)
+    with pytest.raises(KeyMismatch, match="PK.root"):
+        slhdsa.sign(ps, _SHAKEDOWN, sk, deterministic=True)
+    _assert_no_child_left()
+
+
+# -- keys whose parts disagree ----------------------------------------------
+
+SLH_KEY_PARTS = ("SK.seed", "SK.prf", "PK.seed", "PK.root")
+
+
+def with_a_flipped_part(private: bytes, n: int, part: str) -> bytes:
+    """The PKCS#8 key with one byte of an n-byte part flipped: the raw key,
+    SK.seed || SK.prf || PK.seed || PK.root, ends the encoding."""
+    out = bytearray(private)
+    out[len(out) - (4 - SLH_KEY_PARTS.index(part)) * n] ^= 1
+    return bytes(out)
+
+
+@pytest.mark.parametrize("part", SLH_KEY_PARTS)
+def test_a_key_whose_parts_disagree_loads_but_does_not_sign(slh_key, part):
+    """Only SK.prf is free: it seeds the randomizer, which the signature
+    carries. Load does not check, as rebuilding PK.root is a full keygen."""
+    record = algs.load_private_key(with_a_flipped_part(slh_key.private, 16, part))
+    name = parse_name("CN=parts")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(record), x509.default_validity(1),
+                         algs.signature_algorithm_for(record.spec))
+    if part == "SK.prf":
+        assert algs.verify(record.spec, record.public, b"m", algs.sign(record.spec, record, b"m"))
+        cert = x509.parse_certificate(x509.sign_certificate(tbs, record).emit())
+        assert x509.verify_certificate(cert, cert.tbs.spki).all_valid
+        return
+    with pytest.raises(KeyMismatch, match="PK.root"):
+        algs.sign(record.spec, record, b"m")
+    with pytest.raises(KeyMismatch, match="PK.root"):
+        x509.sign_certificate(tbs, record)
+
+
+@pytest.mark.parametrize("part", SLH_KEY_PARTS)
+def test_csr_from_a_key_whose_parts_disagree_exits_4(tmp_path, monkeypatch, capsys, slh_key,
+                                                     part):
+    monkeypatch.chdir(tmp_path)
+    pem.write_pem("k.pem", pem.LABEL_PRIVATE_KEY, with_a_flipped_part(slh_key.private, 16, part))
+    code = cli.main(["csr", "-key", "k.pem", "-subj", "CN=parts"])
+    err = capsys.readouterr().err
+    if part == "SK.prf":
+        assert (code, err) == (0, "")
+        assert x509.verify_csr(x509.parse_csr((tmp_path / "csr.pem").read_bytes()))
+    else:
+        assert code == 4
+        assert err == ("pqcli: SLH-DSA signature does not lead to PK.root; "
+                       "the key's parts disagree\n")
+        assert not (tmp_path / "csr.pem").exists()

@@ -526,6 +526,18 @@ def test_tbs_algorithm_that_differs_from_the_outer_one_makes_the_path_invalid(
     assert "signature: invalid" in capsys.readouterr().out
 
 
+def test_composite_tbs_algorithm_that_differs_gives_one_warning(ec_key, ml2_key, tmp_path,
+                                                                 capsys):
+    """The outer algorithm is the composite key's: the TBS field alone is at
+    fault, and only that is said."""
+    blob = certificate_with_another_tbs_algorithm(_composite_key(ml2_key, ec_key), "null")
+    pem.write_pem(tmp_path / "c.pem", pem.LABEL_CERTIFICATE, blob)
+    assert cli.main(["verify", str(tmp_path / "c.pem")]) == 7
+    assert capsys.readouterr().err == (
+        "warning: self-signed (subject equals issuer)\n"
+        "warning: signature algorithm differs between TBS and certificate\n")
+
+
 def test_cryptography_refuses_a_tbs_algorithm_that_differs_from_the_outer_one(ec_key):
     cert = cryptography.x509.load_der_x509_certificate(
         certificate_with_another_tbs_algorithm(ec_key, "sha384"))
