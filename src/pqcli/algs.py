@@ -344,14 +344,13 @@ class KeyPairRecord:
     structure (or the composite container). key is the signing key that
     private was parsed and checked into once: the cryptography object for
     RSA, ECDSA and ML-DSA, the raw secret for SLH-DSA, the component
-    material for composite. A record built without it loads private on
-    every signature.
+    material for composite.
     """
 
     spec: AlgorithmSpec
     public: bytes
     private: bytes = field(repr=False)
-    key: object = field(default=None, compare=False, repr=False)
+    key: object = field(compare=False, repr=False)
 
 
 def _family(spec: AlgorithmSpec) -> "_Family":
@@ -433,17 +432,16 @@ def load_private_key(data: bytes) -> KeyPairRecord:
         raise KeyMismatch(f"cannot decode private key: {exc}") from exc
 
 
-def sign(spec: AlgorithmSpec, private: bytes | KeyPairRecord, message: bytes) -> bytes:
-    """Signature over message. private is an encoded private key, loaded
-    and checked first, or a KeyPairRecord (or composite component) of this
-    spec, whose loaded key signs without any parsing."""
-    if isinstance(private, (bytes, bytearray)):
-        key = keypair_from_private(spec, bytes(private)).key
-    elif private.key is None or private.spec != spec:
-        key = keypair_from_private(spec, private.private).key
-    else:
-        key = private.key
-    return _family(spec).sign(spec, key, message)
+def sign(spec: AlgorithmSpec, record: KeyPairRecord | CompositeComponent,
+         message: bytes) -> bytes:
+    """Signature over message with the key record carries, loaded once
+    when the record was made: by generate_keypair, keypair_from_private or
+    load_private_key, or as a component of such a composite record."""
+    if record.spec != spec:
+        raise KeyMismatch(f"a {record.spec} key cannot sign as {spec}")
+    if record.key is None:
+        raise MissingPrivateKey(f"the {spec} record carries no loaded key")
+    return _family(spec).sign(spec, record.key, message)
 
 
 def verify(spec: AlgorithmSpec, public: bytes, message: bytes,
@@ -797,13 +795,12 @@ def material_from_private(spec: AlgorithmSpec, private: bytes) -> CompositeKeyMa
 
 
 def composite_sign(key: CompositeKeyMaterial, message: bytes) -> CompositeSignatureValue:
-    """Each component signs the identical message bytes, in order."""
-    parts = []
+    """Each component signs the identical message bytes, in order; none
+    signs unless every one carries its loaded key."""
     for i, comp in enumerate(key.components):
-        if comp.private is None:
+        if comp.key is None:
             raise MissingPrivateKey(f"component {i} ({comp.spec}) has no private key")
-        parts.append(sign(comp.spec, comp, message))
-    return CompositeSignatureValue(tuple(parts))
+    return CompositeSignatureValue(tuple(sign(c.spec, c, message) for c in key.components))
 
 
 def component_verdicts(key: CompositeKeyMaterial, message: bytes,
@@ -814,11 +811,6 @@ def component_verdicts(key: CompositeKeyMaterial, message: bytes,
         return None
     return tuple(verify(c.spec, c.spki.key_bits, message, part)
                  for c, part in zip(key.components, sig.parts))
-
-
-# Boolean composite verification over encoded key and signature is verify
-# with a composite spec; the composite name stays for its callers.
-verify_raw = verify
 
 
 # -- seeded RSA primes --------------------------------------------------

@@ -17,7 +17,6 @@ from .algs import (  # re-exported, so composite.X keeps working
     composite_sign,
     material_from_private,
     material_from_public,
-    verify_raw,
 )
 from .x509 import (  # likewise: composite verification lives in x509
     CompositeVerification,

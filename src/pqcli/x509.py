@@ -894,8 +894,7 @@ def render_text(cert: CertificateDocument) -> str:
         "Certificate:",
         "    Data:",
         f"        Version: {t.version + 1} (0x{t.version:x})",
-        f"        Serial Number: {t.serial:x}" if t.serial >= 0
-        else f"        Serial Number: {t.serial}",
+        f"        Serial Number: {t.serial:x}",
         f"        Signature Algorithm: {algorithm_name(t.signature_alg.oid)}",
         f"        Issuer: {t.issuer}",
         "        Validity:",

@@ -15,6 +15,7 @@ from pqcli.errors import (
     TooFewComponents,
     TooManyComponents,
     UnknownAlgorithm,
+    UnsupportedAlgorithm,
 )
 from pqcli.names import parse_name
 
@@ -182,7 +183,7 @@ def test_sign_verify_round_trip(spec_text, fixture, request):
     record = request.getfixturevalue(fixture)
     assert record.spec == algs.parse_alg_spec(spec_text)
     message = b"round trip " + spec_text.encode()
-    signature = algs.sign(record.spec, record.private, message)
+    signature = algs.sign(record.spec, record, message)
     assert algs.verify(record.spec, record.public, message, signature)
     assert not algs.verify(record.spec, record.public, message + b"x", signature)
     mangled = bytearray(signature)
@@ -210,7 +211,7 @@ def test_deterministic_keygen_reproducible():
 def test_deterministic_rsa_key_is_usable():
     spec = algs.parse_alg_spec("rsa:1024")
     record = algs.generate_keypair(spec, random.Random(7))
-    sig = algs.sign(spec, record.private, b"small modulus check")
+    sig = algs.sign(spec, record, b"small modulus check")
     assert algs.verify(spec, record.public, b"small modulus check", sig)
     # PKCS#1 public modulus has the requested size
     numbers = algs._decode_pkcs1_public(record.public)
@@ -278,7 +279,7 @@ def test_load_private_key_round_trip(fixture, request):
     assert loaded.public == record.public
     assert loaded.private == record.private
     # reloaded key can still sign
-    sig = algs.sign(loaded.spec, loaded.private, b"reload")
+    sig = algs.sign(loaded.spec, loaded, b"reload")
     assert algs.verify(loaded.spec, loaded.public, b"reload", sig)
 
 
@@ -337,10 +338,12 @@ def test_unreadable_or_unmatched_key_is_a_key_mismatch(ec_key, row):
 
 
 def test_sign_with_mismatched_key_raises(ec_key):
-    with pytest.raises(KeyMismatch):
-        algs.sign(algs.parse_alg_spec("ml-dsa:2"), ec_key.private, b"m")
-    with pytest.raises(KeyMismatch):
-        algs.sign(algs.parse_alg_spec("slh-dsa:128f"), ec_key.private, b"m")
+    for text in ("ml-dsa:2", "slh-dsa:128f"):
+        spec = algs.parse_alg_spec(text)
+        with pytest.raises(KeyMismatch):
+            algs.sign(spec, ec_key, b"m")
+        with pytest.raises(KeyMismatch):
+            algs.keypair_from_private(spec, ec_key.private)
 
 
 def test_explicit_spec_rejects_a_key_of_another_curve(ec_key, ec384_key):
@@ -353,6 +356,20 @@ def test_explicit_spec_rejects_a_key_of_another_modulus_size(rsa_key):
         algs.keypair_from_private(algs.parse_alg_spec("rsa:3072"), rsa_key.private)
 
 
-def test_sign_rejects_bytes_of_another_curve(ec_key, ec384_key):
-    with pytest.raises(KeyMismatch):
-        algs.sign(ec_key.spec, ec384_key.private, b"m")
+def test_rsa_key_without_its_modulus_is_a_key_mismatch():
+    rsa_private_key = der.encode(der.seq(der.integer(0)))
+    private = der.encode(der.seq(
+        der.integer(0), algs.AlgorithmIdentifier(oids.RSA_ENCRYPTION, der.null()).to_der_value(),
+        der.octet_string(rsa_private_key)))
+    with pytest.raises(KeyMismatch, match="RSA private key is missing the modulus"):
+        algs.load_private_key(private)
+
+
+def test_slh_dsa_key_that_is_not_der_is_a_key_mismatch():
+    with pytest.raises(KeyMismatch, match="cannot load SLH-DSA private key"):
+        algs.keypair_from_private(algs.parse_alg_spec("slh-dsa:128f"), b"junk")
+
+
+def test_keygen_of_an_unknown_family_is_unsupported():
+    with pytest.raises(UnsupportedAlgorithm):
+        algs.generate_keypair(algs.AlgorithmSpec("foo"))

@@ -108,6 +108,12 @@ def test_rsa_below_1024_bits_is_a_usage_error(capsys, argv):
     assert "RSA modulus size out of range" in capsys.readouterr().err
 
 
+def test_rsa_size_that_is_not_a_number_is_a_usage_error(workdir, capsys):
+    assert run("key", "-t", "rsa:abc") == 2
+    assert "RSA modulus size must be an integer: 'abc'" in capsys.readouterr().err
+    assert list(workdir.iterdir()) == []
+
+
 def test_cert_days_past_year_9999_is_a_usage_error(workdir, capsys):
     assert run("cert", "-newkey", "ECDSA", "-days", "99999999") == 2
     assert "outside the years 1 to 9999" in capsys.readouterr().err
@@ -256,6 +262,21 @@ def test_pem_after_a_note_starting_with_zero_is_pem(workdir, capsys, ec_key):
     # DER with bytes after it is still read as DER, and rejected
     (workdir / "c.der").write_bytes(blob + armored.encode())
     assert run("view", "c.der") == 4
+
+
+def test_pem_after_a_note_that_is_no_der_length_is_pem(workdir, capsys, ec_key):
+    # "0" then "\xc3\x83" (UTF-8 for "Ã"): a SEQUENCE tag and a long-form
+    # length of 0x43 octets, which the input cannot hold
+    name = parse_name("CN=noted")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(1),
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key).emit()
+    data = ("0\u00c3 leading note\n" + pem.encode_pem(pem.LABEL_CERTIFICATE, blob)).encode()
+    assert data.startswith(b"0\xc3\x83")
+    (workdir / "c.pem").write_bytes(data)
+    assert pem.read_block(data, (pem.LABEL_CERTIFICATE,)) == (pem.LABEL_CERTIFICATE, blob)
+    assert run("view", "c.pem") == 0
+    assert "CN=noted" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

@@ -82,16 +82,14 @@ def test_count_mismatch_is_structural(key_pair):
 
 def test_verify_raw_total_on_garbage(key_pair):
     spec = key_pair.spec
-    assert composite.verify_raw(spec, key_pair.public_der(), b"m",
-                                b"not a der sig") is False
-    assert composite.verify_raw(spec, b"junk", b"m", b"junk") is False
+    assert algs.verify(spec, key_pair.public_der(), b"m", b"not a der sig") is False
+    assert algs.verify(spec, b"junk", b"m", b"junk") is False
 
 
 def test_verify_raw_accepts_valid(key_pair):
     msg = b"encoded route"
     sig = composite.composite_sign(key_pair, msg)
-    assert composite.verify_raw(key_pair.spec, key_pair.public_der(), msg,
-                                sig.der) is True
+    assert algs.verify(key_pair.spec, key_pair.public_der(), msg, sig.der) is True
 
 
 def test_signature_value_round_trip(key_pair):
@@ -128,6 +126,20 @@ def test_public_only_material_cannot_sign(key_pair):
         material.private_der()
     with pytest.raises(MissingPrivateKey):
         composite.composite_sign(material, b"nope")
+    with pytest.raises(MissingPrivateKey):
+        algs.sign(material.components[0].spec, material.components[0], b"nope")
+
+
+def test_component_without_its_loaded_key_stops_every_signature(key_pair, monkeypatch):
+    """A component built by hand from a record's encodings carries no
+    loaded key: composite_sign refuses it before the first component signs."""
+    first, second = key_pair.components
+    keyless = composite.CompositeComponent(second.spec, second.spki, second.private)
+    signed = []
+    monkeypatch.setattr(algs, "sign", lambda spec, record, message: signed.append(spec))
+    with pytest.raises(MissingPrivateKey, match=r"^component 1 \(ecdsa:P-256\)"):
+        composite.composite_sign(composite.CompositeKeyMaterial((first, keyless)), b"m")
+    assert signed == []
 
 
 def test_public_count_mismatch_rejected(key_pair):

@@ -26,15 +26,18 @@ extension of each type is checked in one function of x509, which the
 TbsCertificate constructor, the extension-list reader and build_csr call;
 chameleon leaves it to them. An ObjectIdentifier is a plain tuple of its
 arcs and content octets, as a DerValue is a plain tuple: it writes no
-equality, hashing or immutability of its own."""
+equality, hashing or immutability of its own. algs.sign signs with the key
+a record loaded once, so it calls no key loader, and a KeyPairRecord
+always carries that key."""
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import pqcli
-from pqcli import catalyst, chameleon, composite, oids, x509
+from pqcli import algs, catalyst, chameleon, composite, oids, x509
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -220,3 +223,17 @@ def test_object_identifier_is_a_plain_tuple():
     assert len(one_per_type) == 1
     read = {n.attr for n in ast.walk(one_per_type[0]) if isinstance(n, ast.Attribute)}
     assert "arcs" not in read
+
+
+def test_sign_loads_no_key_and_every_record_carries_one():
+    tree = _tree("algs")
+    sign = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "sign"]
+    assert len(sign) == 1
+    names = {n.attr if isinstance(n, ast.Attribute) else n.id
+             for statement in sign[0].body for n in ast.walk(statement)
+             if isinstance(n, (ast.Attribute, ast.Name))}
+    assert names & {"keypair_from_private", "load_private_key", "serialization"} == set()
+    assert names & {"bytes", "bytearray", "isinstance"} == set()
+    key = {f.name: f for f in dataclasses.fields(algs.KeyPairRecord)}["key"]
+    assert key.default is dataclasses.MISSING
+    assert key.default_factory is dataclasses.MISSING

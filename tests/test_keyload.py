@@ -1,6 +1,6 @@
 """A private key is parsed and checked once: records from load_private_key
 and generate_keypair carry the loaded key, and signing through a record
-asks cryptography for no further key loads."""
+asks cryptography for no further key loads. sign takes no encoded key."""
 
 import dataclasses
 import random
@@ -83,17 +83,19 @@ def test_generated_records_never_load(key_loads):
     assert key_loads.loads == 0
 
 
-def test_encoded_keys_still_load_per_signature(rsa_key, key_loads):
-    signature = algs.sign(rsa_key.spec, rsa_key.private, b"m")
-    assert key_loads.loads == 1
-    assert algs.verify(rsa_key.spec, rsa_key.public, b"m", signature)
+def test_sign_refuses_encoded_keys(rsa_key, key_loads):
+    for private in (rsa_key.private, bytearray(rsa_key.private)):
+        with pytest.raises(AttributeError):
+            algs.sign(rsa_key.spec, private, b"m")
+    assert key_loads.loads == 0
 
 
 def test_signatures_match_the_encoded_key_path(rsa_key, slh_key):
     loaded = algs.load_private_key(rsa_key.private)
     for record in (rsa_key, loaded):
         assert (algs.sign(record.spec, record, b"same bytes")
-                == algs.sign(record.spec, record.private, b"same bytes"))
+                == algs.sign(record.spec, algs.keypair_from_private(record.spec, record.private),
+                             b"same bytes"))
     ps = slhdsa.PARAMETER_SETS["128f"]
     sk = algs._slh_private(slh_key.private, ps)
     assert slh_key.key == sk == algs.load_private_key(slh_key.private).key
@@ -101,9 +103,17 @@ def test_signatures_match_the_encoded_key_path(rsa_key, slh_key):
             == slhdsa.sign(ps, b"m", sk, deterministic=True))
 
 
-def test_record_of_another_spec_is_rejected(ec_key):
-    with pytest.raises(KeyMismatch):
-        algs.sign(algs.parse_alg_spec("ml-dsa:2"), ec_key, b"m")
+def test_record_of_another_spec_is_rejected(ec_key, ec384_key, ml3_key, rsa_key, key_loads):
+    cmp = algs.load_private_key(_composite_private(ml3_key, ec_key))
+    key_loads.loads = 0
+    for spec, record in ((ec_key.spec, ec384_key),
+                         (algs.parse_alg_spec("rsa:3072"), rsa_key),
+                         (algs.parse_alg_spec("ecdsa_ml-dsa:3"), cmp),
+                         (ml3_key.spec, cmp),
+                         (ec_key.spec, cmp.key.components[0])):
+        with pytest.raises(KeyMismatch):
+            algs.sign(spec, record, b"m")
+    assert key_loads.loads == 0
 
 
 def test_rsa_key_with_wrong_crt_coefficient_rejected(rsa_key):
@@ -121,8 +131,8 @@ def test_records_compare_on_spec_public_private(rsa_key):
     loaded = algs.load_private_key(rsa_key.private)
     assert loaded.key is not None and loaded.key is not rsa_key.key
     assert loaded == rsa_key and hash(loaded) == hash(rsa_key)
-    bare = algs.KeyPairRecord(rsa_key.spec, rsa_key.public, rsa_key.private)
-    assert bare == rsa_key and bare.key is None
+    with pytest.raises(TypeError):
+        algs.KeyPairRecord(rsa_key.spec, rsa_key.public, rsa_key.private)
     assert dataclasses.replace(rsa_key, private=rsa_key.private + b"\x00") != rsa_key
 
 

@@ -108,6 +108,13 @@ def test_hedged_signature_with_context_regression():
     assert slhdsa.verify(ps, message, sig, pk, ctx=ctx)
 
 
+def test_addrnd_of_another_length_is_refused():
+    ps = slhdsa.PARAMETER_SETS["128f"]
+    sk, _ = slhdsa.keygen(ps, bytes(range(48)))
+    with pytest.raises(ValueError, match="^addrnd must be 16 bytes$"):
+        slhdsa.sign(ps, b"m", sk, addrnd=bytes(15))
+
+
 def _sign_calls(ps):
     """SHAKE calls of a signature that checks itself up to PK.root: PRF_msg,
     H_msg and the FORS public key; k trees of 2^a secrets, 2^a leaves and

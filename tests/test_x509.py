@@ -383,6 +383,17 @@ def test_render_text_basics(ec_key):
     assert "Alt Public Key Info" not in text  # classical certificate
 
 
+def test_render_text_prints_a_negative_serial_in_hex(ec_key):
+    """RFC 5280 asks for a positive serial, but a read certificate may hold
+    any INTEGER; openssl x509 -serial prints -255 as -FF."""
+    cert = _self_signed(ec_key, add_default_extensions=False)
+    tbs = der.decode(cert.tbs_der)
+    tbs = tbs._replace(children=(tbs.children[0], der.integer(-255)) + tbs.children[2:])
+    doc = x509.parse_certificate(_certificate_blob(tbs, ec_key))
+    assert doc.tbs.serial == -255
+    assert "        Serial Number: -ff\n" in x509.render_text(doc)
+
+
 def test_generalized_time_beyond_2049(ec_key):
     name = parse_name("CN=longlived")
     start = datetime.datetime(2049, 6, 1, tzinfo=UTC)
