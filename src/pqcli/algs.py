@@ -197,6 +197,9 @@ class Registry:
             if value in self._by_oid:
                 raise InvalidParameter(
                     f"OID {value} mapped by both {self._by_oid[value]!r} and {name!r}")
+            if value in _KEY_OID_FAMILIES:  # a key under it is read as RSA or ECDSA
+                raise InvalidParameter(f"OID {value} mapped by {name!r} is the "
+                                       f"{oids.algorithm_name(value)} key algorithm")
             self._by_oid[value] = name
 
     @classmethod
@@ -251,9 +254,8 @@ class Registry:
 # reads it at call time, and use_registry is the one way to replace it.
 # Threads share it, so threads must not install different tables at once.
 # Private key files always carry the standard OIDs, as cryptography writes
-# them, so they are read and written with the built-in table.
-_BUILTIN_REGISTRY = Registry.default()
-_registry = _BUILTIN_REGISTRY
+# them, so they are read and written with the built-in table, _BUILTIN_REGISTRY
+# (built below _KEY_OID_FAMILIES, which every table is checked against).
 
 
 def default_registry() -> Registry:
@@ -669,6 +671,8 @@ _FAMILIES: dict[str, _Family] = {
     FAMILY_COMPOSITE: _Composite(),
 }
 _KEY_OID_FAMILIES = {f.key_oid: f for f in _FAMILIES.values() if f.key_oid is not None}
+_BUILTIN_REGISTRY = Registry.default()
+_registry = _BUILTIN_REGISTRY
 
 
 def _slh_private(data: bytes, ps: slhdsa.ParameterSet) -> bytes:

@@ -14,9 +14,10 @@ keep thin issuing entry points over it. read_document and verify_issued
 make every decision pqcli view and verify need, and every signature
 verdict, on every path and for requests, comes from one check that also
 requires the declared algorithm to be the key's. Each field shape the TBS,
-the delta descriptor and the request share (the validity pair, an
-extension list, an EXPLICIT [n] wrapper) has one encoder and one decoder,
-and the Catalyst triple has one reader, which render_text prints from.
+the delta descriptor and the request share (an extension list, an EXPLICIT
+[n] wrapper) has one encoder and one decoder; a validity is kept as the
+SEQUENCE read or built, and re-emitted as is. The Catalyst triple has one
+reader, which render_text prints from.
 One check allows each extension type once (RFC 5280 4.2): building a TBS
 or a request raises DuplicateExtension, and reading a list, BadValue.
 """
@@ -79,15 +80,6 @@ _ALT_VALUE_OID_TLV = der.encode(der.oid_value(EXT_ALT_SIGNATURE_VALUE))
 
 
 # -- field codecs shared by the TBS, the delta descriptor and the request --
-
-def _encode_validity(validity: tuple[datetime.datetime, datetime.datetime],
-                     as_read: der.DerValue | None = None) -> der.DerValue:
-    """The SEQUENCE as_read while it holds these two times (a time before
-    2050 may have been read as GeneralizedTime), else the canonical one."""
-    if as_read is not None and _decode_validity(as_read, BadValue) == validity:
-        return as_read
-    return der.seq(der.encode_time(validity[0]), der.encode_time(validity[1]))
-
 
 def _decode_validity(value: der.DerValue, error_cls):
     """(not_before, not_after) of a validity SEQUENCE."""
@@ -159,15 +151,18 @@ class TbsCertificate:
     serial: int
     signature_alg: algs.AlgorithmIdentifier
     issuer: DistinguishedName
-    not_before: datetime.datetime
-    not_after: datetime.datetime
+    validity: der.DerValue  # the SEQUENCE as read or built, emitted as is
     subject: DistinguishedName
     spki: algs.SubjectPublicKeyInfo
     extensions: tuple[ExtensionBlock, ...] = ()
-    _validity: der.DerValue | None = field(default=None, repr=False, compare=False)
+    not_before: datetime.datetime = field(init=False, compare=False)
+    not_after: datetime.datetime = field(init=False, compare=False)
 
     def __post_init__(self):
         _one_per_type(self.extensions)
+        not_before, not_after = _decode_validity(self.validity, NotACertificate)
+        object.__setattr__(self, "not_before", not_before)
+        object.__setattr__(self, "not_after", not_after)
 
     def to_der_value(self) -> der.DerValue:
         children = [der.explicit(0, der.integer(self.version))] if self.version else []
@@ -175,7 +170,7 @@ class TbsCertificate:
             der.integer(self.serial),
             self.signature_alg.to_der_value(),
             self.issuer.to_der_value(),
-            self.validity_value(),
+            self.validity,
             self.subject.to_der_value(),
             self.spki.to_der_value(),
         ]
@@ -186,9 +181,6 @@ class TbsCertificate:
     @property
     def der(self) -> bytes:
         return der.encode(self.to_der_value())
-
-    def validity_value(self) -> der.DerValue:
-        return _encode_validity((self.not_before, self.not_after), self._validity)
 
     def find_extension(self, ext_oid: ObjectIdentifier) -> ExtensionBlock | None:
         for ext in self.extensions:
@@ -214,7 +206,7 @@ class TbsCertificate:
             serial = children[idx].as_int()
             signature_alg = algs.AlgorithmIdentifier.from_der_value(children[idx + 1])
             issuer = DistinguishedName.from_der_value(children[idx + 2])
-            not_before, not_after = _decode_validity(children[idx + 3], NotACertificate)
+            validity = children[idx + 3]
             subject = DistinguishedName.from_der_value(children[idx + 4])
             spki = algs.SubjectPublicKeyInfo.from_der_value(children[idx + 5])
         except IndexError:
@@ -228,8 +220,8 @@ class TbsCertificate:
             if extra.tag in (1, 2):
                 raise NotACertificate("issuerUniqueID/subjectUniqueID are not supported")
             raise NotACertificate("malformed extensions field")
-        return cls(version, serial, signature_alg, issuer, not_before, not_after,
-                   subject, spki, extensions or (), children[idx + 3])
+        return cls(version, serial, signature_alg, issuer, validity, subject, spki,
+                   extensions or ())
 
 
 @dataclass(frozen=True)
@@ -312,7 +304,7 @@ def build_tbs(subject: DistinguishedName,
         raise InvalidValidity(f"not_before {not_before} must precede not_after {not_after}")
     if serial is None:
         serial = random_serial(rng)
-    if serial <= 0 or serial.bit_length() > 160:
+    if serial <= 0 or serial.bit_length() > 159:  # INTEGER content of 20 octets at most
         raise InvalidParameter("serial must be positive and fit in 20 octets")
 
     supplied = tuple(extensions)
@@ -326,8 +318,8 @@ def build_tbs(subject: DistinguishedName,
     final.extend(supplied)
 
     return TbsCertificate(
-        version=2, serial=serial, signature_alg=signature_alg,
-        issuer=issuer, not_before=not_before, not_after=not_after,
+        version=2, serial=serial, signature_alg=signature_alg, issuer=issuer,
+        validity=der.seq(der.encode_time(not_before), der.encode_time(not_after)),
         subject=subject, spki=spki, extensions=tuple(final))
 
 
@@ -376,7 +368,10 @@ def parse_certificate(data: bytes) -> CertificateDocument:
 # The descriptor (extension 2.16.840.1.114027.80.6.1, non-critical) stores
 # the delta's serial, public key, and signature, plus any field whose value
 # differs from the base. Absent optional fields mean "same as the base", so
-# reconstruction is a copy-and-substitute over the base TBS.
+# reconstruction is a copy-and-substitute over the base TBS. _DESCRIBED
+# names those optional fields as TbsCertificate does; [n] holds _DESCRIBED[n].
+_DESCRIBED = ("signature_alg", "issuer", "validity", "subject", "extensions")
+
 
 @dataclass(frozen=True)
 class DeltaCertificateDescriptor:
@@ -385,10 +380,9 @@ class DeltaCertificateDescriptor:
     signature_value: bytes
     signature_alg: algs.AlgorithmIdentifier | None = None
     issuer: DistinguishedName | None = None
-    validity: tuple[datetime.datetime, datetime.datetime] | None = None
+    validity: der.DerValue | None = None  # the SEQUENCE as read or built
     subject: DistinguishedName | None = None
     extensions: tuple[ExtensionBlock, ...] | None = None
-    _validity: der.DerValue | None = field(default=None, repr=False, compare=False)
 
     def to_der_value(self) -> der.DerValue:
         children = [der.integer(self.serial)]
@@ -397,7 +391,7 @@ class DeltaCertificateDescriptor:
         if self.issuer is not None:
             children.append(der.explicit(1, self.issuer.to_der_value()))
         if self.validity is not None:
-            children.append(der.explicit(2, _encode_validity(self.validity, self._validity)))
+            children.append(der.explicit(2, self.validity))
         if self.subject is not None:
             children.append(der.explicit(3, self.subject.to_der_value()))
         children.append(self.spki.to_der_value())
@@ -425,8 +419,9 @@ class DeltaCertificateDescriptor:
 
         signature_alg, index = take(1, 0, algs.AlgorithmIdentifier.from_der_value)
         issuer, index = take(index, 1, DistinguishedName.from_der_value)
-        validity_read, index = take(index, 2, lambda v: v)
-        validity = None if validity_read is None else _decode_validity(validity_read, BadValue)
+        validity, index = take(index, 2, lambda v: v)
+        if validity is not None:
+            _decode_validity(validity, BadValue)  # two times, as a TBS holds
         subject, index = take(index, 3, DistinguishedName.from_der_value)
         if index >= len(children):
             raise BadValue("descriptor is missing the public key")
@@ -438,7 +433,7 @@ class DeltaCertificateDescriptor:
         if index + 1 != len(children):
             raise BadValue("trailing fields in descriptor")
         return cls(serial, spki, signature_value, signature_alg, issuer,
-                   validity, subject, extensions, validity_read)
+                   validity, subject, extensions)
 
 
 def descriptor_from_certificate(base: CertificateDocument) -> DeltaCertificateDescriptor:
@@ -465,11 +460,8 @@ def describe_delta(base_tbs: TbsCertificate,
         raise FieldConflict(
             "delta has no extensions while the base has some; the descriptor "
             "cannot express an empty extension list")
-    differing = {field: getattr(d, field)
-                 for field in ("signature_alg", "issuer", "subject", "extensions")
-                 if getattr(d, field) != getattr(base_tbs, field)}
-    if d.validity_value() != base_tbs.validity_value():  # the times, or how they are written
-        differing.update(validity=(d.not_before, d.not_after), _validity=d._validity)
+    differing = {name: getattr(d, name) for name in _DESCRIBED
+                 if getattr(d, name) != getattr(base_tbs, name)}
     return DeltaCertificateDescriptor(d.serial, d.spki, delta.signature, **differing)
 
 
@@ -479,19 +471,12 @@ def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
     attach the stored signature. Self-signed results are verified; one
     whose key algorithm is not recognized fails."""
     descriptor = descriptor_from_certificate(base)
-    not_before, not_after = descriptor.validity or (base.tbs.not_before,
-                                                    base.tbs.not_after)
-    extensions = descriptor.extensions
-    if extensions is None:
-        extensions = tuple(e for e in base.tbs.extensions
-                           if e.oid != EXT_DELTA_CERTIFICATE_DESCRIPTOR)
-    tbs = replace(base.tbs, version=2, serial=descriptor.serial,
-                  signature_alg=descriptor.signature_alg or base.tbs.signature_alg,
-                  issuer=descriptor.issuer or base.tbs.issuer,
-                  not_before=not_before, not_after=not_after,
-                  subject=descriptor.subject or base.tbs.subject,
-                  spki=descriptor.spki, extensions=extensions,
-                  _validity=descriptor._validity or base.tbs._validity)
+    fields = {"extensions": tuple(e for e in base.tbs.extensions
+                                  if e.oid != EXT_DELTA_CERTIFICATE_DESCRIPTOR)}
+    fields.update((name, getattr(descriptor, name)) for name in _DESCRIBED
+                  if getattr(descriptor, name) is not None)
+    tbs = replace(base.tbs, version=2, serial=descriptor.serial, spki=descriptor.spki,
+                  **fields)
     doc = CertificateDocument(tbs, tbs.der, tbs.signature_alg, descriptor.signature_value)
     if tbs.subject == tbs.issuer and _check_signature(
             tbs.spki, doc.signature_alg, doc.tbs_der, doc.signature)[0] != VALID:

@@ -155,6 +155,15 @@ def test_registry_override_and_injectivity():
         registry.oid_for_name("nonesuch")
 
 
+@pytest.mark.parametrize("name, key_oid", [
+    ("ml-dsa:2", oids.RSA_ENCRYPTION), ("composite", oids.EC_PUBLIC_KEY)])
+def test_registry_refuses_a_key_algorithm_oid(name, key_oid):
+    """A key under rsaEncryption or id-ecPublicKey is read as RSA or ECDSA,
+    so no signature algorithm may be mapped onto either."""
+    with pytest.raises(InvalidParameter, match="key algorithm$"):
+        algs.default_registry().with_overrides(f"{name} = {key_oid}\n")
+
+
 def test_registry_from_environment(tmp_path):
     table = tmp_path / "oids.txt"
     table.write_text("# test table\nml-dsa:2 = 2.999.7\n")

@@ -94,7 +94,7 @@ def test_differing_validity_recorded(ec_key, ml2_key, rng):
         ec_key, ml2_key, rng=rng)
     descriptor = chameleon.descriptor_from_certificate(base)
     assert descriptor.validity is not None
-    assert descriptor.validity[1] == delta.tbs.not_after
+    assert descriptor.validity == delta.tbs.validity
     assert chameleon.reconstruct_delta(base).emit() == delta.emit()
 
 
@@ -183,7 +183,8 @@ def test_descriptor_codec_all_fields(ec_key, ml2_key):
         signature_value=b"\x01\x02\x03",
         signature_alg=algs.signature_algorithm_for(ml2_key.spec),
         issuer=parse_name("CN=other"),
-        validity=(start, start + datetime.timedelta(days=5)),
+        validity=der.seq(der.encode_time(start),
+                         der.encode_time(start + datetime.timedelta(days=5))),
         subject=parse_name("CN=other"),
         extensions=(x509.basic_constraints_extension(),),
     )

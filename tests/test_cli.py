@@ -566,6 +566,18 @@ def test_oid_table_names_must_be_registry_keys(workdir, capsys, monkeypatch, rng
     assert "OID table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key_oid", [oids.RSA_ENCRYPTION, oids.EC_PUBLIC_KEY],
+                         ids=["rsaEncryption", "id-ecPublicKey"])
+def test_oid_table_onto_a_key_algorithm_is_refused(workdir, capsys, monkeypatch, key_oid):
+    """Before anything is written: a certificate issued under such a table
+    would not verify, since its key reads as RSA or ECDSA."""
+    (workdir / "oids.conf").write_text(f"ml-dsa:2 = {key_oid}\n")
+    monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
+    assert run("cert", "-newkey", "ml-dsa:2") == 2
+    assert "key algorithm" in capsys.readouterr().err
+    assert [p.name for p in workdir.iterdir()] == ["oids.conf"]
+
+
 def test_oid_table_holds_for_one_command_in_process(workdir, capsys, monkeypatch):
     builtin = algs.default_registry()
     (workdir / "oids.conf").write_text("composite = 2.999.10001\n")

@@ -39,6 +39,12 @@ def test_multiple_blocks_ordered(rng):
     assert pem.first_block(blocks, "PRIVATE KEY") == b
 
 
+def test_first_block_without_the_label():
+    blocks = [("CERTIFICATE", b"\x30\x00")]
+    with pytest.raises(MalformedPem, match="^no PRIVATE KEY block present$"):
+        pem.first_block(blocks, "PRIVATE KEY")
+
+
 def test_unknown_label_preserved(rng):
     payload = rng.randbytes(25)
     text = pem.encode_pem("X509 CRL", payload)

@@ -90,6 +90,12 @@ def test_serial_bounds(ec_key):
                        serial=1 << 170)
     tbs = x509.build_tbs(name, name, spki, x509.default_validity(1), alg, serial=7)
     assert tbs.serial == 7
+    # RFC 5280 4.1.2.2: at most 20 octets of INTEGER content, so 159 bits
+    tbs = x509.build_tbs(name, name, spki, x509.default_validity(1), alg,
+                         serial=(1 << 159) - 1)
+    assert len(der.decode(tbs.der).children[1].content) == 20
+    with pytest.raises(InvalidParameter, match="fit in 20 octets"):
+        x509.build_tbs(name, name, spki, x509.default_validity(1), alg, serial=1 << 159)
 
 
 def test_sign_requires_matching_algorithm(ec_key, ml2_key):
@@ -333,9 +339,11 @@ _CN_WITHOUT_VALUE = der.seq(der.set_of(der.seq(der.oid_value(oids.AT_COMMON_NAME
     (6, lambda v: [der.seq(*v.children, v.children[1])],
      BadValue, "SubjectPublicKeyInfo needs algorithm and key"),
     (3, lambda v: [_CN_WITHOUT_VALUE], BadTag, "AttributeTypeAndValue needs type and value"),
+    (6, lambda v: [v, der.integer(1)],
+     NotACertificate, "unexpected field after subjectPublicKeyInfo"),
 ], ids=["one-time-validity", "primitive-version", "two-child-version", "version-3",
         "second-extensions", "algorithm-0-fields", "algorithm-3-fields", "spki-1-field",
-        "spki-3-fields", "attribute-without-value"])
+        "spki-3-fields", "attribute-without-value", "universal-field-after-spki"])
 def test_malformed_tbs_field_is_refused(ec_key, tmp_path, capsys, index, replace, error,
                                         message):
     children = list(der.decode(_self_signed(ec_key).tbs_der).children)
@@ -359,10 +367,9 @@ def test_parse_unknown_algorithm_cert_for_view():
         algs.AlgorithmIdentifier(oids.ObjectIdentifier("1.3.6.1.4.1.99999.1")),
         b"\xaa" * 16)
     alien_alg = algs.AlgorithmIdentifier(oids.ObjectIdentifier("1.3.6.1.4.1.99999.2"))
-    tbs = x509.TbsCertificate(2, 5, alien_alg, name,
-                              datetime.datetime(2026, 1, 1, tzinfo=UTC),
-                              datetime.datetime(2027, 1, 1, tzinfo=UTC),
-                              name, spki)
+    validity = der.seq(der.encode_time(datetime.datetime(2026, 1, 1, tzinfo=UTC)),
+                       der.encode_time(datetime.datetime(2027, 1, 1, tzinfo=UTC)))
+    tbs = x509.TbsCertificate(2, 5, alien_alg, name, validity, name, spki)
     doc = x509.CertificateDocument(tbs, tbs.der, alien_alg, b"\x00\x11")
     back = x509.parse_certificate(doc.emit())
     text = x509.render_text(back)
@@ -701,10 +708,24 @@ def test_descriptor_keeps_its_own_generalized_time_validity(ec_key, ml2_key, tmp
         _generalized(_self_signed_tbs(ml2_key, "CN=pair", JANUARY)), ml2_key)
     base_tbs = _self_signed_tbs(ec_key, "CN=pair", base_validity)
     descriptor = x509.describe_delta(base_tbs, x509.parse_certificate(delta_blob))
-    assert descriptor.validity == JANUARY
+    assert tuple(map(der.decode_time, descriptor.validity.children)) == JANUARY
     assert b"\x18\x0f20260101000000Z" in descriptor.der
     assert x509.DeltaCertificateDescriptor.from_der(descriptor.der).der == descriptor.der
     dcd = x509.ExtensionBlock(oids.EXT_DELTA_CERTIFICATE_DESCRIPTOR, False, descriptor.der)
     base = x509.sign_certificate(
         _self_signed_tbs(ec_key, "CN=pair", base_validity, (dcd,)), ec_key)
     _check_generalized_pair(base.emit(), delta_blob, tmp_path)
+
+
+def test_replacing_the_validity_replaces_both_times(ec_key):
+    """The times are decoded from the SEQUENCE a TBS holds, so they cannot
+    disagree with what it writes."""
+    tbs = _self_signed(ec_key).tbs
+    validity = _generalized(_self_signed_tbs(ec_key, "CN=pair", JANUARY)).children[4]
+    moved = dataclasses.replace(tbs, validity=validity)
+    assert (moved.not_before, moved.not_after) == JANUARY
+    assert der.decode(moved.der).children[4] == validity
+    with pytest.raises(ValueError):  # the times follow the validity only
+        dataclasses.replace(tbs, not_before=JANUARY[0])
+    with pytest.raises(NotACertificate, match="^validity needs two times$"):
+        dataclasses.replace(tbs, validity=der.seq(validity.children[0]))
