@@ -17,6 +17,7 @@ encodings dispatch through that table, keyed by the spec's family.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import math
 import os
@@ -820,6 +821,18 @@ def component_verdicts(key: CompositeKeyMaterial, message: bytes,
 # -- seeded RSA primes --------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SIEVE_BOUND = 1 << 14
+
+
+@functools.cache
+def _sieve_product() -> int:
+    """The product of the odd primes 41 <= p < _SIEVE_BOUND (about 23,400
+    bits), built on first use."""
+    sieve = bytearray([1]) * _SIEVE_BOUND
+    for p in range(2, math.isqrt(_SIEVE_BOUND) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, _SIEVE_BOUND, p)))
+    return math.prod(p for p in range(41, _SIEVE_BOUND, 2) if sieve[p])
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -828,6 +841,10 @@ def _is_probable_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    # a shared factor below the bound rejects a composite before any pow;
+    # a survivor still gets every Miller-Rabin round
+    if n >= _SIEVE_BOUND and math.gcd(n, _sieve_product()) != 1:
+        return False
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -190,7 +190,7 @@ def encode_time(moment: datetime.datetime) -> DerValue:
     if 1950 <= moment.year < 2050:
         text = moment.strftime("%y%m%d%H%M%SZ")
         return DerValue(UTC_TIME, content=text.encode("ascii"))
-    text = moment.strftime("%Y%m%d%H%M%SZ")
+    text = f"{moment.year:04d}{moment:%m%d%H%M%SZ}"  # %Y does not zero-fill year 5
     return DerValue(GENERALIZED_TIME, content=text.encode("ascii"))
 
 

@@ -65,7 +65,7 @@ class UnknownAttributeKey(PqcliError):
 
 
 class EmptyValue(PqcliError):
-    """Name attribute has an empty value."""
+    """Name attribute has an empty value, or an issuer name has no attribute."""
 
 
 class UnprintableValue(PqcliError):

@@ -37,6 +37,7 @@ from .errors import (
     BadValue,
     DerError,
     DuplicateExtension,
+    EmptyValue,
     FieldConflict,
     InvalidParameter,
     InvalidValidity,
@@ -298,6 +299,8 @@ def build_tbs(subject: DistinguishedName,
               rng=None) -> TbsCertificate:
     """Assemble a v3 TBS. basicConstraints and subjectKeyIdentifier are
     added (non-critical) unless suppressed or already supplied."""
+    if not issuer.attributes:
+        raise EmptyValue("the issuer name must not be empty (RFC 5280 4.1.2.4)")
     not_before = der.normalize_time(validity[0])
     not_after = der.normalize_time(validity[1])
     if not_before >= not_after:

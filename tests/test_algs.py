@@ -1,4 +1,10 @@
+import hashlib
+import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 from cryptography.exceptions import UnsupportedAlgorithm as UnsupportedKeyType
@@ -226,6 +232,96 @@ def test_deterministic_rsa_key_is_usable():
     numbers = algs._decode_pkcs1_public(record.public)
     assert numbers.n.bit_length() == 1024
     assert numbers.e == 65537
+
+
+# -- seeded RSA prime search ---------------------------------------------
+
+def _reference_is_probable_prime(n: int) -> bool:
+    """The test before the sieve: trial division by the twelve bases, then
+    Miller-Rabin to each of them."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2:
+        return False
+    for p in bases:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# Carmichael numbers below 520,000, then Chernick's (6k+1)(12k+1)(18k+1)
+# with three prime factors, some of them above the sieve bound
+_CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+               46657, 52633, 62745, 63973, 75361, 101101, 115921, 126217, 162401,
+               172081, 188461, 252601, 278545, 294409, 314821, 334153, 340561,
+               399001, 410041, 449065, 488881, 512461)
+# the least strong pseudoprime to the first eleven prime bases, which
+# only base 37 rejects, and the least to all twelve (both above the bound)
+_PSI_11 = 3825123056546413051
+_PSI_12 = 318665857834031151167461
+
+
+def _chernick_carmichaels():
+    for k in (1, 6, 35, 45, 51, 55, 56, 100, 2876, 2960, 3020, 3075, 3131):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(map(_reference_is_probable_prime, factors)), k
+        yield math.prod(factors)
+
+
+def test_prime_sieve_agrees_with_miller_rabin_alone():
+    small = range(20_000)
+    rng = random.Random(2024)
+    seeded = [rng.getrandbits(bits) | 1 << (bits - 1) | 1
+              for bits in (512, 1024) for _ in range(1000)]
+    sieve_primes = [p for p in range(38, algs._SIEVE_BOUND) if _reference_is_probable_prime(p)]
+    products = [rng.choice(sieve_primes) * rng.choice(sieve_primes) for _ in range(2000)]
+    products += [41 * 41, 41 * sieve_primes[-1], sieve_primes[-1] ** 2]
+    carmichael = [*_CARMICHAEL, *_chernick_carmichaels()]
+    for n in (*small, *seeded, *products, *carmichael, _PSI_11, _PSI_12):
+        assert algs._is_probable_prime(n) == _reference_is_probable_prime(n), n
+    assert not any(map(algs._is_probable_prime, products + carmichael))
+    assert algs._is_probable_prime(_PSI_12)       # accepted by both, as before
+    assert not algs._is_probable_prime(_PSI_11)   # the twelfth round still runs
+
+
+def test_sieve_product_is_built_on_first_use():
+    src = pathlib.Path(algs.__file__).parents[1]
+    code = ("import pqcli.cli, pqcli.algs as a; "
+            "print(a._sieve_product.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "0"
+    product = algs._sieve_product()
+    assert product.bit_length() > 23_000
+    assert all(product % p for p in algs._MR_BASES)
+    assert product % 41 == 0 and product % 16_381 == 0
+
+
+def test_seeded_rsa_keys_are_pinned():
+    """Seeded keys are fixtures: the prime search draws the same candidates
+    and keeps the same ones whatever test rejects a composite first."""
+    digest = hashlib.sha256()
+    for text, seeds in (("rsa:2048", (0, 1)), ("rsa:1024", range(8))):
+        for seed in seeds:
+            record = algs.generate_keypair(algs.parse_alg_spec(text), random.Random(seed))
+            digest.update(record.private)
+    assert digest.hexdigest() == (
+        "4be2c4b0ec3844a8d767f0f9651c5340ea750984fe3369380af8d7b0763a2861")
 
 
 def test_ml_dsa_level_sizes(ml2_key, ml3_key):

@@ -98,6 +98,17 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_cert_with_an_empty_subject_is_refused(workdir, capsys):
+    """A self-signed certificate's issuer is its subject, and RFC 5280
+    forbids an empty issuer; an empty -subj means the default subject."""
+    assert run("cert", "-newkey", "ECDSA", "-subj", ",") == 2
+    assert "issuer name must not be empty" in capsys.readouterr().err
+    assert os.listdir(workdir) == []
+    assert run("cert", "-newkey", "ECDSA", "-subj", "") == 0
+    cert = x509.parse_certificate((workdir / "certificate.pem").read_bytes())
+    assert str(cert.tbs.issuer) == x509.DEFAULT_SUBJECT
+
+
 @pytest.mark.parametrize("argv", [
     ("cert", "-newkey", "rsa:512"),
     ("key", "-t", "rsa:1000"),

@@ -330,6 +330,15 @@ def test_time_codec_utc_and_generalized():
             der.decode_time(der.DerValue(tag, content=text))
 
 
+@pytest.mark.parametrize("year", [1, 999, 1000, 1949, 1950, 2049, 2050, 9999])
+def test_time_round_trips_in_every_year(year):
+    """GeneralizedTime writes four year digits, also below year 1000."""
+    moment = datetime.datetime(year, 12, 31, 23, 59, 59, tzinfo=datetime.timezone.utc)
+    value = der.encode_time(moment)
+    assert len(value.content) == (13 if 1950 <= year < 2050 else 15)
+    assert der.decode_time(value) == moment
+
+
 def test_space_padded_time_is_rejected_as_the_oracle_rejects_it(ec_key):
     """Read as 2026-01-01, "2601 1000000Z" would re-encode without the
     space and the TBS would not round-trip; cryptography rejects it too."""

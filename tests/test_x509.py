@@ -13,6 +13,7 @@ from pqcli.errors import (
     BadTag,
     BadValue,
     DuplicateExtension,
+    EmptyValue,
     InvalidParameter,
     InvalidValidity,
     MalformedAltExtension,
@@ -75,6 +76,30 @@ def test_invalid_validity(ec_key):
     with pytest.raises(InvalidValidity):
         x509.build_tbs(name, name, algs.spki_for_key(ec_key), (start, start),
                        algs.signature_algorithm_for(ec_key.spec))
+
+
+def test_validity_before_year_1000_round_trips(ec_key):
+    name = parse_name("CN=year5")
+    validity = (datetime.datetime(5, 1, 1, tzinfo=UTC), datetime.datetime(6, 1, 1, tzinfo=UTC))
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), validity,
+                         algs.signature_algorithm_for(ec_key.spec))
+    blob = x509.sign_certificate(tbs, ec_key).emit()
+    back = x509.parse_certificate(blob)
+    assert (back.tbs.not_before, back.tbs.not_after) == validity
+    assert back.emit() == blob
+
+
+def test_empty_issuer_is_refused(ec_key):
+    """RFC 5280 4.1.2.4: the issuer field holds a non-empty name; a
+    request's subject may be empty (PKCS#10)."""
+    spki = algs.spki_for_key(ec_key)
+    alg = algs.signature_algorithm_for(ec_key.spec)
+    empty = parse_name(",")
+    with pytest.raises(EmptyValue, match="issuer"):
+        x509.build_tbs(empty, empty, spki, x509.default_validity(1), alg)
+    tbs = x509.build_tbs(empty, parse_name("CN=ca"), spki, x509.default_validity(1), alg)
+    assert tbs.subject == empty
+    assert x509.parse_csr(x509.build_csr(empty, ec_key).emit()).subject == empty
 
 
 def test_serial_bounds(ec_key):
