@@ -23,6 +23,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm as UnsupportedKeyType
 from cryptography.hazmat.primitives import hashes, serialization
@@ -69,7 +70,7 @@ _ML_DSA_PUBLIC = {2: mldsa.MLDSA44PublicKey, 3: mldsa.MLDSA65PublicKey, 5: mldsa
 _ML_DSA_EXPANDED_SIZE = {2: 2560, 3: 4032, 5: 4896}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: dataclasses.replace re-runs __post_init__
 class AlgorithmSpec:
     """A parsed algorithm selection: family plus family-specific parameter."""
 
@@ -284,8 +285,7 @@ def oid_for(spec: AlgorithmSpec) -> ObjectIdentifier:
 
 # -- algorithm identifiers and SPKI -------------------------------------
 
-@dataclass(frozen=True)
-class AlgorithmIdentifier:
+class AlgorithmIdentifier(NamedTuple):
     oid: ObjectIdentifier
     parameters: der.DerValue | None = None
 
@@ -304,8 +304,7 @@ class AlgorithmIdentifier:
         return cls(value.children[0].as_oid(), params)
 
 
-@dataclass(frozen=True)
-class SubjectPublicKeyInfo:
+class SubjectPublicKeyInfo(NamedTuple):
     algorithm: AlgorithmIdentifier
     key_bits: bytes
 
@@ -337,7 +336,7 @@ def signature_algorithm_for(spec: AlgorithmSpec) -> AlgorithmIdentifier:
     return AlgorithmIdentifier(value, params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: key stays out of equality
 class KeyPairRecord:
     """Generated key material in transportable encodings.
 
@@ -706,7 +705,7 @@ def _decode_pkcs1_public(data: bytes) -> rsa.RSAPublicNumbers:
 # one-asymmetric-keys, the signature a SEQUENCE of BIT STRINGs in the same
 # order. Every component signs the same bytes; verification ANDs them all.
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: key stays out of equality
 class CompositeComponent:
     """One component key; key is its loaded signing key, as in
     KeyPairRecord."""
@@ -721,7 +720,7 @@ class CompositeComponent:
         return cls(record.spec, spki_for_key(record), record.private, record.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: spec is derived, not an argument
 class CompositeKeyMaterial:
     """Ordered component keys treated as one key. Order is fixed at
     generation and preserved byte-exactly through encode/decode."""
@@ -754,8 +753,7 @@ class CompositeKeyMaterial:
         return KeyPairRecord(self.spec, self.public_der(), self.private_der(), key=self)
 
 
-@dataclass(frozen=True)
-class CompositeSignatureValue:
+class CompositeSignatureValue(NamedTuple):
     parts: tuple[bytes, ...]
 
     @property

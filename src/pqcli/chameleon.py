@@ -10,7 +10,8 @@ certificate shape; the readers are re-exported here.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 from . import algs, x509
 from .names import DistinguishedName, parse_name
@@ -22,8 +23,7 @@ from .x509 import (  # re-exported, so chameleon.X keeps working
 )
 
 
-@dataclass(frozen=True)
-class CertParams:
+class CertParams(NamedTuple):
     """Per-certificate knobs for paired issuance. None means inherit: the
     base inherits tool defaults, the delta inherits the base."""
 

@@ -119,11 +119,8 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _write(path: pathlib.Path, label: str, payload: bytes, as_der: bool) -> None:
-    if as_der:
-        path.write_bytes(payload)
-    else:
-        pem.write_pem(path, label, payload)
+def _encode(label: str, payload: bytes, as_der: bool) -> bytes:
+    return payload if as_der else pem.encode_pem(label, payload).encode("ascii")
 
 
 def _key_paths(path: pathlib.Path, count: int, as_der: bool) -> list[pathlib.Path]:
@@ -145,15 +142,20 @@ def _check_distinct(*paths: pathlib.Path) -> None:
         seen[key] = path
 
 
-def _write_keys(paths: list[pathlib.Path], records, as_der: bool) -> None:
-    """Private keys, owner-only, into the files _key_paths named."""
-    if not as_der:
-        pem.write_private_key_blocks(
-            paths[0], [(pem.LABEL_PRIVATE_KEY, r.private) for r in records])
-        return
-    for target, record in zip(paths, records):
-        with pem.open_private(target) as handle:
-            handle.write(record.private)
+def _write_files(files) -> None:
+    """Write each (path, bytes, private) in order, a private file owner-only.
+    When a write fails, remove every file this call opened, so a command
+    that fails leaves no output."""
+    opened = []
+    try:
+        for path, data, private in files:
+            with (pem.open_private(path) if private else open(path, "wb")) as handle:
+                opened.append(path)
+                handle.write(data)
+    except OSError:
+        for path in opened:
+            path.unlink(missing_ok=True)
+        raise
 
 
 # -- commands -----------------------------------------------------------
@@ -180,8 +182,11 @@ def cmd_cert(args) -> int:
               "composite " if specs[0].family == algs.FAMILY_COMPOSITE else "")
     kind = prefix + "+".join(map(str, specs))
 
-    _write(out, pem.LABEL_CERTIFICATE, cert.emit(), args.der)
-    _write_keys(key_paths, records, args.der)
+    keys = [_encode(pem.LABEL_PRIVATE_KEY, r.private, args.der) for r in records]
+    if len(key_paths) < len(keys):  # PEM: every key in one file
+        keys = [b"".join(keys)]
+    _write_files([(out, _encode(pem.LABEL_CERTIFICATE, cert.emit(), args.der), False),
+                  *((path, key, True) for path, key in zip(key_paths, keys))])
     print(f"wrote {out} and {', '.join(str(p) for p in key_paths)} "
           f"({kind}, self-signed, {args.days} days)")
     return 0
@@ -193,8 +198,9 @@ def cmd_key(args) -> int:
     pub = out.with_suffix(".pub")
     _check_distinct(out, pub)
     keypair = algs.generate_keypair(spec)
-    _write_keys([out], [keypair], args.der)
-    _write(pub, pem.LABEL_PUBLIC_KEY, algs.spki_for_key(keypair).der, args.der)
+    public = algs.spki_for_key(keypair).der
+    _write_files([(out, _encode(pem.LABEL_PRIVATE_KEY, keypair.private, args.der), True),
+                  (pub, _encode(pem.LABEL_PUBLIC_KEY, public, args.der), False)])
     print(f"wrote {out} and {pub} ({spec})")
     return 0
 
@@ -207,14 +213,15 @@ def cmd_csr(args) -> int:
     _check_distinct(key_path, out)
     if args.newkey:
         keypair = algs.generate_keypair(algs.parse_alg_spec(args.newkey))
-        _write_keys([key_path], [keypair], args.der)
+        keys = [(key_path, _encode(pem.LABEL_PRIVATE_KEY, keypair.private, args.der), True)]
     else:
         # undecodable text around a key's armor is no error, unlike a certificate's
         _, blob = pem.read_block(key_path.read_bytes(), (pem.LABEL_PRIVATE_KEY,),
                                  errors="replace")
         keypair = algs.load_private_key(blob)
+        keys = []
     doc = x509.build_csr(subject, keypair)
-    _write(out, pem.LABEL_CSR, doc.emit(), args.der)
+    _write_files([*keys, (out, _encode(pem.LABEL_CSR, doc.emit(), args.der), False)])
     extra = f" and {key_path}" if args.newkey else ""
     print(f"wrote {out}{extra} ({keypair.spec}, subject {subject})")
     return 0

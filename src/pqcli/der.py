@@ -17,7 +17,6 @@ so is nesting deeper than MAX_DEPTH.
 from __future__ import annotations
 
 import datetime
-import string
 from typing import NamedTuple
 
 from .errors import (BadTag, BadValue, NonCanonicalLength, Truncated, TrailingBytes,
@@ -56,7 +55,8 @@ _CHECKED_CONTENT = frozenset({BOOLEAN, INTEGER, NULL, BIT_STRING, OID})
 # The universal string types as_text reads, each with its codec.
 _TEXT_CODECS = {UTF8_STRING: "utf-8", PRINTABLE_STRING: "ascii", IA5_STRING: "ascii"}
 # The characters a PrintableString may hold (X.680 41.4)
-PRINTABLE_ALPHABET = frozenset(string.ascii_letters + string.digits + " '()+,-./:=?")
+PRINTABLE_ALPHABET = frozenset(
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789 '()+,-./:=?")
 
 # The deepest structure this tool emits, a composite SPKI inside a chameleon
 # descriptor inside a certificate, is 13 levels even counted through the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import der
 from .errors import BadTag, BadValue, EmptyValue, UnknownAttributeKey, UnprintableValue
@@ -35,8 +35,7 @@ _STRINGS = {der.UTF8_STRING: der.utf8, der.PRINTABLE_STRING: der.printable,
             der.IA5_STRING: der.ia5}
 
 
-@dataclass(frozen=True)
-class NameAttribute:
+class NameAttribute(NamedTuple):
     oid: ObjectIdentifier
     value: str
     tag: int = der.UTF8_STRING    # UTF8String, PrintableString or IA5String
@@ -51,8 +50,7 @@ class NameAttribute:
         return self.tag == der.PRINTABLE_STRING
 
 
-@dataclass(frozen=True)
-class DistinguishedName:
+class DistinguishedName(NamedTuple):
     """An ordered sequence of RDNs, flattened; each attribute keeps what a
     byte-exact re-encoding needs: its string tag and its RDN grouping."""
 

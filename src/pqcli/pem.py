@@ -83,7 +83,7 @@ def read_block(data: bytes, labels, errors: str = "strict") -> tuple[str | None,
     for label in labels:
         if label in blocks:
             return label, blocks[label]
-    raise MalformedPem(f"no {labels[0]} block in PEM input")
+    raise MalformedPem(f"no {' or '.join(labels)} block in PEM input")
 
 
 def _is_one_sequence(data: bytes) -> bool:

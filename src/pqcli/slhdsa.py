@@ -55,9 +55,9 @@ import os
 import struct
 import threading
 from bisect import bisect
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat
+from typing import NamedTuple
 
 from .errors import KeyMismatch
 
@@ -66,8 +66,7 @@ from .errors import KeyMismatch
 _W = 16
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(NamedTuple):
     name: str
     n: int          # hash output bytes
     h: int          # total hypertree height

@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import datetime
 import hashlib
-import secrets
+import os
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import algs, der, pem
 from .errors import (
@@ -120,8 +121,7 @@ def _read_explicit(children, index: int, tag: int, decode, error_cls, field: str
     return None, index
 
 
-@dataclass(frozen=True)
-class ExtensionBlock:
+class ExtensionBlock(NamedTuple):
     oid: ObjectIdentifier
     critical: bool
     value: bytes  # the DER structure inside extnValue
@@ -146,7 +146,7 @@ class ExtensionBlock:
         return cls(ext_oid, critical, children[-1].as_octets())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: dataclasses.replace re-runs __post_init__
 class TbsCertificate:
     version: int
     serial: int
@@ -225,7 +225,7 @@ class TbsCertificate:
                    extensions or ())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: callers copy it with dataclasses.replace
 class CertificateDocument:
     tbs: TbsCertificate
     tbs_der: bytes
@@ -243,8 +243,7 @@ class CertificateDocument:
         return any(self.tbs.find_extension(o) is not None for o in ALT_EXTENSION_OIDS)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     native_sig: str
     alt_sig: str | None = None
     composite_components: tuple[str, ...] | None = None
@@ -262,7 +261,7 @@ class VerificationReport:
 def random_serial(rng=None) -> int:
     """Positive 120-bit serial."""
     while True:
-        value = int.from_bytes(rng.randbytes(15), "big") if rng else secrets.randbits(120)
+        value = int.from_bytes(rng.randbytes(15) if rng else os.urandom(15), "big")
         if value > 0:
             return value
 
@@ -376,7 +375,7 @@ def parse_certificate(data: bytes) -> CertificateDocument:
 _DESCRIBED = ("signature_alg", "issuer", "validity", "subject", "extensions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # not a NamedTuple: callers copy it with dataclasses.replace
 class DeltaCertificateDescriptor:
     serial: int
     spki: algs.SubjectPublicKeyInfo
@@ -490,8 +489,7 @@ def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
 
 # -- signing, and the Catalyst alternative-extension triple ----------------
 
-@dataclass(frozen=True)
-class CatalystExtensionTriple:
+class CatalystExtensionTriple(NamedTuple):
     alt_spki: algs.SubjectPublicKeyInfo
     alt_sig_alg: algs.AlgorithmIdentifier
     alt_sig_value: bytes
@@ -606,8 +604,7 @@ def alt_verdict(cert: CertificateDocument,
 
 # -- composite: one signature value, a verdict per component ---------------
 
-@dataclass(frozen=True)
-class CompositeVerification:
+class CompositeVerification(NamedTuple):
     """Per-component verdicts plus the AND over them. A structural problem
     (count mismatch, undecodable key or signature) leaves components empty
     and carries an explanatory note."""
@@ -735,16 +732,15 @@ def verify_issued(cert: CertificateDocument,
         verdict, note = INVALID, f"delta certificate: {exc}"
     else:
         if delta.tbs.subject == delta.tbs.issuer:
-            return replace(report, delta_sig=VALID)
+            return report._replace(delta_sig=VALID)
         verdict, note = None, ("delta certificate is not self-signed; "
                                "its signature was not checked")
-    return replace(report, delta_sig=verdict, chain_notes=(note,) + report.chain_notes)
+    return report._replace(delta_sig=verdict, chain_notes=(note,) + report.chain_notes)
 
 
 # -- certificate signing requests ---------------------------------------
 
-@dataclass(frozen=True)
-class CsrDocument:
+class CsrDocument(NamedTuple):
     subject: DistinguishedName
     spki: algs.SubjectPublicKeyInfo
     extensions: tuple[ExtensionBlock, ...]

@@ -242,7 +242,7 @@ def test_preimage_splice_matches_reencoding_on_pinned_pairs():
 def test_preimage_splice_matches_reencoding_wherever_the_value_sits(ec_key):
     value = x509.ExtensionBlock(oids.EXT_ALT_SIGNATURE_VALUE, False,
                                 der.encode(der.bit_string(bytes(200))))
-    critical_value = dataclasses.replace(value, critical=True)
+    critical_value = value._replace(critical=True)
     bc = x509.basic_constraints_extension()
     ski = x509.subject_key_id_extension(algs.spki_for_key(ec_key))
     tbs = _base_tbs(ec_key, add_default_extensions=False)

@@ -231,6 +231,18 @@ def test_view_certificate_and_csr(workdir, capsys):
     assert "CN=req" in capsys.readouterr().out
 
 
+def test_a_pem_file_without_the_block_names_every_label_looked_for(workdir, capsys):
+    run("cert", "-newkey", "ECDSA", "-out", "c.pem", "-keyout", "k.pem")
+    capsys.readouterr()
+    assert run("view", "k.pem") == 4
+    assert capsys.readouterr().err == (
+        "pqcli: no CERTIFICATE or CERTIFICATE REQUEST block in PEM input\n")
+    assert run("verify", "k.pem") == 4
+    assert capsys.readouterr().err == "pqcli: no CERTIFICATE block in PEM input\n"
+    assert run("csr", "-key", "c.pem", "-subj", "CN=x") == 4
+    assert capsys.readouterr().err == "pqcli: no PRIVATE KEY block in PEM input\n"
+
+
 def test_view_decodes_pem_once(workdir, capsys, monkeypatch):
     run("cert", "-newkey", "ECDSA", "-subj", "CN=viewer")
     run("csr", "-newkey", "ECDSA", "-subj", "CN=req", "-out", "r.pem", "-keyout", "rk.pem")
@@ -303,6 +315,21 @@ def test_outputs_naming_one_file_exit_2_and_write_nothing(workdir, capsys, argv)
     assert run(*argv) == 2
     assert "are the same file; nothing written" in capsys.readouterr().err
     assert [p.name for p in workdir.iterdir()] == ["sub"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("cert", "-newkey", "ecdsa", "-out", "c.pem", "-keyout", "missing/k.pem"),
+    ("csr", "-newkey", "ecdsa", "-subj", "CN=x", "-out", "missing/r.pem", "-keyout", "k.pem"),
+    ("cert", "-newkey", "ecdsa,ml-dsa:2", "--der", "-out", "c.der", "-keyout", "k.der"),
+    ("key", "-t", "ecdsa", "-out", "k.pem"),
+], ids=["cert", "csr", "cert-der-alt", "key-pub"])
+def test_a_failed_write_exits_3_and_leaves_no_output(workdir, capsys, argv):
+    """k.alt.der and k.pub are directories, so no file can take those names."""
+    for taken in ("k.alt.der", "k.pub"):
+        (workdir / taken).mkdir()
+    assert run(*argv) == 3
+    assert capsys.readouterr().err.startswith("pqcli: ")
+    assert sorted(p.name for p in workdir.iterdir()) == ["k.alt.der", "k.pub"]
 
 
 def test_csr_output_must_not_replace_its_key(workdir, capsys):

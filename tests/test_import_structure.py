@@ -28,10 +28,14 @@ chameleon leaves it to them. An ObjectIdentifier is a plain tuple of its
 arcs and content octets, as a DerValue is a plain tuple: it writes no
 equality, hashing or immutability of its own. algs.sign signs with the key
 a record loaded once, so it calls no key loader, and a KeyPairRecord
-always carries that key."""
+always carries that key. Start-up is most of a CLI call: a frozen dataclass
+generates and compiles its methods at import, so only the seven classes
+that need a dataclass feature are dataclasses and every other value class
+is a NamedTuple; no module imports string or secrets for one constant."""
 
 import ast
 import dataclasses
+import importlib
 import pathlib
 
 import pytest
@@ -43,6 +47,10 @@ PACKAGE = pathlib.Path(pqcli.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 ALGS_ALLOWED = {"der", "oids", "slhdsa", "errors"}
 ABOVE_X509 = {"catalyst", "composite", "chameleon", "cli"}
+# each says beside its definition which dataclass feature it needs
+DATACLASSES = {"algs.AlgorithmSpec", "algs.KeyPairRecord", "algs.CompositeComponent",
+               "algs.CompositeKeyMaterial", "x509.TbsCertificate",
+               "x509.CertificateDocument", "x509.DeltaCertificateDescriptor"}
 
 
 def _tree(module):
@@ -237,3 +245,26 @@ def test_sign_loads_no_key_and_every_record_carries_one():
     key = {f.name: f for f in dataclasses.fields(algs.KeyPairRecord)}["key"]
     assert key.default is dataclasses.MISSING
     assert key.default_factory is dataclasses.MISSING
+
+
+def test_only_the_seven_kept_classes_are_dataclasses():
+    found = set()
+    for module in MODULES:
+        name = "pqcli" if module == "__init__" else f"pqcli.{module}"
+        defined = vars(importlib.import_module(name)).items()
+        found.update(f"{module}.{key}" for key, value in defined
+                     if isinstance(value, type) and dataclasses.is_dataclass(value)
+                     and value.__module__ == name)
+    assert found == DATACLASSES
+
+
+def test_no_module_imports_string_or_secrets():
+    imported = {f"{module}: {alias.name}"
+                for module in MODULES for node in ast.walk(_tree(module))
+                if isinstance(node, ast.Import) for alias in node.names
+                if alias.name.partition(".")[0] in ("string", "secrets")}
+    imported |= {f"{module}: {node.module}"
+                 for module in MODULES for node in ast.walk(_tree(module))
+                 if isinstance(node, ast.ImportFrom) and not node.level
+                 and node.module.partition(".")[0] in ("string", "secrets")}
+    assert imported == set()
