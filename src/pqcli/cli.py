@@ -13,6 +13,7 @@ x509.verify_issued read the inputs and make every decision.
 from __future__ import annotations
 
 import argparse
+import gc
 import pathlib
 import sys
 import warnings
@@ -111,6 +112,20 @@ def main(argv=None) -> int:
         # spec grammar, bad parameters, name syntax, issuance conflicts
         print(f"pqcli: {exc}", file=sys.stderr)
         return 2
+
+
+def run() -> None:
+    """Run one pqcli process: ``python -m pqcli`` and the installed script.
+
+    Everything importing built lives until the process exits, so no
+    collection should walk it, the full collections at interpreter shutdown
+    included: gc.freeze() moves it out of the collector's generations.
+    Freezing before the SLH-DSA workers fork is also the order the gc
+    documentation recommends. main() does not freeze, because tests call it
+    in-process and the freeze would exempt their heap for good.
+    """
+    gc.freeze()
+    sys.exit(main())
 
 
 # -- output helpers -----------------------------------------------------

@@ -25,7 +25,7 @@ _ATTRIBUTES: dict[str, tuple[ObjectIdentifier, int]] = {
     "L": (AT_LOCALITY, der.UTF8_STRING),
     "O": (AT_ORGANIZATION, der.UTF8_STRING),
     "OU": (AT_ORG_UNIT, der.UTF8_STRING),
-    "SERIALNUMBER": (AT_SERIAL_NUMBER, der.UTF8_STRING),
+    "SERIALNUMBER": (AT_SERIAL_NUMBER, der.PRINTABLE_STRING),  # RFC 5280 X520SerialNumber
 }
 
 _KEY_BY_OID = {oid: key for key, (oid, _) in _ATTRIBUTES.items()}

@@ -1,8 +1,15 @@
 import dataclasses
+import gc
 import os
+import pathlib
 import stat
+import subprocess
+import sys
 
+import cryptography.x509
 import pytest
+from cryptography.x509.name import _ASN1Type
+from cryptography.x509.oid import NameOID
 
 from pqcli import algs, catalyst, chameleon, cli, composite, der, oids, pem, x509
 from pqcli.names import parse_name
@@ -760,3 +767,53 @@ def test_country_in_the_printable_alphabet_is_written_as_before(workdir, capsys)
         ("DE", der.PRINTABLE_STRING), ("x", der.UTF8_STRING)]
     assert run("view", "certificate.pem") == 0
     assert "Subject: C=DE,CN=x\n" in capsys.readouterr().out
+
+
+def test_serial_number_is_written_as_a_printable_string(workdir):
+    """RFC 5280 Appendix A: X520SerialNumber ::= PrintableString, as
+    OpenSSL writes it."""
+    assert run("cert", "-newkey", "ecdsa", "-subj", "CN=dev,serialNumber=ABC123") == 0
+    theirs = cryptography.x509.load_pem_x509_certificate(
+        (workdir / "certificate.pem").read_bytes())
+    [attr] = theirs.subject.get_attributes_for_oid(NameOID.SERIAL_NUMBER)
+    assert (attr.value, attr._type) == ("ABC123", _ASN1Type.PrintableString)
+
+
+@pytest.mark.parametrize("command", ["cert", "csr"])
+def test_serial_number_outside_the_printable_alphabet_exits_2_and_writes_nothing(
+        workdir, capsys, command):
+    assert run(command, "-newkey", "ecdsa", "-subj", "CN=dev,serialNumber=AB_1") == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "pqcli: attribute SERIALNUMBER is not a PrintableString: 'AB_1'\n")
+    assert list(workdir.iterdir()) == []
+
+
+def test_run_freezes_the_import_heap_then_exits_with_mains_code():
+    """The process entry point freezes what importing built before the
+    command runs, and exits with the code main returns."""
+    code = ("import gc\n"
+            "from pqcli import cli\n"
+            "def stub(argv=None):\n"
+            "    print(gc.get_freeze_count())\n"
+            "    return 7\n"
+            "cli.main = stub\n"
+            "cli.run()\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    child = subprocess.run([sys.executable, "-c", code], env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 7, child.stderr
+    assert int(child.stdout) > 0
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run("cert", "-newkey", "ecdsa") == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_script_is_the_process_entry_point():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+    assert project["scripts"]["pqcli"] == "pqcli.cli:run"

@@ -31,12 +31,18 @@ a record loaded once, so it calls no key loader, and a KeyPairRecord
 always carries that key. Start-up is most of a CLI call: a frozen dataclass
 generates and compiles its methods at import, so only the seven classes
 that need a dataclass feature are dataclasses and every other value class
-is a NamedTuple; no module imports string or secrets for one constant."""
+is a NamedTuple; no module imports string or secrets for one constant.
+Importing a module leaves the cyclic collector as it was, enabled and
+unfrozen, because tests import every module in-process; only cli.run, the
+process entry point, freezes what importing built."""
 
 import ast
 import dataclasses
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -268,3 +274,16 @@ def test_no_module_imports_string_or_secrets():
                  if isinstance(node, ast.ImportFrom) and not node.level
                  and node.module.partition(".")[0] in ("string", "secrets")}
     assert imported == set()
+
+
+def test_importing_every_module_leaves_the_collector_enabled_and_unfrozen():
+    names = ["pqcli" if m == "__init__" else f"pqcli.{m}" for m in MODULES]
+    assert "pqcli.__main__" in names
+    code = ("import gc, importlib\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module(name)\n"
+            "print(gc.isenabled(), gc.get_freeze_count())\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["True", "0"]

@@ -5,7 +5,13 @@ import pytest
 from pqcli import der
 from pqcli.errors import DerError, EmptyValue, UnknownAttributeKey, UnprintableValue
 from pqcli.names import DistinguishedName, NameAttribute, parse_name
-from pqcli.oids import AT_COMMON_NAME, AT_COUNTRY, AT_ORGANIZATION, ObjectIdentifier
+from pqcli.oids import (
+    AT_COMMON_NAME,
+    AT_COUNTRY,
+    AT_ORGANIZATION,
+    AT_SERIAL_NUMBER,
+    ObjectIdentifier,
+)
 
 
 def test_parse_single_cn():
@@ -139,3 +145,24 @@ def test_ia5_string_attribute_re_encodes_byte_exactly():
 def test_names_that_would_not_re_encode_byte_exactly_are_rejected(blob_hex):
     with pytest.raises(DerError):
         DistinguishedName.from_der_value(der.decode(bytes.fromhex(blob_hex)))
+
+
+def test_serial_number_is_a_printable_string():
+    name = parse_name("CN=dev,serialNumber=ABC123")
+    assert [a.tag for a in name.attributes] == [der.UTF8_STRING, der.PRINTABLE_STRING]
+    assert DistinguishedName.from_der_value(der.decode(der.encode(name.to_der_value()))) == name
+
+
+@pytest.mark.parametrize("value", ["AB_1", "Ü", "a@b"])
+def test_serial_number_outside_the_printable_alphabet_is_refused(value):
+    message = f"^attribute SERIALNUMBER is not a PrintableString: {re.escape(repr(value))}$"
+    with pytest.raises(UnprintableValue, match=message):
+        parse_name(f"CN=x,serialNumber={value}")
+
+
+def test_serial_number_read_from_der_keeps_the_tag_it_was_written_with():
+    blob = der.encode(der.seq(der.set_of(_atv(AT_SERIAL_NUMBER, der.utf8("AB_1")))))
+    name = DistinguishedName.from_der_value(der.decode(blob))
+    assert [(a.key, a.value, a.tag) for a in name.attributes] == [
+        ("SERIALNUMBER", "AB_1", der.UTF8_STRING)]
+    assert der.encode(name.to_der_value()) == blob
