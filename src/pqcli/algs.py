@@ -11,7 +11,9 @@ Each algorithm family is one backend in the _FAMILIES table: RSA, ECDSA
 and ML-DSA are backed by the cryptography package, SLH-DSA by the
 in-package implementation, and composite keys and signatures delegate to
 their components' backends. generate_keypair, sign, verify and the key
-encodings dispatch through that table, keyed by the spec's family.
+encodings dispatch through that table, keyed by the spec's family. The
+package's own DER reads and writes every key file, so no process imports
+cryptography's serialization package.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import hashlib
 import math
 import os
 import re
+import types
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from cryptography.exceptions import InvalidSignature, UnsupportedAlgorithm as UnsupportedKeyType
-from cryptography.hazmat.primitives import hashes, serialization
-from cryptography.hazmat.primitives.asymmetric import ec, mldsa, padding, rsa
+from cryptography.hazmat.bindings._rust import openssl as rust_openssl
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec, padding, rsa
 
 from . import der, oids, slhdsa
 from .errors import (
@@ -65,9 +69,14 @@ _CURVES = {
 }
 _CURVE_BY_OID = {oid: name for name, (_, oid, _) in _CURVES.items()}
 
-_ML_DSA_PRIVATE = {2: mldsa.MLDSA44PrivateKey, 3: mldsa.MLDSA65PrivateKey, 5: mldsa.MLDSA87PrivateKey}
-_ML_DSA_PUBLIC = {2: mldsa.MLDSA44PublicKey, 3: mldsa.MLDSA65PublicKey, 5: mldsa.MLDSA87PublicKey}
-_ML_DSA_EXPANDED_SIZE = {2: 2560, 3: 4032, 5: 4896}
+# ML-DSA level -> its name in cryptography's Rust ML-DSA functions, and its
+# expanded key size. The Python ML-DSA classes import cryptography's OpenSSL
+# backend (7 ms) only to ask if ML-DSA is built in, as the Rust module shows.
+_ML_DSA_PRIVATE = {2: ("mldsa44", 2560), 3: ("mldsa65", 4032), 5: ("mldsa87", 4896)}
+_ML_DSA_RUST = getattr(rust_openssl, "mldsa", None)
+
+# a stand-in that perfbench/bench_trace.py wraps to count key loads (ROADMAP item 1)
+serialization = types.ModuleType("serialization")
 
 
 @dataclass(frozen=True)  # not a NamedTuple: dataclasses.replace re-runs __post_init__
@@ -468,34 +477,49 @@ class _Family:
     def spki_algorithm(self, spec: AlgorithmSpec) -> AlgorithmIdentifier:
         return AlgorithmIdentifier(oid_for(spec))
 
+    def private_algorithm(self, spec: AlgorithmSpec) -> AlgorithmIdentifier:
+        """The key OID, or the built-in table's: a table changes no key file."""
+        if self.key_oid is not None:
+            return self.spki_algorithm(spec)
+        return AlgorithmIdentifier(_BUILTIN_REGISTRY.oid_for_name(spec.oid_name()))
+
+    def pkcs8(self, spec: AlgorithmSpec, private_key: bytes) -> bytes:
+        """A PKCS#8 v1 key file around the privateKey octets."""
+        return der.encode(der.seq(der.integer(0), self.private_algorithm(spec).to_der_value(),
+                                  der.octet_string(private_key)))
+
 
 class _CryptographyFamily(_Family):
-    """RSA, ECDSA and ML-DSA: the key is a cryptography object, which also
-    encodes the public key and the PKCS#8 private key. Subclasses give
-    generate(parameter, rng), matches(spec, key) and public_key(spec, public)."""
+    """RSA, ECDSA and ML-DSA: the key is a cryptography object, which checks
+    it as load_der_private_key would; the key file is the package's DER, as
+    cryptography's private_bytes(DER, PKCS8, NoEncryption()) writes it.
+    Subclasses give generate(parameter, rng), private_key(key) and
+    from_private_key(spec, privateKey octets), public_bytes(key) and
+    public_key(spec, public)."""
 
-    public_encoding = serialization.Encoding.Raw
-    public_format = serialization.PublicFormat.Raw
     sign_args: tuple = ()
 
     def keygen(self, spec, rng):
         key = self.generate(spec.parameter, rng)
-        return self._record(spec, key, key.private_bytes(
-            serialization.Encoding.DER, serialization.PrivateFormat.PKCS8,
-            serialization.NoEncryption()))
+        return self._record(spec, key, self.pkcs8(spec, self.private_key(key)))
 
     def load(self, spec, private):
         try:
-            key = serialization.load_der_private_key(private, password=None)
-        except (ValueError, TypeError, UnsupportedKeyType) as exc:
+            value = der.decode(private)
+            alg, octets = _one_asymmetric_key(value)
+            version, _, _, *attributes = value.children
+            if (version.as_int() != 0 or attributes[1:]
+                    or attributes and attributes[0][:3] != (0, der.CONTEXT, True)):
+                raise ValueError("not a PKCS#8 v1 key")
+            if alg != self.private_algorithm(spec):
+                raise ValueError("its privateKeyAlgorithm is another key's")
+            key = self.from_private_key(spec, octets)
+        except (DerError, ValueError, UnsupportedKeyType) as exc:
             raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
-        if not self.matches(spec, key):
-            raise KeyMismatch(f"private key does not match spec {spec}")
         return self._record(spec, key, private)
 
     def _record(self, spec, key, private: bytes) -> KeyPairRecord:
-        public = key.public_key().public_bytes(self.public_encoding, self.public_format)
-        return KeyPairRecord(spec, public, private, key=key)
+        return KeyPairRecord(spec, self.public_bytes(key), private, key=key)
 
     def sign(self, spec, key, message):
         return key.sign(message, *self.sign_args)
@@ -507,8 +531,6 @@ class _CryptographyFamily(_Family):
 
 class _Rsa(_CryptographyFamily):
     key_oid = oids.RSA_ENCRYPTION
-    public_encoding = serialization.Encoding.DER
-    public_format = serialization.PublicFormat.PKCS1
     sign_args = (padding.PKCS1v15(), hashes.SHA256())
 
     def generate(self, bits, rng):
@@ -530,8 +552,25 @@ class _Rsa(_CryptographyFamily):
             public_numbers=rsa.RSAPublicNumbers(e=e, n=p * q),
         ).private_key()
 
-    def matches(self, spec, key):
-        return isinstance(key, rsa.RSAPrivateKey) and key.key_size == spec.parameter
+    def private_key(self, key):
+        """A two-prime RSAPrivateKey (RFC 8017 A.1.2)."""
+        k = key.private_numbers()
+        return der.encode(der.seq(*map(der.integer, (
+            0, k.public_numbers.n, k.public_numbers.e, k.d, k.p, k.q, k.dmp1, k.dmq1, k.iqmp))))
+
+    def from_private_key(self, spec, octets):
+        numbers = [v.as_int() for v in der.decode(octets).expect(der.SEQUENCE).children]
+        if (len(numbers) != 9 or numbers[0] != 0 or min(numbers) < 0
+                or numbers[1].bit_length() != spec.parameter):
+            raise ValueError(f"not a two-prime RSA-{spec.parameter} key")
+        _, n, e, d, p, q, dmp1, dmq1, iqmp = numbers
+        return rsa.RSAPrivateNumbers(p, q, d, dmp1, dmq1, iqmp,
+                                     rsa.RSAPublicNumbers(e, n)).private_key()
+
+    def public_bytes(self, key):
+        """The PKCS#1 RSAPublicKey."""
+        numbers = key.public_key().public_numbers()
+        return der.encode(der.seq(der.integer(numbers.n), der.integer(numbers.e)))
 
     def public_key(self, spec, public):
         return _decode_pkcs1_public(public).public_key()
@@ -554,9 +593,10 @@ class _Rsa(_CryptographyFamily):
 
 class _Ecdsa(_CryptographyFamily):
     key_oid = oids.EC_PUBLIC_KEY
-    public_encoding = serialization.Encoding.X962
-    public_format = serialization.PublicFormat.UncompressedPoint
-    sign_args = (ec.ECDSA(hashes.SHA256()),)
+
+    @functools.cached_property  # ec.ECDSA() imports cryptography's OpenSSL backend
+    def sign_args(self):
+        return (ec.ECDSA(hashes.SHA256()),)
 
     def generate(self, curve_name, rng):
         curve, _, order = _CURVES[curve_name]
@@ -566,9 +606,35 @@ class _Ecdsa(_CryptographyFamily):
         raw = int.from_bytes(rng.randbytes((order.bit_length() + 7) // 8 + 8), "big")
         return ec.derive_private_key(raw % (order - 1) + 1, curve)
 
-    def matches(self, spec, key):
-        return (isinstance(key, ec.EllipticCurvePrivateKey)
-                and key.curve.name == _CURVES[spec.parameter][0].name)
+    def private_key(self, key):
+        """An ECPrivateKey v1 (RFC 5915): the scalar at the curve's length
+        and [1], the point; the curve is the privateKeyAlgorithm's."""
+        scalar = key.private_numbers().private_value.to_bytes((key.curve.key_size + 7) // 8, "big")
+        return der.encode(der.seq(der.integer(1), der.octet_string(scalar),
+                                  der.explicit(1, der.bit_string(self.public_bytes(key)))))
+
+    def from_private_key(self, spec, octets):
+        """ec.derive_private_key refuses a scalar outside [1, n-1]; a [0]
+        must name the spec's curve and a [1] hold the scalar's point."""
+        curve, curve_oid, _ = _CURVES[spec.parameter]
+        version, scalar, *tagged = der.decode(octets).expect(der.SEQUENCE).children
+        if tagged[:1] == [der.explicit(0, der.oid_value(curve_oid))]:
+            del tagged[0]
+        if (version.as_int() != 1 or len(scalar.as_octets()) != (curve.key_size + 7) // 8
+                or len(tagged) > 1 or tagged and tagged[0][:3] != (1, der.CONTEXT, True)):
+            raise ValueError(f"not an ECPrivateKey on {spec.parameter}")
+        key = ec.derive_private_key(int.from_bytes(scalar.content, "big"), curve)
+        if tagged:
+            point, = tagged[0].children
+            if (self.public_key(spec, point.as_bits()).public_numbers()
+                    != key.public_key().public_numbers()):
+                raise ValueError("its public point is not the private scalar's")
+        return key
+
+    def public_bytes(self, key):
+        """The uncompressed X9.62 point."""
+        numbers, size = key.public_key().public_numbers(), (key.curve.key_size + 7) // 8
+        return b"\x04" + numbers.x.to_bytes(size, "big") + numbers.y.to_bytes(size, "big")
 
     def public_key(self, spec, public):
         return ec.EllipticCurvePublicKey.from_encoded_point(_CURVES[spec.parameter][0], public)
@@ -588,35 +654,36 @@ class _Ecdsa(_CryptographyFamily):
 
 
 class _MlDsa(_CryptographyFamily):
-    def load(self, spec, private):
+    def generate(self, level, rng):
+        return _ml_dsa(level, "from_{}_seed_bytes")(
+            os.urandom(32) if rng is None else rng.randbytes(32))
+
+    def private_key(self, key):
+        """The seed form: seed [0] IMPLICIT OCTET STRING."""
+        return der.encode(der.DerValue(0, der.CONTEXT, content=key.private_bytes_raw()))
+
+    def from_private_key(self, spec, octets):
         """The seed or both form of draft-ietf-lamps-dilithium-certificates; in
         both, expandedKey must match the seed's key in length, ρ and tr."""
-        alg = choice = seed = None
-        with contextlib.suppress(PqcliError, ValueError):
-            alg, body = _one_asymmetric_key(der.decode(private))
-            choice = der.decode(body)
-            seed, expanded = (c.as_octets() for c in choice.expect(der.SEQUENCE).children)
-        if choice is not None and (choice.tag, choice.cls) == (der.OCTET_STRING, der.UNIVERSAL):
+        choice = der.decode(octets)
+        if choice[:3] == (0, der.CONTEXT, False):
+            return _ml_dsa(spec.parameter, "from_{}_seed_bytes")(choice.content)
+        if choice[:2] == (der.OCTET_STRING, der.UNIVERSAL):
             raise KeyMismatch(f"ML-DSA private key for {spec} is an expanded key without its seed")
-        if (seed is None or len(seed) != 32
-                or alg.oid != _BUILTIN_REGISTRY.oid_for_name(spec.oid_name())):
-            return super().load(spec, private)
-        record = self._record(spec, _ML_DSA_PRIVATE[spec.parameter].from_seed_bytes(seed), private)
-        if (len(expanded) != _ML_DSA_EXPANDED_SIZE[spec.parameter]
-                or expanded[:32] != record.public[:32]
-                or expanded[64:128] != hashlib.shake_256(record.public).digest(64)):
+        seed, expanded = (c.as_octets() for c in choice.expect(der.SEQUENCE).children)
+        key = _ml_dsa(spec.parameter, "from_{}_seed_bytes")(seed)
+        public = self.public_bytes(key)
+        if (len(expanded) != _ML_DSA_PRIVATE[spec.parameter][1]
+                or expanded[:32] != public[:32]
+                or expanded[64:128] != hashlib.shake_256(public).digest(64)):
             raise KeyMismatch(f"ML-DSA expanded key for {spec} does not match its seed")
-        return record
+        return key
 
-    def generate(self, level, rng):
-        cls = _ML_DSA_PRIVATE[level]
-        return cls.generate() if rng is None else cls.from_seed_bytes(rng.randbytes(32))
-
-    def matches(self, spec, key):
-        return isinstance(key, _ML_DSA_PRIVATE[spec.parameter])
+    def public_bytes(self, key):
+        return key.public_key().public_bytes_raw()
 
     def public_key(self, spec, public):
-        return _ML_DSA_PUBLIC[spec.parameter].from_public_bytes(public)
+        return _ml_dsa(spec.parameter, "from_{}_public_bytes")(public)
 
 
 class _SlhDsa(_Family):
@@ -627,9 +694,7 @@ class _SlhDsa(_Family):
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
         seed = os.urandom(ps.seed_size) if rng is None else rng.randbytes(ps.seed_size)
         sk, public = slhdsa.keygen(ps, seed)
-        alg = der.seq(der.oid_value(_BUILTIN_REGISTRY.oid_for_name(spec.oid_name())))
-        private = der.encode(der.seq(der.integer(0), alg, der.octet_string(sk)))
-        return KeyPairRecord(spec, public, private, key=sk)
+        return KeyPairRecord(spec, public, self.pkcs8(spec, sk), key=sk)
 
     def load(self, spec, private):
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
@@ -684,6 +749,13 @@ def _slh_private(data: bytes, ps: slhdsa.ParameterSet) -> bytes:
         raise KeyMismatch(
             f"SLH-DSA-{ps.name} private key must be {ps.sk_size} bytes, got {len(sk)}")
     return sk
+
+
+def _ml_dsa(level: int, function: str):
+    """cryptography's Rust ML-DSA function, its {} filled with the level's name."""
+    if _ML_DSA_RUST is None:
+        raise UnsupportedKeyType("ML-DSA is not supported by this build of cryptography")
+    return getattr(_ML_DSA_RUST, function.format(_ML_DSA_PRIVATE[level][0]))
 
 
 def _decode_pkcs1_public(data: bytes) -> rsa.RSAPublicNumbers:

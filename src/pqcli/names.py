@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from . import der
-from .errors import BadTag, BadValue, EmptyValue, UnknownAttributeKey, UnprintableValue
+from .errors import (BadTag, BadValue, EmptyValue, InvalidParameter, UnknownAttributeKey,
+                     UnprintableValue)
 from .oids import (
     AT_COMMON_NAME,
     AT_COUNTRY,
@@ -17,22 +19,31 @@ from .oids import (
     ObjectIdentifier,
 )
 
-# key -> (attribute OID, string tag parse_name gives its value)
-_ATTRIBUTES: dict[str, tuple[ObjectIdentifier, int]] = {
-    "CN": (AT_COMMON_NAME, der.UTF8_STRING),
-    "C": (AT_COUNTRY, der.PRINTABLE_STRING),
-    "ST": (AT_STATE, der.UTF8_STRING),
-    "L": (AT_LOCALITY, der.UTF8_STRING),
-    "O": (AT_ORGANIZATION, der.UTF8_STRING),
-    "OU": (AT_ORG_UNIT, der.UTF8_STRING),
-    "SERIALNUMBER": (AT_SERIAL_NUMBER, der.PRINTABLE_STRING),  # RFC 5280 X520SerialNumber
+# key -> (attribute OID, string tag parse_name gives its value, and the
+# bounds on its length in characters from RFC 5280 Appendix A)
+_ATTRIBUTES: dict[str, tuple[ObjectIdentifier, int, int, int]] = {
+    "CN": (AT_COMMON_NAME, der.UTF8_STRING, 1, 64),
+    "C": (AT_COUNTRY, der.PRINTABLE_STRING, 2, 2),
+    "ST": (AT_STATE, der.UTF8_STRING, 1, 128),
+    "L": (AT_LOCALITY, der.UTF8_STRING, 1, 128),
+    "O": (AT_ORGANIZATION, der.UTF8_STRING, 1, 64),
+    "OU": (AT_ORG_UNIT, der.UTF8_STRING, 1, 64),
+    "SERIALNUMBER": (AT_SERIAL_NUMBER, der.PRINTABLE_STRING, 1, 64),  # X520SerialNumber
 }
 
-_KEY_BY_OID = {oid: key for key, (oid, _) in _ATTRIBUTES.items()}
+_KEY_BY_OID = {oid: key for key, (oid, *_) in _ATTRIBUTES.items()}
 
 # the string types DerValue.as_text reads, each with its encoder
 _STRINGS = {der.UTF8_STRING: der.utf8, der.PRINTABLE_STRING: der.printable,
             der.IA5_STRING: der.ia5}
+
+# RFC 4514 2.4: these characters anywhere, a leading '#' or space, a trailing space
+_ESCAPED = re.compile(r'["+,;<>\\]|^[# ]| \Z')
+
+
+def _escape(value: str) -> str:
+    """An attribute value as RFC 4514 writes it, NUL as \\00."""
+    return _ESCAPED.sub(r"\\\g<0>", value).replace("\0", "\\00")
 
 
 class NameAttribute(NamedTuple):
@@ -57,7 +68,10 @@ class DistinguishedName(NamedTuple):
     attributes: tuple[NameAttribute, ...] = ()
 
     def __str__(self) -> str:
-        return ",".join(f"{attr.key}={attr.value}" for attr in self.attributes)
+        """RFC 4514 text, but with the RDNs in the order written rather
+        than reversed: RDNs joined by ',', a multi-valued RDN's members by '+'."""
+        return "".join(f"{'+' if attr.joins_previous else ','}{attr.key}={_escape(attr.value)}"
+                       for attr in self.attributes)[1:]
 
     def to_der_value(self) -> der.DerValue:
         rdns: list[list[der.DerValue]] = []
@@ -99,8 +113,11 @@ def parse_name(text: str) -> DistinguishedName:
             raise UnknownAttributeKey(f"unknown name attribute {key or part!r}")
         if not value:
             raise EmptyValue(f"attribute {key} has an empty value")
-        oid, tag = _ATTRIBUTES[key]
+        oid, tag, shortest, longest = _ATTRIBUTES[key]
         if tag == der.PRINTABLE_STRING and not der.PRINTABLE_ALPHABET.issuperset(value):
             raise UnprintableValue(f"attribute {key} is not a PrintableString: {value!r}")
+        if not shortest <= len(value) <= longest:
+            bound = f"exactly {longest}" if shortest == longest else f"{shortest} to {longest}"
+            raise InvalidParameter(f"attribute {key} must be {bound} characters, not {len(value)}")
         attrs.append(NameAttribute(oid, value, tag))
     return DistinguishedName(tuple(attrs))

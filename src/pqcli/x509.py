@@ -148,6 +148,8 @@ class ExtensionBlock(NamedTuple):
 
 @dataclass(frozen=True)  # not a NamedTuple: dataclasses.replace re-runs __post_init__
 class TbsCertificate:
+    """The to-be-signed part of a certificate (RFC 5280 4.1), validity kept as written."""
+
     version: int
     serial: int
     signature_alg: algs.AlgorithmIdentifier
@@ -227,6 +229,8 @@ class TbsCertificate:
 
 @dataclass(frozen=True)  # not a NamedTuple: callers copy it with dataclasses.replace
 class CertificateDocument:
+    """A signed certificate: its TBS, the TBS bytes that were signed, and the signature."""
+
     tbs: TbsCertificate
     tbs_der: bytes
     signature_alg: algs.AlgorithmIdentifier
@@ -377,6 +381,8 @@ _DESCRIBED = ("signature_alg", "issuer", "validity", "subject", "extensions")
 
 @dataclass(frozen=True)  # not a NamedTuple: callers copy it with dataclasses.replace
 class DeltaCertificateDescriptor:
+    """The delta certificate of a paired base; a field left None is the base's."""
+
     serial: int
     spki: algs.SubjectPublicKeyInfo
     signature_value: bytes

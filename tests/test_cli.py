@@ -116,6 +116,20 @@ def test_cert_with_an_empty_subject_is_refused(workdir, capsys):
     assert str(cert.tbs.issuer) == x509.DEFAULT_SUBJECT
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("cert", "-newkey", "ECDSA", "-subj", "C=DEU"),
+     "attribute C must be exactly 2 characters, not 3"),
+    (("csr", "-newkey", "ECDSA", "-subj", "CN=" + "x" * 70),
+     "attribute CN must be 1 to 64 characters, not 70"),
+])
+def test_a_name_value_outside_its_x520_bounds_exits_2_and_writes_nothing(
+        workdir, capsys, argv, message):
+    """openssl req -subj refuses both too (string too long, maxsize=2 and 64)."""
+    assert run(*argv) == 2
+    assert f"pqcli: {message}\n" == capsys.readouterr().err
+    assert os.listdir(workdir) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("cert", "-newkey", "rsa:512"),
     ("key", "-t", "rsa:1000"),

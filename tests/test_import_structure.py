@@ -34,20 +34,26 @@ that need a dataclass feature are dataclasses and every other value class
 is a NamedTuple; no module imports string or secrets for one constant.
 Importing a module leaves the cyclic collector as it was, enabled and
 unfrozen, because tests import every module in-process; only cli.run, the
-process entry point, freezes what importing built."""
+process entry point, freezes what importing built. Every dataclass has a
+docstring, since @dataclass computes inspect.signature(cls) at import for
+one that lacks it. No pqcli process imports cryptography's serialization
+package, as the package's own DER reads and writes key files, and only one
+that signs or verifies ECDSA loads cryptography's OpenSSL backend."""
 
 import ast
 import dataclasses
 import importlib
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 import pqcli
-from pqcli import algs, catalyst, chameleon, composite, oids, x509
+from pqcli import algs, catalyst, chameleon, composite, oids, pem, x509
+from pqcli.names import parse_name
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
@@ -287,3 +293,56 @@ def test_importing_every_module_leaves_the_collector_enabled_and_unfrozen():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split() == ["True", "0"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_dataclass_has_a_docstring(module):
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return ast.unparse(target).rpartition(".")[2] == "dataclass"
+
+    bare = [node.name for node in ast.walk(_tree(module))
+            if isinstance(node, ast.ClassDef) and ast.get_docstring(node) is None
+            and any(map(is_dataclass, node.decorator_list))]
+    assert bare == []
+
+
+SERIALIZATION = "cryptography.hazmat.primitives.serialization"
+OPENSSL_BACKEND = "cryptography.hazmat.backends.openssl"
+
+
+@pytest.fixture(scope="module")
+def command_files(tmp_path_factory, rsa_key, ec_key):
+    """A self-signed certificate and a key file each for RSA, ECDSA and ML-DSA-65."""
+    directory = tmp_path_factory.mktemp("commands")
+    ml65 = algs.generate_keypair(algs.parse_alg_spec("ml-dsa:3"), random.Random(7))
+    name = parse_name("CN=import guard")
+    for label, key in (("rsa", rsa_key), ("ec", ec_key), ("ml", ml65)):
+        tbs = x509.build_tbs(name, name, algs.spki_for_key(key), x509.default_validity(1),
+                             algs.signature_algorithm_for(key.spec))
+        (directory / f"{label}.pem").write_text(x509.sign_certificate(tbs, key).emit_pem())
+        (directory / f"{label}.key").write_text(pem.encode_pem(pem.LABEL_PRIVATE_KEY,
+                                                               key.private))
+    return directory
+
+
+# each command, and whether it signs or verifies ECDSA
+@pytest.mark.parametrize("argv, ecdsa", [
+    (["view", "rsa.pem"], False),
+    (["verify", "rsa.pem"], False),
+    (["view", "ml.pem"], False),
+    (["verify", "ml.pem"], False),
+    (["csr", "-key", "rsa.key", "-subj", "CN=r", "-out", "rsa-req.pem"], False),
+    (["csr", "-key", "ml.key", "-subj", "CN=m", "-out", "ml-req.pem"], False),
+    (["csr", "-key", "ec.key", "-subj", "CN=e", "-out", "ec-req.pem"], True),
+    (["verify", "ec.pem"], True),
+], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
+def test_only_ecdsa_work_loads_the_openssl_backend(command_files, argv, ecdsa):
+    code = ("import sys\n"
+            "from pqcli import cli\n"
+            f"status = cli.main({argv!r})\n"
+            f"print(status, {SERIALIZATION!r} in sys.modules, {OPENSSL_BACKEND!r} in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], cwd=command_files, env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split()[-3:] == ["0", "False", str(ecdsa)]

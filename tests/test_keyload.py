@@ -1,9 +1,10 @@
 """A private key is parsed and checked once: records from load_private_key
 and generate_keypair carry the loaded key, and signing through a record
-asks cryptography for no further key loads. sign takes no encoded key."""
+loads no key again. sign takes no encoded key."""
 
 import dataclasses
 import random
+import types
 
 import pytest
 
@@ -12,25 +13,21 @@ from pqcli.errors import KeyMismatch
 from pqcli.names import parse_name
 
 
-class _CountingSerialization:
-    """The serialization module as algs sees it, counting private-key loads."""
-
-    def __init__(self, real):
-        self._real = real
-        self.loads = 0
-
-    def __getattr__(self, attr):
-        return getattr(self._real, attr)
-
-    def load_der_private_key(self, *args, **kwargs):
-        self.loads += 1
-        return self._real.load_der_private_key(*args, **kwargs)
-
-
 @pytest.fixture
 def key_loads(monkeypatch):
-    counter = _CountingSerialization(algs.serialization)
-    monkeypatch.setattr(algs, "serialization", counter)
+    """Counts the private-key loads of the single-algorithm families, each
+    a read of one encoded key with the package's own DER."""
+    counter = types.SimpleNamespace(loads=0)
+
+    def counting(load):
+        def wrapper(spec, private):
+            counter.loads += 1
+            return load(spec, private)
+        return wrapper
+
+    for name, family in algs._FAMILIES.items():
+        if name != algs.FAMILY_COMPOSITE:
+            monkeypatch.setattr(family, "load", counting(family.load))
     return counter
 
 

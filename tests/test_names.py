@@ -1,9 +1,12 @@
 import re
+import warnings
 
+import cryptography.x509
 import pytest
 
 from pqcli import der
-from pqcli.errors import DerError, EmptyValue, UnknownAttributeKey, UnprintableValue
+from pqcli.errors import (DerError, EmptyValue, InvalidParameter, UnknownAttributeKey,
+                          UnprintableValue)
 from pqcli.names import DistinguishedName, NameAttribute, parse_name
 from pqcli.oids import (
     AT_COMMON_NAME,
@@ -54,7 +57,8 @@ def test_country_outside_the_printable_alphabet_is_refused(value):
 
 
 def test_country_takes_every_printable_character_but_the_separator():
-    name = parse_name("C=Az 09'()+-./:=?")  # ',' separates attributes
+    # serialNumber, a PrintableString too: a country is exactly 2 characters
+    name = parse_name("SERIALNUMBER=Az 09'()+-./:=?")  # ',' separates attributes
     assert name.attributes[0].value == "Az 09'()+-./:=?"
     assert DistinguishedName.from_der_value(der.decode(der.encode(name.to_der_value()))) == name
 
@@ -125,7 +129,7 @@ def test_multi_valued_rdn_re_encodes_byte_exactly():
     name = DistinguishedName.from_der_value(der.decode(blob))
     assert der.encode(name.to_der_value()) == blob
     assert [a.key for a in name.attributes] == ["CN", "O"]
-    assert str(name) == "CN=a,O=b"
+    assert str(name) == "CN=a+O=b"
 
 
 def test_ia5_string_attribute_re_encodes_byte_exactly():
@@ -165,4 +169,108 @@ def test_serial_number_read_from_der_keeps_the_tag_it_was_written_with():
     name = DistinguishedName.from_der_value(der.decode(blob))
     assert [(a.key, a.value, a.tag) for a in name.attributes] == [
         ("SERIALNUMBER", "AB_1", der.UTF8_STRING)]
+    assert der.encode(name.to_der_value()) == blob
+
+
+# -- rendering: RFC 4514 escaping and multi-valued RDNs --------------------
+
+_COMMA_IN_A_VALUE = der.seq(der.set_of(_atv(AT_COMMON_NAME, der.utf8("a,O=evil"))))
+_ONE_RDN_OF_TWO = der.seq(der.set_of(_atv(AT_COMMON_NAME, der.utf8("a")),
+                                     _atv(AT_ORGANIZATION, der.utf8("evil"))))
+_TWO_RDNS = der.seq(der.set_of(_atv(AT_COMMON_NAME, der.utf8("a"))),
+                    der.set_of(_atv(AT_ORGANIZATION, der.utf8("evil"))))
+
+
+def test_three_names_that_once_read_alike_render_apart():
+    """OpenSSL's -subj "/CN=a,O=evil", "-multivalue-rdn /CN=a+O=evil" and
+    "/CN=a/O=evil"; each used to print as CN=a,O=evil."""
+    rendered = [str(DistinguishedName.from_der_value(value))
+                for value in (_COMMA_IN_A_VALUE, _ONE_RDN_OF_TWO, _TWO_RDNS)]
+    assert rendered == ["CN=a\\,O=evil", "CN=a+O=evil", "CN=a,O=evil"]
+
+
+def test_parse_name_keeps_a_plus_inside_the_value():
+    name = parse_name("CN=a+O=b")
+    assert [a.value for a in name.attributes] == ["a+O=b"]
+    assert str(name) == "CN=a\\+O=b"
+
+
+_CRYPTOGRAPHY_OIDS = {
+    "CN": cryptography.x509.NameOID.COMMON_NAME,
+    "O": cryptography.x509.NameOID.ORGANIZATION_NAME,
+    "OU": cryptography.x509.NameOID.ORGANIZATIONAL_UNIT_NAME,
+    "L": cryptography.x509.NameOID.LOCALITY_NAME,
+    "ST": cryptography.x509.NameOID.STATE_OR_PROVINCE_NAME,
+    "C": cryptography.x509.NameOID.COUNTRY_NAME,
+}
+_TEXT_VALUES = ["plain", "a,b", "a+b", 'say "hi"', "x;y", "<t>", "back\\slash", "#lead",
+                " lead", "trail ", " both ", "in#side", "nul\0byte", "Größe é", "a=b", "\\#"]
+_COUNTRY_VALUES = ["DE", " E", "E ", "  ", "+,", ",+", "=?"]  # PrintableString
+
+
+def _rdns(name):
+    rdns = []
+    for attr in name.attributes:
+        if not (attr.joins_previous and rdns):
+            rdns.append([])
+        rdns[-1].append(attr._replace(joins_previous=False))
+    return rdns
+
+
+@pytest.mark.parametrize("key", sorted(_CRYPTOGRAPHY_OIDS))
+def test_each_rdn_renders_as_cryptography_renders_it(key):
+    """cryptography's RelativeDistinguishedName.rfc4514_string() is the
+    oracle for every RDN; a multi-valued RDN's members compare as a set,
+    since DER sorts them."""
+    values = _COUNTRY_VALUES if key == "C" else _TEXT_VALUES
+    oid = _CRYPTOGRAPHY_OIDS[key]
+    rdns = [cryptography.x509.RelativeDistinguishedName([cryptography.x509.NameAttribute(oid, v)])
+            for v in values]
+    rdns.append(cryptography.x509.RelativeDistinguishedName(
+        [cryptography.x509.NameAttribute(oid, v) for v in values[:3]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cryptography warns of a country that is not 2 letters
+        blob = cryptography.x509.Name(rdns).public_bytes()
+    name = DistinguishedName.from_der_value(der.decode(blob))
+    ours = _rdns(name)
+    assert len(ours) == len(rdns)
+    for theirs, members in zip(rdns, ours):
+        ours_whole = str(DistinguishedName(tuple(members[:1]) + tuple(
+            m._replace(joins_previous=True) for m in members[1:])))
+        member_texts = [str(DistinguishedName((m,))) for m in members]
+        assert ours_whole == "+".join(member_texts)
+        assert set(member_texts) == {a.rfc4514_string() for a in theirs}
+        if len(members) == 1:
+            assert ours_whole == theirs.rfc4514_string()
+
+
+# -- RFC 5280 Appendix A length bounds -------------------------------------
+
+@pytest.mark.parametrize("key, longest", [("CN", 64), ("O", 64), ("OU", 64), ("L", 128),
+                                          ("ST", 128), ("serialNumber", 64)])
+def test_values_up_to_their_upper_bound_are_taken(key, longest):
+    assert len(parse_name(f"{key}={'A' * longest}").attributes[0].value) == longest
+    with pytest.raises(InvalidParameter,
+                       match=f"^attribute {key.upper()} must be 1 to {longest} characters, "
+                             f"not {longest + 1}$"):
+        parse_name(f"CN=x,{key}={'A' * (longest + 1)}")
+
+
+@pytest.mark.parametrize("value", ["D", "DEU"])
+def test_a_country_is_exactly_two_characters(value):
+    assert parse_name("C=DE").attributes[0].value == "DE"
+    with pytest.raises(InvalidParameter,
+                       match=f"^attribute C must be exactly 2 characters, not {len(value)}$"):
+        parse_name(f"C={value}")
+
+
+def test_the_bound_counts_characters_not_bytes():
+    assert parse_name("CN=" + "ü" * 64).attributes[0].value == "ü" * 64
+
+
+def test_a_name_read_from_der_is_not_held_to_the_bounds():
+    blob = der.encode(der.seq(der.set_of(_atv(AT_COUNTRY, der.printable("DEU"))),
+                              der.set_of(_atv(AT_COMMON_NAME, der.utf8("x" * 70)))))
+    name = DistinguishedName.from_der_value(der.decode(blob))
+    assert str(name) == "C=DEU,CN=" + "x" * 70
     assert der.encode(name.to_der_value()) == blob

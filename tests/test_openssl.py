@@ -296,3 +296,19 @@ def test_both_form_key_of_another_level_or_seed_size_is_refused(tmp_path):
     with pytest.raises(KeyMismatch, match="cannot load private key for ml-dsa:2"):
         algs.load_private_key(der.encode(der.seq(
             version, algorithm, der.octet_string(der.encode(short_seed)))))
+
+
+def test_three_subjects_that_once_printed_alike_view_apart(tmp_path, capsys):
+    """One CN holding a comma, one RDN of two attributes, and two RDNs."""
+    subjects = []
+    for i, args in enumerate((["-subj", "/CN=a,O=evil"],
+                              ["-multivalue-rdn", "-subj", "/CN=a+O=evil"],
+                              ["-subj", "/CN=a/O=evil"])):
+        result = _openssl("req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:P-256",
+                          "-nodes", "-keyout", f"{i}.key", "-out", f"{i}.pem", *args,
+                          cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert cli.main(["view", str(tmp_path / f"{i}.pem")]) == 0
+        subjects += [line.split("Subject: ", 1)[1]
+                     for line in capsys.readouterr().out.splitlines() if "Subject: " in line]
+    assert subjects == ["CN=a\\,O=evil", "CN=a+O=evil", "CN=a,O=evil"]

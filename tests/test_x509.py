@@ -332,7 +332,7 @@ def test_printable_string_outside_its_alphabet_is_refused_as_the_oracle_refuses_
     spliced into a signed TBS, since der.printable refuses to write it:
     cryptography refuses to load it, pqcli reads BadValue, and view and
     verify exit 4."""
-    tbs_der = _self_signed(ec_key, subject="C=DQE").tbs_der.replace(b"DQE", b"D@E")
+    tbs_der = _self_signed(ec_key, subject="SERIALNUMBER=DQE").tbs_der.replace(b"DQE", b"D@E")
     blob = _certificate_blob(der.decode(tbs_der), ec_key)
     with pytest.raises(ValueError, match="PrintableString"):
         cryptography.x509.load_der_x509_certificate(blob)
