@@ -14,6 +14,13 @@ their components' backends. generate_keypair, sign, verify and the key
 encodings dispatch through that table, keyed by the spec's family. The
 package's own DER reads and writes every key file, so no process imports
 cryptography's serialization package.
+
+One reader, load_private_key, decodes a key file once, takes the spec from
+it, and holds every family to one rule (PKCS#8 v1, RFC 5208): version 0, the
+privateKeyAlgorithm pqcli writes for that spec, the privateKey octets and at
+most a [0] attributes field. A composite container is a SEQUENCE of such
+files. Version 1 (RFC 5958) is refused, as cryptography refuses it; OpenSSL
+reads it.
 """
 
 from __future__ import annotations
@@ -264,9 +271,8 @@ class Registry:
 # The OID table is a deployment setting, one per process: every lookup
 # reads it at call time, and use_registry is the one way to replace it.
 # Threads share it, so threads must not install different tables at once.
-# Private key files always carry the standard OIDs, as cryptography writes
-# them, so they are read and written with the built-in table, _BUILTIN_REGISTRY
-# (built below _KEY_OID_FAMILIES, which every table is checked against).
+# Key files carry the standard OIDs, as cryptography writes them, from the
+# built-in table, _BUILTIN_REGISTRY, built below _KEY_OID_FAMILIES.
 
 
 def default_registry() -> Registry:
@@ -347,14 +353,13 @@ def signature_algorithm_for(spec: AlgorithmSpec) -> AlgorithmIdentifier:
 
 @dataclass(frozen=True)  # not a NamedTuple: key stays out of equality
 class KeyPairRecord:
-    """Generated key material in transportable encodings.
+    """A key in its encodings, and loaded.
 
     public holds the algorithm's subjectPublicKey content (PKCS#1 for RSA,
     uncompressed point for ECDSA, raw bytes for the PQC schemes, encoded
-    component sequence for composite); private holds a one-asymmetric-key
-    structure (or the composite container). key is the signing key that
-    private was parsed and checked into once: the cryptography object for
-    RSA, ECDSA and ML-DSA, the raw secret for SLH-DSA, the component
+    component sequence for composite); private holds the key file. key is
+    the signing key private was checked into once: the cryptography object
+    for RSA, ECDSA and ML-DSA, the raw secret for SLH-DSA, the component
     material for composite.
     """
 
@@ -409,45 +414,55 @@ def generate_keypair(spec: AlgorithmSpec, rng=None) -> KeyPairRecord:
     return _family(spec).keygen(spec, rng)
 
 
-def keypair_from_private(spec: AlgorithmSpec, private: bytes) -> KeyPairRecord:
-    """Parse and check an encoded private key of a known spec, once: the
-    record holds the loaded key and the public key recomputed from it."""
-    return _family(spec).load(spec, private)
-
-
-def _one_asymmetric_key(value: der.DerValue) -> tuple[AlgorithmIdentifier, bytes]:
-    """Algorithm and privateKey octets of a decoded one-asymmetric-key."""
-    value.expect(der.SEQUENCE)
-    if len(value.children) < 3 or value.children[0].tag != der.INTEGER:
-        raise KeyMismatch("not a one-asymmetric-key structure")
-    return (AlgorithmIdentifier.from_der_value(value.children[1]),
-            value.children[2].as_octets())
-
-
 def load_private_key(data: bytes) -> KeyPairRecord:
-    """Rebuild a KeyPairRecord from an encoded private key, inferring the
-    spec from the structure. Composite containers are recognized by their
-    leading component (a nested SEQUENCE instead of a version INTEGER)."""
+    """The record of a key file, with the key loaded and the public key
+    recomputed from it. A composite container leads with a SEQUENCE where a
+    key file has its version INTEGER."""
     try:
         value = der.decode(data)
-        value.expect(der.SEQUENCE)
-        if (value.children and value.children[0].cls == der.UNIVERSAL
-                and value.children[0].tag == der.SEQUENCE):
-            comps = tuple(_spec_from_key(*_one_asymmetric_key(child), private=True)
-                          for child in value.children)
-            spec = AlgorithmSpec(FAMILY_COMPOSITE, components=comps)
-        else:
-            spec = _spec_from_key(*_one_asymmetric_key(value), private=True)
-        return keypair_from_private(spec, data)
+        if value.children[:1] and value.children[0][:2] == (der.SEQUENCE, der.UNIVERSAL):
+            return CompositeKeyMaterial(tuple(CompositeComponent.of(_read_key(c, der.encode(c)))
+                                              for c in value.children)).to_record()
+        return _read_key(value, data)
     except (DerError, TooFewComponents, TooManyComponents) as exc:
         raise KeyMismatch(f"cannot decode private key: {exc}") from exc
+
+
+def _read_key(value: der.DerValue, private: bytes) -> KeyPairRecord:
+    """The one check of a decoded key file, the same for every family (see
+    the module docstring), then the family's load of the privateKey octets."""
+    value.expect(der.SEQUENCE)
+    if len(value.children) < 3 or value.children[0][:2] != (der.INTEGER, der.UNIVERSAL):
+        raise KeyMismatch("not a one-asymmetric-key structure")
+    version, algorithm, octets, *attributes = value.children
+    alg = AlgorithmIdentifier.from_der_value(algorithm)
+    spec = _spec_from_key(alg, octets.as_octets(), private=True)
+    family = _family(spec)
+    try:
+        if (version.as_int() != 0 or attributes[1:]
+                or attributes and attributes[0][:3] != (0, der.CONTEXT, True)):
+            raise ValueError("not a PKCS#8 v1 key")
+        if alg != family.private_algorithm(spec):
+            raise ValueError("its privateKeyAlgorithm is another key's")
+        key = family.load(spec, octets.content)
+    except (DerError, ValueError, UnsupportedKeyType) as exc:
+        raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
+    return KeyPairRecord(spec, family.public_bytes(key), private, key=key)
+
+
+def keypair_from_private(spec: AlgorithmSpec, private: bytes) -> KeyPairRecord:
+    """load_private_key, for a file that must hold a key of spec: the
+    caller's spec checks the file and never decides how it is read."""
+    record = load_private_key(private)
+    if record.spec != spec:
+        raise KeyMismatch(f"the private key is {record.spec}, not {spec}")
+    return record
 
 
 def sign(spec: AlgorithmSpec, record: KeyPairRecord | CompositeComponent,
          message: bytes) -> bytes:
     """Signature over message with the key record carries, loaded once
-    when the record was made: by generate_keypair, keypair_from_private or
-    load_private_key, or as a component of such a composite record."""
+    when the record (or its composite record) was made."""
     if record.spec != spec:
         raise KeyMismatch(f"a {record.spec} key cannot sign as {spec}")
     if record.key is None:
@@ -468,9 +483,11 @@ def verify(spec: AlgorithmSpec, public: bytes, message: bytes,
 # -- one backend per family ---------------------------------------------
 
 class _Family:
-    """One algorithm family: keygen and load give a KeyPairRecord, sign uses
-    its key, verify may raise on malformed input. A family whose keys carry
-    their own key OID sets key_oid and infers specs in spec_from_key."""
+    """One algorithm family: keygen gives a KeyPairRecord, sign uses its
+    key, verify may raise on malformed input. A single-key family gives
+    generate(parameter, rng), private_key(key) and load(spec, octets), to
+    and from the privateKey octets, and public_bytes(key). A family whose
+    keys carry their own key OID sets key_oid and infers specs in spec_from_key."""
 
     key_oid: ObjectIdentifier | None = None
 
@@ -483,43 +500,20 @@ class _Family:
             return self.spki_algorithm(spec)
         return AlgorithmIdentifier(_BUILTIN_REGISTRY.oid_for_name(spec.oid_name()))
 
-    def pkcs8(self, spec: AlgorithmSpec, private_key: bytes) -> bytes:
-        """A PKCS#8 v1 key file around the privateKey octets."""
-        return der.encode(der.seq(der.integer(0), self.private_algorithm(spec).to_der_value(),
-                                  der.octet_string(private_key)))
+    def keygen(self, spec: AlgorithmSpec, rng) -> KeyPairRecord:
+        key = self.generate(spec.parameter, rng)
+        private = der.seq(der.integer(0), self.private_algorithm(spec).to_der_value(),
+                          der.octet_string(self.private_key(key)))
+        return KeyPairRecord(spec, self.public_bytes(key), der.encode(private), key=key)
 
 
 class _CryptographyFamily(_Family):
     """RSA, ECDSA and ML-DSA: the key is a cryptography object, which checks
     it as load_der_private_key would; the key file is the package's DER, as
     cryptography's private_bytes(DER, PKCS8, NoEncryption()) writes it.
-    Subclasses give generate(parameter, rng), private_key(key) and
-    from_private_key(spec, privateKey octets), public_bytes(key) and
-    public_key(spec, public)."""
+    Subclasses also give public_key(spec, public)."""
 
     sign_args: tuple = ()
-
-    def keygen(self, spec, rng):
-        key = self.generate(spec.parameter, rng)
-        return self._record(spec, key, self.pkcs8(spec, self.private_key(key)))
-
-    def load(self, spec, private):
-        try:
-            value = der.decode(private)
-            alg, octets = _one_asymmetric_key(value)
-            version, _, _, *attributes = value.children
-            if (version.as_int() != 0 or attributes[1:]
-                    or attributes and attributes[0][:3] != (0, der.CONTEXT, True)):
-                raise ValueError("not a PKCS#8 v1 key")
-            if alg != self.private_algorithm(spec):
-                raise ValueError("its privateKeyAlgorithm is another key's")
-            key = self.from_private_key(spec, octets)
-        except (DerError, ValueError, UnsupportedKeyType) as exc:
-            raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
-        return self._record(spec, key, private)
-
-    def _record(self, spec, key, private: bytes) -> KeyPairRecord:
-        return KeyPairRecord(spec, self.public_bytes(key), private, key=key)
 
     def sign(self, spec, key, message):
         return key.sign(message, *self.sign_args)
@@ -558,10 +552,9 @@ class _Rsa(_CryptographyFamily):
         return der.encode(der.seq(*map(der.integer, (
             0, k.public_numbers.n, k.public_numbers.e, k.d, k.p, k.q, k.dmp1, k.dmq1, k.iqmp))))
 
-    def from_private_key(self, spec, octets):
+    def load(self, spec, octets):
         numbers = [v.as_int() for v in der.decode(octets).expect(der.SEQUENCE).children]
-        if (len(numbers) != 9 or numbers[0] != 0 or min(numbers) < 0
-                or numbers[1].bit_length() != spec.parameter):
+        if len(numbers) != 9 or numbers[0] != 0 or min(numbers) < 0:
             raise ValueError(f"not a two-prime RSA-{spec.parameter} key")
         _, n, e, d, p, q, dmp1, dmq1, iqmp = numbers
         return rsa.RSAPrivateNumbers(p, q, d, dmp1, dmq1, iqmp,
@@ -581,11 +574,10 @@ class _Rsa(_CryptographyFamily):
     def spec_from_key(self, alg, key, private):
         """The modulus size, from an RSAPrivateKey or an RSAPublicKey."""
         if private:
-            value = der.decode(key)
-            value.expect(der.SEQUENCE)
-            if len(value.children) < 2:
+            fields = der.decode(key).expect(der.SEQUENCE).children
+            if len(fields) < 2:
                 raise KeyMismatch("RSA private key is missing the modulus")
-            modulus = value.children[1].as_int()
+            modulus = fields[1].as_int()
         else:
             modulus = _decode_pkcs1_public(key).n
         return AlgorithmSpec(FAMILY_RSA, modulus.bit_length())
@@ -613,7 +605,7 @@ class _Ecdsa(_CryptographyFamily):
         return der.encode(der.seq(der.integer(1), der.octet_string(scalar),
                                   der.explicit(1, der.bit_string(self.public_bytes(key)))))
 
-    def from_private_key(self, spec, octets):
+    def load(self, spec, octets):
         """ec.derive_private_key refuses a scalar outside [1, n-1]; a [0]
         must name the spec's curve and a [1] hold the scalar's point."""
         curve, curve_oid, _ = _CURVES[spec.parameter]
@@ -662,7 +654,7 @@ class _MlDsa(_CryptographyFamily):
         """The seed form: seed [0] IMPLICIT OCTET STRING."""
         return der.encode(der.DerValue(0, der.CONTEXT, content=key.private_bytes_raw()))
 
-    def from_private_key(self, spec, octets):
+    def load(self, spec, octets):
         """The seed or both form of draft-ietf-lamps-dilithium-certificates; in
         both, expandedKey must match the seed's key in length, ρ and tr."""
         choice = der.decode(octets)
@@ -687,26 +679,31 @@ class _MlDsa(_CryptographyFamily):
 
 
 class _SlhDsa(_Family):
-    """The in-package SLH-DSA: the key is the raw secret, whose trailing
-    half is the public key."""
+    """The in-package SLH-DSA: the key is the raw secret, which is also the
+    privateKey octets (FIPS 205: SK.seed, SK.prf, PK.seed, PK.root); its
+    trailing half is the public key."""
 
-    def keygen(self, spec, rng):
-        ps = slhdsa.PARAMETER_SETS[spec.parameter]
-        seed = os.urandom(ps.seed_size) if rng is None else rng.randbytes(ps.seed_size)
-        sk, public = slhdsa.keygen(ps, seed)
-        return KeyPairRecord(spec, public, self.pkcs8(spec, sk), key=sk)
+    def generate(self, name, rng):
+        ps = slhdsa.PARAMETER_SETS[name]
+        return slhdsa.keygen(ps, (os.urandom if rng is None else rng.randbytes)(ps.seed_size))[0]
 
-    def load(self, spec, private):
+    def private_key(self, key):
+        return key
+
+    def load(self, spec, octets):
         ps = slhdsa.PARAMETER_SETS[spec.parameter]
-        sk = _slh_private(private, ps)
-        return KeyPairRecord(spec, sk[2 * ps.n:], private, key=sk)
+        if len(octets) != ps.sk_size:
+            raise ValueError(f"an SLH-DSA-{ps.name} key has {ps.sk_size} bytes, not {len(octets)}")
+        return octets
+
+    def public_bytes(self, key):
+        return key[len(key) // 2:]
 
     def sign(self, spec, key, message):
         return slhdsa.sign(slhdsa.PARAMETER_SETS[spec.parameter], message, key)
 
     def verify(self, spec, public, message, signature):
-        return slhdsa.verify(slhdsa.PARAMETER_SETS[spec.parameter],
-                             message, signature, public)
+        return slhdsa.verify(slhdsa.PARAMETER_SETS[spec.parameter], message, signature, public)
 
 
 class _Composite(_Family):
@@ -715,9 +712,6 @@ class _Composite(_Family):
 
     def keygen(self, spec, rng):
         return composite_keygen(spec.components, rng).to_record()
-
-    def load(self, spec, private):
-        return material_from_private(spec, private).to_record()
 
     def sign(self, spec, key, message):
         return composite_sign(key, message).der
@@ -738,17 +732,6 @@ _FAMILIES: dict[str, _Family] = {
 _KEY_OID_FAMILIES = {f.key_oid: f for f in _FAMILIES.values() if f.key_oid is not None}
 _BUILTIN_REGISTRY = Registry.default()
 _registry = _BUILTIN_REGISTRY
-
-
-def _slh_private(data: bytes, ps: slhdsa.ParameterSet) -> bytes:
-    try:
-        _, sk = _one_asymmetric_key(der.decode(data))
-    except DerError as exc:
-        raise KeyMismatch(f"cannot load SLH-DSA private key: {exc}") from None
-    if len(sk) != ps.sk_size:
-        raise KeyMismatch(
-            f"SLH-DSA-{ps.name} private key must be {ps.sk_size} bytes, got {len(sk)}")
-    return sk
 
 
 def _ml_dsa(level: int, function: str):
@@ -862,11 +845,8 @@ def material_from_public(spec: AlgorithmSpec, public: bytes) -> CompositeKeyMate
 
 
 def material_from_private(spec: AlgorithmSpec, private: bytes) -> CompositeKeyMaterial:
-    """Decode the private container, loading each component key once and
-    recomputing its public key."""
-    return CompositeKeyMaterial(tuple(
-        CompositeComponent.of(keypair_from_private(s, der.encode(child)))
-        for s, child in zip(spec.components, _components(private, spec))))
+    """The component keys of a composite key file of spec."""
+    return keypair_from_private(spec, private).key
 
 
 def composite_sign(key: CompositeKeyMaterial, message: bytes) -> CompositeSignatureValue:

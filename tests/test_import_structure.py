@@ -27,18 +27,21 @@ TbsCertificate constructor, the extension-list reader and build_csr call;
 chameleon leaves it to them. An ObjectIdentifier is a plain tuple of its
 arcs and content octets, as a DerValue is a plain tuple: it writes no
 equality, hashing or immutability of its own. algs.sign signs with the key
-a record loaded once, so it calls no key loader, and a KeyPairRecord
-always carries that key. Start-up is most of a CLI call: a frozen dataclass
-generates and compiles its methods at import, so only the seven classes
-that need a dataclass feature are dataclasses and every other value class
-is a NamedTuple; no module imports string or secrets for one constant.
-Importing a module leaves the cyclic collector as it was, enabled and
-unfrozen, because tests import every module in-process; only cli.run, the
-process entry point, freezes what importing built. Every dataclass has a
-docstring, since @dataclass computes inspect.signature(cls) at import for
-one that lacks it. No pqcli process imports cryptography's serialization
-package, as the package's own DER reads and writes key files, and only one
-that signs or verifies ECDSA loads cryptography's OpenSSL backend."""
+a record loaded once, so it calls no key loader, and a KeyPairRecord always
+carries that key. A key file is decoded once, a composite container
+included, whose keys are read from that one decode, and one function of
+algs reads the PKCS#8 version, for every family. Start-up is most of a CLI
+call: a frozen dataclass generates and compiles its methods at import, so
+only the seven classes that need a dataclass feature are dataclasses and
+every other value class is a NamedTuple; no module imports string or
+secrets for one constant. Importing a module leaves the cyclic collector as
+it was, enabled and unfrozen, because tests import every module in-process;
+only cli.run, the process entry point, freezes what importing built. Every
+dataclass has a docstring, since @dataclass computes inspect.signature(cls)
+at import for one that lacks it. No pqcli process imports cryptography's
+serialization package, as the package's own DER reads and writes key files,
+and only one that signs or verifies ECDSA loads cryptography's OpenSSL
+backend."""
 
 import ast
 import dataclasses
@@ -52,7 +55,7 @@ import sys
 import pytest
 
 import pqcli
-from pqcli import algs, catalyst, chameleon, composite, oids, pem, x509
+from pqcli import algs, catalyst, chameleon, composite, der, oids, pem, x509
 from pqcli.names import parse_name
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
@@ -257,6 +260,43 @@ def test_sign_loads_no_key_and_every_record_carries_one():
     key = {f.name: f for f in dataclasses.fields(algs.KeyPairRecord)}["key"]
     assert key.default is dataclasses.MISSING
     assert key.default_factory is dataclasses.MISSING
+
+
+def _watched_load(monkeypatch, blob):
+    """Load blob; return the inputs der.decode was given and, for each read
+    of a PKCS#8 version, the function that read it."""
+    decode, as_int = der.decode, der.DerValue.as_int
+    value = decode(blob)
+    container = value.children[0].tag == der.SEQUENCE
+    versions = [key.children[0] for key in (value.children if container else (value,))]
+    decoded, readers = [], []
+
+    def watched_decode(data):
+        decoded.append(bytes(data))
+        return value if data == blob else decode(data)  # the values versions holds
+
+    def watched_as_int(self):
+        if any(self is version for version in versions):
+            caller = sys._getframe(1)
+            readers.append(f"{caller.f_globals['__name__']}.{caller.f_code.co_qualname}")
+        return as_int(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(der, "decode", watched_decode)
+        patch.setattr(der.DerValue, "as_int", watched_as_int)
+        algs.load_private_key(blob)
+    return decoded, readers
+
+
+def test_a_key_file_is_decoded_once_and_one_function_reads_its_version(
+        monkeypatch, rsa_key, slh_key, ec_key):
+    components = (ec_key.private, slh_key.private)
+    for blob, inside in ((rsa_key.private, ()), (slh_key.private, ()),
+                         (der.wrap_sequence(b"".join(components)), components)):
+        decoded, readers = _watched_load(monkeypatch, blob)
+        assert decoded.count(blob) == 1
+        assert set(decoded) & set(inside) == set()
+        assert readers == ["pqcli.algs._read_key"] * max(1, len(inside))
 
 
 def test_only_the_seven_kept_classes_are_dataclasses():

@@ -94,8 +94,8 @@ def test_signatures_match_the_encoded_key_path(rsa_key, slh_key):
                 == algs.sign(record.spec, algs.keypair_from_private(record.spec, record.private),
                              b"same bytes"))
     ps = slhdsa.PARAMETER_SETS["128f"]
-    sk = algs._slh_private(slh_key.private, ps)
-    assert slh_key.key == sk == algs.load_private_key(slh_key.private).key
+    sk = algs.load_private_key(slh_key.private).key
+    assert slh_key.key == sk
     assert (slhdsa.sign(ps, b"m", slh_key.key, deterministic=True)
             == slhdsa.sign(ps, b"m", sk, deterministic=True))
 
