@@ -15,12 +15,14 @@ encodings dispatch through that table, keyed by the spec's family. The
 package's own DER reads and writes every key file, so no process imports
 cryptography's serialization package.
 
-One reader, load_private_key, decodes a key file once, takes the spec from
-it, and holds every family to one rule (PKCS#8 v1, RFC 5208): version 0, the
-privateKeyAlgorithm pqcli writes for that spec, the privateKey octets and at
-most a [0] attributes field. A composite container is a SEQUENCE of such
-files. Version 1 (RFC 5958) is refused, as cryptography refuses it; OpenSSL
-reads it.
+Two readers decode a key once and take its spec from it: load_private_key
+for a key file and read_spki for a public key, composite keys included. A
+caller's spec (keypair_from_private, material_from_public) is only checked.
+load_private_key holds every family to one rule (PKCS#8 v1, RFC 5208):
+version 0, the privateKeyAlgorithm pqcli writes for that spec, the
+privateKey octets and at most a [0] attributes field. A composite container
+is a SEQUENCE of such files. Version 1 (RFC 5958) is refused, as
+cryptography refuses it; OpenSSL reads it.
 """
 
 from __future__ import annotations
@@ -382,16 +384,24 @@ def spki_for_key(record: KeyPairRecord) -> SubjectPublicKeyInfo:
     return SubjectPublicKeyInfo(algorithm, record.public)
 
 
-def spec_from_spki(spki: SubjectPublicKeyInfo) -> AlgorithmSpec | None:
-    """Infer the algorithm spec a public key belongs to; None if unknown."""
+def read_spki(spki: SubjectPublicKeyInfo) -> CompositeComponent | CompositeKeyMaterial | None:
+    """The key an SPKI carries, decoded once, with its spec read from it: a
+    CompositeComponent for a single key, the CompositeKeyMaterial for a
+    composite one. None when the algorithm is unknown, the key is malformed
+    or the composite is impossible."""
+    def single(s: SubjectPublicKeyInfo) -> CompositeComponent:
+        return CompositeComponent(_spec_from_key(s.algorithm, s.key_bits, private=False), s)
     try:
-        return _spec_from_key(spki.algorithm, spki.key_bits, private=False)
-    except PqcliError:  # malformed, unknown, or an impossible composite
+        if _registry.name_for_oid(spki.algorithm.oid) != "composite":
+            return single(spki)
+        return CompositeKeyMaterial(tuple(
+            single(SubjectPublicKeyInfo.from_der_value(c)) for c in _components(spki.key_bits)))
+    except PqcliError:
         return None
 
 
 def _spec_from_key(alg: AlgorithmIdentifier, key: bytes, private: bool) -> AlgorithmSpec:
-    """Spec of a public key (SPKI key bits) or of a private key (PKCS#8
+    """Spec of a single public key (SPKI key bits) or private key (PKCS#8
     privateKey octets). RSA and ECDSA keys carry their own key OID; every
     other key carries its signature OID, a name in the table in force for
     a public key and in the built-in table for a private key."""
@@ -399,12 +409,8 @@ def _spec_from_key(alg: AlgorithmIdentifier, key: bytes, private: bool) -> Algor
     if family is not None:
         return family.spec_from_key(alg, key, private)
     name = (_BUILTIN_REGISTRY if private else _registry).name_for_oid(alg.oid)
-    if name is None or (private and name == "composite"):
+    if name is None or name == "composite":
         raise KeyMismatch(f"unrecognized key algorithm {alg.oid}")
-    if name == "composite":
-        return AlgorithmSpec(FAMILY_COMPOSITE, components=tuple(
-            _spec_from_key(c.algorithm, c.key_bits, private)
-            for c in map(SubjectPublicKeyInfo.from_der_value, _components(key))))
     return _parse_single(name)
 
 
@@ -800,10 +806,6 @@ class CompositeKeyMaterial:
             parts.append(comp.private)
         return der.wrap_sequence(b"".join(parts))
 
-    def outer_spki(self) -> SubjectPublicKeyInfo:
-        algorithm = _family(self.spec).spki_algorithm(self.spec)
-        return SubjectPublicKeyInfo(algorithm, self.public_der())
-
     def to_record(self) -> KeyPairRecord:
         return KeyPairRecord(self.spec, self.public_der(), self.private_der(), key=self)
 
@@ -820,15 +822,9 @@ class CompositeSignatureValue(NamedTuple):
         return cls(tuple(child.as_bits() for child in _components(data)))
 
 
-def _components(data: bytes, spec: AlgorithmSpec | None = None) -> tuple[der.DerValue, ...]:
-    """The elements of a composite public key, private container or
-    signature; given a spec, exactly one per component."""
-    value = der.decode(data)
-    value.expect(der.SEQUENCE)
-    if spec is not None and len(value.children) != len(spec.components):
-        raise KeyMismatch(
-            f"{len(value.children)} encoded components, spec has {len(spec.components)}")
-    return value.children
+def _components(data: bytes) -> tuple[der.DerValue, ...]:
+    """The elements of a composite public key or signature."""
+    return der.decode(data).expect(der.SEQUENCE).children
 
 
 def composite_keygen(specs, rng=None) -> CompositeKeyMaterial:
@@ -838,10 +834,13 @@ def composite_keygen(specs, rng=None) -> CompositeKeyMaterial:
 
 
 def material_from_public(spec: AlgorithmSpec, public: bytes) -> CompositeKeyMaterial:
-    """Decode the component-SPKI sequence; verification-only material."""
-    return CompositeKeyMaterial(tuple(
-        CompositeComponent(s, SubjectPublicKeyInfo.from_der_value(child))
-        for s, child in zip(spec.components, _components(public, spec))))
+    """read_spki, for a composite public key that must be of spec: the
+    caller's spec checks the key and never decides how it is read."""
+    material = read_spki(SubjectPublicKeyInfo(_family(spec).spki_algorithm(spec), public))
+    if material is None or material.spec != spec:
+        raise KeyMismatch(f"the public key is {material.spec if material else 'unreadable'}, "
+                          f"not {spec}")
+    return material
 
 
 def material_from_private(spec: AlgorithmSpec, private: bytes) -> CompositeKeyMaterial:

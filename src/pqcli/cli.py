@@ -259,9 +259,9 @@ def cmd_verify(args) -> int:
         if not report.composite_components:
             print("composite signature: invalid (structural)")
         # a composite verdict means the issuer key is a recognized composite
-        components = algs.spec_from_spki(ca.tbs.spki).components
-        for i, (spec, verdict) in enumerate(zip(components, report.composite_components), 1):
-            print(f"component {i} ({spec}): {verdict}")
+        components = algs.read_spki(ca.tbs.spki).components
+        for i, (part, verdict) in enumerate(zip(components, report.composite_components), 1):
+            print(f"component {i} ({part.spec}): {verdict}")
     else:
         print(f"native signature: {report.native_sig}")
     if report.alt_sig is not None:

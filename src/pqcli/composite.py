@@ -28,9 +28,9 @@ from .x509 import (  # likewise: composite verification lives in x509
 def issue_composite_certificate(subject, key: CompositeKeyMaterial,
                                 validity=None, rng=None) -> x509.CertificateDocument:
     """Self-signed certificate over the composite SPKI."""
-    spki = key.outer_spki()
+    record = key.to_record()
     if validity is None:
         validity = x509.default_validity()
-    signature_alg = algs.signature_algorithm_for(key.spec)
-    tbs = x509.build_tbs(subject, subject, spki, validity, signature_alg, rng=rng)
-    return x509.sign_certificate(tbs, key.to_record())
+    tbs = x509.build_tbs(subject, subject, algs.spki_for_key(record), validity,
+                         algs.signature_algorithm_for(key.spec), rng=rng)
+    return x509.sign_certificate(tbs, record)

@@ -639,12 +639,12 @@ def _check_signature(spki: algs.SubjectPublicKeyInfo,
     algorithm not recognized, else INVALID unless declared_alg is the key's
     and the signature verifies; plus a composite key's per-component
     outcome. No declared_alg (see _outer_alg) matches no key."""
-    spec = algs.spec_from_spki(spki)
-    if spec is None:
+    key = algs.read_spki(spki)
+    if key is None:
         return UNSUPPORTED, None
-    declared_ok = declared_alg is not None and declared_alg.oid == algs.oid_for(spec)
-    if spec.family != algs.FAMILY_COMPOSITE:
-        ok = declared_ok and algs.verify(spec, spki.key_bits, message, signature)
+    declared_ok = declared_alg is not None and declared_alg.oid == algs.oid_for(key.spec)
+    if key.spec.family != algs.FAMILY_COMPOSITE:
+        ok = declared_ok and algs.verify(key.spec, spki.key_bits, message, signature)
         return (VALID if ok else INVALID), None
     if not declared_ok:
         return INVALID, CompositeVerification(
@@ -654,8 +654,7 @@ def _check_signature(spki: algs.SubjectPublicKeyInfo,
     except DerError:
         return INVALID, CompositeVerification(
             (), False, "signature is not a sequence of bit strings")
-    # spec_from_spki has decoded every component key already
-    outcome = composite_verify(algs.material_from_public(spec, spki.key_bits), message, sig)
+    outcome = composite_verify(key, message, sig)
     return (VALID if outcome.overall else INVALID), outcome
 
 
@@ -858,19 +857,17 @@ def _format_time(moment: datetime.datetime) -> str:
 
 def _describe_spki(spki: algs.SubjectPublicKeyInfo, indent: str) -> list[str]:
     lines = [f"{indent}Algorithm: {algorithm_name(spki.algorithm.oid)}"]
-    spec = algs.spec_from_spki(spki)
-    if spec is None:
+    key = algs.read_spki(spki)
+    if key is None:
         lines.append(f"{indent}    (unknown algorithm - view only)")
         lines.append(f"{indent}    Key: {len(spki.key_bits)} bytes")
         return lines
-    if spec.family == algs.FAMILY_RSA:
-        lines[0] += f" ({spec.parameter} bit)"
-    elif spec.family == algs.FAMILY_ECDSA:
-        lines[0] += f" (curve {spec.parameter})"
-    elif spec.family == algs.FAMILY_COMPOSITE:
-        # spec_from_spki has decoded every component key already
-        material = algs.material_from_public(spec, spki.key_bits)
-        for i, part in enumerate(material.components, start=1):
+    if key.spec.family == algs.FAMILY_RSA:
+        lines[0] += f" ({key.spec.parameter} bit)"
+    elif key.spec.family == algs.FAMILY_ECDSA:
+        lines[0] += f" (curve {key.spec.parameter})"
+    elif key.spec.family == algs.FAMILY_COMPOSITE:
+        for i, part in enumerate(key.components, start=1):
             lines.append(f"{indent}    Component {i}: "
                          f"{algorithm_name(part.spki.algorithm.oid)}")
     else:

@@ -337,18 +337,18 @@ def test_spki_spec_recovery(fixture, request):
     spki = algs.spki_for_key(record)
     back = algs.SubjectPublicKeyInfo.from_der(spki.der)
     assert back == spki
-    assert algs.spec_from_spki(back) == record.spec
+    assert algs.read_spki(back).spec == record.spec
 
 
 def test_spec_from_spki_unknown_oid_is_none():
     spki = algs.SubjectPublicKeyInfo(
         algs.AlgorithmIdentifier(oids.ObjectIdentifier("1.2.3.4.5")), b"\x00")
-    assert algs.spec_from_spki(spki) is None
+    assert algs.read_spki(spki) is None
 
 
 def test_rsa_spki_records_modulus_bits(rsa_key):
     spki = algs.spki_for_key(rsa_key)
-    assert algs.spec_from_spki(spki).parameter == 2048
+    assert algs.read_spki(spki).spec.parameter == 2048
 
 
 @pytest.mark.parametrize("fields, message", [
@@ -363,7 +363,7 @@ def test_malformed_rsa_public_key_is_unsupported(tmp_path, capsys, fields, messa
         algs._decode_pkcs1_public(key_bits)
     spki = algs.SubjectPublicKeyInfo(
         algs.AlgorithmIdentifier(oids.RSA_ENCRYPTION, der.null()), key_bits)
-    assert algs.spec_from_spki(spki) is None
+    assert algs.read_spki(spki) is None
     name = parse_name("CN=rsa")
     alg = algs.signature_algorithm_for(algs.parse_alg_spec("rsa:2048"))
     tbs = x509.build_tbs(name, name, spki, x509.default_validity(1), alg)

@@ -36,7 +36,7 @@ def test_nested_composite_rejected():
 
 
 def test_outer_spki_shape(key_pair):
-    spki = key_pair.outer_spki()
+    spki = algs.spki_for_key(key_pair.to_record())
     assert spki.algorithm.oid == oids.COMPOSITE_INTERIM
     # the key bits decode to a SEQUENCE of component SPKIs
     inner = der.decode(spki.key_bits)
@@ -146,6 +146,22 @@ def test_public_count_mismatch_rejected(key_pair):
     three = algs.parse_alg_spec("ML-DSA:2_ECDSA_RSA:1024")
     with pytest.raises(KeyMismatch):
         composite.material_from_public(three, key_pair.public_der())
+
+
+def test_public_key_of_another_spec_is_a_key_mismatch(ml3_key, ec_key):
+    """The spec is read from the key; the caller's spec only checks it and
+    never labels the components."""
+    key = composite.CompositeKeyMaterial(tuple(map(composite.CompositeComponent.of,
+                                                   (ml3_key, ec_key))))
+    two = algs.parse_alg_spec("ml-dsa:2_ecdsa")
+    with pytest.raises(KeyMismatch, match=r"^the public key is ml-dsa:3_ecdsa:P-256, "
+                                          r"not ml-dsa:2_ecdsa:P-256$"):
+        composite.material_from_public(two, key.public_der())
+    signature = composite.composite_sign(key, b"m").der
+    assert not algs.verify(two, key.public_der(), b"m", signature)
+    assert algs.verify(key.spec, key.public_der(), b"m", signature)
+    read = composite.material_from_public(key.spec, key.public_der())
+    assert read.public_der() == key.public_der()
 
 
 def test_empty_message(key_pair):

@@ -30,7 +30,9 @@ equality, hashing or immutability of its own. algs.sign signs with the key
 a record loaded once, so it calls no key loader, and a KeyPairRecord always
 carries that key. A key file is decoded once, a composite container
 included, whose keys are read from that one decode, and one function of
-algs reads the PKCS#8 version, for every family. Start-up is most of a CLI
+algs reads the PKCS#8 version, for every family. A public key, composite
+or not, is decoded once per verdict or rendering, by algs.read_spki, which
+x509 and cli call in place of material_from_public. Start-up is most of a CLI
 call: a frozen dataclass generates and compiles its methods at import, so
 only the seven classes that need a dataclass feature are dataclasses and
 every other value class is a NamedTuple; no module imports string or
@@ -55,7 +57,7 @@ import sys
 import pytest
 
 import pqcli
-from pqcli import algs, catalyst, chameleon, composite, der, oids, pem, x509
+from pqcli import algs, catalyst, chameleon, cli, composite, der, oids, pem, x509
 from pqcli.names import parse_name
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
@@ -386,3 +388,46 @@ def test_only_ecdsa_work_loads_the_openssl_backend(command_files, argv, ecdsa):
     out = subprocess.run([sys.executable, "-c", code], cwd=command_files, env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.split()[-3:] == ["0", "False", str(ecdsa)]
+
+
+@pytest.fixture(scope="module")
+def composite_documents(ml3_key, rsa_key, ec_key):
+    """A self-signed certificate and a request for ML-DSA-65+RSA-2048 and
+    ML-DSA-65+ECDSA."""
+    name = parse_name("CN=composite guard")
+    documents = []
+    for second in (rsa_key, ec_key):
+        key = composite.CompositeKeyMaterial(tuple(map(composite.CompositeComponent.of,
+                                                       (ml3_key, second))))
+        documents.append((composite.issue_composite_certificate(name, key),
+                          x509.build_csr(name, key.to_record())))
+    return documents
+
+
+def test_a_public_key_is_decoded_once_per_verdict_or_rendering(
+        monkeypatch, capsys, tmp_path, composite_documents):
+    decode, decoded = der.decode, []
+
+    def watched_decode(data):
+        decoded.append(bytes(data))
+        return decode(data)
+
+    def decodes(key_bits, call, *args):
+        decoded.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(der, "decode", watched_decode)
+            call(*args)
+        return decoded.count(key_bits)
+
+    for cert, request in composite_documents:
+        key_bits = cert.tbs.spki.key_bits
+        assert decodes(key_bits, x509.verify_certificate, cert, cert.tbs.spki) == 1
+        assert decodes(key_bits, x509.render_text, cert) == 1
+        # once for the verdict and once for the component labels
+        (tmp_path / "c.pem").write_text(cert.emit_pem())
+        assert decodes(key_bits, cli.main, ["verify", str(tmp_path / "c.pem")]) == 2
+        assert capsys.readouterr().out.endswith("): valid\n")
+        assert decodes(request.spki.key_bits, x509.verify_csr, request) == 1
+    for module in ("x509", "cli"):
+        assert "read_spki" in _referenced_names(module)
+        assert "material_from_public" not in _referenced_names(module)

@@ -6,6 +6,8 @@ reconstruction in-process; a smaller sample goes through the CLI. Only a
 PqcliError may escape the library, verify_certificate never raises, and
 the CLI exits only with a documented code. Requests, PKCS#8 key files and
 certificate PEM text are mutated the same way, each through its reader.
+Composite public keys, arbitrary or one byte off a real one, go through
+algs.read_spki and, as the issuer key, through verify_certificate.
 """
 
 import contextlib
@@ -162,3 +164,33 @@ def pem_texts(corpus):
 def test_mutated_pem_text_raises_only_pqcli_errors(pem_texts, data):
     with contextlib.suppress(PqcliError):
         pem.read_block(data.draw(mutants(pem_texts)), (pem.LABEL_CERTIFICATE,))
+
+
+@pytest.fixture(scope="module")
+def composite_cert(composite_material):
+    return composite.issue_composite_certificate(parse_name("CN=issuer key"), composite_material,
+                                                 validity=_VALIDITY, rng=random.Random(9))
+
+
+@st.composite
+def composite_key_bits(draw, real):
+    """Arbitrary bytes, or the real key bits with one byte changed."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    data = bytearray(real)
+    data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+    return bytes(data)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(data=st.data())
+def test_composite_public_keys_read_or_are_unsupported(composite_cert, data):
+    spki = composite_cert.tbs.spki
+    spki = spki._replace(key_bits=data.draw(composite_key_bits(spki.key_bits)))
+    key = algs.read_spki(spki)  # never raises
+    if key is not None:
+        assert isinstance(key, algs.CompositeKeyMaterial)
+        assert 2 <= len(key.components) <= algs.MAX_COMPOSITE_COMPONENTS
+        assert all(c.spec.family != algs.FAMILY_COMPOSITE for c in key.components)
+    report = x509.verify_certificate(composite_cert, issuer_spki=spki)  # never raises
+    assert (report.native_sig == x509.UNSUPPORTED) == (key is None)
