@@ -442,7 +442,10 @@ def _read_key(value: der.DerValue, private: bytes) -> KeyPairRecord:
         raise KeyMismatch("not a one-asymmetric-key structure")
     version, algorithm, octets, *attributes = value.children
     alg = AlgorithmIdentifier.from_der_value(algorithm)
-    spec = _spec_from_key(alg, octets.as_octets(), private=True)
+    inner = octets.as_octets()
+    if alg.oid in _KEY_OID_FAMILIES:
+        inner = _KEY_OID_FAMILIES[alg.oid].read_private(inner)
+    spec = _spec_from_key(alg, inner, private=True)
     family = _family(spec)
     try:
         if (version.as_int() != 0 or attributes[1:]
@@ -450,7 +453,7 @@ def _read_key(value: der.DerValue, private: bytes) -> KeyPairRecord:
             raise ValueError("not a PKCS#8 v1 key")
         if alg != family.private_algorithm(spec):
             raise ValueError("its privateKeyAlgorithm is another key's")
-        key = family.load(spec, octets.content)
+        key = family.load(spec, inner)
     except (DerError, ValueError, UnsupportedKeyType) as exc:
         raise KeyMismatch(f"cannot load private key for {spec}: {exc}") from None
     return KeyPairRecord(spec, family.public_bytes(key), private, key=key)
@@ -496,6 +499,10 @@ class _Family:
     keys carry their own key OID sets key_oid and infers specs in spec_from_key."""
 
     key_oid: ObjectIdentifier | None = None
+
+    def read_private(self, octets: bytes):
+        """The privateKey octets as spec_from_key and load take them."""
+        return octets
 
     def spki_algorithm(self, spec: AlgorithmSpec) -> AlgorithmIdentifier:
         return AlgorithmIdentifier(oid_for(spec))
@@ -558,8 +565,12 @@ class _Rsa(_CryptographyFamily):
         return der.encode(der.seq(*map(der.integer, (
             0, k.public_numbers.n, k.public_numbers.e, k.d, k.p, k.q, k.dmp1, k.dmq1, k.iqmp))))
 
-    def load(self, spec, octets):
-        numbers = [v.as_int() for v in der.decode(octets).expect(der.SEQUENCE).children]
+    def read_private(self, octets):
+        """The RSAPrivateKey's fields, decoded once for the spec and the key."""
+        return der.decode(octets).expect(der.SEQUENCE).children
+
+    def load(self, spec, fields):
+        numbers = [v.as_int() for v in fields]
         if len(numbers) != 9 or numbers[0] != 0 or min(numbers) < 0:
             raise ValueError(f"not a two-prime RSA-{spec.parameter} key")
         _, n, e, d, p, q, dmp1, dmq1, iqmp = numbers
@@ -578,23 +589,30 @@ class _Rsa(_CryptographyFamily):
         return AlgorithmIdentifier(self.key_oid, der.null())
 
     def spec_from_key(self, alg, key, private):
-        """The modulus size, from an RSAPrivateKey or an RSAPublicKey."""
+        """The modulus size, from an RSAPrivateKey's fields or an RSAPublicKey."""
         if private:
-            fields = der.decode(key).expect(der.SEQUENCE).children
-            if len(fields) < 2:
+            if len(key) < 2:
                 raise KeyMismatch("RSA private key is missing the modulus")
-            modulus = fields[1].as_int()
+            modulus = key[1].as_int()
         else:
             modulus = _decode_pkcs1_public(key).n
         return AlgorithmSpec(FAMILY_RSA, modulus.bit_length())
 
 
+class _Sha256Ecdsa(ec.ECDSA):
+    """ec.ECDSA(hashes.SHA256()) as a value: ec.ECDSA.__init__ imports
+    cryptography's OpenSSL backend only to vet deterministic signing."""
+
+    algorithm = hashes.SHA256()
+    deterministic_signing = False
+
+    def __init__(self) -> None:
+        pass
+
+
 class _Ecdsa(_CryptographyFamily):
     key_oid = oids.EC_PUBLIC_KEY
-
-    @functools.cached_property  # ec.ECDSA() imports cryptography's OpenSSL backend
-    def sign_args(self):
-        return (ec.ECDSA(hashes.SHA256()),)
+    sign_args = (_Sha256Ecdsa(),)
 
     def generate(self, curve_name, rng):
         curve, _, order = _CURVES[curve_name]

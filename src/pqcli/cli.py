@@ -119,12 +119,14 @@ def run() -> None:
 
     Everything importing built lives until the process exits, so no
     collection should walk it, the full collections at interpreter shutdown
-    included: gc.freeze() moves it out of the collector's generations.
-    Freezing before the SLH-DSA workers fork is also the order the gc
-    documentation recommends. main() does not freeze, because tests call it
-    in-process and the freeze would exempt their heap for good.
+    included: gc.freeze() moves it out of the collector's generations, and
+    gc.enable() ends the gc.disable() that ``python -m pqcli`` imports under.
+    Both come before the SLH-DSA workers fork, as the gc documentation
+    advises. main() does neither: tests call it in-process, and the freeze
+    would exempt their heap for good.
     """
     gc.freeze()
+    gc.enable()
     sys.exit(main())
 
 

@@ -379,8 +379,7 @@ def parse_certificate(data: bytes) -> CertificateDocument:
 _DESCRIBED = ("signature_alg", "issuer", "validity", "subject", "extensions")
 
 
-@dataclass(frozen=True)  # not a NamedTuple: callers copy it with dataclasses.replace
-class DeltaCertificateDescriptor:
+class DeltaCertificateDescriptor(NamedTuple):
     """The delta certificate of a paired base; a field left None is the base's."""
 
     serial: int

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 from cryptography.exceptions import UnsupportedAlgorithm as UnsupportedKeyType
-from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import dsa, ec
 
 from pqcli import algs, cli, der, oids, pem, slhdsa, x509
@@ -211,6 +211,20 @@ def test_verify_is_total_on_garbage():
     assert algs.verify(record.spec, record.public, b"m", b"") is False
     assert algs.verify(record.spec, record.public, b"m", b"\x00" * 70) is False
     assert algs.verify(record.spec, b"not a point", b"m", b"sig") is False
+
+
+def test_ecdsa_signs_and_verifies_as_ecdsa_with_sha256(ec_key):
+    ours, = algs._FAMILIES[algs.FAMILY_ECDSA].sign_args
+    theirs = ec.ECDSA(hashes.SHA256())
+    assert isinstance(ours, ec.ECDSA)
+    assert (type(ours.algorithm), ours.deterministic_signing) == (
+        type(theirs.algorithm), theirs.deterministic_signing)
+    public = ec_key.key.public_key()
+    for signer, checker in ((ours, theirs), (theirs, ours)):
+        signature = ec_key.key.sign(b"either object", signer)
+        public.verify(signature, b"either object", checker)
+    public.verify(algs.sign(ec_key.spec, ec_key, b"m"), b"m", theirs)
+    assert algs.verify(ec_key.spec, ec_key.public, b"m", ec_key.key.sign(b"m", theirs))
 
 
 def test_deterministic_keygen_reproducible():

@@ -164,7 +164,7 @@ def test_tampered_signature_value_detected(pair):
     descriptor = chameleon.descriptor_from_certificate(base)
     sig = bytearray(descriptor.signature_value)
     sig[0] ^= 0x01
-    broken = dataclasses.replace(descriptor, signature_value=bytes(sig))
+    broken = descriptor._replace(signature_value=bytes(sig))
     with pytest.raises(ReconstructionMismatch):
         chameleon.reconstruct_delta(_swap_descriptor(base, broken.der))
 
@@ -313,8 +313,8 @@ def test_delta_rebuilds_under_names_this_tool_does_not_emit(pair, ec_key, ml2_ke
     base, delta = pair
     delta_tbs = _with_names(delta.tbs_der, name)
     delta_sig = algs.sign(ml2_key.spec, ml2_key, delta_tbs)
-    descriptor = dataclasses.replace(chameleon.descriptor_from_certificate(base),
-                                     signature_value=delta_sig)
+    descriptor = chameleon.descriptor_from_certificate(base)._replace(
+        signature_value=delta_sig)
     base_tbs = _with_names(_swap_descriptor(base, descriptor.der).tbs_der, name)
     blob = x509.CertificateDocument(base.tbs, base_tbs, base.signature_alg,
                                     algs.sign(ec_key.spec, ec_key, base_tbs)).emit()

@@ -709,7 +709,7 @@ def test_verify_rejects_a_delta_with_a_flipped_bit(workdir, capsys, paired_base,
     descriptor = chameleon.descriptor_from_certificate(paired_base)
     sig = bytearray(descriptor.signature_value)
     sig[0] ^= 0x01
-    broken = dataclasses.replace(descriptor, signature_value=bytes(sig))
+    broken = descriptor._replace(signature_value=bytes(sig))
     _write_cert(workdir / "bad.pem", _resign_with_descriptor(paired_base, broken, ec_key))
     assert run("verify", "bad.pem") == 6
     captured = capsys.readouterr()
@@ -721,7 +721,7 @@ def test_verify_rejects_a_delta_with_a_flipped_bit(workdir, capsys, paired_base,
 def test_verify_warns_on_a_delta_it_cannot_check(workdir, capsys, paired_base,
                                                  ec_key):
     descriptor = chameleon.descriptor_from_certificate(paired_base)
-    other = dataclasses.replace(descriptor, issuer=parse_name("CN=elsewhere"))
+    other = descriptor._replace(issuer=parse_name("CN=elsewhere"))
     _write_cert(workdir / "other.pem", _resign_with_descriptor(paired_base, other, ec_key))
     assert run("verify", "other.pem") == 0
     captured = capsys.readouterr()

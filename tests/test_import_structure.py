@@ -29,21 +29,25 @@ arcs and content octets, as a DerValue is a plain tuple: it writes no
 equality, hashing or immutability of its own. algs.sign signs with the key
 a record loaded once, so it calls no key loader, and a KeyPairRecord always
 carries that key. A key file is decoded once, a composite container
-included, whose keys are read from that one decode, and one function of
-algs reads the PKCS#8 version, for every family. A public key, composite
-or not, is decoded once per verdict or rendering, by algs.read_spki, which
-x509 and cli call in place of material_from_public. Start-up is most of a CLI
-call: a frozen dataclass generates and compiles its methods at import, so
-only the seven classes that need a dataclass feature are dataclasses and
-every other value class is a NamedTuple; no module imports string or
-secrets for one constant. Importing a module leaves the cyclic collector as
-it was, enabled and unfrozen, because tests import every module in-process;
-only cli.run, the process entry point, freezes what importing built. Every
-dataclass has a docstring, since @dataclass computes inspect.signature(cls)
-at import for one that lacks it. No pqcli process imports cryptography's
-serialization package, as the package's own DER reads and writes key files,
-and only one that signs or verifies ECDSA loads cryptography's OpenSSL
-backend."""
+included, whose keys are read from that one decode, and so are an RSA
+key's privateKey octets, which give both its spec and its key; one
+function of algs reads the PKCS#8 version, for every family. A public key,
+composite or not, is decoded once per verdict or rendering, by
+algs.read_spki, which x509 and cli call in place of material_from_public.
+Start-up is most of a CLI call: a frozen dataclass generates and compiles
+its methods at import, so only the six classes that need a dataclass
+feature are dataclasses and every other value class is a NamedTuple; no
+module imports string or secrets for one constant. Importing a module
+leaves the cyclic collector as it was, enabled and unfrozen, because tests
+import every module in-process. Only __main__.py, run as the main module,
+turns the collector off before it imports cli, and only cli.run, the
+process entry point, freezes what importing built and turns it back on, so
+python -m pqcli runs no collection before the freeze. Every dataclass has
+a docstring, since @dataclass computes inspect.signature(cls) at import for
+one that lacks it. No pqcli process imports cryptography's serialization
+package, as the package's own DER reads and writes key files, and none
+loads cryptography's OpenSSL backend, as the ECDSA signature algorithm is
+an ec.ECDSA subclass whose __init__ imports nothing."""
 
 import ast
 import dataclasses
@@ -67,7 +71,7 @@ ABOVE_X509 = {"catalyst", "composite", "chameleon", "cli"}
 # each says beside its definition which dataclass feature it needs
 DATACLASSES = {"algs.AlgorithmSpec", "algs.KeyPairRecord", "algs.CompositeComponent",
                "algs.CompositeKeyMaterial", "x509.TbsCertificate",
-               "x509.CertificateDocument", "x509.DeltaCertificateDescriptor"}
+               "x509.CertificateDocument"}
 
 
 def _tree(module):
@@ -293,15 +297,19 @@ def _watched_load(monkeypatch, blob):
 def test_a_key_file_is_decoded_once_and_one_function_reads_its_version(
         monkeypatch, rsa_key, slh_key, ec_key):
     components = (ec_key.private, slh_key.private)
+    rsa_octets = der.decode(rsa_key.private).children[2].as_octets()  # the RSAPrivateKey
     for blob, inside in ((rsa_key.private, ()), (slh_key.private, ()),
                          (der.wrap_sequence(b"".join(components)), components)):
         decoded, readers = _watched_load(monkeypatch, blob)
         assert decoded.count(blob) == 1
         assert set(decoded) & set(inside) == set()
+        assert len(set(decoded)) == len(decoded)  # the privateKey octets once, if at all
+        if blob == rsa_key.private:
+            assert decoded.count(rsa_octets) == 1
         assert readers == ["pqcli.algs._read_key"] * max(1, len(inside))
 
 
-def test_only_the_seven_kept_classes_are_dataclasses():
+def test_only_the_kept_classes_are_dataclasses():
     found = set()
     for module in MODULES:
         name = "pqcli" if module == "__init__" else f"pqcli.{module}"
@@ -337,6 +345,29 @@ def test_importing_every_module_leaves_the_collector_enabled_and_unfrozen():
     assert out.split() == ["True", "0"]
 
 
+def test_python_m_pqcli_collects_nothing_before_cli_run_freezes(command_files):
+    """Run as __main__, pqcli imports with the collector off; cli.run freezes
+    what the imports built and turns the collector back on."""
+    code = ("import gc, runpy, sys\n"
+            "collections, freeze = [], gc.freeze\n"
+            "gc.callbacks.append(lambda phase, info: phase == 'start' and collections.append(info))\n"
+            "def watched_freeze():\n"
+            "    print(len(collections), gc.isenabled())\n"
+            "    freeze()\n"
+            "gc.freeze = watched_freeze\n"
+            "sys.argv = ['pqcli', 'view', 'rsa.pem']\n"
+            "collections.clear()\n"
+            "try:\n"
+            "    runpy.run_module('pqcli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exit:\n"
+            "    print(exit.code, gc.isenabled(), gc.get_freeze_count() > 0)\n")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run([sys.executable, "-c", code], cwd=command_files, env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split()[:2] == ["0", "False"]
+    assert out.split()[-3:] == ["0", "True", "True"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_dataclass_has_a_docstring(module):
     def is_dataclass(decorator):
@@ -368,7 +399,7 @@ def command_files(tmp_path_factory, rsa_key, ec_key):
     return directory
 
 
-# each command, and whether it signs or verifies ECDSA
+# each command, and whether it signs or verifies ECDSA, which loads no backend either
 @pytest.mark.parametrize("argv, ecdsa", [
     (["view", "rsa.pem"], False),
     (["verify", "rsa.pem"], False),
@@ -378,8 +409,11 @@ def command_files(tmp_path_factory, rsa_key, ec_key):
     (["csr", "-key", "ml.key", "-subj", "CN=m", "-out", "ml-req.pem"], False),
     (["csr", "-key", "ec.key", "-subj", "CN=e", "-out", "ec-req.pem"], True),
     (["verify", "ec.pem"], True),
+    (["cert", "-newkey", "ecdsa", "-out", "new.pem", "-keyout", "new.key"], True),
 ], ids=lambda value: "-".join(value[:2]) if isinstance(value, list) else None)
 def test_only_ecdsa_work_loads_the_openssl_backend(command_files, argv, ecdsa):
+    """No command loads the backend, ECDSA work included: the ECDSA signature
+    algorithm is a subclass whose __init__ imports nothing."""
     code = ("import sys\n"
             "from pqcli import cli\n"
             f"status = cli.main({argv!r})\n"
@@ -387,7 +421,7 @@ def test_only_ecdsa_work_loads_the_openssl_backend(command_files, argv, ecdsa):
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run([sys.executable, "-c", code], cwd=command_files, env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    assert out.split()[-3:] == ["0", "False", str(ecdsa)]
+    assert out.split()[-3:] == ["0", "False", "False"]
 
 
 @pytest.fixture(scope="module")
