@@ -260,9 +260,8 @@ def cmd_verify(args) -> int:
     if report.composite_components is not None:
         if not report.composite_components:
             print("composite signature: invalid (structural)")
-        # a composite verdict means the issuer key is a recognized composite
-        components = algs.read_spki(ca.tbs.spki).components
-        for i, (part, verdict) in enumerate(zip(components, report.composite_components), 1):
+        for i, (part, verdict) in enumerate(zip(report.composite_parts,
+                                                report.composite_components), 1):
             print(f"component {i} ({part.spec}): {verdict}")
     else:
         print(f"native signature: {report.native_sig}")

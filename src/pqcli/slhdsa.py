@@ -24,24 +24,31 @@ FIPS 205 writes out twice has one routine here (FIPS 205 name: routine):
   xmss_node, fors_node: _node
   the paths of xmss_sign, fors_sign: _auth_path
   the climbs of xmss_pkFromSig, fors_pkFromSig: _root_from_path
-  slh_verify from fors_pkFromSig up, and ht_sign: _ht_walk
 The rest of an algorithm is the function of its name: wots_pkGen is
 _wots_pk, wots_pkFromSig _wots_pk_from_sig, fors_sign _fors_sign (as
-jobs), etc.; xmss_sign is the WOTS+ signature in sign and a path.
-sign and verify share that one walk, so sign also climbs the top layer,
-and raises KeyMismatch if its signature misses PK.root (parts disagree).
+jobs), etc. ht_sign is in sign: wots_sign picks each layer's signature
+from the rows of its key pair (_wots_rows, every chain value), whose last
+row gives the public key that sign climbs with the path, as verify does.
 
-Processes (_in_shares): given the digest, the FORS secrets and paths and
-each layer's XMSS path (88% of a 128f signature's calls, 99.8% of 128s)
-are split node by node into shares of equal SHAKE calls, one per CPU the
-process may run on. The caller works one; a child forked for each other
-share writes its nodes into their slots of one shared anonymous mmap and
-is reaped before sign returns. The caller then does the rest in order:
-the FORS key, and each layer's WOTS+ signature and climb. keygen splits
-the top tree in half. One CPU, no os.fork, or a second thread (a child
-forked beside one can deadlock) means no child; the share of a child
-that failed, or of a fork that did, runs in the caller, so the bytes
-never change. verify stays serial.
+sign raises KeyMismatch if the top root so climbed is not PK.root: the
+key's parts disagree, or a node of the top layer's tree came out wrong.
+A wrong node in a lower layer's tree or in a FORS tree is not caught: the
+layer above signs the root as computed, and the signature verifies. That
+is the fault behind the grafting-trees attack (Castelnovi, Martinelli and
+Prest, 2018); catching it needs each lower root computed twice.
+
+Processes (_run_jobs): given the digest, all of a signature's SHAKE calls
+but about 0.3% are jobs: FORS secrets and path nodes, and per layer the
+WOTS+ rows and XMSS path nodes. The caller writes the job numbers, largest
+job first, into one pipe and forks a child for each other CPU the process
+may run on. Each process, the caller included, reads the next number,
+writes that job's bytes into its slot of one shared anonymous mmap and
+sets its done flag, so a slower process takes fewer jobs. The caller
+reaps every child, reruns any job left unflagged (a child or fork failed)
+and assembles the signature from the map. keygen runs the two halves of
+the top tree the same way. One CPU, no os.fork, or a second thread (a
+child forked beside one can deadlock) means no child and no pipe; the
+bytes never change. verify stays serial.
 
 Not constant-time; fine for certificate tooling, not for production
 signing on shared hardware.
@@ -54,7 +61,6 @@ import mmap
 import os
 import struct
 import threading
-from bisect import bisect
 from functools import partial
 from itertools import accumulate, repeat
 from typing import NamedTuple
@@ -167,32 +173,40 @@ def _wots_chains(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, kp: in
     return ends
 
 
-def _wots_from_secrets(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int,
-                       tree: int, kp: int, stops) -> list[bytes]:
-    """Chain i of key pair kp run from its secret value up to stops[i]."""
+def _wots_secrets(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int,
+                  tree: int, kp: int) -> list[bytes]:
+    """The secret value, hash step 0, of each chain of key pair kp."""
     prefix = pk_seed + _ADRS.pack(layer, tree, _TYPE_WOTS_PRF, kp, 0, 0)[:24]
     suffix = _WORDS[0] + sk_seed
     shake, n = hashlib.shake_256, ps.n
-    secrets = [shake(prefix + _WORDS[i] + suffix).digest(n) for i in range(ps.wots_len)]
-    return _wots_chains(ps, pk_seed, layer, tree, kp, secrets, repeat(0), stops)
+    return [shake(prefix + _WORDS[i] + suffix).digest(n) for i in range(ps.wots_len)]
 
 
 def _wots_compress(ps: ParameterSet, pk_seed: bytes, layer: int, tree: int, kp: int,
-                   ends: list[bytes]) -> bytes:
+                   ends: bytes) -> bytes:
     adrs = _ADRS.pack(layer, tree, _TYPE_WOTS_PK, kp, 0, 0)
-    return hashlib.shake_256(pk_seed + adrs + b"".join(ends)).digest(ps.n)
+    return hashlib.shake_256(pk_seed + adrs + ends).digest(ps.n)
 
 
 def _wots_pk(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
              kp: int) -> bytes:
-    ends = _wots_from_secrets(ps, sk_seed, pk_seed, layer, tree, kp, repeat(_W - 1))
-    return _wots_compress(ps, pk_seed, layer, tree, kp, ends)
+    ends = _wots_chains(ps, pk_seed, layer, tree, kp,
+                        _wots_secrets(ps, sk_seed, pk_seed, layer, tree, kp),
+                        repeat(0), repeat(_W - 1))
+    return _wots_compress(ps, pk_seed, layer, tree, kp, b"".join(ends))
 
 
-def _wots_sign(ps: ParameterSet, msg: bytes, sk_seed: bytes, pk_seed: bytes, layer: int,
-               tree: int, kp: int) -> bytes:
-    digits = _wots_digits(msg)
-    return b"".join(_wots_from_secrets(ps, sk_seed, pk_seed, layer, tree, kp, digits))
+def _wots_rows(ps: ParameterSet, sk_seed: bytes, pk_seed: bytes, layer: int, tree: int,
+               kp: int) -> bytes:
+    """Every chain value of key pair kp, one row of len values per hash
+    step: a signature picks chain i's value from row digit i, and the last
+    row is what the public key compresses."""
+    row = _wots_secrets(ps, sk_seed, pk_seed, layer, tree, kp)
+    rows = list(row)
+    for step in range(_W - 1):
+        row = _wots_chains(ps, pk_seed, layer, tree, kp, row, repeat(step), repeat(step + 1))
+        rows += row
+    return b"".join(rows)
 
 
 def _wots_pk_from_sig(ps: ParameterSet, sig: bytes, msg: bytes, pk_seed: bytes, layer: int,
@@ -201,7 +215,7 @@ def _wots_pk_from_sig(ps: ParameterSet, sig: bytes, msg: bytes, pk_seed: bytes, 
     values = [sig[i:i + n] for i in range(0, ps.wots_len * n, n)]
     ends = _wots_chains(ps, pk_seed, layer, tree, kp, values, _wots_digits(msg),
                         repeat(_W - 1))
-    return _wots_compress(ps, pk_seed, layer, tree, kp, ends)
+    return _wots_compress(ps, pk_seed, layer, tree, kp, b"".join(ends))
 
 
 # -- Merkle trees -------------------------------------------------------
@@ -225,8 +239,8 @@ def _node(n: int, prefix: bytes, leaf, i: int, z: int) -> bytes:
 
 
 def _auth_path(n: int, prefix: bytes, leaf, leaf_calls: int, g: int, height: int) -> list:
-    """Leaf g's path as jobs (see _in_shares): a sibling of height j has 2^j leaves."""
-    return [(((leaf_calls + 1) << j) - 1, partial(_node, n, prefix, leaf, (g >> j) ^ 1, j))
+    """Leaf g's path as jobs (see _run_jobs): a sibling of height j has 2^j leaves."""
+    return [(((leaf_calls + 1) << j) - 1, n, partial(_node, n, prefix, leaf, (g >> j) ^ 1, j))
             for j in range(height)]
 
 
@@ -246,22 +260,6 @@ def _xmss_prefix(pk_seed: bytes, layer: int, tree: int) -> bytes:
     return pk_seed + _ADRS.pack(layer, tree, _TYPE_TREE, 0, 0, 0)[:24]
 
 
-def _ht_walk(ps: ParameterSet, sig_fors: bytes, md: bytes, pk_seed: bytes,
-             layers: list[tuple[int, int]], xmss_sig) -> tuple[bytes, bytes]:
-    """Verify from the FORS signature up: msg is the FORS key at layer 0 and
-    layer j's root at j + 1, where xmss_sig(j, tree, leaf, msg) signs it.
-    Returns the XMSS signatures joined and the top root, to match PK.root."""
-    msg = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, *layers[0])
-    sigs, wots_size = [], ps.wots_len * ps.n
-    for layer, (tree, leaf) in enumerate(layers):
-        sig = xmss_sig(layer, tree, leaf, msg)
-        sigs.append(sig)
-        node = _wots_pk_from_sig(ps, sig[:wots_size], msg, pk_seed, layer, tree, leaf)
-        msg = _root_from_path(ps.n, _xmss_prefix(pk_seed, layer, tree), node, leaf,
-                              sig[wots_size:], ps.hp)
-    return b"".join(sigs), msg
-
-
 # -- FORS ---------------------------------------------------------------
 
 def _fors_prefix(pk_seed: bytes, tree: int, kp: int) -> bytes:
@@ -278,7 +276,7 @@ def _fors_leaves(ps: ParameterSet, md: bytes) -> list[int]:
 
 def _fors_sign(ps: ParameterSet, md: bytes, sk_seed: bytes, pk_seed: bytes,
                tree: int, kp: int) -> list:
-    """As jobs (see _in_shares): each tree's secret, then its path; a leaf is
+    """As jobs (see _run_jobs): each tree's secret, then its path; a leaf is
     2 SHAKE calls, its secret and its hash."""
     n, node_prefix = ps.n, _fors_prefix(pk_seed, tree, kp)
     # the secret-key PRF address ends in height 0, then the leaf index
@@ -291,7 +289,7 @@ def _fors_sign(ps: ParameterSet, md: bytes, sk_seed: bytes, pk_seed: bytes,
         return _node_hash(n, node_prefix, 0, g, secret(g))
 
     return [job for g in _fors_leaves(ps, md)
-            for job in [(1, partial(secret, g))] + _auth_path(n, node_prefix, leaf, 2, g, ps.a)]
+            for job in [(1, n, partial(secret, g))] + _auth_path(n, node_prefix, leaf, 2, g, ps.a)]
 
 
 def _fors_pk_from_sig(ps: ParameterSet, sig: bytes, md: bytes, pk_seed: bytes,
@@ -307,47 +305,62 @@ def _fors_pk_from_sig(ps: ParameterSet, sig: bytes, md: bytes, pk_seed: bytes,
     return hashlib.shake_256(pk_seed + adrs + b"".join(roots)).digest(n)
 
 
-# -- shares across processes --------------------------------------------
+# -- jobs across processes ----------------------------------------------
 
-def _in_shares(jobs: list, n: int) -> bytes:
-    """b"".join(job() for _, job in jobs), where each job gives n bytes and
-    comes with its SHAKE calls, worked out in shares (see Processes above)."""
+def _run_jobs(jobs: list) -> mmap.mmap:
+    """A map holding each job's bytes in its slot, in job order, where a job
+    is (SHAKE calls, size, job()) and they run from one queue across
+    processes (see Processes above). The caller closes the map."""
     forkable = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
                 and threading.active_count() == 1)
     count = min(len(os.sched_getaffinity(0)) if forkable else 1, len(jobs))
-    ends = list(accumulate(calls for calls, _ in jobs))
-    cuts = [0] + [bisect(ends, ends[-1] * w / count) for w in range(1, count)] + [len(jobs)]
-    children = []
-    with mmap.mmap(-1, n * len(jobs)) as out:   # anonymous and shared with every child
-        def run(a, b):
-            out[a * n:b * n] = b"".join(job() for _, job in jobs[a:b])
+    ends = [0, *accumulate(size for _, size, _ in jobs)]
+    flags = ends[-1]
+    # anonymous and shared with every child: the slots, then a done flag per job
+    out = mmap.mmap(-1, flags + len(jobs))
 
-        try:
-            for share in zip(cuts[1:], cuts[2:]):
-                try:
-                    pid = os.fork()
-                except OSError:
-                    run(*share)
-                    continue
-                if pid == 0:
-                    try:   # the child leaves only here: no atexit, flush or traceback
-                        run(*share)
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                children.append((pid, share))
-            run(0, cuts[1])
+    def run(i):
+        out[ends[i]:ends[i + 1]] = jobs[i][2]()
+        out[flags + i] = 1
+
+    def work(queue):
+        while number := queue.read(2):
+            run(int.from_bytes(number, "big"))
+
+    children = []
+    try:
+        if count > 1:
+            queue, feed = os.pipe()
+            with open(queue, "rb", 0) as queue:
+                with open(feed, "wb", 0) as feed:   # closed before any fork, so the queue ends
+                    order = sorted(range(len(jobs)), key=lambda i: -jobs[i][0])
+                    feed.write(b"".join(i.to_bytes(2, "big") for i in order))
+                for _ in range(count - 1):
+                    try:
+                        pid = os.fork()
+                    except OSError:
+                        break
+                    if pid == 0:
+                        try:   # the child leaves only here: no atexit, flush or traceback
+                            work(queue)
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+                    children.append(pid)
+                work(queue)
             while children:
-                pid, share = children[-1]
-                status = os.waitpid(pid, 0)[1]
+                os.waitpid(children[-1], 0)
                 children.pop()
-                if status:
-                    run(*share)
-        finally:
-            for pid, _ in children:
-                os.kill(pid, 9)   # SIGKILL; importing signal would add ~1 ms to a CLI start
-                os.waitpid(pid, 0)
-        return out[:]
+        for i, done in enumerate(out[flags:]):
+            if not done:   # a failed child's job, or every job when nothing forked
+                run(i)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, 9)   # SIGKILL; importing signal would add ~1 ms to a CLI start
+            os.waitpid(pid, 0)
+        out.close()
+        raise
+    return out
 
 
 # -- top level ----------------------------------------------------------
@@ -359,8 +372,9 @@ def keygen(ps: ParameterSet, seed: bytes) -> tuple[bytes, bytes]:
     sk_seed, sk_prf, pk_seed = seed[:ps.n], seed[ps.n:2 * ps.n], seed[2 * ps.n:]
     prefix = _xmss_prefix(pk_seed, ps.d - 1, 0)
     leaf = partial(_wots_pk, ps, sk_seed, pk_seed, ps.d - 1, 0)
-    halves = [(1, partial(_node, ps.n, prefix, leaf, i, ps.hp - 1)) for i in (0, 1)]
-    pk_root = _node_hash(ps.n, prefix, ps.hp, 0, _in_shares(halves, ps.n))
+    halves = [(1, ps.n, partial(_node, ps.n, prefix, leaf, i, ps.hp - 1)) for i in (0, 1)]
+    with _run_jobs(halves) as out:
+        pk_root = _node_hash(ps.n, prefix, ps.hp, 0, out[:2 * ps.n])
     return sk_seed + sk_prf + pk_seed + pk_root, pk_seed + pk_root
 
 
@@ -401,21 +415,33 @@ def sign(ps: ParameterSet, message: bytes, sk: bytes, ctx: bytes = b"", *,
     r = hashlib.shake_256(sk_prf + opt_rand + m_prime).digest(ps.n)  # PRF_msg
     md, layers = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
 
+    n, wots_size = ps.n, ps.wots_len * ps.n
+    fors_size, rows_size, path_size = ps.k * (1 + ps.a) * n, _W * wots_size, ps.hp * n
     jobs = _fors_sign(ps, md, sk_seed, pk_seed, *layers[0])
-    # an XMSS leaf, a WOTS+ public key, is len PRF calls, len * (w - 1) steps and 1 hash
+    # per layer, the WOTS+ key pair's rows, then the path, whose leaves are
+    # WOTS+ public keys: len PRF calls, len * (w - 1) steps and 1 hash each
     for layer, (tree, leaf) in enumerate(layers):
-        jobs += _auth_path(ps.n, _xmss_prefix(pk_seed, layer, tree),
+        jobs.append((ps.wots_len * _W, rows_size,
+                     partial(_wots_rows, ps, sk_seed, pk_seed, layer, tree, leaf)))
+        jobs += _auth_path(n, _xmss_prefix(pk_seed, layer, tree),
                            partial(_wots_pk, ps, sk_seed, pk_seed, layer, tree),
                            ps.wots_len * _W + 1, leaf, ps.hp)
-    done, fors_size, path_size = _in_shares(jobs, ps.n), ps.k * (1 + ps.a) * ps.n, ps.hp * ps.n
-    sig_fors, paths = done[:fors_size], done[fors_size:]
-    sig_ht, root = _ht_walk(ps, sig_fors, md, pk_seed, layers,
-                            lambda layer, tree, leaf, msg: (
-                                _wots_sign(ps, msg, sk_seed, pk_seed, layer, tree, leaf)
-                                + paths[layer * path_size:(layer + 1) * path_size]))
-    if root != pk_root:
+    with _run_jobs(jobs) as out:
+        sig_fors = out[:fors_size]
+        msg, sig_ht = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, *layers[0]), []
+        for layer, (tree, leaf) in enumerate(layers):
+            rows = fors_size + layer * (rows_size + path_size)
+            path = rows + rows_size
+            for i, digit in enumerate(_wots_digits(msg)):
+                value = rows + (digit * ps.wots_len + i) * n
+                sig_ht.append(out[value:value + n])
+            sig_ht.append(out[path:path + path_size])
+            node = _wots_compress(ps, pk_seed, layer, tree, leaf, out[path - wots_size:path])
+            msg = _root_from_path(n, _xmss_prefix(pk_seed, layer, tree), node, leaf,
+                                  sig_ht[-1], ps.hp)
+    if msg != pk_root:
         raise KeyMismatch("SLH-DSA signature does not lead to PK.root; the key's parts disagree")
-    return r + sig_fors + sig_ht
+    return r + sig_fors + b"".join(sig_ht)
 
 
 def verify(ps: ParameterSet, message: bytes, signature: bytes, pk: bytes,
@@ -428,7 +454,11 @@ def verify(ps: ParameterSet, message: bytes, signature: bytes, pk: bytes,
     fors_end = ps.n + ps.k * (1 + ps.a) * ps.n
     r, sig_fors, sig_ht = signature[:ps.n], signature[ps.n:fors_end], signature[fors_end:]
     md, layers = _digest_split(ps, _H_msg(ps, r, pk_seed, pk_root, m_prime))
-    size = (ps.hp + ps.wots_len) * ps.n
-    _, root = _ht_walk(ps, sig_fors, md, pk_seed, layers,
-                       lambda layer, tree, leaf, msg: sig_ht[layer * size:(layer + 1) * size])
+    root = _fors_pk_from_sig(ps, sig_fors, md, pk_seed, *layers[0])
+    wots_size, size = ps.wots_len * ps.n, (ps.hp + ps.wots_len) * ps.n
+    for layer, (tree, leaf) in enumerate(layers):
+        sig = sig_ht[layer * size:(layer + 1) * size]
+        node = _wots_pk_from_sig(ps, sig[:wots_size], root, pk_seed, layer, tree, leaf)
+        root = _root_from_path(ps.n, _xmss_prefix(pk_seed, layer, tree), node, leaf,
+                               sig[wots_size:], ps.hp)
     return root == pk_root

@@ -253,6 +253,7 @@ class VerificationReport(NamedTuple):
     composite_components: tuple[str, ...] | None = None
     chain_notes: tuple[str, ...] = ()
     delta_sig: str | None = None  # set by verify_issued only
+    composite_parts: tuple[algs.CompositeComponent, ...] = ()  # the issuer key's, as read
 
     @property
     def all_valid(self) -> bool:
@@ -612,11 +613,13 @@ def alt_verdict(cert: CertificateDocument,
 class CompositeVerification(NamedTuple):
     """Per-component verdicts plus the AND over them. A structural problem
     (count mismatch, undecodable key or signature) leaves components empty
-    and carries an explanatory note."""
+    and carries an explanatory note. parts are the key's components, as
+    algs.read_spki returned them."""
 
     components: tuple[str, ...]
     overall: bool
     note: str | None = None
+    parts: tuple[algs.CompositeComponent, ...] = ()
 
 
 def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
@@ -625,9 +628,10 @@ def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
     if verdicts is None:
         return CompositeVerification(
             (), False,
-            f"signature has {len(sig.parts)} parts for {len(key.components)} components")
+            f"signature has {len(sig.parts)} parts for {len(key.components)} components",
+            key.components)
     return CompositeVerification(
-        tuple(VALID if ok else INVALID for ok in verdicts), all(verdicts))
+        tuple(VALID if ok else INVALID for ok in verdicts), all(verdicts), None, key.components)
 
 
 def _check_signature(spki: algs.SubjectPublicKeyInfo,
@@ -647,12 +651,13 @@ def _check_signature(spki: algs.SubjectPublicKeyInfo,
         return (VALID if ok else INVALID), None
     if not declared_ok:
         return INVALID, CompositeVerification(
-            (), False, declared_alg and "signature algorithm does not match the composite key")
+            (), False, declared_alg and "signature algorithm does not match the composite key",
+            key.components)
     try:
         sig = algs.CompositeSignatureValue.from_der(signature)
     except DerError:
         return INVALID, CompositeVerification(
-            (), False, "signature is not a sequence of bit strings")
+            (), False, "signature is not a sequence of bit strings", key.components)
     outcome = composite_verify(key, message, sig)
     return (VALID if outcome.overall else INVALID), outcome
 
@@ -711,8 +716,10 @@ def verify_certificate(cert: CertificateDocument,
             except MalformedAltExtension as exc:
                 alt = INVALID
                 notes.append(str(exc))
-    return VerificationReport(native, alt, outcome.components if outcome else None,
-                              tuple(notes))
+    if outcome is None:
+        return VerificationReport(native, alt, None, tuple(notes))
+    return VerificationReport(native, alt, outcome.components, tuple(notes),
+                              composite_parts=outcome.parts)
 
 
 def verify_issued(cert: CertificateDocument,

@@ -3,7 +3,9 @@ import multiprocessing
 import os
 import random
 import threading
+import time
 import types
+from functools import partial
 
 import pytest
 
@@ -116,11 +118,13 @@ def test_addrnd_of_another_length_is_refused():
 
 
 def _sign_calls(ps):
-    """SHAKE calls of a signature that checks itself up to PK.root: PRF_msg,
+    """SHAKE calls of a signature that climbs itself up to PK.root: PRF_msg,
     H_msg and the FORS public key; k trees of 2^a secrets, 2^a leaves and
     2^a - 1 nodes; per layer a tree of 2^hp WOTS+ keys (len PRF calls,
-    len (w - 1) steps, 1 compression) and 2^hp - 1 nodes, plus the WOTS+
-    key and climb that check the layer's signature."""
+    len (w - 1) steps, 1 compression) and 2^hp - 1 nodes. Each tree is
+    hashed once: its path covers all leaves but the signing one, whose
+    WOTS+ key is the rows of every chain value, and the climb hashes the
+    nodes the path leaves out."""
     return (3 + ps.k * (3 * 2 ** ps.a - 1)
             + ps.d * ((ps.wots_len * slhdsa._W + 2) * 2 ** ps.hp - 1))
 
@@ -139,8 +143,8 @@ def _counted_shake(monkeypatch):
 
 def test_shake_calls_per_signature_128f(monkeypatch):
     """One SHAKE call per FIPS 205 hash: no call is cached or skipped, in
-    keygen, sign or verify; sign adds one verification walk, so its count
-    is the same for every message."""
+    keygen, sign or verify; sign runs each WOTS+ chain it signs with to
+    its end, so its count is the same for every message."""
     ps = slhdsa.PARAMETER_SETS["128f"]
     calls = _counted_shake(monkeypatch)
     sk, pk = slhdsa.keygen(ps, bytes(range(48)))
@@ -298,8 +302,9 @@ def test_a_job_failing_in_a_child_runs_again_in_the_caller(monkeypatch):
 
 @_affinity
 def test_more_shares_than_cpus_write_the_same_bytes(monkeypatch):
-    """Eight shares, so seven children write their slots of the shared
-    buffer at once: a slot written twice or never changes the digest."""
+    """Eight processes, so seven children take jobs from the queue and
+    write their slots of the shared map at once: a slot written twice or
+    never changes the digest."""
     forks = _counted_forks(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
     assert _shakedown_128f_digest() == _REGRESSION_SIG_DIGESTS["128f"]
@@ -309,17 +314,17 @@ def test_more_shares_than_cpus_write_the_same_bytes(monkeypatch):
 
 @_affinity
 def test_an_error_in_the_caller_kills_and_reaps_every_worker(monkeypatch):
+    """Every node fails in every process. A child leaves at its first node;
+    the largest jobs are nodes, so the caller's first job raises too, while
+    a worker may still be running."""
     ps, (sk, _) = _regression_keypair("128f")
     forks = _counted_forks(monkeypatch)
-    caller, node = os.getpid(), slhdsa._node
 
-    def node_in_workers_only(*args):
-        if os.getpid() == caller:
-            raise RuntimeError("caller fails")
-        return node(*args)
+    def failing_node(*args):
+        raise RuntimeError("node fails")
 
-    monkeypatch.setattr(slhdsa, "_node", node_in_workers_only)
-    with pytest.raises(RuntimeError, match="caller fails"):
+    monkeypatch.setattr(slhdsa, "_node", failing_node)
+    with pytest.raises(RuntimeError, match="node fails"):
         slhdsa.sign(ps, b"m", sk, deterministic=True)
     assert len(forks) == len(os.sched_getaffinity(0)) - 1
     _assert_no_child_left()
@@ -358,19 +363,56 @@ def test_one_allowed_cpu_forks_nothing(monkeypatch):
 
 @_affinity
 def test_a_wrong_node_from_a_worker_gives_no_signature(monkeypatch):
-    """sign climbs its own signature to PK.root, so a node a child got wrong
-    raises instead of reaching a certificate."""
+    """sign climbs its own signature to PK.root, so a wrong node in the top
+    layer's tree, whichever process computed it, raises instead of reaching
+    a certificate. A wrong node in a lower layer's tree or a FORS tree is
+    not caught (see the slhdsa module docstring)."""
     ps, (sk, _) = _regression_keypair("128f")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    caller, node = os.getpid(), slhdsa._node
+    node, top_layer = slhdsa._node, ps.d - 1
 
-    def zeros_in_workers(n, *args):
-        return node(n, *args) if os.getpid() == caller else bytes(n)
+    def zeros_in_the_top_layer(n, prefix, *args):
+        # an XMSS prefix is PK.seed, then the layer word
+        if int.from_bytes(prefix[n:n + 4], "big") == top_layer:
+            return bytes(n)
+        return node(n, prefix, *args)
 
-    monkeypatch.setattr(slhdsa, "_node", zeros_in_workers)
+    monkeypatch.setattr(slhdsa, "_node", zeros_in_the_top_layer)
     with pytest.raises(KeyMismatch, match="PK.root"):
         slhdsa.sign(ps, _SHAKEDOWN, sk, deterministic=True)
     _assert_no_child_left()
+
+
+@_affinity
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+@pytest.mark.parametrize("child_quits", [False, True], ids=["all-finish", "child-quits"])
+def test_the_queue_fills_every_slot(monkeypatch, cpus, child_quits):
+    """Jobs of unequal sizes from one queue: every slot holds its job's
+    bytes, also when each child exits, unflagged, on taking its second job;
+    one process opens no pipe and forks nothing; every child is reaped and
+    every descriptor closed."""
+    forks = _counted_forks(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    if cpus == 1:
+        monkeypatch.setattr(os, "pipe", None)
+    caller, taken = os.getpid(), []
+
+    def job(i):
+        if os.getpid() == caller:
+            time.sleep(0.002)   # so that every child gets jobs
+        elif child_quits:
+            if taken:
+                os._exit(0)
+            taken.append(i)
+        return bytes([i]) * (i % 5 + 1)
+
+    jobs = [(i % 7, i % 5 + 1, partial(job, i)) for i in range(40)]
+    descriptors = os.listdir("/proc/self/fd")
+    with slhdsa._run_jobs(jobs) as out:
+        assert out[:-len(jobs)] == b"".join(bytes([i]) * (i % 5 + 1) for i in range(40))
+    assert os.listdir("/proc/self/fd") == descriptors
+    _assert_no_child_left()
+    assert len(forks) == cpus - 1
 
 
 # -- keys whose parts disagree ----------------------------------------------
