@@ -10,10 +10,11 @@ without a rebuild.
 Each algorithm family is one backend in the _FAMILIES table: RSA, ECDSA
 and ML-DSA are backed by the cryptography package, SLH-DSA by the
 in-package implementation, and composite keys and signatures delegate to
-their components' backends. generate_keypair, sign, verify and the key
-encodings dispatch through that table, keyed by the spec's family. The
-package's own DER reads and writes every key file, so no process imports
-cryptography's serialization package.
+their components' backends; a family's class also holds its spec names
+and parameter rule. generate_keypair, sign, verify and the key encodings
+dispatch through that table, keyed by the spec's family. The package's own
+DER reads and writes every key file, so no process imports cryptography's
+serialization package.
 
 Two readers decode a key once and take its spec from it: load_private_key
 for a key file and read_spki for a public key, composite keys included. A
@@ -32,7 +33,6 @@ import functools
 import hashlib
 import math
 import os
-import re
 import types
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -77,6 +77,7 @@ _CURVES = {
     "P-521": (ec.SECP521R1(), oids.CURVE_P521, 0x1FFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFA51868783BF2F966B7FCC0148F709A5D03BB5C9B8899C47AEBB6FB71E91386409),
 }
 _CURVE_BY_OID = {oid: name for name, (_, oid, _) in _CURVES.items()}
+_CURVE_SPELLINGS = {text: name for name in _CURVES for text in (name, name.replace("-", ""))}
 
 # ML-DSA level -> its name in cryptography's Rust ML-DSA functions, and its
 # expanded key size. The Python ML-DSA classes import cryptography's OpenSSL
@@ -148,48 +149,10 @@ def _parse_single(text: str) -> AlgorithmSpec:
     param = param.strip()
     if sep and not param:
         raise MalformedSpec(f"trailing ':' in spec {text!r}")
-
-    if name == "rsa":
-        if not param:
-            return AlgorithmSpec(FAMILY_RSA, 2048)
-        try:
-            bits = int(param)
-        except ValueError:
-            raise InvalidParameter(f"RSA modulus size must be an integer: {param!r}") from None
-        if not 1024 <= bits <= 16384:
-            raise InvalidParameter(f"RSA modulus size out of range: {bits}")
-        return AlgorithmSpec(FAMILY_RSA, bits)
-
-    if name in ("ec", "ecdsa"):
-        if not param:
-            return AlgorithmSpec(FAMILY_ECDSA, "P-256")
-        curve = param.upper()
-        if re.fullmatch(r"P\d+", curve):
-            curve = f"P-{curve[1:]}"
-        if curve not in _CURVES:
-            raise InvalidParameter(f"unsupported curve {param!r}")
-        return AlgorithmSpec(FAMILY_ECDSA, curve)
-
-    if name in ("ml-dsa", "mldsa"):
-        if not param:
-            return AlgorithmSpec(FAMILY_ML_DSA, 2)
-        try:
-            level = int(param)
-        except ValueError:
-            raise InvalidParameter(f"ML-DSA level must be an integer: {param!r}") from None
-        if level not in _ML_DSA_PRIVATE:
-            raise InvalidParameter(f"ML-DSA security level must be 2, 3, or 5: {level}")
-        return AlgorithmSpec(FAMILY_ML_DSA, level)
-
-    if name in ("slh-dsa", "slhdsa"):
-        if not param:
-            raise InvalidParameter("SLH-DSA requires an explicit parameter set")
-        ps_name = param.lower()
-        if ps_name not in slhdsa.PARAMETER_SETS:
-            raise InvalidParameter(f"unknown SLH-DSA parameter set {param!r}")
-        return AlgorithmSpec(FAMILY_SLH_DSA, ps_name)
-
-    raise UnknownAlgorithm(f"unknown algorithm {name!r}")
+    family = _SPEC_NAMES.get(name)
+    if family is None:
+        raise UnknownAlgorithm(f"unknown algorithm {name!r}")
+    return AlgorithmSpec(family.names[0], family.parameter(param))
 
 
 # -- registry -----------------------------------------------------------
@@ -494,10 +457,13 @@ def verify(spec: AlgorithmSpec, public: bytes, message: bytes,
 class _Family:
     """One algorithm family: keygen gives a KeyPairRecord, sign uses its
     key, verify may raise on malformed input. A single-key family gives
+    its spec names, canonical first, and parameter(text), the canonical
+    parameter of the text after the colon, or its default for no text;
     generate(parameter, rng), private_key(key) and load(spec, octets), to
     and from the privateKey octets, and public_bytes(key). A family whose
     keys carry their own key OID sets key_oid and infers specs in spec_from_key."""
 
+    names: tuple[str, ...] = ()
     key_oid: ObjectIdentifier | None = None
 
     def read_private(self, octets: bytes):
@@ -537,8 +503,19 @@ class _CryptographyFamily(_Family):
 
 
 class _Rsa(_CryptographyFamily):
+    names = (FAMILY_RSA,)
     key_oid = oids.RSA_ENCRYPTION
     sign_args = (padding.PKCS1v15(), hashes.SHA256())
+
+    def parameter(self, text):
+        """The modulus size in bits, 1024 to 16384; 2048 by default."""
+        try:
+            bits = int(text or 2048)
+        except ValueError:
+            raise InvalidParameter(f"RSA modulus size must be an integer: {text!r}") from None
+        if not 1024 <= bits <= 16384:
+            raise InvalidParameter(f"RSA modulus size out of range: {bits}")
+        return bits
 
     def generate(self, bits, rng):
         e = 65537
@@ -611,8 +588,16 @@ class _Sha256Ecdsa(ec.ECDSA):
 
 
 class _Ecdsa(_CryptographyFamily):
+    names = (FAMILY_ECDSA, "ec")
     key_oid = oids.EC_PUBLIC_KEY
     sign_args = (_Sha256Ecdsa(),)
+
+    def parameter(self, text):
+        """A curve of _CURVES in any case, its dash optional; P-256 by default."""
+        curve = _CURVE_SPELLINGS.get(text.upper() or "P-256")
+        if curve is None:
+            raise InvalidParameter(f"unsupported curve {text!r}")
+        return curve
 
     def generate(self, curve_name, rng):
         curve, _, order = _CURVES[curve_name]
@@ -670,6 +655,18 @@ class _Ecdsa(_CryptographyFamily):
 
 
 class _MlDsa(_CryptographyFamily):
+    names = (FAMILY_ML_DSA, "mldsa")
+
+    def parameter(self, text):
+        """The security level, 2, 3 or 5; 2 by default."""
+        try:
+            level = int(text or 2)
+        except ValueError:
+            raise InvalidParameter(f"ML-DSA level must be an integer: {text!r}") from None
+        if level not in _ML_DSA_PRIVATE:
+            raise InvalidParameter(f"ML-DSA security level must be 2, 3, or 5: {level}")
+        return level
+
     def generate(self, level, rng):
         return _ml_dsa(level, "from_{}_seed_bytes")(
             os.urandom(32) if rng is None else rng.randbytes(32))
@@ -706,6 +703,16 @@ class _SlhDsa(_Family):
     """The in-package SLH-DSA: the key is the raw secret, which is also the
     privateKey octets (FIPS 205: SK.seed, SK.prf, PK.seed, PK.root); its
     trailing half is the public key."""
+
+    names = (FAMILY_SLH_DSA, "slhdsa")
+
+    def parameter(self, text):
+        """A parameter set of slhdsa.PARAMETER_SETS, in any case; no default."""
+        if not text:
+            raise InvalidParameter("SLH-DSA requires an explicit parameter set")
+        if text.lower() not in slhdsa.PARAMETER_SETS:
+            raise InvalidParameter(f"unknown SLH-DSA parameter set {text!r}")
+        return text.lower()
 
     def generate(self, name, rng):
         ps = slhdsa.PARAMETER_SETS[name]
@@ -754,6 +761,7 @@ _FAMILIES: dict[str, _Family] = {
     FAMILY_COMPOSITE: _Composite(),
 }
 _KEY_OID_FAMILIES = {f.key_oid: f for f in _FAMILIES.values() if f.key_oid is not None}
+_SPEC_NAMES = {name: f for f in _FAMILIES.values() for name in f.names}
 _BUILTIN_REGISTRY = Registry.default()
 _registry = _BUILTIN_REGISTRY
 

@@ -111,17 +111,8 @@ def open_private(path):
 
 
 def write_private_key(path, payload: bytes) -> None:
-    write_private_key_blocks(path, [(LABEL_PRIVATE_KEY, payload)])
-
-
-def write_private_key_blocks(path, blocks) -> None:
     with open_private(path) as handle:
-        for label, payload in blocks:
-            handle.write(encode_pem(label, payload).encode("ascii"))
-
-
-def write_public_key(path, payload: bytes) -> None:
-    write_pem(path, LABEL_PUBLIC_KEY, payload)
+        handle.write(encode_pem(LABEL_PRIVATE_KEY, payload).encode("ascii"))
 
 
 def read_pem(path) -> list[tuple[str, bytes]]:

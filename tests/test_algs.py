@@ -81,6 +81,43 @@ def test_parse_errors():
         algs.parse_alg_spec("slh-dsa:512x")
 
 
+# every spec name of each family, canonical first, with a parameter it takes
+SPEC_NAMES = {"rsa": (("rsa",), "3072"), "ecdsa": (("ecdsa", "ec"), "P-384"),
+              "ml-dsa": (("ml-dsa", "mldsa"), "5"), "slh-dsa": (("slh-dsa", "slhdsa"), "192f")}
+
+
+@pytest.mark.parametrize("canonical", sorted(SPEC_NAMES))
+def test_every_name_of_a_family_parses_as_its_canonical_name(canonical):
+    names, param = SPEC_NAMES[canonical]
+    expected = algs.parse_alg_spec(f"{canonical}:{param}")
+    assert expected.family == canonical
+    for name in names:
+        for spelling in (name, name.upper(), name.title(), f" {name} "):
+            assert algs.parse_alg_spec(f"{spelling}:{param}") == expected
+            if canonical != "slh-dsa":  # the only family without a default
+                assert algs.parse_alg_spec(spelling) == algs.parse_alg_spec(canonical)
+
+
+@pytest.mark.parametrize("text", [
+    *(name for name in oids.SIGNATURE_ALGORITHMS if name != "composite"),
+    "rsa", "ecdsa", "ml-dsa", "MLDSA:3_ec:p384"])
+def test_a_parsed_spec_renders_as_text_that_parses_to_it(text):
+    spec = algs.parse_alg_spec(text)
+    assert algs.parse_alg_spec(str(spec)) == spec
+
+
+@pytest.mark.parametrize("text, curve", [
+    ("P-256", "P-256"), ("p256", "P-256"), ("P384", "P-384"), ("p-521", "P-521")])
+def test_curve_spellings_with_or_without_the_dash(text, curve):
+    assert algs.parse_alg_spec(f"ecdsa:{text}") == algs.AlgorithmSpec("ecdsa", curve)
+
+
+@pytest.mark.parametrize("text", ["P0256", "P-224", "secp256r1", "P٢٥٦"])
+def test_other_curve_spellings_are_refused(text):
+    with pytest.raises(InvalidParameter, match="unsupported curve"):
+        algs.parse_alg_spec(f"ecdsa:{text}")
+
+
 def test_composite_structure_rules():
     single = algs.AlgorithmSpec("rsa", 2048)
     with pytest.raises(TooFewComponents):

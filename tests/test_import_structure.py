@@ -21,7 +21,9 @@ and each name has one import path. No module imports inside a function,
 and the package-internal imports form no cycle. The OID table is process
 state that algs.use_registry replaces, so no function takes it as a
 parameter. oids.SIGNATURE_ALGORITHMS is the one catalogue of signature
-algorithms, so algs names none of their OID constants. RFC 5280's one
+algorithms, so algs names none of their OID constants. Each family's class
+holds its own spec names and parameter rule, so algs._parse_single looks a
+name up once and names no family or spelling itself. RFC 5280's one
 extension of each type is checked in one function of x509, which the
 TbsCertificate constructor, the extension-list reader and build_csr call;
 chameleon leaves it to them. An ObjectIdentifier is a plain tuple of its
@@ -62,6 +64,7 @@ import pytest
 
 import pqcli
 from pqcli import algs, catalyst, chameleon, cli, composite, der, oids, pem, x509
+from pqcli.errors import UnknownAlgorithm
 from pqcli.names import parse_name
 
 PACKAGE = pathlib.Path(pqcli.__file__).parent
@@ -223,6 +226,29 @@ def test_algs_names_no_signature_oid_constant():
                  if isinstance(value, oids.ObjectIdentifier) and value in catalogue}
     assert len(constants) == 12
     assert _referenced_names("algs") & constants == set()
+
+
+def test_each_family_holds_its_own_spec_names_and_parameter_rule():
+    parse = [f for f in _tree("algs").body
+             if isinstance(f, ast.FunctionDef) and f.name == "_parse_single"]
+    assert len(parse) == 1
+    comparisons = [node for node in ast.walk(parse[0])
+                   if isinstance(node, (ast.Compare, ast.Match))]
+    assert [ast.unparse(node) for node in comparisons
+            if any(isinstance(n, ast.Constant) and isinstance(n.value, str)
+                   for n in ast.walk(node))] == []
+    assert {n.id for n in ast.walk(parse[0])
+            if isinstance(n, ast.Name) and n.id.startswith("FAMILY_")} == set()
+    owner = {}
+    for key, family in algs._FAMILIES.items():
+        if key == algs.FAMILY_COMPOSITE:
+            continue
+        assert {"names", "parameter"} <= set(vars(type(family))), key
+        assert family.names and family.names[0] == key
+        for name in family.names:
+            assert owner.setdefault(name, key) == key, f"{name} belongs to {owner[name]} and {key}"
+    with pytest.raises(UnknownAlgorithm):
+        algs.parse_alg_spec(algs.FAMILY_COMPOSITE)
 
 
 def test_one_extension_per_type_is_checked_in_one_function():

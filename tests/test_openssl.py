@@ -88,7 +88,7 @@ def _digest_args(text):
 @pytest.mark.parametrize("text", sorted(_SHAPES))
 def test_openssl_verifies_our_signature(text, keys, tmp_path):
     key = keys[text]
-    pem.write_public_key(tmp_path / "pub.pem", algs.spki_for_key(key).der)
+    pem.write_pem(tmp_path / "pub.pem", pem.LABEL_PUBLIC_KEY, algs.spki_for_key(key).der)
     (tmp_path / "msg").write_bytes(_MESSAGE)
     (tmp_path / "sig").write_bytes(algs.sign(key.spec, key, _MESSAGE))
     result = _openssl("pkeyutl", "-verify", "-rawin", *_digest_args(text),

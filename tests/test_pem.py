@@ -116,15 +116,6 @@ def test_private_key_permissions(tmp_path, rng):
     assert os.stat(path).st_mode & 0o777 == 0o600
 
 
-def test_private_key_blocks(tmp_path, rng):
-    path = tmp_path / "pair.pem"
-    one, two = rng.randbytes(40), rng.randbytes(45)
-    pem.write_private_key_blocks(
-        path, [("PRIVATE KEY", one), ("PRIVATE KEY", two)])
-    assert os.stat(path).st_mode & 0o777 == 0o600
-    assert pem.read_pem(path) == [("PRIVATE KEY", one), ("PRIVATE KEY", two)]
-
-
 def test_read_binary_file_raises(tmp_path):
     path = tmp_path / "binary"
     path.write_bytes(b"\xff\xfe\x00\x01")
