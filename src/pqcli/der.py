@@ -342,16 +342,36 @@ def _check_primitive_content(tag: int, content: bytes) -> None:
         ObjectIdentifier.decode_content(content)
 
 
+def _identifier(tag: int, cls: int, constructed: bool) -> tuple[int, int, bool, bool, str | None]:
+    """(tag, class, constructed, content checked, refusal) of one identifier:
+    the form X.690 prescribes for each universal type, written once."""
+    refusal = None
+    if cls == UNIVERSAL and constructed and tag in _MUST_BE_PRIMITIVE:
+        refusal = f"tag {tag:#x} must be primitive in DER"
+    elif cls == UNIVERSAL and not constructed and tag in _MUST_BE_CONSTRUCTED:
+        refusal = f"tag {tag:#x} must be constructed"
+    checked = cls == UNIVERSAL and not constructed and tag in _CHECKED_CONTENT
+    return tag, cls, constructed, checked, refusal
+
+
+# Each one-octet identifier read once at import; None marks the long form.
+_IDENTIFIERS = tuple(
+    None if octet & 0x1F == 0x1F else _identifier(octet & 0x1F, octet & 0xC0, octet & 0x20 != 0)
+    for octet in range(256))
+
+
 def _read_value(data: bytes, pos: int, end: int, depth: int = 1) -> tuple[DerValue, int]:
     if depth > MAX_DEPTH:
         raise BadValue(f"nesting deeper than {MAX_DEPTH} levels")
     if pos >= end:
         raise Truncated("input ends before a tag")
-    first = data[pos]
-    if first & 0x1F == 0x1F:
-        tag, cls, constructed, pos = _read_tag(data, pos, end)
+    identifier = _IDENTIFIERS[data[pos]]
+    if identifier is None:
+        number, cls, constructed, pos = _read_tag(data, pos, end)
+        identifier = _identifier(number, cls, constructed)
     else:
-        tag, cls, constructed, pos = first & 0x1F, first & 0xC0, first & 0x20 != 0, pos + 1
+        pos += 1
+    tag, cls, constructed, checked, refusal = identifier
     if pos < end and data[pos] < 0x80:
         length, pos = data[pos], pos + 1
     else:
@@ -359,11 +379,8 @@ def _read_value(data: bytes, pos: int, end: int, depth: int = 1) -> tuple[DerVal
     content_end = pos + length
     if content_end > end:
         raise Truncated("content extends past end of input")
-    if cls == UNIVERSAL:
-        if constructed and tag in _MUST_BE_PRIMITIVE:
-            raise BadTag(f"tag {tag:#x} must be primitive in DER")
-        if not constructed and tag in _MUST_BE_CONSTRUCTED:
-            raise BadTag(f"tag {tag:#x} must be constructed")
+    if refusal:
+        raise BadTag(refusal)
     if constructed:
         children = []
         while pos < content_end:
@@ -371,7 +388,7 @@ def _read_value(data: bytes, pos: int, end: int, depth: int = 1) -> tuple[DerVal
             children.append(child)
         return _new(DerValue, (tag, cls, True, b"", tuple(children))), content_end
     content = data[pos:content_end]
-    if cls == UNIVERSAL and tag in _CHECKED_CONTENT:
+    if checked:
         _check_primitive_content(tag, content)
     return _new(DerValue, (tag, cls, False, content, ())), content_end
 

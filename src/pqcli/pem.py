@@ -22,6 +22,8 @@ LABEL_CSR = "CERTIFICATE REQUEST"
 
 _BEGIN = re.compile(r"^-----BEGIN ([^-]+)-----$")
 _END = re.compile(r"^-----END ([^-]+)-----$")
+# The first line of one block as encode_pem, OpenSSL and cryptography write it
+_CANONICAL_BEGIN = re.compile(r"-----BEGIN ([A-Z]+(?: [A-Z]+)*)-----\n")
 
 
 def encode_pem(label: str, payload: bytes) -> str:
@@ -34,6 +36,29 @@ def encode_pem(label: str, payload: bytes) -> str:
 
 def decode_pem(text: str) -> list[tuple[str, bytes]]:
     """All (label, der) blocks in order of appearance."""
+    return _decode_canonical(text) or _decode_lines(text)
+
+
+def _decode_canonical(text: str) -> list[tuple[str, bytes]] | None:
+    """[(label, der)] of a text that is exactly one block as encode_pem
+    writes it, the body decoded in one call. None for any other text, and
+    for a body the strict decoder refuses: _decode_lines reads those."""
+    begin = _CANONICAL_BEGIN.match(text)
+    if begin is None:
+        return None
+    start, end = begin.end(), f"\n-----END {begin[1]}-----\n"
+    if not text.endswith(end, start - 1):  # its LF ends the BEGIN or the last body line
+        return None
+    try:  # validate=True refuses any character outside the base64 alphabet
+        return [(begin[1], base64.b64decode(text[start:-len(end)].replace("\n", ""),
+                                            validate=True))]
+    except (binascii.Error, ValueError):
+        return None
+
+
+def _decode_lines(text: str) -> list[tuple[str, bytes]]:
+    """decode_pem one stripped line at a time, for any text: CRLF, blank
+    lines, junk around blocks, several blocks, and every refusal."""
     blocks: list[tuple[str, bytes]] = []
     label: str | None = None
     body: list[str] = []

@@ -277,3 +277,13 @@ def test_depth_cap_agrees():
         blob = der.wrap_sequence(blob)
     assert isinstance(_agree(blob), DerValue)
     assert _agree(der.wrap_sequence(blob)) is BadValue
+
+
+@pytest.mark.parametrize("content", [b"", b"\x00", b"\x01", b"\xff\x00", b"\x00\x80"],
+                         ids=lambda content: content.hex() or "empty")
+def test_every_one_octet_identifier_agrees(content):
+    """Each identifier octet but the long-form escapes, in every class and
+    form, around a few contents that the checked types accept or refuse."""
+    for octet in range(256):
+        if octet & 0x1F != 0x1F:
+            _agree(bytes([octet, len(content)]) + content)

@@ -10,7 +10,7 @@ import pytest
 from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric import ec
 
-from pqcli import algs, der, oids
+from pqcli import algs, der, oids, pem
 from pqcli.errors import KeyMismatch
 
 SPECS = ["rsa:1024", "rsa:2048", "ecdsa:P-256", "ecdsa:P-384", "ecdsa:P-521",
@@ -60,6 +60,20 @@ def test_a_loaded_key_is_the_key_cryptography_loads(records, text, seeded):
     assert loaded.public == _public(oracle) == record.public
     assert loaded.private == record.private
     assert _pkcs8(loaded.key) == record.private
+
+
+@pytest.mark.parametrize("text", SPECS)
+def test_cryptography_s_pem_takes_the_one_call_path(records, text):
+    key = records[text, True].key
+    public, spki = key.public_key(), serialization.PublicFormat.SubjectPublicKeyInfo
+    for label, written, payload in (
+            (pem.LABEL_PRIVATE_KEY, key.private_bytes(serialization.Encoding.PEM,
+                                                      serialization.PrivateFormat.PKCS8,
+                                                      serialization.NoEncryption()), _pkcs8(key)),
+            (pem.LABEL_PUBLIC_KEY, public.public_bytes(serialization.Encoding.PEM, spki),
+             public.public_bytes(serialization.Encoding.DER, spki))):
+        assert pem._decode_lines(written.decode()) == [(label, payload)]
+        assert pem._decode_canonical(written.decode()) == [(label, payload)]
 
 
 def _children(blob):

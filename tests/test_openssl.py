@@ -312,3 +312,20 @@ def test_three_subjects_that_once_printed_alike_view_apart(tmp_path, capsys):
         subjects += [line.split("Subject: ", 1)[1]
                      for line in capsys.readouterr().out.splitlines() if "Subject: " in line]
     assert subjects == ["CN=a\\,O=evil", "CN=a+O=evil", "CN=a,O=evil"]
+
+
+# -- PEM as OpenSSL writes it ---------------------------------------------
+
+def test_pem_that_openssl_writes_takes_the_one_call_path(tmp_path):
+    for args in (("genpkey", "-algorithm", "ML-DSA-65", "-out", "key.pem"),
+                 ("req", "-new", "-key", "key.pem", "-subj", "/CN=pem", "-out", "req.pem"),
+                 ("x509", "-req", "-in", "req.pem", "-key", "key.pem", "-outform", "PEM",
+                  "-out", "cert.pem")):
+        result = _openssl(*args, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+    for name, label in (("key.pem", pem.LABEL_PRIVATE_KEY), ("req.pem", pem.LABEL_CSR),
+                        ("cert.pem", pem.LABEL_CERTIFICATE)):
+        text = (tmp_path / name).read_text()
+        blocks = pem._decode_lines(text)
+        assert [block_label for block_label, _ in blocks] == [label]
+        assert pem._decode_canonical(text) == blocks

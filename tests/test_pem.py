@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pqcli import pem
 from pqcli.errors import MalformedPem
@@ -121,3 +123,88 @@ def test_read_binary_file_raises(tmp_path):
     path.write_bytes(b"\xff\xfe\x00\x01")
     with pytest.raises(MalformedPem):
         pem.read_pem(path)
+
+
+# -- the one-call path against the line loop ----------------------------
+
+def _outcome(decoder, text):
+    """The blocks, or the message of the MalformedPem raised."""
+    try:
+        return decoder(text)
+    except MalformedPem as exc:
+        return str(exc)
+
+
+def test_encode_pem_output_takes_the_one_call_path(rng):
+    for label in ("CERTIFICATE", "CERTIFICATE REQUEST", "PRIVATE KEY", "X"):
+        for size in (0, 1, 2, 3, 47, 48, 49, 5462):
+            payload = rng.randbytes(size)
+            text = pem.encode_pem(label, payload)
+            assert pem._decode_canonical(text) == [(label, payload)]
+            assert pem._decode_lines(text) == [(label, payload)]
+
+
+def test_a_crlf_copy_takes_the_line_loop_with_the_same_payload(rng):
+    payload = rng.randbytes(500)
+    text = pem.encode_pem("CERTIFICATE", payload).replace("\n", "\r\n")
+    assert pem._decode_canonical(text) is None
+    assert pem.decode_pem(text) == [("CERTIFICATE", payload)]
+
+
+@pytest.mark.parametrize("text", [
+    "-----BEGIN A-----\n",                            # the END would overlap the BEGIN
+    "-----BEGIN A-----\n-----END A-----",             # no final LF
+    "-----BEGIN A-----\nAAAA-----END A-----\n",       # END inside the last body line
+    "-----BEGIN A-----\nAA==\nAA==\n-----END A-----\n",  # padding mid-body
+    "-----BEGIN A-----\nAAAA\n-----END B-----\n",
+    "-----BEGIN A-----\nAA AA\n-----END A-----\n",
+    "-----BEGIN A-----\nAAAA\n-----END A-----\n-----BEGIN A-----\nAAAA\n-----END A-----\n",
+    "-----BEGIN x509 CRL-----\nAAAA\n-----END x509 CRL-----\n",
+    "-----BEGIN A-----\nAA\u2028AA\n-----END A-----\n",
+])
+def test_texts_the_one_call_path_leaves_to_the_loop(text):
+    assert pem._decode_canonical(text) is None
+    assert _outcome(pem.decode_pem, text) == _outcome(pem._decode_lines, text)
+
+
+_LABELS = st.lists(st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=6),
+                   min_size=1, max_size=3).map(" ".join)
+# Line breaks and blanks that str.splitlines or str.strip see and LF-only
+# parsing does not, a non-ASCII letter, and the padding character
+_INSERTS = ("\r", "\t", " ", "\v", "\f", "\x1c", "\x85", "\u2028", "\u00c9", "=", "\n")
+
+
+@st.composite
+def _pem_texts(draw):
+    label = draw(_LABELS)
+    payload = draw(st.one_of(st.just(b""), st.binary(max_size=200)))
+    text = pem.encode_pem(label, payload)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("insert", "relabel", "before", "after", "second",
+                                     "cut", "delete")))
+        pos = draw(st.integers(0, len(text)))
+        if kind == "insert":
+            text = text[:pos] + draw(st.sampled_from(_INSERTS)) + text[pos:]
+        elif kind == "relabel":
+            other = draw(st.sampled_from((label.lower(), label + "2", "X509 CRL", label + " ")))
+            text = text.replace(label, other, draw(st.integers(1, 2)))
+        elif kind == "before":
+            text = draw(st.sampled_from(("junk\n", "\n", " "))) + text
+        elif kind == "after":
+            text += draw(st.sampled_from(("junk\n", "\n", "junk", " ")))
+        elif kind == "second":
+            text += pem.encode_pem(draw(_LABELS), draw(st.binary(max_size=20)))
+        elif kind == "cut":
+            text = text[:-1] if draw(st.booleans()) else text[:pos]
+        else:
+            text = text[:pos] + text[pos + 1:]
+    return text
+
+
+@settings(max_examples=400, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_pem_texts())
+def test_decode_pem_agrees_with_the_line_loop(text):
+    assert _outcome(pem.decode_pem, text) == _outcome(pem._decode_lines, text)
+    fast = pem._decode_canonical(text)
+    assert fast is None or fast == pem._decode_lines(text)
