@@ -1,8 +1,9 @@
 """RFC 7468 style PEM armor and file helpers.
 
-Lines are wrapped at 64 columns. Reading tolerates CRLF endings and
-surrounding junk text; block order is preserved and labels this tool does
-not know are passed through untouched.
+Lines are wrapped at 64 columns. Reading breaks lines only at CRLF, CR
+and LF, as RFC 7468 does, and tolerates surrounding junk text; block
+order is preserved and labels this tool does not know are passed through
+untouched.
 """
 
 from __future__ import annotations
@@ -57,12 +58,14 @@ def _decode_canonical(text: str) -> list[tuple[str, bytes]] | None:
 
 
 def _decode_lines(text: str) -> list[tuple[str, bytes]]:
-    """decode_pem one stripped line at a time, for any text: CRLF, blank
-    lines, junk around blocks, several blocks, and every refusal."""
+    """decode_pem one stripped line at a time, for any text: CRLF or CR
+    line ends, blank lines, junk around blocks, several blocks, and every
+    refusal. str.splitlines would also break at VT, FF, FS, GS, RS, NEL,
+    U+2028 and U+2029, which RFC 7468 does not."""
     blocks: list[tuple[str, bytes]] = []
     label: str | None = None
     body: list[str] = []
-    for raw in text.splitlines():
+    for raw in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         line = raw.strip()
         armor = line.startswith("-----")  # both patterns are anchored on it
         begin = armor and _BEGIN.match(line)

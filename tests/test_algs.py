@@ -375,6 +375,30 @@ def test_seeded_rsa_keys_are_pinned():
         "4be2c4b0ec3844a8d767f0f9651c5340ea750984fe3369380af8d7b0763a2861")
 
 
+class _Replay:
+    """randbytes that gives the given draws first, then source's, and keeps
+    every draw it gave."""
+
+    def __init__(self, draws, source):
+        self.draws, self.source, self.drawn = list(draws), source, []
+
+    def randbytes(self, n):
+        self.drawn.append(self.draws.pop(0) if self.draws else self.source.randbytes(n))
+        return self.drawn[-1]
+
+
+def test_seeded_rsa_draws_q_again_when_it_equals_p():
+    first = _Replay((), random.Random(5))
+    p = algs._deterministic_prime(512, first)
+    rng = _Replay(first.drawn * 2, random.Random(6))  # q's search finds p again
+    record = algs.generate_keypair(algs.parse_alg_spec("rsa:1024"), rng)
+    assert rng.draws == []
+    numbers = record.key.private_numbers()
+    assert p in (numbers.p, numbers.q) and numbers.p != numbers.q
+    signature = algs.sign(record.spec, record, b"redrawn")
+    assert algs.verify(record.spec, record.public, b"redrawn", signature)
+
+
 def test_ml_dsa_level_sizes(ml2_key, ml3_key):
     assert len(ml2_key.public) == 1312
     assert len(ml3_key.public) == 1952

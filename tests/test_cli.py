@@ -25,6 +25,12 @@ def run(*argv):
     return cli.main(list(argv))
 
 
+def _with_its_last_byte_flipped(path):
+    """The DER of a certificate file, its last signature byte flipped."""
+    _, blob = pem.read_block(path.read_bytes(), (pem.LABEL_CERTIFICATE,))
+    return blob[:-1] + bytes([blob[-1] ^ 1])
+
+
 def test_cert_defaults(workdir, capsys):
     assert run("cert", "-newkey", "ECDSA") == 0
     out = capsys.readouterr().out
@@ -47,6 +53,9 @@ def test_cert_custom_paths_and_subject(workdir, capsys):
         pem.first_block(pem.decode_pem((workdir / "k.pem").read_text()),
                         pem.LABEL_PRIVATE_KEY))
     assert record.spec.family == "ml-dsa"
+    assert run("verify", "c.pem") == 0 and run("view", "c.pem") == 0
+    (workdir / "t.der").write_bytes(_with_its_last_byte_flipped(workdir / "c.pem"))
+    assert run("verify", "t.der") == 5
 
 
 def test_cert_catalyst_round_trip(workdir, capsys):
@@ -60,15 +69,18 @@ def test_cert_catalyst_round_trip(workdir, capsys):
     out = capsys.readouterr().out
     assert "native signature: valid" in out
     assert "alt signature: valid" in out
+    assert run("view", "certificate.pem") == 0
 
 
 def test_cert_composite_round_trip(workdir, capsys):
     assert run("cert", "-newkey", "ML-DSA:2_ECDSA") == 0
     capsys.readouterr()
     assert run("verify", "certificate.pem") == 0
+    assert capsys.readouterr().out == (
+        "component 1 (ml-dsa:2): valid\ncomponent 2 (ecdsa:P-256): valid\n")
+    assert run("view", "certificate.pem") == 0
     out = capsys.readouterr().out
-    assert "component 1 (ml-dsa:2): valid" in out
-    assert "component 2 (ecdsa:P-256): valid" in out
+    assert "Component 1: ML-DSA-44\n" in out and "Component 2: id-ecPublicKey\n" in out
 
 
 def test_cert_der_output(workdir, capsys):
@@ -177,7 +189,22 @@ def test_key_composite(workdir, capsys):
         pem.first_block(pem.decode_pem((workdir / "private_key.pem").read_text()),
                         pem.LABEL_PRIVATE_KEY))
     assert record.spec.family == "composite"
+    assert run("csr", "-key", "private_key.pem", "-subj", "CN=ci", "-out", "req.pem") == 0
     capsys.readouterr()
+    assert run("view", "req.pem") == 0
+    out = capsys.readouterr().out
+    assert "Component 1: ML-DSA-44\n" in out and "Component 2: id-ecPublicKey\n" in out
+
+
+@pytest.mark.parametrize("text, code, out", [
+    ("ec:p384", 0, "(ecdsa:P-384)"), ("mldsa:3", 0, "(ml-dsa:3)"),
+    ("slhdsa:128f", 0, "(slh-dsa:128f)"), ("RSA:1024", 0, "(rsa:1024)"), ("ed25519", 2, None),
+], ids=["ec", "mldsa", "slhdsa", "RSA", "ed25519"])
+def test_key_prints_the_canonical_spec_or_refuses_an_unknown_family(workdir, capsys, text,
+                                                                     code, out):
+    assert run("key", "-t", text, "-out", "k.key") == code
+    assert capsys.readouterr().out == (f"wrote k.key and k.pub {out}\n" if out else "")
+    assert sorted(p.name for p in workdir.iterdir()) == (["k.key", "k.pub"] if out else [])
 
 
 def test_csr_newkey_and_reuse(workdir, capsys):
@@ -818,6 +845,27 @@ def test_run_freezes_the_import_heap_then_exits_with_mains_code():
                            capture_output=True, text=True, timeout=60)
     assert child.returncode == 7, child.stderr
     assert int(child.stdout) > 0
+
+
+def test_run_checks_as_the_installed_script(workdir):
+    """Commands run through cli.run as the [project.scripts] script calls
+    it; the SLH-DSA signer forks its workers after run's gc.freeze."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+    for command, code, out in [
+            ("cert -newkey slh-dsa:128f -out slh.pem -keyout slh.key", 0,
+             "wrote slh.pem and slh.key (slh-dsa:128f, self-signed, 365 days)\n"),
+            ("csr -key slh.key -subj CN=ci -out slh-req.pem", 0,
+             "wrote slh-req.pem (slh-dsa:128f, subject CN=ci)\n"),
+            ("view slh-req.pem", 0, "Certificate Request:\n    Subject: CN=ci\n"),
+            ("verify slh.pem", 0, "native signature: valid\n"),
+            ("verify tampered.der", 5, "native signature: invalid\n"),
+            ("view missing.pem", 3, "")]:
+        if "tampered" in command:
+            (workdir / "tampered.der").write_bytes(_with_its_last_byte_flipped(workdir / "slh.pem"))
+        child = subprocess.run([sys.executable, "-c", "from pqcli.cli import run; run()",
+                                *command.split()], env=env, capture_output=True, text=True,
+                               timeout=120)
+        assert (child.returncode, child.stdout[:len(out)]) == (code, out), child.stderr
 
 
 def test_main_in_process_freezes_nothing(capsys):

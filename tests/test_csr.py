@@ -2,7 +2,7 @@ import cryptography.x509
 import pytest
 
 from pqcli import algs, cli, der, oids, pem, x509
-from pqcli.errors import DuplicateExtension, NotACsr
+from pqcli.errors import AlgorithmMismatch, DuplicateExtension, NotACsr
 from pqcli.names import parse_name
 
 
@@ -42,6 +42,13 @@ def test_build_refuses_a_repeated_extension(ec_key):
     ext = x509.ExtensionBlock(oids.EXT_KEY_USAGE, True, b"\x03\x02\x05\xa0")
     with pytest.raises(DuplicateExtension, match="duplicate extension 2.5.29.15"):
         x509.build_csr(parse_name("CN=ext"), ec_key, extensions=(ext, ext))
+
+
+def test_build_refuses_a_request_that_fails_its_own_check(ec_key, monkeypatch):
+    sign = algs.sign
+    monkeypatch.setattr(algs, "sign", lambda *args: sign(*args)[:-1] + b"\x00")
+    with pytest.raises(AlgorithmMismatch, match="freshly built CSR failed self-verification"):
+        x509.build_csr(parse_name("CN=faulty signer"), ec_key)
 
 
 def test_tampered_subject_fails(ec_key):

@@ -50,10 +50,13 @@ def _container(*privates):
 
 
 def _csr_exits_4(blob, path):
+    """Whether csr -key exits 4 on the key file, as PEM and as DER, and
+    writes no request."""
     pem.write_private_key(path / "k.pem", blob)
-    status = cli.main(["csr", "-key", str(path / "k.pem"), "-subj", "CN=rule",
-                       "-out", str(path / "req.pem")])
-    return status == 4 and not (path / "req.pem").exists()
+    (path / "k.der").write_bytes(blob)
+    return all(cli.main(["csr", "-key", str(path / name), "-subj", "CN=rule",
+                         "-out", str(path / "req.pem")]) == 4
+               and not (path / "req.pem").exists() for name in ("k.pem", "k.der"))
 
 
 @pytest.mark.parametrize("case", list(EDITS))

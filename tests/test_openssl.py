@@ -1,7 +1,8 @@
-"""OpenSSL 3.5 as an independent check on our encodings and signatures.
+"""OpenSSL as an independent check on our encodings and signatures.
 
-Skipped unless the first `openssl` on PATH is 3.5 or later: earlier
-releases know neither ML-DSA nor SLH-DSA.
+The RSA and ECDSA cases need the first `openssl` on PATH to be 3.0 or
+later; the post-quantum cases need 3.5 or later, since earlier releases
+know neither ML-DSA nor SLH-DSA. Each case is skipped on its own.
 """
 
 import random
@@ -32,6 +33,9 @@ def _openssl_version():
 
 
 pytestmark = pytest.mark.skipif(
+    (_openssl_version() or (0, 0)) < (3, 0),
+    reason="needs OpenSSL 3.0 or later as the first openssl on PATH")
+post_quantum = pytest.mark.skipif(
     (_openssl_version() or (0, 0)) < (3, 5),
     reason="needs OpenSSL 3.5 or later as the first openssl on PATH")
 
@@ -41,6 +45,8 @@ _SHAPES = {
     "ml-dsa:3": 203,
     "slh-dsa:128f": 204,
 }
+_SHAPE_PARAMS = [pytest.param(text, marks=() if text.startswith(("rsa", "ecdsa")) else
+                              post_quantum) for text in sorted(_SHAPES)]
 
 
 def _openssl(*args, cwd):
@@ -61,7 +67,7 @@ def _write_self_signed(path, key):
     pem.write_pem(path, pem.LABEL_CERTIFICATE, x509.sign_certificate(tbs, key).emit())
 
 
-@pytest.mark.parametrize("text", sorted(_SHAPES))
+@pytest.mark.parametrize("text", _SHAPE_PARAMS)
 def test_openssl_verifies_self_signed_certificate(text, keys, tmp_path):
     _write_self_signed(tmp_path / "c.pem", keys[text])
     result = _openssl("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem", cwd=tmp_path)
@@ -69,11 +75,28 @@ def test_openssl_verifies_self_signed_certificate(text, keys, tmp_path):
     assert "c.pem: OK" in result.stdout
 
 
-@pytest.mark.parametrize("text", sorted(_SHAPES))
+@pytest.mark.parametrize("text", _SHAPE_PARAMS)
 def test_openssl_reads_private_key(text, keys, tmp_path):
     pem.write_private_key(tmp_path / "key.pem", keys[text].private)
     result = _openssl("pkey", "-in", "key.pem", "-noout", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
+
+
+@pytest.mark.parametrize("key, newkey", [("rsa:2048", "rsa"), ("ecdsa:P-384", "ecdsa")])
+def test_openssl_checks_the_files_the_cli_writes(key, newkey, tmp_path, monkeypatch, capsys):
+    """Key files from pqcli's own DER; ECDSA signed through pqcli's ec.ECDSA subclass."""
+    monkeypatch.chdir(tmp_path)
+    for argv in (["key", "-t", key, "-out", "k.key"],
+                 ["csr", "-key", "k.key", "-subj", "CN=ci", "-out", "req.pem"],
+                 ["cert", "-newkey", newkey, "-out", "c.pem", "-keyout", "c.key"],
+                 ["verify", "c.pem"]):
+        assert cli.main(argv) == 0
+    for args in (("pkey", "-in", "k.key", "-check", "-noout"),
+                 ("req", "-verify", "-in", "req.pem", "-noout"),
+                 ("verify", "-check_ss_sig", "-CAfile", "c.pem", "c.pem")):
+        result = _openssl(*args, cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+    capsys.readouterr()
 
 
 _MESSAGE = b"the same bytes from two implementations"
@@ -85,7 +108,7 @@ def _digest_args(text):
     return ("-digest", "sha256") if text.startswith(("rsa", "ecdsa")) else ()
 
 
-@pytest.mark.parametrize("text", sorted(_SHAPES))
+@pytest.mark.parametrize("text", _SHAPE_PARAMS)
 def test_openssl_verifies_our_signature(text, keys, tmp_path):
     key = keys[text]
     pem.write_pem(tmp_path / "pub.pem", pem.LABEL_PUBLIC_KEY, algs.spki_for_key(key).der)
@@ -97,7 +120,7 @@ def test_openssl_verifies_our_signature(text, keys, tmp_path):
     assert result.returncode == 0, result.stderr + result.stdout
 
 
-@pytest.mark.parametrize("text", sorted(_SHAPES))
+@pytest.mark.parametrize("text", _SHAPE_PARAMS)
 def test_we_verify_openssl_signature(text, keys, tmp_path):
     key = keys[text]
     pem.write_private_key(tmp_path / "key.pem", key.private)
@@ -120,7 +143,8 @@ def test_openssl_refuses_a_repeated_extension(keys, tmp_path):
     assert "ossl_x509v3_cache_extensions:invalid certificate" in result.stderr
 
 
-@pytest.mark.parametrize("issuer, inner", [("ec", "sha384"), ("ml-dsa", "null")])
+@pytest.mark.parametrize("issuer, inner", [("ec", "sha384"),
+                                           pytest.param("ml-dsa", "null", marks=post_quantum)])
 def test_openssl_refuses_a_tbs_algorithm_that_differs_from_the_outer_one(
         issuer, inner, ec_key, ml2_key, tmp_path):
     """RFC 5280 4.1.1.2; -check_ss_sig, since openssl does not otherwise
@@ -150,6 +174,7 @@ def test_explicit_curve_ec_key_is_not_ours_though_openssl_takes_it(tmp_path, cap
 
 
 # 192s and 256s are left out: each adds seconds of signing.
+@post_quantum
 @pytest.mark.parametrize("name", ["128f", "128s", "192f", "256f"])
 def test_deterministic_slh_dsa_signature_matches_openssl(name, tmp_path):
     key = algs.generate_keypair(algs.parse_alg_spec(f"slh-dsa:{name}"), random.Random(206))
@@ -162,6 +187,7 @@ def test_deterministic_slh_dsa_signature_matches_openssl(name, tmp_path):
     assert (tmp_path / "sig").read_bytes() == ours
 
 
+@post_quantum
 @pytest.mark.parametrize("part", SLH_KEY_PARTS)
 def test_openssl_checks_the_slh_dsa_key_parts_pqcli_refuses_to_sign_with(part, keys,
                                                                           tmp_path):
@@ -181,7 +207,7 @@ def test_openssl_checks_the_slh_dsa_key_parts_pqcli_refuses_to_sign_with(part, k
 # SLH-DSA-SHA2 holds here until the SHA2 parameter sets share the Merkle core.
 @pytest.mark.parametrize("algorithm, oid", [
     ("ED25519", "1.3.101.112"),
-    ("SLH-DSA-SHA2-128f", "2.16.840.1.101.3.4.3.21"),
+    pytest.param("SLH-DSA-SHA2-128f", "2.16.840.1.101.3.4.3.21", marks=post_quantum),
 ])
 def test_algorithms_pqcli_does_not_implement(algorithm, oid, tmp_path, capsys):
     """An OpenSSL certificate under such a key is shown and reported
@@ -200,6 +226,7 @@ def test_algorithms_pqcli_does_not_implement(algorithm, oid, tmp_path, capsys):
     assert not (tmp_path / "req.pem").exists()
 
 
+@post_quantum
 def test_openssl_rejects_composite_certificate(keys, tmp_path):
     """OpenSSL cannot decode a key under the interim composite OID; if a
     release learns to, this test says so."""
@@ -231,6 +258,7 @@ def _csr_from_key(path, tmp_path):
                      "-out", str(tmp_path / "req.pem")])
 
 
+@post_quantum
 @pytest.mark.parametrize("form", ["seed-priv", "seed-only", None],
                          ids=["seed-priv", "seed-only", "default"])
 @pytest.mark.parametrize("name", sorted(_ML_DSA_LEVELS))
@@ -249,6 +277,7 @@ def test_openssl_ml_dsa_key_signs_a_request_openssl_accepts(name, form, tmp_path
     assert "verify OK" in result.stdout + result.stderr
 
 
+@post_quantum
 @pytest.mark.parametrize("name", sorted(_ML_DSA_LEVELS))
 def test_openssl_expanded_only_ml_dsa_key_is_refused(name, tmp_path, capsys):
     path = _openssl_ml_dsa_key(tmp_path, name, "priv-only")
@@ -269,6 +298,7 @@ def _flip(where):
     return lambda key: key[:where] + bytes([key[where] ^ 1]) + key[where + 1:]
 
 
+@post_quantum
 @pytest.mark.parametrize("edit", [_flip(0), _flip(31), _flip(64), _flip(127),
                                   lambda key: key[:-1], lambda key: key + b"\0"],
                          ids=["rho", "rho-end", "tr", "tr-end", "short", "long"])
@@ -285,6 +315,7 @@ def test_both_form_key_whose_expanded_key_disagrees_is_refused(name, edit, tmp_p
     assert "does not match its seed" in capsys.readouterr().err
 
 
+@post_quantum
 def test_both_form_key_of_another_level_or_seed_size_is_refused(tmp_path):
     blob = pem.first_block(pem.read_pem(_openssl_ml_dsa_key(tmp_path, "ML-DSA-44")),
                            pem.LABEL_PRIVATE_KEY)
@@ -316,6 +347,7 @@ def test_three_subjects_that_once_printed_alike_view_apart(tmp_path, capsys):
 
 # -- PEM as OpenSSL writes it ---------------------------------------------
 
+@post_quantum
 def test_pem_that_openssl_writes_takes_the_one_call_path(tmp_path):
     for args in (("genpkey", "-algorithm", "ML-DSA-65", "-out", "key.pem"),
                  ("req", "-new", "-key", "key.pem", "-subj", "/CN=pem", "-out", "req.pem"),

@@ -1,10 +1,11 @@
+import errno
 import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqcli import pem
+from pqcli import cli, pem
 from pqcli.errors import MalformedPem
 
 
@@ -27,8 +28,21 @@ def test_64_column_wrapping():
 
 def test_crlf_tolerated(rng):
     payload = rng.randbytes(120)
-    text = pem.encode_pem("PRIVATE KEY", payload).replace("\n", "\r\n")
-    assert pem.decode_pem(text) == [("PRIVATE KEY", payload)]
+    for end in ("\r\n", "\r"):  # RFC 7468's line ends, a lone CR included
+        text = pem.encode_pem("PRIVATE KEY", payload).replace("\n", end)
+        assert pem.decode_pem(text) == [("PRIVATE KEY", payload)]
+
+
+# the line breaks of str.splitlines other than CR and LF
+@pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                                  "\u2029"], ids=lambda char: f"U+{ord(char):04X}")
+def test_a_line_break_rfc_7468_does_not_know_is_bad_base64(char, tmp_path, capsys):
+    text = f"-----BEGIN CERTIFICATE-----\nMII{char}A\n-----END CERTIFICATE-----\n"
+    with pytest.raises(MalformedPem, match="^bad base64 in CERTIFICATE block"):
+        pem.decode_pem(text)
+    (tmp_path / "c.pem").write_bytes(text.encode())
+    assert cli.main(["view", str(tmp_path / "c.pem")]) == 4
+    assert capsys.readouterr().err.startswith("pqcli: bad base64 in CERTIFICATE block")
 
 
 def test_multiple_blocks_ordered(rng):
@@ -116,6 +130,21 @@ def test_private_key_permissions(tmp_path, rng):
     # overwrite keeps the restricted mode
     pem.write_private_key(path, rng.randbytes(80))
     assert os.stat(path).st_mode & 0o777 == 0o600
+
+
+def test_open_private_closes_its_descriptor_when_fchmod_fails(tmp_path, monkeypatch):
+    given = []
+
+    def refuse(fd, mode):
+        given.append(fd)
+        raise PermissionError("fchmod refused")
+
+    monkeypatch.setattr(os, "fchmod", refuse)
+    with pytest.raises(PermissionError, match="fchmod refused"):
+        pem.open_private(tmp_path / "key.pem")
+    with pytest.raises(OSError) as closed:
+        os.fstat(given[0])
+    assert closed.value.errno == errno.EBADF
 
 
 def test_read_binary_file_raises(tmp_path):
