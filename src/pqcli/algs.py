@@ -212,12 +212,9 @@ class Registry:
         registry = cls.default()
         path = environ.get(OID_TABLE_ENV)
         if path:
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    text = handle.read()
-            except UnicodeDecodeError as exc:
-                raise InvalidParameter(f"OID table {path} is not UTF-8 text: {exc}") from None
-            registry = registry.with_overrides(text)
+            # read as pem reads PEM: a leading BOM skipped, non-UTF-8 bytes replaced
+            with open(path, "r", encoding="utf-8-sig", errors="replace") as handle:
+                registry = registry.with_overrides(handle.read())
         return registry
 
     def oid_for_name(self, name: str) -> ObjectIdentifier:

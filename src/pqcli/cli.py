@@ -232,9 +232,7 @@ def cmd_csr(args) -> int:
         keypair = algs.generate_keypair(algs.parse_alg_spec(args.newkey))
         keys = [(key_path, _encode(pem.LABEL_PRIVATE_KEY, keypair.private, args.der), True)]
     else:
-        # undecodable text around a key's armor is no error, unlike a certificate's
-        _, blob = pem.read_block(key_path.read_bytes(), (pem.LABEL_PRIVATE_KEY,),
-                                 errors="replace")
+        _, blob = pem.read_block(key_path.read_bytes(), (pem.LABEL_PRIVATE_KEY,))
         keypair = algs.load_private_key(blob)
         keys = []
     doc = x509.build_csr(subject, keypair)

@@ -100,15 +100,15 @@ class DistinguishedName(NamedTuple):
 
 
 def parse_name(text: str) -> DistinguishedName:
-    """Parse "KEY=VALUE,KEY=VALUE" into a name. Keys are case-insensitive."""
+    """Parse "KEY=VALUE,KEY=VALUE", or OpenSSL's "/KEY=VALUE/KEY=VALUE",
+    into a name in the order written. Keys are case-insensitive."""
+    openssl_form = text.startswith("/")
+    parts = _openssl_parts(text) if openssl_form else [
+        part.partition("=") for part in map(str.strip, text.split(",")) if part]
     attrs = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, value = part.partition("=")
-        key = key.strip().upper()
-        value = value.strip()
+    for key, sep, value in parts:
+        part, key = key + sep + value, key.strip().upper()
+        value = value if openssl_form else value.strip()  # OpenSSL keeps the spaces
         if not sep or key not in _ATTRIBUTES:
             raise UnknownAttributeKey(f"unknown name attribute {key or part!r}")
         if not value:
@@ -121,3 +121,27 @@ def parse_name(text: str) -> DistinguishedName:
             raise InvalidParameter(f"attribute {key} must be {bound} characters, not {len(value)}")
         attrs.append(NameAttribute(oid, value, tag))
     return DistinguishedName(tuple(attrs))
+
+
+# one attribute of OpenSSL's -subj form, "/KEY=VALUE": the key runs to the
+# first "=", the value to the next unescaped "/" or "+", and "\" makes the
+# character after it literal. Compiled, and cached by re, on first use, not at
+# import: every pqcli process imports this module, and few read this form.
+_OPENSSL_PART = r"/([^=]*)(=?)((?:[^/+\\]|\\.)*)"
+
+
+def _openssl_parts(text: str) -> list[tuple[str, str, str]]:
+    """(key, sep, value) of each attribute of OpenSSL's -subj form, as
+    str.partition splits "KEY=VALUE", with the value's escapes read. An
+    unescaped "+" would add the next attribute to this RDN, which
+    parse_name does not write, so it is refused."""
+    parts, at, match = [], 0, re.compile(_OPENSSL_PART, re.S).match
+    while at < len(text):
+        part = match(text, at)
+        if part is None:
+            found = "a multi-valued RDN ('+')" if text[at] == "+" else "a trailing '\\'"
+            raise InvalidParameter(f"-subj holds {found}: {text!r}")
+        if part[0] != "/":  # a trailing "/" names nothing
+            parts.append((part[1], part[2], re.sub(r"\\(.)", r"\1", part[3], flags=re.S)))
+        at = part.end()
+    return parts

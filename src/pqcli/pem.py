@@ -1,10 +1,10 @@
 """RFC 7468 style PEM armor and file helpers.
 
-Lines are wrapped at 64 columns. Reading breaks lines only at CRLF, CR
-and LF, as RFC 7468 does, and tolerates surrounding junk text; block
-order is preserved and labels this tool does not know are passed through
-untouched.
-"""
+Lines are wrapped at 64 columns. Every input is read by one rule: a
+leading UTF-8 BOM is skipped and bytes that are not UTF-8 become U+FFFD,
+junk outside the armor and bad base64 inside it, as OpenSSL reads them.
+Lines break only at CRLF, CR and LF, as in RFC 7468; junk around blocks
+is skipped, block order is kept and unknown labels pass through."""
 
 from __future__ import annotations
 
@@ -96,18 +96,20 @@ def _decode_lines(text: str) -> list[tuple[str, bytes]]:
     return blocks
 
 
-def read_block(data: bytes, labels, errors: str = "strict") -> tuple[str | None, bytes]:
+def _text(data: bytes) -> str:
+    """PEM bytes as text, by the module's one rule."""
+    return data.decode("utf-8", "replace").removeprefix("\ufeff")
+
+
+def read_block(data: bytes, labels) -> tuple[str | None, bytes]:
     """(label, DER) of the first block whose label comes earliest in labels,
     the armor decoded once; DER passes through unchanged as (None, data).
-    The text is UTF-8 under errors, as for bytes.decode."""
+    PEM is read by the module's one rule, as read_pem reads it."""
     # DER certificates, requests and keys are one SEQUENCE, and their names
     # may hold the BEGIN text
     if b"-----BEGIN" not in data or _is_one_sequence(data):
         return None, bytes(data)
-    try:
-        blocks = dict(reversed(decode_pem(data.decode("utf-8", errors))))
-    except UnicodeDecodeError:
-        raise MalformedPem("input is neither DER nor readable PEM") from None
+    blocks = dict(reversed(decode_pem(_text(data))))
     for label in labels:
         if label in blocks:
             return label, blocks[label]
@@ -144,11 +146,8 @@ def write_private_key(path, payload: bytes) -> None:
 
 
 def read_pem(path) -> list[tuple[str, bytes]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return decode_pem(handle.read())
-    except UnicodeDecodeError as exc:
-        raise MalformedPem(f"{path} is not text: {exc}") from exc
+    with open(path, "rb") as handle:
+        return decode_pem(_text(handle.read()))
 
 
 def first_block(blocks, label: str) -> bytes:

@@ -142,6 +142,14 @@ def test_a_name_value_outside_its_x520_bounds_exits_2_and_writes_nothing(
     assert os.listdir(workdir) == []
 
 
+def test_a_multi_valued_rdn_in_the_openssl_form_exits_2_and_writes_nothing(workdir, capsys):
+    """openssl req -subj "/CN=a+O=b" makes one RDN of two attributes, which
+    pqcli does not write, so it refuses rather than make another name."""
+    assert run("cert", "-newkey", "ECDSA", "-subj", "/CN=a+O=b") == 2
+    assert "multi-valued RDN" in capsys.readouterr().err
+    assert os.listdir(workdir) == []
+
+
 @pytest.mark.parametrize("argv", [
     ("cert", "-newkey", "rsa:512"),
     ("key", "-t", "rsa:1000"),
@@ -650,6 +658,28 @@ def test_oid_table_names_must_be_registry_keys(workdir, capsys, monkeypatch, rng
     assert run("verify", "c.pem") == 2
     assert run("view", "c.pem") == 2
     assert "OID table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("table", [b"\xef\xbb\xbfml-dsa:2 = 2.999.9\n",
+                                   b"# caf\xe9 \xff\nml-dsa:2 = 2.999.9  # \xe9t\xe9\n"],
+                         ids=["byte-order-mark", "latin-1-comment"])
+def test_oid_table_is_read_as_pem_input_is(workdir, capsys, monkeypatch, rng, table):
+    """A leading UTF-8 BOM is skipped, and a byte that is not UTF-8 in a
+    comment is no error: the certificate verifies only under the table."""
+    key = algs.generate_keypair(algs.parse_alg_spec("ML-DSA:2"), rng=rng)
+    name = parse_name("CN=table")
+    with algs.use_registry(algs.default_registry().with_overrides("ml-dsa:2 = 2.999.9\n")):
+        tbs = x509.build_tbs(name, name, algs.spki_for_key(key),
+                             x509.default_validity(5),
+                             algs.signature_algorithm_for(key.spec), rng=rng)
+        _write_cert(workdir / "c.pem", x509.sign_certificate(tbs, key))
+    (workdir / "oids.conf").write_bytes(table)
+    monkeypatch.setenv(algs.OID_TABLE_ENV, str(workdir / "oids.conf"))
+    assert run("verify", "c.pem") == 0
+    assert capsys.readouterr().out == "native signature: valid\n"
+    monkeypatch.delenv(algs.OID_TABLE_ENV)
+    assert run("verify", "c.pem") != 0
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key_oid", [oids.RSA_ENCRYPTION, oids.EC_PUBLIC_KEY],

@@ -274,3 +274,34 @@ def test_a_name_read_from_der_is_not_held_to_the_bounds():
     name = DistinguishedName.from_der_value(der.decode(blob))
     assert str(name) == "C=DEU,CN=" + "x" * 70
     assert der.encode(name.to_der_value()) == blob
+
+
+# -- OpenSSL's "/KEY=VALUE" form -------------------------------------------
+
+@pytest.mark.parametrize("text, rendered", [
+    ("/O=y/CN=x", "O=y,CN=x"),
+    ("/CN=x\\/z/O=q", "CN=x/z,O=q"),
+    ("/CN=a\\+b\\\\c=d", "CN=a\\+b\\\\c=d"),  # each "\" makes the next character literal
+    ("/cn=x/", "CN=x"),                       # a trailing "/" names nothing
+    ("/CN= x ", "CN=\\ x\\ "),                # and spaces stay, as OpenSSL keeps them
+    ("/", ""),
+])
+def test_the_openssl_form_reads_in_the_order_written(text, rendered):
+    assert str(parse_name(text)) == rendered
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("/CN=a+O=b", InvalidParameter, "multi-valued RDN"),
+    ("/CN=x\\", InvalidParameter, "trailing"),
+    ("/C=DEU", InvalidParameter, "exactly 2 characters"),
+    ("/C=D@", UnprintableValue, "not a PrintableString"),
+    ("/CN=" + "x" * 65, InvalidParameter, "1 to 64 characters"),
+    ("/XX=1", UnknownAttributeKey, "'XX'"),
+    ("/CN", UnknownAttributeKey, "'CN'"),
+    ("/CN/O=x", UnknownAttributeKey, "'CN/O'"),  # OpenSSL reads a key up to its "="
+    ("//CN=x", UnknownAttributeKey, "'/CN'"),
+    ("/CN=", EmptyValue, "empty value"),
+])
+def test_the_openssl_form_is_held_to_the_comma_forms_rules(text, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        parse_name(text)

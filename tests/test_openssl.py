@@ -10,7 +10,9 @@ import re
 import shutil
 import subprocess
 
+import cryptography.x509
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
 
 from pqcli import algs, cli, composite, der, pem, slhdsa, x509
 from pqcli.errors import KeyMismatch
@@ -361,3 +363,87 @@ def test_pem_that_openssl_writes_takes_the_one_call_path(tmp_path):
         blocks = pem._decode_lines(text)
         assert [block_label for block_label, _ in blocks] == [label]
         assert pem._decode_canonical(text) == blocks
+
+
+# -- PEM input as OpenSSL reads it ----------------------------------------
+
+@pytest.fixture(scope="module")
+def openssl_ec_files(tmp_path_factory):
+    """An ECDSA key, request and self-signed certificate as OpenSSL writes them."""
+    where = tmp_path_factory.mktemp("openssl-ec")
+    for args in (("genpkey", "-algorithm", "EC", "-pkeyopt", "ec_paramgen_curve:P-256",
+                  "-out", "key.pem"),
+                 ("req", "-new", "-key", "key.pem", "-subj", "/CN=pem", "-out", "req.pem"),
+                 ("req", "-new", "-x509", "-key", "key.pem", "-subj", "/CN=pem",
+                  "-out", "cert.pem")):
+        result = _openssl(*args, cwd=where)
+        assert result.returncode == 0, result.stderr
+    return where
+
+
+# per file: the OpenSSL command that reads it and writes its DER (a key's as
+# its SPKI), and the pqcli command that reads it
+_PEM_READERS = {
+    "cert": (("x509",), ["verify"]),
+    "req": (("req",), ["view"]),
+    "key": (("pkey", "-pubout"), ["csr", "-subj", "CN=pem", "-out", "out.pem", "-key"]),
+}
+
+
+def _pqcli_der(kind, path):
+    """The DER pqcli read from path: a key's as the SPKI of the request it made."""
+    if kind != "key":
+        return pem.read_block(path.read_bytes(), (pem.LABEL_CERTIFICATE, pem.LABEL_CSR))[1]
+    request = cryptography.x509.load_pem_x509_csr((path.parent / "out.pem").read_bytes())
+    return request.public_key().public_bytes(Encoding.DER, PublicFormat.SubjectPublicKeyInfo)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda data: b"caf\xe9 before\n" + data + b"caf\xe9 after\n",
+                 id="latin-1-lines"),
+    pytest.param(lambda data: b"\xef\xbb\xbf" + data, id="byte-order-mark"),
+])
+@pytest.mark.parametrize("kind", sorted(_PEM_READERS))
+def test_pem_input_openssl_reads_pqcli_reads(kind, edit, openssl_ec_files, tmp_path,
+                                             monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / f"{kind}.pem"
+    path.write_bytes(edit((openssl_ec_files / f"{kind}.pem").read_bytes()))
+    openssl_args, pqcli_argv = _PEM_READERS[kind]
+    result = _openssl(*openssl_args, "-in", path.name, "-outform", "DER", "-out", "o.der",
+                      cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert cli.main([*pqcli_argv, str(path)]) == 0
+    assert _pqcli_der(kind, path) == (tmp_path / "o.der").read_bytes()
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", sorted(_PEM_READERS))
+def test_a_byte_that_is_not_utf8_inside_a_body_line_is_refused(kind, openssl_ec_files,
+                                                               tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    data = (openssl_ec_files / f"{kind}.pem").read_bytes()
+    at = data.index(b"\n", data.index(b"-----\n") + 6) - 1  # the first body line's end
+    path = tmp_path / f"{kind}.pem"
+    path.write_bytes(data[:at] + b"\xe9" + data[at:])
+    openssl_args, pqcli_argv = _PEM_READERS[kind]
+    assert _openssl(*openssl_args, "-in", path.name, "-noout", cwd=tmp_path).returncode != 0
+    assert cli.main([*pqcli_argv, str(path)]) == 4
+    assert "bad base64" in capsys.readouterr().err
+    assert not (tmp_path / "out.pem").exists()
+
+
+# -- OpenSSL's -subj form -------------------------------------------------
+
+@pytest.mark.parametrize("subject", ["/O=y/CN=x", "/CN=x\\/z/O=q", "/C=DE/ST=Bayern/CN=dev 1"])
+def test_the_openssl_subj_form_makes_the_name_openssl_makes(subject, tmp_path, capsys):
+    result = _openssl("req", "-new", "-x509", "-newkey", "ec", "-pkeyopt",
+                      "ec_paramgen_curve:P-256", "-nodes", "-keyout", "o.key", "-out", "o.pem",
+                      "-subj", subject, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert cli.main(["cert", "-newkey", "ecdsa", "-subj", subject,
+                     "-out", str(tmp_path / "p.pem"), "-keyout", str(tmp_path / "p.key")]) == 0
+    names = [cryptography.x509.load_pem_x509_certificate((tmp_path / name).read_bytes())
+             .subject.public_bytes() for name in ("o.pem", "p.pem")]
+    assert names[0] == names[1]
+    capsys.readouterr()

@@ -1,12 +1,16 @@
 import errno
 import os
+import random
 
+import cryptography.x509
 import pytest
+from cryptography.hazmat.primitives.serialization import Encoding
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pqcli import cli, pem
+from pqcli import algs, cli, pem, x509
 from pqcli.errors import MalformedPem
+from pqcli.names import parse_name
 
 
 def test_encode_decode_round_trip(rng):
@@ -152,6 +156,70 @@ def test_read_binary_file_raises(tmp_path):
     path.write_bytes(b"\xff\xfe\x00\x01")
     with pytest.raises(MalformedPem):
         pem.read_pem(path)
+
+
+# -- one rule for every PEM input ---------------------------------------
+
+_BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("before, after", [
+    (b"", b""),
+    (_BOM, b""),
+    (b"caf\xe9 \xff\n", b"\xe9t\xe9\n"),
+    (_BOM + b"\xe9\r\n", b"\r\nn\xe4chste"),
+], ids=["plain", "byte-order-mark", "latin-1-lines", "both"])
+def test_read_pem_and_read_block_read_the_same_bytes_alike(before, after, rng, tmp_path):
+    cert, key = rng.randbytes(70), rng.randbytes(50)
+    text = pem.encode_pem("CERTIFICATE", cert) + "junk\n" + pem.encode_pem("PRIVATE KEY", key)
+    data = before + text.encode() + after
+    (tmp_path / "in.pem").write_bytes(data)
+    blocks = pem.read_pem(tmp_path / "in.pem")
+    assert blocks == [("CERTIFICATE", cert), ("PRIVATE KEY", key)]
+    for label, payload in blocks:
+        assert pem.read_block(data, (label,)) == (label, payload)
+
+
+@pytest.mark.parametrize("line", [0, 1, -1], ids=["begin", "body", "end"])
+def test_a_byte_that_is_not_utf8_on_an_armor_or_body_line_is_refused(line, rng, tmp_path):
+    lines = pem.encode_pem("CERTIFICATE", rng.randbytes(70)).encode().split(b"\n")[:-1]
+    lines[line] += b"\xe9"
+    data = b"\n".join(lines) + b"\n"
+    (tmp_path / "in.pem").write_bytes(data)
+    with pytest.raises(MalformedPem) as from_file:
+        pem.read_pem(tmp_path / "in.pem")
+    with pytest.raises(MalformedPem) as from_bytes:
+        pem.read_block(data, ("CERTIFICATE",))
+    assert str(from_file.value) == str(from_bytes.value)
+
+
+@pytest.fixture(scope="module")
+def ec_certificate(ec_key):
+    name = parse_name("CN=spaces")
+    tbs = x509.build_tbs(name, name, algs.spki_for_key(ec_key), x509.default_validity(),
+                         algs.signature_algorithm_for(ec_key.spec), rng=random.Random(1))
+    return x509.sign_certificate(tbs, ec_key).emit()
+
+
+# RFC 7468 section 3 lets a parser ignore them; OpenSSL reads them at a line's
+# end and refuses them inside a line, as pqcli does, while cryptography reads both
+@pytest.mark.parametrize("where", ["end", "inside"])
+@pytest.mark.parametrize("char", ["\xa0", "\x85", "\v", "\f", "\u2028"],
+                         ids=lambda char: f"U+{ord(char):04X}")
+def test_unicode_whitespace_is_read_at_a_line_end_and_refused_inside(
+        char, where, ec_certificate, tmp_path, capsys):
+    lines = pem.encode_pem(pem.LABEL_CERTIFICATE, ec_certificate).split("\n")
+    lines[1] = lines[1] + char if where == "end" else lines[1][:10] + char + lines[1][10:]
+    data = "\n".join(lines).encode()
+    (tmp_path / "c.pem").write_bytes(data)
+    oracle = cryptography.x509.load_pem_x509_certificate(data).public_bytes(Encoding.DER)
+    assert oracle == ec_certificate
+    if where == "end":
+        assert pem.read_block(data, (pem.LABEL_CERTIFICATE,))[1] == oracle
+        assert cli.main(["view", str(tmp_path / "c.pem")]) == 0
+    else:
+        assert cli.main(["view", str(tmp_path / "c.pem")]) == 4
+        assert capsys.readouterr().err.startswith("pqcli: bad base64 in CERTIFICATE block")
 
 
 # -- the one-call path against the line loop ----------------------------
