@@ -6,8 +6,8 @@ alternative (Catalyst) signature invalid or unsupported (the issuer has
 no alternative key), or delta signature invalid, 7 composite signature
 invalid. All diagnostics go to stderr, warnings as "warning: ..." lines;
 artifacts and reports go to stdout. No prompts anywhere.
-Commands only print: pem.read_block, x509.read_document and
-x509.verify_issued read the inputs and make every decision.
+Commands only print: pem.read_block, x509.read_document and x509.verify_issued
+read the inputs, a certificate or a request alike, and make every decision.
 """
 
 from __future__ import annotations
@@ -79,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     view.set_defaults(func=cmd_view)
 
     verify = sub.add_parser("verify", allow_abbrev=False,
-                            help="check every signature path of a certificate")
+                            help="check every signature path of a certificate or request")
     verify.add_argument("-CAfile", metavar="PATH",
-                        help="issuer certificate (default: the certificate itself)")
+                        help="issuer certificate (default: the document itself)")
     verify.add_argument("path", metavar="PATH")
     verify.set_defaults(func=cmd_verify)
     return parser
@@ -250,10 +250,10 @@ def cmd_view(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = x509.parse_certificate(pathlib.Path(args.path).read_bytes())
+    doc = x509.read_document(pathlib.Path(args.path).read_bytes())
     ca = (x509.parse_certificate(pathlib.Path(args.CAfile).read_bytes())
-          if args.CAfile else cert)
-    report = x509.verify_issued(cert, ca)
+          if args.CAfile else doc)
+    report = x509.verify_issued(doc, ca)
 
     if report.composite_components is not None:
         if not report.composite_components:

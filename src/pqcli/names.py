@@ -37,13 +37,15 @@ _KEY_BY_OID = {oid: key for key, (oid, *_) in _ATTRIBUTES.items()}
 _STRINGS = {der.UTF8_STRING: der.utf8, der.PRINTABLE_STRING: der.printable,
             der.IA5_STRING: der.ia5}
 
-# RFC 4514 2.4: these characters anywhere, a leading '#' or space, a trailing space
-_ESCAPED = re.compile(r'["+,;<>\\]|^[# ]| \Z')
+# RFC 4514 2.4: these characters anywhere, a leading '#' or space, a trailing space;
+# as \XX pairs, NUL and other whitespace at either end, which parse_name strips
+_ESCAPED = re.compile(r'["+,;<>\\]|^[# ]| \Z|(\0|^\s|\s\Z)')
 
 
 def _escape(value: str) -> str:
-    """An attribute value as RFC 4514 writes it, NUL as \\00."""
-    return _ESCAPED.sub(r"\\\g<0>", value).replace("\0", "\\00")
+    """An attribute value as RFC 4514 writes it."""
+    return _ESCAPED.sub(lambda c: "".join(f"\\{b:02x}" for b in c[1].encode()) if c[1]
+                        else "\\" + c[0], value)
 
 
 class NameAttribute(NamedTuple):
@@ -100,17 +102,22 @@ class DistinguishedName(NamedTuple):
 
 
 def parse_name(text: str) -> DistinguishedName:
-    """Parse "KEY=VALUE,KEY=VALUE", or OpenSSL's "/KEY=VALUE/KEY=VALUE",
-    into a name in the order written. Keys are case-insensitive."""
+    """Parse "KEY=VALUE,KEY=VALUE", with str()'s escapes, or OpenSSL's
+    "/KEY=VALUE/KEY=VALUE" into a name in the order written; keys are case-insensitive."""
     openssl_form = text.startswith("/")
-    parts = _openssl_parts(text) if openssl_form else [
-        part.partition("=") for part in map(str.strip, text.split(",")) if part]
     attrs = []
-    for key, sep, value in parts:
+    for key, sep, value in _parts(text, openssl_form):
         part, key = key + sep + value, key.strip().upper()
-        value = value if openssl_form else value.strip()  # OpenSSL keeps the spaces
+        if not openssl_form:  # a "\" ending an odd run of them keeps the whitespace after it
+            part, stripped = part.strip(), value.strip()
+            odd = stripped.endswith("\\") and (len(stripped) - len(stripped.rstrip("\\"))) % 2
+            value = value.lstrip()[:len(stripped) + 1] if odd else stripped
+        if not part:  # an empty attribute, or a trailing "/", names nothing
+            continue
         if not sep or key not in _ATTRIBUTES:
             raise UnknownAttributeKey(f"unknown name attribute {key or part!r}")
+        if "\\" in value:
+            value = _unescape(value, hex_pairs=not openssl_form)
         if not value:
             raise EmptyValue(f"attribute {key} has an empty value")
         oid, tag, shortest, longest = _ATTRIBUTES[key]
@@ -123,25 +130,38 @@ def parse_name(text: str) -> DistinguishedName:
     return DistinguishedName(tuple(attrs))
 
 
-# one attribute of OpenSSL's -subj form, "/KEY=VALUE": the key runs to the
-# first "=", the value to the next unescaped "/" or "+", and "\" makes the
-# character after it literal. Compiled, and cached by re, on first use, not at
-# import: every pqcli process imports this module, and few read this form.
-_OPENSSL_PART = r"/([^=]*)(=?)((?:[^/+\\]|\\.)*)"
+# one attribute of the comma form (at the start or after a ",") or of OpenSSL's
+# "/KEY=VALUE": the key runs to the first "=", the value to the next unescaped
+# "," or "/" or "+". Compiled, and cached by re, on first use, not at import:
+# every pqcli process imports this module, and few parse a name.
+_PARTS = (r"(?:,|^)([^=,]*)(=?)((?:[^,\\]|\\.)*)", r"/([^=]*)(=?)((?:[^/+\\]|\\.)*)")
 
 
-def _openssl_parts(text: str) -> list[tuple[str, str, str]]:
-    """(key, sep, value) of each attribute of OpenSSL's -subj form, as
-    str.partition splits "KEY=VALUE", with the value's escapes read. An
-    unescaped "+" would add the next attribute to this RDN, which
-    parse_name does not write, so it is refused."""
-    parts, at, match = [], 0, re.compile(_OPENSSL_PART, re.S).match
+def _parts(text: str, openssl_form: bool) -> list[tuple[str, str, str]]:
+    """(key, sep, value) of each attribute, as str.partition splits
+    "KEY=VALUE", escapes unread. An unescaped "+" in OpenSSL's form would
+    add the next attribute to this RDN, which parse_name does not write, so
+    it is refused."""
+    if not (openssl_form or "\\" in text):  # no escape to step over
+        return [part.partition("=") for part in text.split(",")]
+    parts, at, match = [], 0, re.compile(_PARTS[openssl_form], re.S).match
     while at < len(text):
         part = match(text, at)
         if part is None:
             found = "a multi-valued RDN ('+')" if text[at] == "+" else "a trailing '\\'"
             raise InvalidParameter(f"-subj holds {found}: {text!r}")
-        if part[0] != "/":  # a trailing "/" names nothing
-            parts.append((part[1], part[2], re.sub(r"\\(.)", r"\1", part[3], flags=re.S)))
+        parts.append(part.groups())
         at = part.end()
     return parts
+
+
+def _unescape(value: str, hex_pairs: bool) -> str:
+    """value with "\\" and the character after it read as that character and,
+    with hex_pairs (RFC 4514 2.4), each run of \\XX pairs as the UTF-8 it spells."""
+    def read(escape):
+        try:
+            return escape[1] or bytes.fromhex(escape[0].replace("\\", "")).decode()
+        except UnicodeDecodeError:
+            raise InvalidParameter(f"{escape[0]} in -subj is not UTF-8") from None
+    pairs = r"(?:\\[0-9A-Fa-f]{2})+|" if hex_pairs else ""
+    return re.sub(pairs + r"\\(.)", read, value, flags=re.S)

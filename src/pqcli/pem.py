@@ -104,7 +104,8 @@ def _text(data: bytes) -> str:
 def read_block(data: bytes, labels) -> tuple[str | None, bytes]:
     """(label, DER) of the first block whose label comes earliest in labels,
     the armor decoded once; DER passes through unchanged as (None, data).
-    PEM is read by the module's one rule, as read_pem reads it."""
+    PEM is read by the module's one rule, as read_pem reads it. Without
+    such a block, MalformedPem names the labels the text held."""
     # DER certificates, requests and keys are one SEQUENCE, and their names
     # may hold the BEGIN text
     if b"-----BEGIN" not in data or _is_one_sequence(data):
@@ -113,7 +114,8 @@ def read_block(data: bytes, labels) -> tuple[str | None, bytes]:
     for label in labels:
         if label in blocks:
             return label, blocks[label]
-    raise MalformedPem(f"no {' or '.join(labels)} block in PEM input")
+    raise MalformedPem(f"no {' or '.join(labels)} block in PEM input "
+                       f"(found {', '.join(reversed(blocks))})")
 
 
 def _is_one_sequence(data: bytes) -> bool:

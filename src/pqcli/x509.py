@@ -11,9 +11,9 @@ the one that signs them: sign_certificate issues every shape, the Catalyst
 two-pass being its alternative-key branch, and describe_delta derives the
 descriptor that reconstruct_delta reads. catalyst, composite and chameleon
 keep thin issuing entry points over it. read_document and verify_issued
-make every decision pqcli view and verify need, and every signature
-verdict, on every path and for requests, comes from one check that also
-requires the declared algorithm to be the key's. Each field shape the TBS,
+make every decision pqcli view and verify need, for a certificate or a
+request alike; every signature verdict, on every path, comes from one check
+that also requires the declared algorithm to be the key's. Each field shape the TBS,
 the delta descriptor and the request share (an extension list, an EXPLICIT
 [n] wrapper) has one encoder and one decoder; a validity is kept as the
 SEQUENCE read or built, and re-emitted as is. The Catalyst triple has one
@@ -675,6 +675,20 @@ def verify_certificate_signature(
     return outcome or CompositeVerification((), False, "issuer key is not a usable composite key")
 
 
+def _signature_report(spki: algs.SubjectPublicKeyInfo, declared_alg, message: bytes,
+                      signature: bytes, notes=(), key="issuer key") -> VerificationReport:
+    """_check_signature's verdict as the report of a certificate or request:
+    after notes, why the key (so named) or a composite signature went unchecked."""
+    native, outcome = _check_signature(spki, declared_alg, message, signature)
+    if native == UNSUPPORTED:
+        notes += (f"{key} algorithm not recognized",)
+    if outcome is None:
+        return VerificationReport(native, None, None, notes)
+    notes += (outcome.note,) if outcome.note else ()
+    return VerificationReport(native, None, outcome.components, notes,
+                              composite_parts=outcome.parts)
+
+
 def verify_certificate(cert: CertificateDocument,
                        issuer_spki: algs.SubjectPublicKeyInfo,
                        at_time: datetime.datetime | None = None,
@@ -697,46 +711,41 @@ def verify_certificate(cert: CertificateDocument,
         notes.append("self-signed (subject equals issuer)")
     if cert.tbs.signature_alg != cert.signature_alg:
         notes.append("signature algorithm differs between TBS and certificate")
-
-    native, outcome = _check_signature(issuer_spki, _outer_alg(cert),
-                                       cert.tbs_der, cert.signature)
-    if native == UNSUPPORTED:
-        notes.append("issuer key algorithm not recognized")
-    if outcome is not None and outcome.note:
-        notes.append(outcome.note)
-
-    alt = None
-    if cert.has_alt_extensions():
-        if alt_issuer_spki is None and issuer_spki != cert.tbs.spki:
-            alt = UNSUPPORTED
-            notes.append("issuer has no alternative key; alternative signature not checked")
-        else:
-            try:
-                alt = alt_verdict(cert, alt_issuer_spki)
-            except MalformedAltExtension as exc:
-                alt = INVALID
-                notes.append(str(exc))
-    if outcome is None:
-        return VerificationReport(native, alt, None, tuple(notes))
-    return VerificationReport(native, alt, outcome.components, tuple(notes),
-                              composite_parts=outcome.parts)
+    report = _signature_report(issuer_spki, _outer_alg(cert), cert.tbs_der, cert.signature,
+                               tuple(notes))
+    if not cert.has_alt_extensions():
+        return report
+    alt, note = UNSUPPORTED, "issuer has no alternative key; alternative signature not checked"
+    if alt_issuer_spki is not None or issuer_spki == cert.tbs.spki:
+        try:
+            alt, note = alt_verdict(cert, alt_issuer_spki), None
+        except MalformedAltExtension as exc:
+            alt, note = INVALID, str(exc)
+    chain_notes = report.chain_notes + ((note,) if note else ())
+    return report._replace(alt_sig=alt, chain_notes=chain_notes)
 
 
-def verify_issued(cert: CertificateDocument,
-                  issuer: CertificateDocument) -> VerificationReport:
-    """verify_certificate under the issuer certificate (cert itself for the
+def verify_issued(doc: CertificateDocument | CsrDocument,
+                  issuer: CertificateDocument | CsrDocument) -> VerificationReport:
+    """verify_certificate under the issuer certificate (doc itself for the
     self-signed reading) and its alternative key, if its triple is complete,
-    plus delta_sig for a paired base. Never raises. A delta that fails to
-    rebuild is invalid, one not self-signed goes unchecked; a first note
-    says which."""
+    plus delta_sig for a paired base. Never raises for a certificate. A delta
+    that fails to rebuild is invalid, one not self-signed goes unchecked; a
+    first note says which. A request is checked under its own key alone: its
+    issuer must be itself (InvalidParameter otherwise)."""
+    if isinstance(doc, CsrDocument):
+        if issuer != doc:
+            raise InvalidParameter("a request is checked under its own key, not an issuer's")
+        return _signature_report(doc.spki, doc.signature_alg, doc.cri_der, doc.signature,
+                                 key="key")
     try:
         triple = CatalystExtensionTriple.from_certificate(issuer)
     except MalformedAltExtension:
         triple = None
-    report = verify_certificate(cert, issuer.tbs.spki,
+    report = verify_certificate(doc, issuer.tbs.spki,
                                 alt_issuer_spki=triple.alt_spki if triple else None)
     try:
-        delta = reconstruct_delta(cert)
+        delta = reconstruct_delta(doc)
     except NoDescriptor:
         return report
     except ReconstructionMismatch as exc:
@@ -833,7 +842,7 @@ def read_document(data: bytes) -> CertificateDocument | CsrDocument:
     """The certificate in DER or PEM data or, failing that, the request:
     from PEM the first CERTIFICATE block, else the first CERTIFICATE REQUEST
     block; DER that parse_certificate rejects is read as a request, and if
-    that fails too, a DerError of the certificate stands."""
+    that fails too, the error of the document whose shape it has stands."""
     label, blob = pem.read_block(data, (pem.LABEL_CERTIFICATE, pem.LABEL_CSR))
     if label == pem.LABEL_CSR:
         return parse_csr(blob)
@@ -842,17 +851,22 @@ def read_document(data: bytes) -> CertificateDocument | CsrDocument:
     except (NotACertificate, DerError) as exc:
         if label is not None:
             raise
-        error = exc if isinstance(exc, DerError) else NotACertificate(
-            "input is neither a certificate nor a request")
+        error = exc
     try:
         return parse_csr(blob)
-    except (NotACsr, DerError):
-        raise error from None
+    except (NotACsr, DerError) as exc:
+        try:  # a request's info: version, then a Name of SETs; a v1 TBS: serial, then algorithm
+            version, name = der.decode(blob).children[0].children[:2]
+            request_shaped = version.tag == der.INTEGER and all(rdn.tag == der.SET
+                                                                for rdn in name.children)
+        except (DerError, IndexError, ValueError):
+            request_shaped = False
+        raise (exc if request_shaped else error) from None
 
 
 def verify_csr(doc: CsrDocument) -> bool:
-    """Self-signature check against the key inside the request."""
-    return _check_signature(doc.spki, doc.signature_alg, doc.cri_der, doc.signature)[0] == VALID
+    """Whether verify_issued finds the request's self-signature valid."""
+    return verify_issued(doc, doc).all_valid
 
 
 # -- rendering ----------------------------------------------------------

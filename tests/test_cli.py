@@ -292,11 +292,21 @@ def test_a_pem_file_without_the_block_names_every_label_looked_for(workdir, caps
     capsys.readouterr()
     assert run("view", "k.pem") == 4
     assert capsys.readouterr().err == (
-        "pqcli: no CERTIFICATE or CERTIFICATE REQUEST block in PEM input\n")
+        "pqcli: no CERTIFICATE or CERTIFICATE REQUEST block in PEM input (found PRIVATE KEY)\n")
     assert run("verify", "k.pem") == 4
-    assert capsys.readouterr().err == "pqcli: no CERTIFICATE block in PEM input\n"
+    assert capsys.readouterr().err == (
+        "pqcli: no CERTIFICATE or CERTIFICATE REQUEST block in PEM input (found PRIVATE KEY)\n")
     assert run("csr", "-key", "c.pem", "-subj", "CN=x") == 4
-    assert capsys.readouterr().err == "pqcli: no PRIVATE KEY block in PEM input\n"
+    assert capsys.readouterr().err == (
+        "pqcli: no PRIVATE KEY block in PEM input (found CERTIFICATE)\n")
+
+
+def test_an_encrypted_key_is_named_as_what_the_pem_held(workdir, capsys):
+    pem.write_pem(workdir / "enc.pem", "ENCRYPTED PRIVATE KEY", b"\x30\x00")
+    assert run("csr", "-key", "enc.pem", "-subj", "CN=x") == 4
+    assert capsys.readouterr() == (
+        "", "pqcli: no PRIVATE KEY block in PEM input (found ENCRYPTED PRIVATE KEY)\n")
+    assert not (workdir / "csr.pem").exists()
 
 
 def test_view_decodes_pem_once(workdir, capsys, monkeypatch):
@@ -310,6 +320,10 @@ def test_view_decodes_pem_once(workdir, capsys, monkeypatch):
         calls.clear()
         assert run("view", path) == 0
         assert subject in capsys.readouterr().out
+        assert len(calls) == 1
+        calls.clear()
+        assert run("verify", path) == 0
+        assert capsys.readouterr().out == "native signature: valid\n"
         assert len(calls) == 1
 
 
@@ -422,6 +436,26 @@ def test_garbage_input_is_parse_error(workdir, capsys):
     capsys.readouterr()
 
 
+def test_der_that_is_neither_document_gives_the_error_of_its_shape(workdir, capsys, ec_key):
+    """view and verify read through one reader. When DER is neither
+    document, the request parse's reason stands for a signed part shaped as
+    a request's info, the certificate parse's reason otherwise."""
+    run("cert", "-newkey", "ECDSA", "--der", "-out", "c.der", "-keyout", "k.der")
+    (workdir / "t.der").write_bytes((workdir / "c.der").read_bytes()[:-7])
+    request = bytearray(x509.build_csr(parse_name("CN=device"), ec_key).emit())
+    version = der.tlv_bounds(request, der.tlv_bounds(request, 0)[0])[0]
+    assert request[version:version + 3] == b"\x02\x01\x00"
+    request[version + 2] = 1
+    (workdir / "r.der").write_bytes(request)
+    capsys.readouterr()
+    for command in ("view", "verify"):
+        assert run(command, "t.der") == 4
+        assert capsys.readouterr() == (
+            "", "pqcli: not valid DER: content extends past end of input\n")
+        assert run(command, "r.der") == 4
+        assert capsys.readouterr() == ("", "pqcli: unsupported request version\n")
+
+
 def test_deep_nesting_is_parse_error(workdir, capsys):
     blob = b"\x30\x00"
     for _ in range(2999):
@@ -532,6 +566,51 @@ def test_verify_with_ca_file(workdir, capsys, rng):
     # without the CA the leaf's own key is the wrong issuer
     assert run("verify", "leaf.pem") == 5
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("as_der", [False, True], ids=["pem", "der"])
+@pytest.mark.parametrize("shape", ["rsa_key", "ec_key", "ml2_key", "slh_key", "composite"])
+def test_verify_checks_a_request_as_it_checks_a_certificate(workdir, capsys, request, rng,
+                                                            shape, as_der):
+    key = (algs.generate_keypair(algs.parse_alg_spec("ml-dsa:2_ecdsa"), rng)
+           if shape == "composite" else request.getfixturevalue(shape))
+    blob = x509.build_csr(parse_name("CN=device"), key).emit()
+    flipped = blob[:-1] + bytes([blob[-1] ^ 1])
+    for data, verdict in ((blob, "valid"), (flipped, "invalid")):
+        text = data if as_der else pem.encode_pem(pem.LABEL_CSR, data).encode()
+        (workdir / "r").write_bytes(text)
+        code = run("verify", "r")
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        if shape == "composite":  # the last byte is the ECDSA part's
+            assert code == (0 if verdict == "valid" else 7)
+            assert captured.out == ("component 1 (ml-dsa:2): valid\n"
+                                    f"component 2 (ecdsa:P-256): {verdict}\n")
+        else:
+            assert code == (0 if verdict == "valid" else 5)
+            assert captured.out == f"native signature: {verdict}\n"
+
+
+def test_a_request_under_a_key_pqcli_does_not_know_warns_of_its_own_key(workdir, capsys,
+                                                                         ec_key):
+    """A request has no issuer, so the note names its key alone."""
+    blob = x509.build_csr(parse_name("CN=device"), ec_key).emit()
+    id_ec = der.encode(der.oid_value(oids.EC_PUBLIC_KEY))
+    assert blob.count(id_ec) == 1
+    (workdir / "r.der").write_bytes(blob.replace(id_ec, id_ec[:-1] + b"\x02"))
+    assert run("verify", "r.der") == 5
+    assert capsys.readouterr() == ("native signature: unsupported\n",
+                                   "warning: key algorithm not recognized\n")
+
+
+def test_a_request_with_a_ca_file_is_a_usage_error(workdir, capsys):
+    """A request is checked under its own key, even when the CA holds it."""
+    run("cert", "-newkey", "ECDSA", "-out", "c.pem", "-keyout", "k.pem")
+    run("csr", "-key", "k.pem", "-subj", "CN=x", "-out", "r.pem")
+    capsys.readouterr()
+    assert run("verify", "-CAfile", "c.pem", "r.pem") == 2
+    assert capsys.readouterr() == (
+        "", "pqcli: a request is checked under its own key, not an issuer's\n")
 
 
 def test_declared_algorithm_that_disagrees_with_the_ca_key_exits_5(

@@ -2,7 +2,7 @@ import cryptography.x509
 import pytest
 
 from pqcli import algs, cli, der, oids, pem, x509
-from pqcli.errors import AlgorithmMismatch, DuplicateExtension, NotACsr
+from pqcli.errors import AlgorithmMismatch, DuplicateExtension, InvalidParameter, NotACsr
 from pqcli.names import parse_name
 
 
@@ -94,6 +94,23 @@ def test_composite_csr_self_signature(rng):
     # the signature is a sequence of per-component bit strings
     parts = der.decode(back.signature)
     assert len(parts.children) == 2
+
+
+def test_verify_issued_reports_a_request_and_verify_csr_is_its_truth_value(rng):
+    key = algs.generate_keypair(algs.parse_alg_spec("ml-dsa:2_ecdsa"), rng)
+    doc = x509.build_csr(parse_name("CN=fused"), key)
+    report = x509.verify_issued(doc, doc)
+    assert report == (x509.VALID, None, (x509.VALID, x509.VALID), (), None,
+                      report.composite_parts)
+    assert [part.spec for part in report.composite_parts] == list(key.spec.components)
+    forged = doc._replace(signature=doc.signature[:-1] + bytes([doc.signature[-1] ^ 1]))
+    assert x509.verify_issued(forged, forged).composite_components == (x509.VALID, x509.INVALID)
+    assert x509.verify_csr(doc) is True and x509.verify_csr(forged) is False
+    cert = x509.sign_certificate(x509.build_tbs(doc.subject, doc.subject, doc.spki,
+                                                x509.default_validity(1),
+                                                doc.signature_alg), key)
+    with pytest.raises(InvalidParameter, match="checked under its own key"):
+        x509.verify_issued(doc, cert)
 
 
 def test_parse_rejects_non_csr():

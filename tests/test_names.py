@@ -1,10 +1,13 @@
 import re
+import time
 import warnings
 
 import cryptography.x509
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pqcli import der
+from pqcli import der, names
 from pqcli.errors import (DerError, EmptyValue, InvalidParameter, UnknownAttributeKey,
                           UnprintableValue)
 from pqcli.names import DistinguishedName, NameAttribute, parse_name
@@ -305,3 +308,63 @@ def test_the_openssl_form_reads_in_the_order_written(text, rendered):
 def test_the_openssl_form_is_held_to_the_comma_forms_rules(text, error, message):
     with pytest.raises(error, match=re.escape(message)):
         parse_name(text)
+
+
+# -- the comma form reads what str() writes ---------------------------------
+
+@pytest.mark.parametrize("text, values", [
+    ("CN=a\\,O=evil", ["a,O=evil"]),
+    ('CN=\\"\\+\\;\\<\\>\\\\', ['"+;<>\\']),
+    ("CN=\\#x\\ ,O=\\ y", ["#x ", " y"]),  # a leading "#", spaces at either end
+    ("CN=\\00\\c3\\A9\\41", ["\0éA"]),     # \XX pairs, a run of them as UTF-8
+    ("CN=\\\\41", ["\\41"]),                 # an escaped "\" starts no pair
+    ("CN=a \\ , O = b ", ["a  ", "b"]),      # unescaped whitespace is stripped
+])
+def test_the_comma_form_reads_rfc_4514_escapes(text, values):
+    assert [attr.value for attr in parse_name(text).attributes] == values
+
+
+@pytest.mark.parametrize("text, message", [
+    ("CN=a\\", "-subj holds a trailing '\\'"),
+    ("CN=\\ff", "\\ff in -subj is not UTF-8"),
+    ("CN=\\c3", "\\c3 in -subj is not UTF-8"),
+])
+def test_an_escape_that_reads_as_nothing_is_refused(text, message):
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        parse_name(text)
+
+
+def test_a_long_run_of_inner_whitespace_is_stripped_in_linear_time():
+    """The value's ends are found in one pass over it: a quadratic strip
+    would take minutes on these 10**5 spaces, this one milliseconds."""
+    started = time.perf_counter()
+    with pytest.raises(InvalidParameter, match="not 100003"):
+        parse_name("CN=a\\ " + " " * 10**5 + "b,O=x")
+    assert time.perf_counter() - started < 2
+
+
+def test_whitespace_at_either_end_of_a_value_prints_as_hex_pairs():
+    name = DistinguishedName((NameAttribute(AT_COMMON_NAME, "\ta\u3000"),
+                              NameAttribute(AT_ORGANIZATION, " \n ")))
+    assert str(name) == "CN=\\09a\\e3\\80\\80,O=\\ \n\\ "
+    assert parse_name(str(name)) == name
+
+
+@st.composite
+def _single_valued_attribute(draw):
+    key = draw(st.sampled_from(sorted(names._ATTRIBUTES)))
+    oid, tag, shortest, longest = names._ATTRIBUTES[key]
+    if tag == der.PRINTABLE_STRING:
+        alphabet = st.sampled_from(sorted(der.PRINTABLE_ALPHABET))
+    else:  # RFC 4514's specials, whitespace and NUL, or any character a UTF8String holds
+        alphabet = st.one_of(st.sampled_from('"+,;<>\\#=/ \t\n\r\x0b\x0c\x00\xa0\u2028'),
+                             st.characters(exclude_categories=("Cs",)))
+    value = draw(st.text(alphabet, min_size=shortest, max_size=min(longest, 16)))
+    return NameAttribute(oid, value, tag)
+
+
+@settings(max_examples=500, database=None, deadline=None)
+@given(st.lists(_single_valued_attribute(), max_size=4))
+def test_a_name_parses_back_from_the_text_it_prints(attributes):
+    name = DistinguishedName(tuple(attributes))
+    assert parse_name(str(name)) == name

@@ -242,6 +242,43 @@ def test_openssl_rejects_composite_certificate(keys, tmp_path):
     assert "unable to get certs public key" in result.stderr
 
 
+# -- requests: openssl req -verify and pqcli verify agree ---------------
+
+# each shape: the conftest key fixture pqcli signs with, and openssl req's -newkey
+_REQUEST_SHAPES = {
+    "rsa": ("rsa_key", ["rsa:2048"]),
+    "ecdsa": ("ec_key", ["ec", "-pkeyopt", "ec_paramgen_curve:P-256"]),
+    "ml-dsa-44": ("ml2_key", ["ML-DSA-44"]),
+    "slh-dsa-shake-128f": ("slh_key", ["SLH-DSA-SHAKE-128f"]),
+}
+
+
+@pytest.mark.parametrize("flipped", [False, True], ids=["intact", "flipped"])
+@pytest.mark.parametrize("maker", ["pqcli", "openssl"])
+@pytest.mark.parametrize("shape", [
+    pytest.param(shape, marks=() if shape in ("rsa", "ecdsa") else post_quantum)
+    for shape in _REQUEST_SHAPES])
+def test_openssl_and_pqcli_verify_agree_on_a_request(shape, maker, flipped, request, tmp_path,
+                                                     capsys):
+    fixture, newkey = _REQUEST_SHAPES[shape]
+    if maker == "pqcli":
+        blob = x509.build_csr(parse_name("CN=oracle"), request.getfixturevalue(fixture)).emit()
+    else:
+        made = _openssl("req", "-new", "-newkey", *newkey, "-nodes", "-keyout", "k.pem",
+                        "-subj", "/CN=oracle", "-outform", "DER", "-out", "r.der", cwd=tmp_path)
+        assert made.returncode == 0, made.stderr
+        blob = (tmp_path / "r.der").read_bytes()
+    if flipped:
+        blob = blob[:-1] + bytes([blob[-1] ^ 1])
+    pem.write_pem(tmp_path / "r.pem", pem.LABEL_CSR, blob)
+    # OpenSSL 3.0 exits 0 after "verify failure", so its verdict is read from the text
+    theirs = _openssl("req", "-verify", "-in", "r.pem", "-noout", cwd=tmp_path)
+    said = theirs.stdout + theirs.stderr
+    assert ("verify OK" in said, "verify failure" in said) == (not flipped, flipped), said
+    assert cli.main(["verify", str(tmp_path / "r.pem")]) == (5 if flipped else 0)
+    assert capsys.readouterr().out == f"native signature: {'invalid' if flipped else 'valid'}\n"
+
+
 # -- ML-DSA private keys in the forms OpenSSL writes --------------------
 
 _ML_DSA_LEVELS = {"ML-DSA-44": 2, "ML-DSA-65": 3, "ML-DSA-87": 5}
@@ -277,6 +314,9 @@ def test_openssl_ml_dsa_key_signs_a_request_openssl_accepts(name, form, tmp_path
     result = _openssl("req", "-in", "req.pem", "-verify", "-noout", cwd=tmp_path)
     assert result.returncode == 0, result.stderr
     assert "verify OK" in result.stdout + result.stderr
+    capsys.readouterr()
+    assert cli.main(["verify", str(tmp_path / "req.pem")]) == 0
+    assert capsys.readouterr().out == "native signature: valid\n"
 
 
 @post_quantum

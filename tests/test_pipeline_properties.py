@@ -5,7 +5,8 @@ and truncation. Every mutant goes through parse, verify, render and delta
 reconstruction in-process; a smaller sample goes through the CLI. Only a
 PqcliError may escape the library, verify_certificate never raises, and
 the CLI exits only with a documented code. Requests, PKCS#8 key files and
-certificate PEM text are mutated the same way, each through its reader.
+certificate PEM text are mutated the same way, each through its reader;
+the CLI sample draws requests too.
 Composite public keys, arbitrary or one byte off a real one, go through
 algs.read_spki and, as the issuer key, through verify_certificate.
 """
@@ -109,10 +110,11 @@ def mutant_path(tmp_path_factory):
 
 
 @settings(max_examples=150, **_SETTINGS)
-@given(data=st.data(), command=st.sampled_from(("verify", "view")))
-def test_cli_exits_with_documented_codes_on_mutants(corpus, mutant_path, data,
-                                                    command):
-    mutant_path.write_bytes(data.draw(mutants(corpus)))
+@given(data=st.data(), command=st.sampled_from(("verify", "view")),
+       of_requests=st.booleans())
+def test_cli_exits_with_documented_codes_on_mutants(corpus, requests, mutant_path, data,
+                                                    command, of_requests):
+    mutant_path.write_bytes(data.draw(mutants(requests if of_requests else corpus)))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = cli.main([command, str(mutant_path)])
