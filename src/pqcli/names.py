@@ -19,8 +19,8 @@ from .oids import (
     ObjectIdentifier,
 )
 
-# key -> (attribute OID, string tag parse_name gives its value, and the
-# bounds on its length in characters from RFC 5280 Appendix A)
+# key, spelt as OpenSSL prints it -> (attribute OID, string tag parse_name
+# gives its value, and its length bounds in characters, RFC 5280 Appendix A)
 _ATTRIBUTES: dict[str, tuple[ObjectIdentifier, int, int, int]] = {
     "CN": (AT_COMMON_NAME, der.UTF8_STRING, 1, 64),
     "C": (AT_COUNTRY, der.PRINTABLE_STRING, 2, 2),
@@ -28,10 +28,11 @@ _ATTRIBUTES: dict[str, tuple[ObjectIdentifier, int, int, int]] = {
     "L": (AT_LOCALITY, der.UTF8_STRING, 1, 128),
     "O": (AT_ORGANIZATION, der.UTF8_STRING, 1, 64),
     "OU": (AT_ORG_UNIT, der.UTF8_STRING, 1, 64),
-    "SERIALNUMBER": (AT_SERIAL_NUMBER, der.PRINTABLE_STRING, 1, 64),  # X520SerialNumber
+    "serialNumber": (AT_SERIAL_NUMBER, der.PRINTABLE_STRING, 1, 64),  # X520SerialNumber
 }
 
 _KEY_BY_OID = {oid: key for key, (oid, *_) in _ATTRIBUTES.items()}
+_BY_UPPER_KEY = {key.upper(): row for key, row in _ATTRIBUTES.items()}  # what parse_name reads
 
 # the string types DerValue.as_text reads, each with its encoder
 _STRINGS = {der.UTF8_STRING: der.utf8, der.PRINTABLE_STRING: der.printable,
@@ -114,13 +115,13 @@ def parse_name(text: str) -> DistinguishedName:
             value = value.lstrip()[:len(stripped) + 1] if odd else stripped
         if not part:  # an empty attribute, or a trailing "/", names nothing
             continue
-        if not sep or key not in _ATTRIBUTES:
+        if not sep or key not in _BY_UPPER_KEY:
             raise UnknownAttributeKey(f"unknown name attribute {key or part!r}")
         if "\\" in value:
             value = _unescape(value, hex_pairs=not openssl_form)
         if not value:
             raise EmptyValue(f"attribute {key} has an empty value")
-        oid, tag, shortest, longest = _ATTRIBUTES[key]
+        oid, tag, shortest, longest = _BY_UPPER_KEY[key]
         if tag == der.PRINTABLE_STRING and not der.PRINTABLE_ALPHABET.issuperset(value):
             raise UnprintableValue(f"attribute {key} is not a PrintableString: {value!r}")
         if not shortest <= len(value) <= longest:

@@ -13,11 +13,12 @@ descriptor that reconstruct_delta reads. catalyst, composite and chameleon
 keep thin issuing entry points over it. read_document and verify_issued
 make every decision pqcli view and verify need, for a certificate or a
 request alike; every signature verdict, on every path, comes from one check
-that also requires the declared algorithm to be the key's. Each field shape the TBS,
-the delta descriptor and the request share (an extension list, an EXPLICIT
-[n] wrapper) has one encoder and one decoder; a validity is kept as the
-SEQUENCE read or built, and re-emitted as is. The Catalyst triple has one
-reader, which render_text prints from.
+that also requires the declared algorithm to be the key's and builds the
+report of what it checked. Each field shape the TBS, the delta descriptor
+and the request share (an extension list, an EXPLICIT [n] wrapper) has one
+encoder and one decoder; a validity is kept as the SEQUENCE read or built,
+and re-emitted as is. The Catalyst triple has one reader, which render_text
+prints from.
 One check allows each extension type once (RFC 5280 4.2): building a TBS
 or a request raises DuplicateExtension, and reading a list, BadValue.
 """
@@ -487,7 +488,7 @@ def reconstruct_delta(base: CertificateDocument) -> CertificateDocument:
                   **fields)
     doc = CertificateDocument(tbs, tbs.der, tbs.signature_alg, descriptor.signature_value)
     if tbs.subject == tbs.issuer and _check_signature(
-            tbs.spki, doc.signature_alg, doc.tbs_der, doc.signature)[0] != VALID:
+            tbs.spki, doc.signature_alg, doc.tbs_der, doc.signature).native_sig != VALID:
         raise ReconstructionMismatch(
             "reconstructed delta certificate fails signature verification")
     return doc
@@ -605,7 +606,7 @@ def alt_verdict(cert: CertificateDocument,
         raise MalformedAltExtension("certificate carries no alternative extensions")
     spki = alt_issuer_spki if alt_issuer_spki is not None else triple.alt_spki
     return _check_signature(spki, triple.alt_sig_alg, alt_preimage(cert.tbs_der),
-                            triple.alt_sig_value)[0]
+                            triple.alt_sig_value).native_sig
 
 
 # -- composite: one signature value, a verdict per component ---------------
@@ -636,30 +637,34 @@ def composite_verify(key: algs.CompositeKeyMaterial, message: bytes,
 
 def _check_signature(spki: algs.SubjectPublicKeyInfo,
                      declared_alg: algs.AlgorithmIdentifier | None,
-                     message: bytes, signature: bytes,
-                     ) -> tuple[str, CompositeVerification | None]:
-    """The one signature check behind every verdict: UNSUPPORTED for a key
-    algorithm not recognized, else INVALID unless declared_alg is the key's
-    and the signature verifies; plus a composite key's per-component
-    outcome. No declared_alg (see _outer_alg) matches no key."""
-    key = algs.read_spki(spki)
-    if key is None:
-        return UNSUPPORTED, None
-    declared_ok = declared_alg is not None and declared_alg.oid == algs.oid_for(key.spec)
-    if key.spec.family != algs.FAMILY_COMPOSITE:
-        ok = declared_ok and algs.verify(key.spec, spki.key_bits, message, signature)
-        return (VALID if ok else INVALID), None
-    if not declared_ok:
-        return INVALID, CompositeVerification(
-            (), False, declared_alg and "signature algorithm does not match the composite key",
-            key.components)
-    try:
-        sig = algs.CompositeSignatureValue.from_der(signature)
-    except DerError:
-        return INVALID, CompositeVerification(
-            (), False, "signature is not a sequence of bit strings", key.components)
-    outcome = composite_verify(key, message, sig)
-    return (VALID if outcome.overall else INVALID), outcome
+                     message: bytes, signature: bytes, key: str = "issuer key",
+                     ) -> VerificationReport:
+    """The one signature check behind every verdict, as the report of a
+    certificate or request: UNSUPPORTED for a key algorithm not recognized,
+    with a note that calls the key by the name key, else INVALID unless
+    declared_alg is the key's and the signature verifies. A composite key
+    adds its components, as read, and each one's verdict, or a note on why
+    none was checked. No declared_alg (see _outer_alg) matches no key."""
+    material = algs.read_spki(spki)
+    if material is None:
+        return VerificationReport(UNSUPPORTED, chain_notes=(f"{key} algorithm not recognized",))
+    declared_ok = declared_alg is not None and declared_alg.oid == algs.oid_for(material.spec)
+    if material.spec.family != algs.FAMILY_COMPOSITE:
+        ok = declared_ok and algs.verify(material.spec, spki.key_bits, message, signature)
+        return VerificationReport(VALID if ok else INVALID)
+    outcome = CompositeVerification(
+        (), False, declared_alg and "signature algorithm does not match the composite key",
+        material.components)
+    if declared_ok:
+        try:
+            sig = algs.CompositeSignatureValue.from_der(signature)
+        except DerError:
+            outcome = outcome._replace(note="signature is not a sequence of bit strings")
+        else:
+            outcome = composite_verify(material, message, sig)
+    return VerificationReport(VALID if outcome.overall else INVALID, None, outcome.components,
+                              (outcome.note,) if outcome.note else (),
+                              composite_parts=outcome.parts)
 
 
 def _outer_alg(cert: CertificateDocument) -> algs.AlgorithmIdentifier | None:
@@ -671,22 +676,12 @@ def _outer_alg(cert: CertificateDocument) -> algs.AlgorithmIdentifier | None:
 def verify_certificate_signature(
         cert, issuer_spki: algs.SubjectPublicKeyInfo) -> CompositeVerification:
     """Composite check of a certificate's outer signature over tbs_der."""
-    _, outcome = _check_signature(issuer_spki, _outer_alg(cert), cert.tbs_der, cert.signature)
-    return outcome or CompositeVerification((), False, "issuer key is not a usable composite key")
-
-
-def _signature_report(spki: algs.SubjectPublicKeyInfo, declared_alg, message: bytes,
-                      signature: bytes, notes=(), key="issuer key") -> VerificationReport:
-    """_check_signature's verdict as the report of a certificate or request:
-    after notes, why the key (so named) or a composite signature went unchecked."""
-    native, outcome = _check_signature(spki, declared_alg, message, signature)
-    if native == UNSUPPORTED:
-        notes += (f"{key} algorithm not recognized",)
-    if outcome is None:
-        return VerificationReport(native, None, None, notes)
-    notes += (outcome.note,) if outcome.note else ()
-    return VerificationReport(native, None, outcome.components, notes,
-                              composite_parts=outcome.parts)
+    report = _check_signature(issuer_spki, _outer_alg(cert), cert.tbs_der, cert.signature)
+    if report.composite_components is None:
+        return CompositeVerification((), False, "issuer key is not a usable composite key")
+    return CompositeVerification(report.composite_components, report.native_sig == VALID,
+                                 report.chain_notes[0] if report.chain_notes else None,
+                                 report.composite_parts)
 
 
 def verify_certificate(cert: CertificateDocument,
@@ -711,18 +706,17 @@ def verify_certificate(cert: CertificateDocument,
         notes.append("self-signed (subject equals issuer)")
     if cert.tbs.signature_alg != cert.signature_alg:
         notes.append("signature algorithm differs between TBS and certificate")
-    report = _signature_report(issuer_spki, _outer_alg(cert), cert.tbs_der, cert.signature,
-                               tuple(notes))
+    report = _check_signature(issuer_spki, _outer_alg(cert), cert.tbs_der, cert.signature)
+    notes.extend(report.chain_notes)
     if not cert.has_alt_extensions():
-        return report
+        return report._replace(chain_notes=tuple(notes))
     alt, note = UNSUPPORTED, "issuer has no alternative key; alternative signature not checked"
     if alt_issuer_spki is not None or issuer_spki == cert.tbs.spki:
         try:
             alt, note = alt_verdict(cert, alt_issuer_spki), None
         except MalformedAltExtension as exc:
             alt, note = INVALID, str(exc)
-    chain_notes = report.chain_notes + ((note,) if note else ())
-    return report._replace(alt_sig=alt, chain_notes=chain_notes)
+    return report._replace(alt_sig=alt, chain_notes=tuple(notes) + ((note,) if note else ()))
 
 
 def verify_issued(doc: CertificateDocument | CsrDocument,
@@ -736,8 +730,8 @@ def verify_issued(doc: CertificateDocument | CsrDocument,
     if isinstance(doc, CsrDocument):
         if issuer != doc:
             raise InvalidParameter("a request is checked under its own key, not an issuer's")
-        return _signature_report(doc.spki, doc.signature_alg, doc.cri_der, doc.signature,
-                                 key="key")
+        return _check_signature(doc.spki, doc.signature_alg, doc.cri_der, doc.signature,
+                                key="key")
     try:
         triple = CatalystExtensionTriple.from_certificate(issuer)
     except MalformedAltExtension:
@@ -841,27 +835,28 @@ def parse_csr(data: bytes) -> CsrDocument:
 def read_document(data: bytes) -> CertificateDocument | CsrDocument:
     """The certificate in DER or PEM data or, failing that, the request:
     from PEM the first CERTIFICATE block, else the first CERTIFICATE REQUEST
-    block; DER that parse_certificate rejects is read as a request, and if
-    that fails too, the error of the document whose shape it has stands."""
+    block; DER that parse_certificate rejects is read as a request only when
+    it is shaped as one, so each error is that of the document whose shape
+    the data has."""
     label, blob = pem.read_block(data, (pem.LABEL_CERTIFICATE, pem.LABEL_CSR))
     if label == pem.LABEL_CSR:
         return parse_csr(blob)
     try:
         return parse_certificate(blob)
-    except (NotACertificate, DerError) as exc:
-        if label is not None:
+    except (NotACertificate, DerError):
+        if label is not None or not _request_shaped(blob):
             raise
-        error = exc
+    return parse_csr(blob)
+
+
+def _request_shaped(blob: bytes) -> bool:
+    """Whether DER opens as a request's info does: a version INTEGER, then a
+    Name of SETs. A v1 TBS opens with a serial, then an algorithm SEQUENCE."""
     try:
-        return parse_csr(blob)
-    except (NotACsr, DerError) as exc:
-        try:  # a request's info: version, then a Name of SETs; a v1 TBS: serial, then algorithm
-            version, name = der.decode(blob).children[0].children[:2]
-            request_shaped = version.tag == der.INTEGER and all(rdn.tag == der.SET
-                                                                for rdn in name.children)
-        except (DerError, IndexError, ValueError):
-            request_shaped = False
-        raise (exc if request_shaped else error) from None
+        version, name = der.decode(blob).children[0].children[:2]
+    except (DerError, IndexError, ValueError):
+        return False
+    return version.tag == der.INTEGER and all(rdn.tag == der.SET for rdn in name.children)
 
 
 def verify_csr(doc: CsrDocument) -> bool:

@@ -206,6 +206,20 @@ def test_x509_calls_algs_verify_only_in_the_one_check():
     assert verify_calls(tree) == inside
 
 
+def test_x509_builds_a_verification_report_only_in_the_one_check():
+    tree = _tree("x509")
+
+    def report_calls(node):
+        return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Name) and n.func.id == "VerificationReport"]
+
+    [check] = [f for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name == "_check_signature"]
+    inside = report_calls(check)
+    assert inside
+    assert report_calls(tree) == inside
+
+
 def test_package_init_imports_no_package_module():
     assert _package_imports("__init__") == set()
 

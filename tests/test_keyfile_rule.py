@@ -37,6 +37,7 @@ EDITS = {
     "version 5": _set(0, lambda _: der.integer(5)),
     "a trailing field": _edited(lambda fields: fields.append(der.integer(5))),
     "NULL parameters": _set(1, lambda alg: der.seq(alg.children[0], der.null())),
+    "a privateKey one octet short": _set(2, lambda key: der.octet_string(key.as_octets()[:-1])),
 }
 
 

@@ -36,7 +36,7 @@ def test_parse_multiple_attributes_preserves_order():
 
 def test_case_insensitive_keys():
     assert parse_name("cn=a") == parse_name("CN=a")
-    assert parse_name("serialnumber=123").attributes[0].key == "SERIALNUMBER"
+    assert parse_name("serialnumber=123").attributes[0].key == "serialNumber"
 
 
 def test_country_uses_printable_string():
@@ -171,7 +171,7 @@ def test_serial_number_read_from_der_keeps_the_tag_it_was_written_with():
     blob = der.encode(der.seq(der.set_of(_atv(AT_SERIAL_NUMBER, der.utf8("AB_1")))))
     name = DistinguishedName.from_der_value(der.decode(blob))
     assert [(a.key, a.value, a.tag) for a in name.attributes] == [
-        ("SERIALNUMBER", "AB_1", der.UTF8_STRING)]
+        ("serialNumber", "AB_1", der.UTF8_STRING)]
     assert der.encode(name.to_der_value()) == blob
 
 

@@ -387,6 +387,18 @@ def test_three_subjects_that_once_printed_alike_view_apart(tmp_path, capsys):
     assert subjects == ["CN=a\\,O=evil", "CN=a+O=evil", "CN=a,O=evil"]
 
 
+def test_view_spells_serial_number_as_openssl_does(tmp_path, capsys):
+    """OpenSSL's RFC 2253 form lists the RDNs last first; view keeps the order written."""
+    assert cli.main(["cert", "-newkey", "ecdsa", "-subj", "CN=dev,serialNumber=ABC123",
+                     "-out", str(tmp_path / "c.pem"), "-keyout", str(tmp_path / "k.pem")]) == 0
+    result = _openssl("x509", "-in", "c.pem", "-noout", "-subject", "-nameopt", "RFC2253",
+                      cwd=tmp_path)
+    assert result.stdout == "subject=serialNumber=ABC123,CN=dev\n", result.stderr
+    capsys.readouterr()
+    assert cli.main(["view", str(tmp_path / "c.pem")]) == 0
+    assert "        Subject: CN=dev,serialNumber=ABC123\n" in capsys.readouterr().out
+
+
 # -- PEM as OpenSSL writes it ---------------------------------------------
 
 @post_quantum

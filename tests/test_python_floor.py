@@ -2,8 +2,10 @@
 no third-party package (der, pem, names, oids, slhdsa) are run under each
 interpreter from 3.10 to 3.13 found under ~/.pyenv or on PATH, other than
 the one running this suite, in a child process in isolated mode and
-without site-packages, so no installed package is seen. An absent
-interpreter is skipped."""
+without site-packages, so no installed package is seen. The child writes
+no bytecode into the source tree: isolated mode ignores
+PYTHONDONTWRITEBYTECODE, so it is told so by -B. An absent interpreter is
+skipped."""
 
 import glob
 import os
@@ -48,12 +50,20 @@ def _interpreter(minor):
     return pyenv[-1] if pyenv else shutil.which(f"python3.{minor}")
 
 
+def _bytecode(minor):
+    """Each cpython-3minor bytecode file under the source tree, with its mtime."""
+    return {path: path.stat().st_mtime_ns
+            for path in pathlib.Path(_SRC).rglob(f"*.cpython-3{minor}.pyc")}
+
+
 @pytest.mark.parametrize("minor", [m for m in (10, 11, 12, 13) if m != sys.version_info.minor])
 def test_the_stdlib_modules_run_under_each_python_from_the_floor(minor):
     python = _interpreter(minor)
     if python is None:
         pytest.skip(f"no Python 3.{minor} found")
-    result = subprocess.run([python, "-I", "-S", "-c", _SCRIPT, _SRC],
+    before = _bytecode(minor)
+    result = subprocess.run([python, "-I", "-S", "-B", "-c", _SCRIPT, _SRC],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == _REGRESSION_SIG_DIGESTS["128f"] + "\n"
+    assert _bytecode(minor) == before
